@@ -5,7 +5,12 @@
 //! the *user's* stochastic behaviour, not a fixed offered rate. The
 //! static [`ClusterSim`] fixes its shard count and balancer at
 //! construction; [`AdaptiveSim`] closes three loops around the same
-//! dispatch/execution machinery:
+//! dispatch/execution machinery. Its dispatch pass *is* the static
+//! one: the [`FleetEndpoint`] every fleet dispatches through, with a
+//! crate-private controller attached. The endpoint fires a control
+//! step at each period boundary `b` once no offer before `b` remains
+//! (after every offer at `b - 1`, before any offer at `b`), and feeds
+//! the controller each balancer decision.
 //!
 //! 1. **Autoscaling** — every `control_period_slots` the controller
 //!    samples the mean predicted M/M/1/K occupancy of the routable
@@ -15,7 +20,7 @@
 //!    `warmup_slots`, and its server-side warm-up gate rejects
 //!    anything that slips through — yet it counts against the
 //!    shard-hour bill from the moment it is provisioned. Scale-in
-//!    drains through the *existing* E13 crash-harvest machinery: the
+//!    takes the shard down through the endpoint's crash path: the
 //!    shard is marked down, its in-flight sessions are re-offered to
 //!    the survivors with their remaining duration (counted
 //!    `rerouted`), and the execution phase crashes the shard's active
@@ -44,14 +49,13 @@
 //! still samples occupancy, but sampling is pure modulo memo fills
 //! that are bit-identical to the direct evaluation.
 
-use dms_serve::{
-    RecoveryConfig, ServeError, ServeMetricsSink, ServerConfig, SessionRequest, Workload,
-};
-use dms_sim::{EventQueue, FaultPlan, FaultSpec, MetricsRegistry, SimTime};
+use dms_serve::{RecoveryConfig, ServeError, ServeMetricsSink, ServerConfig, Workload};
+use dms_sim::{FaultPlan, FaultSpec, MetricsRegistry};
 use serde::{Deserialize, Serialize};
 
-use crate::balancer::{Balancer, BalancerPolicy, Route, ShardState};
+use crate::balancer::{BalancerPolicy, Route, ShardState};
 use crate::cluster::{ClusterConfig, ClusterReport, ClusterSim, DispatchReport, ShardFault};
+use crate::endpoint::FleetEndpoint;
 
 /// `ln 2` in Q16 — the quantum of the integer `ln` approximation.
 const LN2_Q16: i64 = 45_426;
@@ -340,27 +344,15 @@ impl AdaptiveReport {
     }
 }
 
-/// One offer in the adaptive dispatch stream (the static endpoint's
-/// `Offer`, duplicated because that one is module-private).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Offer {
-    slot: u64,
-    seq: u64,
-    id: u64,
-    duration_slots: u64,
-    attempt: u32,
-}
-
-/// The sequential adaptive dispatch pass: the static endpoint's merge
-/// discipline plus a control step at every period boundary.
-struct AdaptiveDispatcher {
-    slots: u64,
-    full_bits: u64,
-    recovery: RecoveryConfig,
+/// The E17 control loop. [`AdaptiveSim::dispatch`] attaches it to the
+/// dispatching [`FleetEndpoint`], which calls [`Controller::step`] at
+/// each control boundary and [`Controller::observe`] after each
+/// balancer decision; the autoscaler and bandit state live here.
+#[derive(Debug)]
+pub(crate) struct Controller {
     autoscale: AutoscaleConfig,
-    states: Vec<ShardState>,
-    balancers: Vec<Balancer>,
-    policies: Vec<BalancerPolicy>,
+    /// Balancer policy per arm (one arm for [`ArmSelection::Fixed`]).
+    arms: Vec<BalancerPolicy>,
     active_arm: usize,
     ucb: Option<i64>,
     pulls: [u64; 3],
@@ -372,47 +364,18 @@ struct AdaptiveDispatcher {
     drained_at: Vec<Option<u64>>,
     scale_events: Vec<ScaleEvent>,
     windows: Vec<ControlWindow>,
-    dynamic: EventQueue<Offer>,
-    next_seq: u64,
-    sessions: Vec<Vec<SessionRequest>>,
-    in_flight: Vec<Vec<(u64, u64, u64)>>,
-    report: DispatchReport,
 }
 
-impl AdaptiveDispatcher {
-    fn new(
-        config: &AdaptiveConfig,
-        full_bits: u64,
-        slots: u64,
-        hint: usize,
-    ) -> Result<Self, ServeError> {
+impl Controller {
+    fn new(config: &AdaptiveConfig) -> Self {
         let auto = config.autoscale;
-        let n = auto.max_shards;
-        let mut states = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut state = ShardState::new(config.shard.capacity, full_bits, None, hint)?;
-            if i >= auto.min_shards {
-                // Parked spare: never routable until activated.
-                state.set_up_from(Some(u64::MAX));
-            }
-            states.push(state);
-        }
-        let (policies, ucb): (Vec<BalancerPolicy>, Option<i64>) = match config.arms {
+        let (arms, ucb) = match config.arms {
             ArmSelection::Fixed(policy) => (vec![policy], None),
             ArmSelection::Ucb { exploration_q16 } => (ARMS.to_vec(), Some(exploration_q16)),
         };
-        let balancers = policies
-            .iter()
-            .map(|&p| Balancer::new(p, config.seed))
-            .collect();
-        Ok(AdaptiveDispatcher {
-            slots,
-            full_bits,
-            recovery: config.recovery,
+        Controller {
             autoscale: auto,
-            states,
-            balancers,
-            policies,
+            arms,
             active_arm: 0,
             ucb,
             pulls: [0; 3],
@@ -420,24 +383,35 @@ impl AdaptiveDispatcher {
             window_offered: 0,
             window_good: 0,
             next_boundary: auto.control_period_slots,
-            provisioned_at: (0..n).map(|i| (i < auto.min_shards).then_some(0)).collect(),
-            drained_at: vec![None; n],
+            provisioned_at: (0..auto.max_shards)
+                .map(|i| (i < auto.min_shards).then_some(0))
+                .collect(),
+            drained_at: vec![None; auto.max_shards],
             scale_events: Vec::new(),
             windows: Vec::new(),
-            dynamic: EventQueue::with_capacity(64),
-            next_seq: 0,
-            sessions: (0..n).map(|_| Vec::with_capacity(hint)).collect(),
-            in_flight: vec![Vec::new(); n],
-            report: DispatchReport {
-                shard_sessions: vec![0; n],
-                ..DispatchReport::default()
-            },
-        })
+        }
     }
 
-    /// The policy routing during the current window.
-    fn current_arm(&self) -> BalancerPolicy {
-        self.policies[self.active_arm]
+    /// The balancer policies, one per arm.
+    pub(crate) fn arms(&self) -> &[BalancerPolicy] {
+        &self.arms
+    }
+
+    /// The arm routing during the current window.
+    pub(crate) fn arm(&self) -> usize {
+        self.active_arm
+    }
+
+    /// The next control boundary.
+    pub(crate) fn next_boundary(&self) -> u64 {
+        self.next_boundary
+    }
+
+    /// Parks the spares: never routable until provisioned.
+    pub(crate) fn park(&self, states: &mut [ShardState]) {
+        for state in &mut states[self.autoscale.min_shards..] {
+            state.set_up_from(Some(u64::MAX));
+        }
     }
 
     /// Shards provisioned (warming or routable) and not drained.
@@ -449,50 +423,35 @@ impl AdaptiveDispatcher {
             .count()
     }
 
-    /// Processes control boundaries and dynamic offers that must
-    /// precede the next injected offer (`Some(slot)`) or the end of
-    /// the stream (`None`) — the static endpoint's merge discipline
-    /// with the boundary check spliced in front.
-    fn advance(&mut self, upcoming: Option<u64>) {
-        loop {
-            let next_slot = match (upcoming, self.dynamic.peek_time()) {
-                (Some(u), Some(t)) => Some(u.min(t.ticks())),
-                (Some(u), None) => Some(u),
-                (None, Some(t)) => Some(t.ticks()),
-                (None, None) => None,
-            };
-            if self.next_boundary < self.slots && next_slot.is_none_or(|s| s >= self.next_boundary)
-            {
-                let b = self.next_boundary;
-                self.control_step(b, true);
-                self.next_boundary = b + self.autoscale.control_period_slots;
-                continue;
+    /// Route-time observer, called after each balancer decision and
+    /// before a dispatch reserves its bits: counts the routed offer
+    /// into the bandit's window and scores it with the dispatch-time
+    /// reward oracle — would the receiving shard's mirror have
+    /// admitted this session? For jsq/p2c the route already implies
+    /// yes; for the oblivious rr this is exactly where overload shows.
+    pub(crate) fn observe(&mut self, route: Route, states: &mut [ShardState], bits: u64) {
+        self.window_offered += 1;
+        if let Route::To(shard) = route {
+            if states[shard].would_admit(bits) {
+                self.window_good += 1;
             }
-            let due = match (upcoming, self.dynamic.peek_time()) {
-                (Some(u), Some(t)) => t.ticks() < u,
-                (None, Some(_)) => true,
-                (_, None) => false,
-            };
-            if !due {
-                break;
-            }
-            let offer = self.dynamic.pop().expect("peeked non-empty").payload;
-            self.route_one(offer);
         }
     }
 
-    /// One control boundary: sample occupancy, scale (only while the
-    /// stream is still open — the final partial window must not
-    /// schedule re-offers nothing will route), close the bandit
-    /// window.
-    fn control_step(&mut self, b: u64, scale: bool) {
+    /// One control boundary at `b`: sample occupancy, scale (only
+    /// while the stream is still open — the final partial window must
+    /// not schedule re-offers nothing will route), close the bandit
+    /// window. Returns the shard a scale-in drains; the endpoint takes
+    /// it down exactly like a crashed shard.
+    pub(crate) fn step(&mut self, b: u64, scale: bool, states: &mut [ShardState]) -> Option<usize> {
+        self.next_boundary = b + self.autoscale.control_period_slots;
         // 1. Load signal: mean predicted occupancy over the shards the
         //    balancer can route to at `b`. `release_until` first, so
         //    the signal sees the same reservation ledger the next
         //    routing decision would (idempotent — routing re-releases).
         let mut occ_sum = 0.0f64;
         let mut routable = 0u64;
-        for state in &mut self.states {
+        for state in states.iter_mut() {
             if state.alive(b) {
                 state.release_until(b);
                 occ_sum += state.current_occupancy();
@@ -507,13 +466,15 @@ impl AdaptiveDispatcher {
 
         // 2. Autoscale: at most one provisioning step per boundary.
         //    Decisions count *provisioned* shards (warming included)
-        //    so a warming spare suppresses further scale-ups.
+        //    so a warming spare suppresses further scale-ups. A drain
+        //    takes the highest provisioned shard.
+        let mut drain = None;
         if scale && self.autoscale.min_shards < self.autoscale.max_shards {
             let provisioned = self.provisioned();
             if mean_occ > self.autoscale.scale_up_above && provisioned < self.autoscale.max_shards {
                 if let Some(i) = self.provisioned_at.iter().position(Option::is_none) {
                     self.provisioned_at[i] = Some(b);
-                    self.states[i].set_up_from(Some(b + self.autoscale.warmup_slots));
+                    states[i].set_up_from(Some(b + self.autoscale.warmup_slots));
                     self.scale_events.push(ScaleEvent {
                         slot: b,
                         shard: i,
@@ -524,15 +485,17 @@ impl AdaptiveDispatcher {
             } else if mean_occ < self.autoscale.scale_in_below
                 && provisioned > self.autoscale.min_shards
             {
-                let victim = self
-                    .provisioned_at
-                    .iter()
-                    .enumerate()
+                drain = (0..self.provisioned_at.len())
                     .rev()
-                    .find(|(i, p)| p.is_some() && self.drained_at[*i].is_none())
-                    .map(|(i, _)| i);
-                if let Some(i) = victim {
-                    self.drain_shard(i, b, mean_occ);
+                    .find(|&i| self.provisioned_at[i].is_some() && self.drained_at[i].is_none());
+                if let Some(i) = drain {
+                    self.drained_at[i] = Some(b);
+                    self.scale_events.push(ScaleEvent {
+                        slot: b,
+                        shard: i,
+                        up: false,
+                        occupancy: mean_occ,
+                    });
                 }
             }
         }
@@ -546,7 +509,7 @@ impl AdaptiveDispatcher {
         };
         self.windows.push(ControlWindow {
             end_slot: b,
-            arm: self.current_arm(),
+            arm: self.arms[self.active_arm],
             offered: self.window_offered,
             good: self.window_good,
             reward_q16,
@@ -564,94 +527,15 @@ impl AdaptiveDispatcher {
         }
         self.window_offered = 0;
         self.window_good = 0;
+        drain
     }
 
-    /// Drains shard `i` at boundary `b`: the scale-in leg of the
-    /// E13 crash-harvest machinery. The shard stops taking traffic at
-    /// `b`, its in-flight sessions re-offer to the survivors with
-    /// their remaining duration after the first backoff, and the
-    /// execution phase will crash its active set at `b`.
-    fn drain_shard(&mut self, i: usize, b: u64, mean_occ: f64) {
-        self.drained_at[i] = Some(b);
-        self.states[i].set_down_from(Some(b));
-        for &(arrival, depart, id) in &self.in_flight[i] {
-            // Same victim predicate as a crash harvest: arrived
-            // before the drain edge, with playout left past it.
-            if arrival < b && depart > b {
-                self.report.rerouted += 1;
-                let slot = b + self.recovery.backoff_slots(0);
-                self.dynamic.schedule(
-                    SimTime::from_ticks(slot),
-                    Offer {
-                        slot,
-                        seq: self.next_seq,
-                        id,
-                        duration_slots: depart - b,
-                        attempt: 1,
-                    },
-                );
-                self.next_seq += 1;
-            }
-        }
-        self.in_flight[i].clear();
-        self.states[i].release_all();
-        self.scale_events.push(ScaleEvent {
-            slot: b,
-            shard: i,
-            up: false,
-            occupancy: mean_occ,
-        });
-    }
-
-    /// Routes one offer — the static endpoint's loop body plus the
-    /// bandit's window accounting.
-    fn route_one(&mut self, offer: Offer) {
-        if offer.slot >= self.slots || offer.duration_slots == 0 {
-            self.report.balancer_rejected += 1;
-            return;
-        }
-        for state in &mut self.states {
-            state.release_until(offer.slot);
-        }
-        self.window_offered += 1;
-        match self.balancers[self.active_arm].route(&mut self.states, offer.slot, self.full_bits) {
-            Route::To(shard) => {
-                // Dispatch-time reward oracle: would the receiving
-                // shard's mirror have admitted this session? For
-                // jsq/p2c the route already implies yes; for the
-                // oblivious rr this is exactly where overload shows.
-                if self.states[shard].would_admit(self.full_bits) {
-                    self.window_good += 1;
-                }
-                let depart = offer.slot + offer.duration_slots;
-                self.states[shard].reserve(depart, self.full_bits);
-                self.sessions[shard].push(SessionRequest {
-                    id: offer.id,
-                    arrival_slot: offer.slot,
-                    duration_slots: offer.duration_slots,
-                });
-                self.report.shard_sessions[shard] += 1;
-                self.report.dispatched += 1;
-                self.in_flight[shard].push((offer.slot, depart, offer.id));
-            }
-            Route::Refused => {
-                if offer.attempt < self.recovery.max_retries {
-                    self.report.retries += 1;
-                    let slot = offer.slot + self.recovery.backoff_slots(offer.attempt);
-                    self.dynamic.schedule(
-                        SimTime::from_ticks(slot),
-                        Offer {
-                            slot,
-                            seq: self.next_seq,
-                            attempt: offer.attempt + 1,
-                            ..offer
-                        },
-                    );
-                    self.next_seq += 1;
-                } else {
-                    self.report.balancer_rejected += 1;
-                }
-            }
+    /// Closes the final partial window at the horizon `slots`, so
+    /// late-run routing is still accounted (and rewarded, in UCB
+    /// mode).
+    pub(crate) fn close(&mut self, slots: u64, states: &mut [ShardState]) {
+        if self.window_offered > 0 {
+            self.step(slots, false, states);
         }
     }
 }
@@ -708,6 +592,22 @@ impl AdaptiveSim {
         &self.config
     }
 
+    /// The static fleet over `shards` that the adaptive one dispatches
+    /// and executes on. Its balancer is the first arm (execution never
+    /// re-routes): the pinned arm in the differential case, where the
+    /// config is then exactly the static cluster's.
+    fn cluster_config(&self, shards: Vec<ServerConfig>) -> ClusterConfig {
+        ClusterConfig {
+            shards,
+            balancer: match self.config.arms {
+                ArmSelection::Fixed(policy) => policy,
+                ArmSelection::Ucb { .. } => ARMS[0],
+            },
+            recovery: self.config.recovery,
+            seed: self.config.seed,
+        }
+    }
+
     /// The adaptive dispatch pass alone: per-shard workloads, the
     /// execution-phase fault plans (crash bursts at scale-in edges)
     /// and the control trace. Sequential and simulation-free, like
@@ -715,7 +615,8 @@ impl AdaptiveSim {
     ///
     /// # Errors
     ///
-    /// Propagates template validation.
+    /// Propagates template validation; fails if the dispatch ledger
+    /// does not close ([`DispatchReport::verify`]).
     pub fn dispatch(
         &self,
         workload: &Workload,
@@ -728,58 +629,38 @@ impl AdaptiveSim {
         ),
         ServeError,
     > {
-        workload.template.validate()?;
-        let full_bits = workload.template.full_bits();
-        let hint = workload.sessions.len() / self.config.autoscale.max_shards + 1;
-        let mut d = AdaptiveDispatcher::new(&self.config, full_bits, workload.slots, hint)?;
-
-        let mut order: Vec<usize> = (0..workload.sessions.len()).collect();
-        order.sort_by_key(|&i| workload.sessions[i].arrival_slot);
-        for &i in &order {
-            let s = workload.sessions[i];
-            d.advance(Some(s.arrival_slot));
-            d.report.offered += 1;
-            let offer = Offer {
-                slot: s.arrival_slot,
-                seq: d.next_seq,
-                id: s.id,
-                duration_slots: s.duration_slots,
-                attempt: 0,
-            };
-            d.next_seq += 1;
-            d.route_one(offer);
-        }
-        d.advance(None);
-        // Close the final partial window so late-run routing is
-        // still accounted (and rewarded, in UCB mode).
-        if d.window_offered > 0 {
-            d.control_step(workload.slots, false);
-        }
-        debug_assert_eq!(
-            d.report.dispatched + d.report.balancer_rejected + d.report.drained,
-            d.report.offered + d.report.rerouted,
-            "adaptive dispatch conservation"
-        );
+        let n = self.config.autoscale.max_shards;
+        let mut endpoint = FleetEndpoint::with_faults(
+            &self.cluster_config(vec![self.config.shard; n]),
+            workload.template,
+            workload.slots,
+            &[],
+            workload.sessions.len() / n + 1,
+        )?;
+        endpoint.attach(Controller::new(&self.config), self.config.seed);
+        endpoint.offer_workload(workload)?;
+        let (workloads, report, ctl) = endpoint.finish_controlled();
+        let ctl = ctl.expect("controller attached above");
+        report.verify()?;
 
         let slots = workload.slots;
-        let n = self.config.autoscale.max_shards;
         // Shard-hour bill: each shard is provisioned over one interval
         // `[provisioned_at, drained_at | horizon)`.
         let mut shard_count = vec![0u64; slots as usize];
         let mut shard_slots = 0u64;
         for i in 0..n {
-            if let Some(a) = d.provisioned_at[i] {
-                let end = d.drained_at[i].unwrap_or(slots).min(slots);
+            if let Some(a) = ctl.provisioned_at[i] {
+                let end = ctl.drained_at[i].unwrap_or(slots).min(slots);
                 shard_slots += end.saturating_sub(a);
                 for c in shard_count.iter_mut().take(end as usize).skip(a as usize) {
                     *c += 1;
                 }
             }
         }
-        let any_drain = d.drained_at.iter().any(Option::is_some);
+        let any_drain = ctl.drained_at.iter().any(Option::is_some);
         let faults: Vec<ShardFault> = if any_drain {
             (0..n)
-                .map(|i| match d.drained_at[i] {
+                .map(|i| match ctl.drained_at[i] {
                     Some(at) => Ok(ShardFault {
                         plan: FaultPlan::compile(
                             &[FaultSpec::CrashBurst {
@@ -798,25 +679,15 @@ impl AdaptiveSim {
         } else {
             Vec::new()
         };
-        let template = workload.template;
-        let workloads: Vec<Workload> = d
-            .sessions
-            .into_iter()
-            .map(|s| Workload {
-                sessions: s,
-                template,
-                slots,
-            })
-            .collect();
         let control = AdaptiveControl {
-            scale_events: d.scale_events,
-            windows: d.windows,
+            scale_events: ctl.scale_events,
+            windows: ctl.windows,
             shard_count,
             shard_slots,
-            provisioned_at: d.provisioned_at,
-            drained_at: d.drained_at,
+            provisioned_at: ctl.provisioned_at,
+            drained_at: ctl.drained_at,
         };
-        Ok((workloads, faults, d.report, control))
+        Ok((workloads, faults, report, control))
     }
 
     /// Runs the full adaptive pipeline: closed-loop dispatch, then the
@@ -848,18 +719,7 @@ impl AdaptiveSim {
                 cfg
             })
             .collect();
-        let cluster = ClusterSim::new(ClusterConfig {
-            shards,
-            // The execution phase never re-routes; any policy works.
-            // Use a fixed arm (or the pinned arm) so the config is
-            // exactly the static cluster's in the differential case.
-            balancer: match self.config.arms {
-                ArmSelection::Fixed(policy) => policy,
-                ArmSelection::Ucb { .. } => BalancerPolicy::RoundRobin,
-            },
-            recovery: self.config.recovery,
-            seed: self.config.seed,
-        })?;
+        let cluster = ClusterSim::new(self.cluster_config(shards))?;
         let report = cluster.run_dispatched(workloads, dispatch, &faults, sinks)?;
         Ok(AdaptiveReport {
             cluster: report,

@@ -152,15 +152,12 @@ impl ShardState {
         }
     }
 
-    /// Releases *every* reservation at once — the graceful-shutdown
-    /// analogue of crash harvesting: when the endpoint stops serving,
-    /// nothing keeps holding admission capacity. Returns the bits
-    /// freed (0 means the ledger was already clean).
-    pub(crate) fn release_all(&mut self) -> u64 {
-        let freed = self.reserved_bits;
+    /// Releases *every* reservation at once: when a shard is taken
+    /// down or the endpoint shuts down, nothing keeps holding
+    /// admission capacity.
+    pub(crate) fn release_all(&mut self) {
         self.departures.clear();
         self.reserved_bits = 0;
-        freed
     }
 
     /// Records a routed session occupying `bits` until `depart_slot`.

@@ -5,8 +5,9 @@
 //!
 //! 1. **Dispatch** — a single sequential pass over the offer stream
 //!    (arrivals, balancer retries, crash re-offers) ordered by
-//!    `(slot, sequence)`. The `Balancer` routes each offer using its
-//!    per-shard mirror predictors; refusals back off and retry through
+//!    `(slot, arrival order)` through the [`FleetEndpoint`]. The
+//!    `Balancer` routes each offer using its per-shard mirror
+//!    predictors; refusals back off and retry through
 //!    the cluster's [`RecoveryConfig`] exactly as in-server session
 //!    retries do, and sessions in flight on a dying shard are
 //!    re-offered to the survivors after the first backoff delay. The
@@ -106,6 +107,78 @@ pub struct DispatchReport {
     pub drained: u64,
     /// Sessions routed to each shard.
     pub shard_sessions: Vec<u64>,
+}
+
+impl DispatchReport {
+    /// Checks that the ledger closes: every offer and re-offer is
+    /// dispatched, rejected or drained
+    /// (`dispatched + balancer_rejected + drained == offered + rerouted`),
+    /// and the per-shard counts add up to `dispatched`. Every
+    /// dispatch pass runs this in release builds too.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`LedgerError`] naming the side that does not close.
+    pub fn verify(&self) -> Result<(), LedgerError> {
+        let resolved = self.dispatched + self.balancer_rejected + self.drained;
+        let entered = self.offered + self.rerouted;
+        if resolved != entered {
+            return Err(LedgerError::Unbalanced { resolved, entered });
+        }
+        let routed: u64 = self.shard_sessions.iter().sum();
+        if routed != self.dispatched {
+            return Err(LedgerError::ShardSessions {
+                routed,
+                dispatched: self.dispatched,
+            });
+        }
+        Ok(())
+    }
+}
+
+/// A [`DispatchReport`] whose ledger does not close — a dispatcher bug.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LedgerError {
+    /// `dispatched + balancer_rejected + drained` (`resolved`) differs
+    /// from `offered + rerouted` (`entered`).
+    Unbalanced {
+        /// Offers dispatched, rejected or drained.
+        resolved: u64,
+        /// Offers and re-offers that entered the dispatcher.
+        entered: u64,
+    },
+    /// The per-shard session counts do not add up to `dispatched`.
+    ShardSessions {
+        /// Sum of `shard_sessions`.
+        routed: u64,
+        /// The `dispatched` counter.
+        dispatched: u64,
+    },
+}
+
+impl std::fmt::Display for LedgerError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LedgerError::Unbalanced { resolved, entered } => write!(
+                f,
+                "dispatch ledger does not close: {resolved} resolved vs {entered} entered"
+            ),
+            LedgerError::ShardSessions { routed, dispatched } => write!(
+                f,
+                "dispatch ledger does not close: {routed} routed to shards vs {dispatched} dispatched"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for LedgerError {}
+
+/// The dispatch passes return [`ServeError`]; a ledger failure maps to
+/// its one variant.
+impl From<LedgerError> for ServeError {
+    fn from(_: LedgerError) -> Self {
+        ServeError::InvalidParameter("dispatch_ledger")
+    }
 }
 
 /// What one cluster run measured: the routing ledger plus every
@@ -365,7 +438,8 @@ impl ClusterSim {
     ///
     /// # Errors
     ///
-    /// Same contract as [`ClusterSim::run_faulted`].
+    /// Same contract as [`ClusterSim::run_faulted`]; also fails if the
+    /// routing ledger does not close ([`DispatchReport::verify`]).
     pub fn dispatch(
         &self,
         workload: &Workload,
@@ -384,16 +458,10 @@ impl ClusterSim {
             faults,
             per_shard_hint,
         )?;
-        // `Workload::generate` emits arrivals in slot order; the stable
-        // index sort covers hand-built workloads, preserving workload
-        // order among same-slot offers — the endpoint's FIFO contract.
-        let mut order: Vec<usize> = (0..workload.sessions.len()).collect();
-        order.sort_by_key(|&i| workload.sessions[i].arrival_slot);
-        for &i in &order {
-            let s = workload.sessions[i];
-            endpoint.offer(s.id, s.arrival_slot, s.duration_slots)?;
-        }
-        Ok(endpoint.finish())
+        endpoint.offer_workload(workload)?;
+        let (workloads, report) = endpoint.finish();
+        report.verify()?;
+        Ok((workloads, report))
     }
 }
 
@@ -487,6 +555,49 @@ mod tests {
             assert_eq!(total, d.dispatched, "{balancer:?}");
             assert_eq!(d.shard_sessions.iter().sum::<u64>(), d.dispatched);
         }
+    }
+
+    #[test]
+    fn unclosed_ledger_is_rejected() {
+        let closed = DispatchReport {
+            offered: 5,
+            dispatched: 4,
+            balancer_rejected: 1,
+            retries: 2,
+            rerouted: 1,
+            drained: 1,
+            shard_sessions: vec![3, 1],
+        };
+        assert_eq!(closed.verify(), Ok(()));
+        let lost = DispatchReport {
+            balancer_rejected: 0,
+            ..closed.clone()
+        };
+        assert_eq!(
+            lost.verify(),
+            Err(LedgerError::Unbalanced {
+                resolved: 5,
+                entered: 6
+            })
+        );
+        let misrouted = DispatchReport {
+            shard_sessions: vec![3, 2],
+            ..closed
+        };
+        assert_eq!(
+            misrouted.verify(),
+            Err(LedgerError::ShardSessions {
+                routed: 5,
+                dispatched: 4
+            })
+        );
+        assert_eq!(
+            ServeError::from(LedgerError::Unbalanced {
+                resolved: 0,
+                entered: 1
+            }),
+            ServeError::InvalidParameter("dispatch_ledger")
+        );
     }
 
     #[test]

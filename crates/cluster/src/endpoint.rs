@@ -1,40 +1,43 @@
-//! The incremental fleet endpoint: the cluster-side offer-source seam.
+//! The fleet endpoint: the workspace's only cluster dispatcher.
 //!
-//! [`FleetEndpoint`] is the dispatch pass of
-//! [`ClusterSim`](crate::ClusterSim) turned inside out: instead of
-//! consuming a complete [`Workload`] in one sequential sweep, it
-//! accepts offers one at a time in non-decreasing slot order —
-//! `dms-net`'s socket driver feeds it frames, the batch
-//! [`ClusterSim::dispatch`](crate::ClusterSim::dispatch) feeds it a
-//! sorted workload — and both produce bit-identical routing because
-//! they *are* the same code path. Retries and crash re-offers flow
-//! through the same timing wheel and the same
-//! `(slot, arrival-order)` merge discipline as the original batch
-//! pass: a dynamic offer strictly earlier than the next injected offer
-//! routes first; ties go to the injected offer (its sequence number is
-//! always smaller in spirit — initial offers precede dynamic ones at
-//! equal slots).
+//! [`FleetEndpoint`] accepts offers one at a time in non-decreasing
+//! slot order. `dms-net`'s socket driver feeds it frames; the batch
+//! [`ClusterSim::dispatch`](crate::ClusterSim::dispatch) and the
+//! adaptive [`AdaptiveSim::dispatch`](crate::AdaptiveSim::dispatch)
+//! feed it sorted workloads. All of them produce bit-identical routing
+//! for the same offers because they *are* the same code path. Retries
+//! and re-offers flow through one timing wheel and one
+//! `(slot, arrival-order)` merge discipline: a dynamic offer strictly
+//! earlier than the next injected offer routes first; ties go to the
+//! injected offer (initial offers precede dynamic ones at equal slots).
+//!
+//! Two kinds of *edge* interleave with the offers: shard deaths from
+//! the fault list and, when [`AdaptiveSim`](crate::AdaptiveSim)
+//! attaches its controller, control boundaries. An edge at slot `b`
+//! fires once no offer before `b` remains — after every offer at
+//! `b - 1`, before any offer at `b`. A death and a scale-in drain take
+//! a shard down through one path: the balancer routes around it from
+//! `b`, the sessions in flight on it are re-offered to the survivors
+//! with their remaining duration, and its reservations are released.
 //!
 //! A graceful [`FleetEndpoint::shutdown`] drops the retries still in
-//! backoff (counted as `drained`) and releases every reserved
-//! admission bit exactly like crash harvesting releases a dead shard's
-//! in-flight reservations — nothing leaks, and the conservation ledger
+//! backoff (counted as `drained`), releases every reserved admission
+//! bit, and checks that the ledger
 //! `dispatched + balancer_rejected + drained == offered + rerouted`
-//! stays exact.
+//! closes ([`DispatchReport::verify`]).
 
 use dms_serve::{RecoveryConfig, ServeError, SessionRequest, SessionTemplate, Workload};
 use dms_sim::{EventQueue, SimTime};
 
+use crate::adaptive::Controller;
 use crate::balancer::{Balancer, Route, ShardState};
-use crate::cluster::{ClusterConfig, DispatchReport, ShardFault};
+use crate::cluster::{ClusterConfig, DispatchReport, LedgerError, ShardFault};
 
-/// One offer in the dispatch stream, processed in `(slot, seq)` order.
-/// `seq` is unique metadata (the wheel's FIFO-within-slot drain already
-/// yields push order); it survives for debuggability.
+/// One offer in the dispatch stream. Offers due at one slot route in
+/// push order: the wheel drains each slot FIFO.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Offer {
     slot: u64,
-    seq: u64,
     id: u64,
     duration_slots: u64,
     attempt: u32,
@@ -79,15 +82,22 @@ pub struct FleetEndpoint {
     template: SessionTemplate,
     recovery: RecoveryConfig,
     states: Vec<ShardState>,
-    balancer: Balancer,
-    /// Shard deaths in slot order; each harvested for re-offers exactly
-    /// once, when the offer stream passes its slot.
+    /// One balancer per controller arm; a static fleet has exactly one.
+    balancers: Vec<Balancer>,
+    /// The adaptive fleet's control loop. `None` on every other path,
+    /// which then does no controller work at all.
+    controller: Option<Controller>,
+    /// Shard deaths in slot order; each taken down exactly once, when
+    /// the offer stream passes its slot.
     deaths: Vec<(u64, usize)>,
     next_death: usize,
-    /// Dynamic offers (retries, crash re-offers) keyed by retry slot.
+    /// Dynamic offers (retries, take-down re-offers) keyed by slot.
     dynamic: EventQueue<Offer>,
-    next_seq: u64,
     sessions: Vec<Vec<SessionRequest>>,
+    /// Per shard, `(arrival, depart, id)` of the sessions a take-down
+    /// could strand. Recorded only where one can strike — a shard with
+    /// a fault `down_from`, or any shard under a controller — so a
+    /// static fault-free fleet holds none.
     in_flight: Vec<Vec<(u64, u64, u64)>>,
     report: DispatchReport,
     last_offer_slot: u64,
@@ -157,11 +167,11 @@ impl FleetEndpoint {
             template,
             recovery: config.recovery,
             states,
-            balancer: Balancer::new(config.balancer, config.seed),
+            balancers: vec![Balancer::new(config.balancer, config.seed)],
+            controller: None,
             deaths,
             next_death: 0,
             dynamic: EventQueue::with_capacity(64),
-            next_seq: 0,
             sessions: (0..shard_count)
                 .map(|_| Vec::with_capacity(per_shard_hint))
                 .collect(),
@@ -174,6 +184,19 @@ impl FleetEndpoint {
             outcomes: None,
             done: false,
         })
+    }
+
+    /// Attaches the adaptive fleet's control loop before the first
+    /// offer: one balancer per controller arm (seeded like the
+    /// config's), spare shards parked until provisioned.
+    pub(crate) fn attach(&mut self, controller: Controller, seed: u64) {
+        self.balancers = controller
+            .arms()
+            .iter()
+            .map(|&policy| Balancer::new(policy, seed))
+            .collect();
+        controller.park(&mut self.states);
+        self.controller = Some(controller);
     }
 
     /// The simulation horizon in slots.
@@ -227,15 +250,26 @@ impl FleetEndpoint {
         self.last_offer_slot = slot;
         self.advance(Some(slot));
         self.report.offered += 1;
-        let offer = Offer {
+        self.route_one(Offer {
             slot,
-            seq: self.next_seq,
             id,
             duration_slots,
             attempt: 0,
-        };
-        self.next_seq += 1;
-        self.route_one(offer);
+        });
+        Ok(())
+    }
+
+    /// Offers every session of `workload` in arrival order.
+    /// `Workload::generate` emits arrivals in slot order; the stable
+    /// index sort covers hand-built workloads, preserving workload
+    /// order among same-slot offers — the endpoint's FIFO contract.
+    pub(crate) fn offer_workload(&mut self, workload: &Workload) -> Result<(), ServeError> {
+        let mut order: Vec<usize> = (0..workload.sessions.len()).collect();
+        order.sort_by_key(|&i| workload.sessions[i].arrival_slot);
+        for &i in &order {
+            let s = workload.sessions[i];
+            self.offer(s.id, s.arrival_slot, s.duration_slots)?;
+        }
         Ok(())
     }
 
@@ -255,24 +289,47 @@ impl FleetEndpoint {
     /// Implies [`FleetEndpoint::drain_pending`] unless a shutdown
     /// already ended the stream.
     #[must_use]
-    pub fn finish(mut self) -> (Vec<Workload>, DispatchReport) {
+    pub fn finish(self) -> (Vec<Workload>, DispatchReport) {
+        let (workloads, report, _) = self.finish_controlled();
+        (workloads, report)
+    }
+
+    /// [`FleetEndpoint::finish`] that also hands back the attached
+    /// controller, its final partial window closed at the horizon.
+    pub(crate) fn finish_controlled(
+        mut self,
+    ) -> (Vec<Workload>, DispatchReport, Option<Controller>) {
         if !self.done {
             self.advance(None);
         }
-        self.into_workloads()
+        if let Some(controller) = self.controller.as_mut() {
+            controller.close(self.slots, &mut self.states);
+        }
+        let (template, slots) = (self.template, self.slots);
+        let workloads = self
+            .sessions
+            .into_iter()
+            .map(|s| Workload {
+                sessions: s,
+                template,
+                slots,
+            })
+            .collect();
+        (workloads, self.report, self.controller)
     }
 
     /// Gracefully shuts the endpoint down at `slot`: dynamic offers
     /// due before `slot` still route, retries left in backoff are
     /// dropped as `drained` (with a [`FleetVerdict::Rejected`]
     /// outcome), and every reserved admission bit is released exactly
-    /// like crash harvesting releases a dead shard's in-flight
-    /// reservations. On return the conservation ledger
-    /// `dispatched + balancer_rejected + drained == offered + rerouted`
-    /// holds exactly (debug-asserted here, re-checked by the net
-    /// driver). Call [`FleetEndpoint::finish`] afterwards for the
-    /// workloads.
-    pub fn shutdown(&mut self, slot: u64) {
+    /// like a take-down releases a dead shard's reservations. Call
+    /// [`FleetEndpoint::finish`] afterwards for the workloads.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`LedgerError`] of [`DispatchReport::verify`] if
+    /// the conservation ledger does not close — a dispatcher bug.
+    pub fn shutdown(&mut self, slot: u64) -> Result<(), LedgerError> {
         self.advance(Some(slot));
         self.done = true;
         // Harvest deaths at or before the shutdown edge so their
@@ -295,42 +352,17 @@ impl FleetEndpoint {
                 });
             }
         }
-        let mut still_reserved = 0u64;
         for state in &mut self.states {
-            still_reserved += state.release_all();
+            state.release_all();
         }
-        debug_assert!(
-            still_reserved.is_multiple_of(self.full_bits),
-            "reservations are whole frames"
-        );
-        debug_assert_eq!(
-            self.report.dispatched + self.report.balancer_rejected + self.report.drained,
-            self.report.offered + self.report.rerouted,
-            "shutdown conservation"
-        );
+        self.report.verify()
     }
 
-    fn into_workloads(self) -> (Vec<Workload>, DispatchReport) {
-        let template = self.template;
-        let slots = self.slots;
-        let workloads = self
-            .sessions
-            .into_iter()
-            .map(|s| Workload {
-                sessions: s,
-                template,
-                slots,
-            })
-            .collect();
-        (workloads, self.report)
-    }
-
-    /// Processes deaths and dynamic offers that must precede the next
+    /// Processes edges and dynamic offers that must precede the next
     /// injected offer (`upcoming = Some(slot)`) or the end of the
-    /// stream (`None`). The merge discipline is the batch pass's:
-    /// a death is harvested once no offer before its slot remains, a
-    /// dynamic offer routes only while strictly earlier than the next
-    /// injected one.
+    /// stream (`None`). An edge — a shard death or a control boundary
+    /// — fires once no offer before its slot remains; a dynamic offer
+    /// routes only while strictly earlier than the next injected one.
     fn advance(&mut self, upcoming: Option<u64>) {
         loop {
             let next_slot = match (upcoming, self.dynamic.peek_time()) {
@@ -339,9 +371,21 @@ impl FleetEndpoint {
                 (None, Some(t)) => Some(t.ticks()),
                 (None, None) => None,
             };
+            let reached = |edge: u64| next_slot.is_none_or(|s| s >= edge);
             if let Some(&(death_slot, _)) = self.deaths.get(self.next_death) {
-                if next_slot.is_none_or(|s| s >= death_slot) {
+                if reached(death_slot) {
                     self.harvest_death();
+                    continue;
+                }
+            }
+            // Boundaries before the horizon only. No caller combines a
+            // controller with deaths, so the two edge kinds never race.
+            if let Some(controller) = self.controller.as_mut() {
+                let b = controller.next_boundary();
+                if b < self.slots && reached(b) {
+                    if let Some(shard) = controller.step(b, true, &mut self.states) {
+                        self.take_down(shard, b);
+                    }
                     continue;
                 }
             }
@@ -358,36 +402,43 @@ impl FleetEndpoint {
         }
     }
 
-    /// Harvests the next shard death: the sessions then in flight on
-    /// the dead shard are re-offered to the survivors after the first
-    /// backoff delay — the cross-shard leg of the retry path.
+    /// Takes the next shard death from the fault list down.
     fn harvest_death(&mut self) {
         let (death_slot, shard) = self.deaths[self.next_death];
         self.next_death += 1;
+        self.take_down(shard, death_slot);
+    }
+
+    /// Takes `shard` down at slot `b` — a crash death or a scale-in
+    /// drain alike. The balancer routes around it from `b`; the
+    /// sessions then in flight on it are re-offered to the survivors
+    /// with their remaining duration after the first backoff delay
+    /// (the cross-shard leg of the retry path); its reservations are
+    /// released.
+    fn take_down(&mut self, shard: usize, b: u64) {
+        self.states[shard].set_down_from(Some(b));
         for &(arrival, depart, id) in &self.in_flight[shard] {
-            // Active at the crash edge, like the in-shard crash burst:
-            // arrived before the death slot, departing at or after it,
-            // with playout left.
-            if arrival < death_slot && depart > death_slot {
+            // Active at the edge, like the in-shard crash burst:
+            // arrived before `b`, with playout left past it.
+            if arrival < b && depart > b {
                 self.report.rerouted += 1;
-                let slot = death_slot + self.recovery.backoff_slots(0);
+                let slot = b + self.recovery.backoff_slots(0);
                 self.dynamic.schedule(
                     SimTime::from_ticks(slot),
                     Offer {
                         slot,
-                        seq: self.next_seq,
                         id,
-                        duration_slots: depart - death_slot,
+                        duration_slots: depart - b,
                         attempt: 1,
                     },
                 );
-                self.next_seq += 1;
             }
         }
         self.in_flight[shard].clear();
+        self.states[shard].release_all();
     }
 
-    /// Routes one offer — the batch pass's loop body, verbatim.
+    /// Routes one offer through the active balancer.
     fn route_one(&mut self, offer: Offer) {
         if offer.slot >= self.slots || offer.duration_slots == 0 {
             // Backed off past the end of the run (or nothing left to
@@ -401,12 +452,16 @@ impl FleetEndpoint {
         for state in &mut self.states {
             state.release_until(offer.slot);
         }
-        match self
-            .balancer
-            .route(&mut self.states, offer.slot, self.full_bits)
-        {
+        let arm = self.controller.as_ref().map_or(0, Controller::arm);
+        let route = self.balancers[arm].route(&mut self.states, offer.slot, self.full_bits);
+        if let Some(controller) = self.controller.as_mut() {
+            controller.observe(route, &mut self.states, self.full_bits);
+        }
+        match route {
             Route::To(shard) => {
-                let depart = offer.slot + offer.duration_slots;
+                // The duration may come from a peer: saturate, as the
+                // serve engine does, rather than wrap the reservation.
+                let depart = offer.slot.saturating_add(offer.duration_slots);
                 self.states[shard].reserve(depart, self.full_bits);
                 self.sessions[shard].push(SessionRequest {
                     id: offer.id,
@@ -415,7 +470,7 @@ impl FleetEndpoint {
                 });
                 self.report.shard_sessions[shard] += 1;
                 self.report.dispatched += 1;
-                if self.states[shard].dies() {
+                if self.controller.is_some() || self.states[shard].dies() {
                     self.in_flight[shard].push((offer.slot, depart, offer.id));
                 }
                 self.push_outcome(&offer, FleetVerdict::Dispatched { shard });
@@ -428,12 +483,10 @@ impl FleetEndpoint {
                         SimTime::from_ticks(slot),
                         Offer {
                             slot,
-                            seq: self.next_seq,
                             attempt: offer.attempt + 1,
                             ..offer
                         },
                     );
-                    self.next_seq += 1;
                     self.push_outcome(&offer, FleetVerdict::Retrying { next_slot: slot });
                 } else {
                     self.report.balancer_rejected += 1;
@@ -582,7 +635,7 @@ mod tests {
                 .expect("sorted offers");
             fed += 1;
         }
-        ep.shutdown(100);
+        ep.shutdown(100).expect("shutdown ledger closes");
         let (_, report) = ep.finish();
         assert_eq!(report.offered, fed);
         assert!(report.drained > 0, "a 1.5x-load fleet has retries pending");
@@ -591,6 +644,42 @@ mod tests {
             report.offered + report.rerouted,
             "shutdown conservation ledger"
         );
+    }
+
+    /// A peer can send any duration: `slot + duration` saturates
+    /// instead of wrapping the reservation into the past, where it
+    /// would be released at once and skew routing.
+    #[test]
+    fn huge_duration_saturates_the_reservation() {
+        let template = SessionTemplate::streaming_default().expect("preset valid");
+        let cfg = config(
+            vec![shard_config(100, &template), shard_config(100, &template)],
+            BalancerPolicy::JoinShortestQueue,
+        );
+        let mut ep = FleetEndpoint::new(&cfg, template, 100).expect("valid");
+        ep.offer(1, 5, u64::MAX).expect("in order");
+        ep.offer(2, 6, 10).expect("in order");
+        let (_, report) = ep.finish();
+        assert_eq!(report.shard_sessions, vec![1, 1]);
+    }
+
+    /// A fault-free endpoint without a controller records no in-flight
+    /// victims, however saturated: at 10^6 sessions that list would be
+    /// the fleet dispatch's largest allocation.
+    #[test]
+    fn static_path_records_no_in_flight_victims() {
+        let wl = workload(1.5, 80, 200, 13);
+        let template = wl.template;
+        let cfg = config(
+            vec![shard_config(40, &template), shard_config(40, &template)],
+            BalancerPolicy::JoinShortestQueue,
+        );
+        let mut ep = FleetEndpoint::new(&cfg, template, wl.slots).expect("valid");
+        ep.offer_workload(&wl).expect("sorted offers");
+        ep.drain_pending();
+        assert!(ep.report().retries > 0, "a 1.5x-load fleet saturates");
+        assert!(ep.report().dispatched > 0);
+        assert!(ep.in_flight.iter().all(Vec::is_empty));
     }
 
     #[test]

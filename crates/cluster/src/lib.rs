@@ -23,6 +23,15 @@
 //! `DMS_THREADS`, and a single-shard round-robin cluster reproduces a
 //! bare [`dms_serve::ServerSim::run`] bit for bit.
 //!
+//! [`FleetEndpoint`] is the only dispatcher: the batch
+//! [`ClusterSim::dispatch`], the adaptive [`AdaptiveSim::dispatch`]
+//! and `dms-net`'s socket-fed fleet driver all route through it. Shard
+//! deaths and (adaptive fleets only) control boundaries are edges in
+//! its offer merge: an edge at slot `b` fires after every offer before
+//! `b` and before any offer at `b`. Every dispatch pass ends with
+//! [`DispatchReport::verify`], so a ledger that does not close is an
+//! error in release builds too.
+//!
 //! Experiment E14 (in `dms-bench`) sweeps shard count × balancer ×
 //! fault arm over a heterogeneous fleet and shows near-linear
 //! admitted-utility scaling under the smart balancers, the round-robin
@@ -48,7 +57,8 @@ pub use adaptive::{
 };
 pub use balancer::BalancerPolicy;
 pub use cluster::{
-    aggregate_utility, ClusterConfig, ClusterReport, ClusterSim, DispatchReport, ShardFault,
+    aggregate_utility, ClusterConfig, ClusterReport, ClusterSim, DispatchReport, LedgerError,
+    ShardFault,
 };
 pub use endpoint::{FleetEndpoint, FleetVerdict, OfferOutcome};
 pub use tiers::{

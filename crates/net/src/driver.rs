@@ -524,7 +524,8 @@ impl FleetDriver {
     ///
     /// Same protocol surface as [`SessionDriver::on_frame`]; endpoint
     /// refusals (offer after shutdown, slot going backwards) surface
-    /// as [`NetError::Protocol`].
+    /// as [`NetError::Protocol`], and a dispatch ledger that does not
+    /// close at shutdown as [`NetError::Ledger`].
     pub fn on_frame(&mut self, frame: Frame, out: &mut Vec<Frame>) -> Result<(), NetError> {
         if self.done {
             return Err(NetError::Protocol("frame after shutdown"));
@@ -578,7 +579,9 @@ impl FleetDriver {
                 if !self.hello_seen {
                     return Err(NetError::Protocol("shutdown before hello"));
                 }
-                self.endpoint.shutdown(self.last_slot);
+                self.endpoint
+                    .shutdown(self.last_slot)
+                    .map_err(NetError::Ledger)?;
                 self.pump(out);
                 out.push(Frame::Shutdown { reason });
                 self.done = true;

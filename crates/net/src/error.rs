@@ -26,6 +26,8 @@ pub enum NetError {
     Stalled,
     /// Reconnect backoff ran out of retries.
     RetriesExhausted,
+    /// The fleet endpoint's dispatch ledger did not close at shutdown.
+    Ledger(dms_cluster::LedgerError),
     /// An underlying socket error.
     Io(std::io::Error),
 }
@@ -41,6 +43,7 @@ impl fmt::Display for NetError {
             NetError::Closed => write!(f, "peer closed before shutdown"),
             NetError::Stalled => write!(f, "stalled: no frame within the heartbeat window"),
             NetError::RetriesExhausted => write!(f, "reconnect retries exhausted"),
+            NetError::Ledger(e) => write!(f, "{e}"),
             NetError::Io(e) => write!(f, "io: {e}"),
         }
     }
