@@ -10,7 +10,8 @@
 //! ```
 //!
 //! For every experiment id present in both files the guard checks
-//! `new_seconds <= factor * max(baseline_seconds, NOISE_FLOOR)`. The
+//! `new_seconds <= factor * max(baseline_seconds, NOISE_FLOOR)`, and
+//! every baseline id must still be timed in the fresh file. The
 //! noise floor keeps micro-experiments (sub-50 ms timings where CI
 //! jitter dwarfs the signal) from tripping the guard; the factor (2×
 //! by default) is deliberately loose — this is a tripwire for
@@ -31,7 +32,8 @@
 //! a million sessions" an enforced claim rather than a comment.
 //!
 //! Exits 0 when every experiment is inside the envelope, 1 on any
-//! regression, 2 on malformed input.
+//! regression or baseline experiment missing from the fresh file, 2 on
+//! malformed input.
 
 use dms_sim::JsonValue;
 
@@ -199,9 +201,11 @@ fn main() {
             "{id:>6}  baseline {base_secs:7.3} s  new {new_secs:7.3} s  budget {budget:7.3} s  {verdict}"
         );
     }
+    let mut missing = 0u32;
     for (id, _) in &baseline {
         if !fresh.iter().any(|(f, _)| f == id) {
-            println!("{id:>6}  present in baseline but missing from new run");
+            missing += 1;
+            println!("{id:>6}  present in baseline but missing from new run  MISSING");
         }
     }
     let mut floor_failures = 0u32;
@@ -242,7 +246,13 @@ fn main() {
             );
         }
     }
-    if regressions > 0 || floor_failures > 0 || ceiling_failures > 0 {
+    if regressions > 0 || missing > 0 || floor_failures > 0 || ceiling_failures > 0 {
+        if missing > 0 {
+            eprintln!(
+                "bench_guard: {missing} baseline experiments missing from {}",
+                paths[1]
+            );
+        }
         if regressions > 0 {
             eprintln!(
                 "bench_guard: {regressions} of {compared} experiments exceed {factor}x baseline"

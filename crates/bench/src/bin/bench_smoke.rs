@@ -6,6 +6,8 @@
 //! Writes `BENCH_experiments.json` in the working directory:
 //!
 //! * per-experiment wall-clock seconds (sequential, one at a time);
+//! * per-point seconds of the E12, E14 (scale-out axis), E16 and E17
+//!   sweeps, one `Sweep::run` at a time;
 //! * the full `all_experiments()` suite, parallel (all cores) vs
 //!   `DMS_THREADS=1`, and the resulting speed-up;
 //! * 2¹⁶-sample fGn generation, circulant embedding vs the Hosking
@@ -24,7 +26,10 @@
 use std::time::Instant;
 
 use dms_analysis::FractionalGaussianNoise;
-use dms_bench::{all_experiments, Experiment};
+use dms_bench::{
+    all_experiments, E12Arm, E12Point, E12ServerLoad, E14ScaleOut, E15Arm, E15Point, E16GeoTiered,
+    E17AdaptiveFleet, Sweep, EXPERIMENTS,
+};
 use dms_serve::ServeMetricsSink;
 use dms_sim::{JsonValue, MetricsRegistry, SimRng};
 
@@ -34,6 +39,46 @@ fn seconds_of(f: impl FnOnce()) -> f64 {
     start.elapsed().as_secs_f64()
 }
 
+/// Times one `S::run` per point of sweep `S` whose label `keep`
+/// accepts — the jobs `run_sweep` fans out — printing each and
+/// recording it as the gauge `<id>/<label>/seconds`.
+fn time_points<S: Sweep>(
+    label_of: impl Fn(&S::Point) -> String,
+    keep: impl Fn(&str) -> bool,
+    registry: &mut MetricsRegistry,
+) -> Vec<(String, f64)> {
+    println!("\n{} points:", S::ID);
+    let mut timed = Vec::new();
+    for point in &S::points() {
+        let label = label_of(point);
+        if !keep(&label) {
+            continue;
+        }
+        let secs = seconds_of(|| {
+            std::hint::black_box(S::run(point));
+        });
+        println!("  {label:<28} {secs:6.3} s");
+        registry.gauge_set(&format!("{}/{label}/seconds", S::ID.to_lowercase()), secs);
+        timed.push((label, secs));
+    }
+    timed
+}
+
+/// Per-point timings as a `[{point, seconds}]` JSON array.
+fn points_json(timed: &[(String, f64)]) -> JsonValue {
+    JsonValue::Array(
+        timed
+            .iter()
+            .map(|(label, secs)| {
+                JsonValue::Object(vec![
+                    ("point".to_string(), JsonValue::from(label.as_str())),
+                    ("seconds".to_string(), JsonValue::Float(*secs)),
+                ])
+            })
+            .collect(),
+    )
+}
+
 fn main() {
     let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     println!("# bench_smoke ({threads} hardware threads)\n");
@@ -41,40 +86,15 @@ fn main() {
     // Per-experiment timings, isolated: sequential inside and out
     // (DMS_THREADS=1), so the numbers are comparable across machines.
     std::env::set_var("DMS_THREADS", "1");
-    const EXPERIMENTS: [fn() -> Experiment; 23] = [
-        dms_bench::fig1_stream,
-        dms_bench::fig2_design_flow,
-        dms_bench::e1_asip_speedup,
-        dms_bench::e2_traffic,
-        dms_bench::e3_noc_mapping,
-        dms_bench::e4_packet_size,
-        dms_bench::e5_scheduling,
-        dms_bench::e6_modulation,
-        dms_bench::e7_image_tx,
-        dms_bench::e8_fgs_streaming,
-        dms_bench::e9_manet_routing,
-        dms_bench::e10_steady_state,
-        dms_bench::e11_ambient,
-        dms_bench::e12_server_load,
-        dms_bench::e13_resilience,
-        dms_bench::e14_scale_out,
-        dms_bench::e15_mega_scale,
-        dms_bench::e16_geo_tiered,
-        dms_bench::e17_adaptive_fleet,
-        dms_bench::x1_lip_sync,
-        dms_bench::x2_ctmc_transient,
-        dms_bench::x3_mapped_validation,
-        dms_bench::x4_arq_packet_size,
-    ];
+    let mut registry = MetricsRegistry::new();
     let mut per_experiment: Vec<(String, f64)> = Vec::new();
-    for run in EXPERIMENTS {
-        let mut exp: Option<Experiment> = None;
+    for (id, run) in EXPERIMENTS {
+        let mut title = "";
         let secs = seconds_of(|| {
-            exp = Some(run());
+            title = run().title;
         });
-        let exp = exp.expect("experiment ran");
-        println!("{:>4}  {:7.3} s  {}", exp.id, secs, exp.title);
-        per_experiment.push((exp.id.to_string(), secs));
+        println!("{id:>4}  {secs:7.3} s  {title}");
+        per_experiment.push((id.to_string(), secs));
     }
 
     // Suite wall-clock: sequential (DMS_THREADS=1, still set) vs
@@ -111,98 +131,23 @@ fn main() {
          ({hosking_cold:.3} s cold) -> {fgn_speedup:.1}x"
     );
 
-    // E12 server sweep, point by point: each (process, load, arm) job
-    // is a single seeded run, so these are the per-shard costs the
-    // ParRunner balances when the full sweep fans out.
-    println!("\nE12 load points:");
-    let mut e12_points_timed: Vec<(String, f64)> = Vec::new();
-    for point in dms_bench::e12_points() {
-        let mut report = None;
-        let secs = seconds_of(|| {
-            report = Some(dms_bench::e12_run_point(point));
-        });
-        let r = report.expect("point ran");
-        println!(
-            "  {:<28} {:6.3} s  miss {:5.2}%  utility {:.3}",
-            point.label(),
-            secs,
-            r.miss_rate() * 100.0,
-            r.mean_utility()
-        );
-        e12_points_timed.push((point.label(), secs));
-    }
-
-    // E14 cluster sweep, scale-out axis only: one cluster run per
-    // shard count at the saturated load, nominal jsq arm. These are
-    // the largest single jobs in the suite (each fans its shards out
-    // on the inner ParRunner; DMS_THREADS=1 here keeps them serial and
-    // comparable).
+    // Sweep points one job at a time: the per-point costs the
+    // ParRunner balances when each sweep fans out. E12 runs with its
+    // per-slot sink attached, as the sweep does.
+    let e12_points_timed = time_points::<E12ServerLoad>(|p| p.label(), |_| true, &mut registry);
+    // From here on DMS_THREADS=1 keeps the nested fan-outs (E14 shards,
+    // E16 region fleets, E17 shard execution, the E15 cluster arm)
+    // serial, so the numbers are per-core costs comparable across
+    // machines. E14 times the scale-out axis only: one cluster per
+    // shard count at the saturated load, nominal jsq arm.
     std::env::set_var("DMS_THREADS", "1");
-    println!("\nE14 scale-out points (jsq, 1.05x, nominal):");
-    let mut e14_points_timed: Vec<(String, f64)> = Vec::new();
-    for point in dms_bench::e14_points()
-        .into_iter()
-        .filter(|p| p.label().ends_with("1.05x-jsq-nominal"))
-    {
-        let mut report = None;
-        let secs = seconds_of(|| {
-            report = Some(dms_bench::e14_run_point(point));
-        });
-        let r = report.expect("point ran");
-        println!(
-            "  {:<24} {:6.3} s  utility {:9.0}  rejected {}",
-            point.label(),
-            secs,
-            r.utility_sum(),
-            r.rejected()
-        );
-        e14_points_timed.push((point.label(), secs));
-    }
-
-    // E16 geo-tiered points: the full end-to-end composition (Zipf
-    // cache pass + origin predictor + region fleets + wireless/mesh
-    // last hop), tiered vs flat arm at every swept load. DMS_THREADS=1
-    // (still set) keeps the nested region fan-out serial so the
-    // numbers are per-core costs.
-    println!("\nE16 geo-tiered points:");
-    let mut e16_points_timed: Vec<(String, f64)> = Vec::new();
-    for point in dms_bench::e16_points() {
-        let mut report = None;
-        let secs = seconds_of(|| {
-            report = Some(dms_bench::e16_run_point(point));
-        });
-        let r = report.expect("point ran");
-        println!(
-            "  {:<12} {:6.3} s  hit {:4.1}%  origin rho {:.2}  delivered utility {:9.0}",
-            point.label(),
-            secs,
-            r.hit_ratio() * 100.0,
-            r.origin_load(),
-            r.delivered_utility()
-        );
-        e16_points_timed.push((point.label(), secs));
-    }
-
-    // E17 adaptive-fleet points: closed-loop dispatch (autoscaler +
-    // bandit) plus shard execution, per regime × arm. DMS_THREADS=1
-    // (still set) keeps the shard fan-out serial for per-core costs.
-    println!("\nE17 adaptive-fleet points:");
-    let mut e17_points_timed: Vec<(String, f64)> = Vec::new();
-    for point in dms_bench::e17_points() {
-        let mut outcome = None;
-        let secs = seconds_of(|| {
-            outcome = Some(dms_bench::e17_run_point(point));
-        });
-        let o = outcome.expect("point ran");
-        println!(
-            "  {:<18} {:6.3} s  utility/shard-hour {:8.0}  shard-slots {:5}",
-            point.label(),
-            secs,
-            o.utility_per_shard_hour(),
-            o.shard_slots()
-        );
-        e17_points_timed.push((point.label(), secs));
-    }
+    let e14_points_timed = time_points::<E14ScaleOut>(
+        |p| p.label(),
+        |label| label.ends_with("1.05x-jsq-nominal"),
+        &mut registry,
+    );
+    let e16_points_timed = time_points::<E16GeoTiered>(|p| p.label(), |_| true, &mut registry);
+    let e17_points_timed = time_points::<E17AdaptiveFleet>(|p| p.label(), |_| true, &mut registry);
 
     // E15 mega-scale sweep: sessions/sec/core and peak RSS at
     // 10^4/10^5/10^6 sessions, server and 8-shard cluster arms, plus
@@ -225,7 +170,7 @@ fn main() {
         let workload = dms_bench::e15_workload(point.sessions);
         let mut outcome = None;
         let secs = seconds_of(|| {
-            outcome = Some(dms_bench::e15_run_point_on(point, &workload));
+            outcome = Some(dms_bench::e15_run_point_on(point, &workload, None));
         });
         let o = outcome.expect("point ran");
         let throughput = o.offered as f64 / secs.max(1e-9);
@@ -266,11 +211,15 @@ fn main() {
     let e15_instrumented = {
         let sessions = *dms_bench::E15_SESSION_COUNTS.last().expect("non-empty");
         let workload = dms_bench::e15_workload(sessions);
+        let point = E15Point {
+            sessions,
+            arm: E15Arm::Server,
+        };
         let mut sink = ServeMetricsSink::bounded();
         let mut report = None;
         let secs = seconds_of(|| {
-            report = Some(dms_bench::e15_run_server_instrumented_on(
-                sessions,
+            report = Some(dms_bench::e15_run_point_on(
+                point,
                 &workload,
                 Some(&mut sink),
             ));
@@ -325,12 +274,13 @@ fn main() {
     // Sink overhead: the heaviest sweep point with no sink (the hot
     // path every experiment takes) vs with a per-slot sink attached.
     // The `None` column is the one that must not regress.
-    let overhead_point = dms_bench::e12_points()
-        .into_iter()
-        .find(|p| p.label() == "selfsim-1.5x-uncontrolled")
-        .expect("point is on the grid");
+    let overhead_point = E12Point {
+        load: 1.5,
+        self_similar: true,
+        arm: E12Arm::Uncontrolled,
+    };
     let none_sink = seconds_of(|| {
-        std::hint::black_box(dms_bench::e12_run_point(overhead_point));
+        std::hint::black_box(dms_bench::e12_run_point_instrumented(overhead_point, None));
     });
     let with_sink = seconds_of(|| {
         let mut sink = ServeMetricsSink::new();
@@ -358,7 +308,6 @@ fn main() {
 
     // Registry snapshot: the same numbers, recorded through the
     // metrics layer the simulators feed their run-logs from.
-    let mut registry = MetricsRegistry::new();
     for (id, secs) in &per_experiment {
         registry.gauge_set(&format!("experiment/{id}/seconds"), *secs);
     }
@@ -375,18 +324,6 @@ fn main() {
         s.gauge_set("hosking_cold_seconds", hosking_cold);
         s.gauge_set("hosking_warm_seconds", hosking_warm);
         s.gauge_set("speedup", fgn_speedup);
-    }
-    for (label, secs) in &e12_points_timed {
-        registry.gauge_set(&format!("e12/{label}/seconds"), *secs);
-    }
-    for (label, secs) in &e14_points_timed {
-        registry.gauge_set(&format!("e14/{label}/seconds"), *secs);
-    }
-    for (label, secs) in &e16_points_timed {
-        registry.gauge_set(&format!("e16/{label}/seconds"), *secs);
-    }
-    for (label, secs) in &e17_points_timed {
-        registry.gauge_set(&format!("e17/{label}/seconds"), *secs);
     }
     for t in &e15_timed {
         let mut s = registry.scoped(&format!("e15/{}", t.label));
@@ -466,59 +403,19 @@ fn main() {
         ),
         (
             "e12_load_points".to_string(),
-            JsonValue::Array(
-                e12_points_timed
-                    .iter()
-                    .map(|(label, secs)| {
-                        JsonValue::Object(vec![
-                            ("point".to_string(), JsonValue::from(label.as_str())),
-                            ("seconds".to_string(), JsonValue::Float(*secs)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            points_json(&e12_points_timed),
         ),
         (
             "e14_scale_out_points".to_string(),
-            JsonValue::Array(
-                e14_points_timed
-                    .iter()
-                    .map(|(label, secs)| {
-                        JsonValue::Object(vec![
-                            ("point".to_string(), JsonValue::from(label.as_str())),
-                            ("seconds".to_string(), JsonValue::Float(*secs)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            points_json(&e14_points_timed),
         ),
         (
             "e16_tier_points".to_string(),
-            JsonValue::Array(
-                e16_points_timed
-                    .iter()
-                    .map(|(label, secs)| {
-                        JsonValue::Object(vec![
-                            ("point".to_string(), JsonValue::from(label.as_str())),
-                            ("seconds".to_string(), JsonValue::Float(*secs)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            points_json(&e16_points_timed),
         ),
         (
             "e17_adaptive_points".to_string(),
-            JsonValue::Array(
-                e17_points_timed
-                    .iter()
-                    .map(|(label, secs)| {
-                        JsonValue::Object(vec![
-                            ("point".to_string(), JsonValue::from(label.as_str())),
-                            ("seconds".to_string(), JsonValue::Float(*secs)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            points_json(&e17_points_timed),
         ),
         (
             "e15_mega_scale".to_string(),

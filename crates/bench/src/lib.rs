@@ -2,9 +2,15 @@
 //!
 //! One function per quantitative claim or figure of the paper (see
 //! `DESIGN.md` for the experiment index). Each returns an
-//! [`Experiment`] of paper-vs-measured rows; the `experiments` binary
-//! prints them all, and the Criterion benches in `benches/` time the
+//! [`Experiment`] of paper-vs-measured rows; [`EXPERIMENTS`] lists them
+//! by id for [`all_experiments`], the `experiments` binary and
+//! `bench_smoke`, and the Criterion benches in `benches/` time the
 //! underlying kernels.
+//!
+//! The server sweeps E12–E17 are each one [`Sweep`]: a grid of seeded
+//! points that [`run_sweep`] runs once each on the [`ParRunner`]. The
+//! same outcomes yield the experiment's rows and its run-log
+//! ([`Experiment::log`]), so writing run-logs re-runs nothing.
 //!
 //! Seeds are fixed so every number here is reproducible bit-for-bit.
 
@@ -81,6 +87,113 @@ pub struct Experiment {
     pub title: &'static str,
     /// The comparison rows.
     pub rows: Vec<Row>,
+    /// What the experiment's runs recorded: a sweep's metadata,
+    /// per-point metrics and records; empty for single-shot
+    /// experiments. [`run_log_for`] appends the rows.
+    pub log: RunLog,
+}
+
+/// One explore-and-evaluate loop of the paper's design flow (Fig. 2):
+/// a grid of independent, fully seeded points. [`run_sweep`] runs each
+/// point once; its outcome feeds both the paper-vs-measured rows and
+/// the run-log.
+pub trait Sweep: Sized {
+    /// One grid point.
+    type Point: Sync;
+    /// What running one point yields.
+    type Outcome: Send;
+    /// Experiment id from DESIGN.md.
+    const ID: &'static str;
+    /// Human-readable title.
+    const TITLE: &'static str;
+
+    /// The grid, in run-log order.
+    fn points() -> Vec<Self::Point>;
+    /// Runs one point. Seeds depend only on the point.
+    fn run(point: &Self::Point) -> Self::Outcome;
+    /// Run-log metadata of the sweep.
+    fn meta() -> Vec<(&'static str, String)>;
+    /// Records one point's metrics, on the worker that ran it.
+    fn export(point: &Self::Point, outcome: &Self::Outcome, registry: &mut MetricsRegistry);
+    /// One point's run-log record.
+    fn record(point: &Self::Point, outcome: &Self::Outcome) -> RunRecord;
+    /// The paper-vs-measured rows, read off the finished grid.
+    fn rows(grid: &Grid<Self>) -> Vec<Row>;
+    /// Appends sweep-level records after the per-point ones.
+    fn finish(_grid: &Grid<Self>, _log: &mut RunLog) {}
+}
+
+/// A finished sweep: every point with its outcome, in grid order.
+pub struct Grid<S: Sweep> {
+    points: Vec<S::Point>,
+    outcomes: Vec<S::Outcome>,
+}
+
+impl<S: Sweep> Grid<S> {
+    /// The outcome of the first point matching `pred`.
+    ///
+    /// # Panics
+    ///
+    /// If no point matches: rows only read points on the grid.
+    pub fn find(&self, pred: impl Fn(&S::Point) -> bool) -> &S::Outcome {
+        let i = self
+            .points
+            .iter()
+            .position(pred)
+            .expect("point is on the grid");
+        &self.outcomes[i]
+    }
+}
+
+/// Runs sweep `S` and assembles its experiment. Every point runs once,
+/// fanned out on the [`ParRunner`], and exports its metrics on the
+/// worker that ran it. Registries merge and records push in grid
+/// order, so rows and run-log are byte-identical at any `DMS_THREADS`.
+#[must_use]
+pub fn run_sweep<S: Sweep>() -> Experiment {
+    let points = S::points();
+    let results = ParRunner::new().map(&points, |point| {
+        let outcome = S::run(point);
+        let mut registry = MetricsRegistry::new();
+        S::export(point, &outcome, &mut registry);
+        (outcome, registry)
+    });
+    let mut log = RunLog::new();
+    for (key, value) in S::meta() {
+        log.set_meta(key, value);
+    }
+    let mut outcomes = Vec::with_capacity(points.len());
+    for (point, (outcome, registry)) in points.iter().zip(results) {
+        log.registry_mut().merge(&registry);
+        log.push(S::record(point, &outcome));
+        outcomes.push(outcome);
+    }
+    let grid = Grid { points, outcomes };
+    S::finish(&grid, &mut log);
+    Experiment {
+        id: S::ID,
+        title: S::TITLE,
+        rows: S::rows(&grid),
+        log,
+    }
+}
+
+/// The run-log of one experiment: the log its runs recorded, with its
+/// id and title as metadata and its rows appended as typed records.
+#[must_use]
+pub fn run_log_for(exp: &Experiment) -> RunLog {
+    let mut log = exp.log.clone();
+    log.set_meta("experiment", exp.id);
+    log.set_meta("title", exp.title);
+    for row in &exp.rows {
+        log.push(
+            RunRecord::new("row")
+                .with("metric", row.metric.as_str())
+                .with("paper", row.paper.as_str())
+                .with("measured", row.measured.as_str()),
+        );
+    }
+    log
 }
 
 /// F1 — the Fig. 1 decoder pipeline: buffer utilisation and stability.
@@ -114,6 +227,7 @@ pub fn fig1_stream() -> Experiment {
                 format!("{:.1}%", r.cpu_utilization * 100.0),
             ),
         ],
+        log: RunLog::new(),
     }
 }
 
@@ -151,6 +265,7 @@ pub fn fig2_design_flow() -> Experiment {
                 format!("{:?}", report.adopted),
             ),
         ],
+        log: RunLog::new(),
     }
 }
 
@@ -179,6 +294,7 @@ pub fn e1_asip_speedup() -> Experiment {
                 format!("{}", report.total_gates),
             ),
         ],
+        log: RunLog::new(),
     }
 }
 
@@ -232,6 +348,7 @@ pub fn e2_traffic() -> Experiment {
                 ),
             ),
         ],
+        log: RunLog::new(),
     }
 }
 
@@ -264,6 +381,7 @@ pub fn e3_noc_mapping() -> Experiment {
                 format!("{:.1}%", (1.0 - sa / adhoc) * 100.0),
             ),
         ],
+        log: RunLog::new(),
     }
 }
 
@@ -314,6 +432,7 @@ pub fn e4_packet_size() -> Experiment {
         id: "E4",
         title: "Packet-size exploration on the NoC (§3.3, [21][22])",
         rows,
+        log: RunLog::new(),
     }
 }
 
@@ -358,6 +477,7 @@ pub fn e5_scheduling() -> Experiment {
         id: "E5",
         title: "Energy-aware comm+task scheduling vs EDF (§3.3, [23])",
         rows,
+        log: RunLog::new(),
     }
 }
 
@@ -384,6 +504,7 @@ pub fn e6_modulation() -> Experiment {
                 format!("{} best-effort slots of {}", r.adaptive_outages, r.slots),
             ),
         ],
+        log: RunLog::new(),
     }
 }
 
@@ -411,6 +532,7 @@ pub fn e7_image_tx() -> Experiment {
                 format!("{} infeasible states of {}", r.infeasible_states, r.states),
             ),
         ],
+        log: RunLog::new(),
     }
 }
 
@@ -460,6 +582,7 @@ pub fn e8_fgs_streaming() -> Experiment {
                 ),
             ),
         ],
+        log: RunLog::new(),
     }
 }
 
@@ -510,6 +633,7 @@ pub fn e9_manet_routing() -> Experiment {
                 ),
             ),
         ],
+        log: RunLog::new(),
     }
 }
 
@@ -575,6 +699,7 @@ pub fn e10_steady_state() -> Experiment {
                 format!("simulation: {sim_loss:.4}"),
             ),
         ],
+        log: RunLog::new(),
     }
 }
 
@@ -617,6 +742,7 @@ pub fn e11_ambient() -> Experiment {
                 ),
             ),
         ],
+        log: RunLog::new(),
     }
 }
 
@@ -642,9 +768,9 @@ impl E12Arm {
 }
 
 /// One `(arrival process, offered load, server arm)` point of the E12
-/// sweep. The grid comes from [`e12_points`]; each point is an
-/// independent seeded job, which is how the sweep shards across the
-/// [`ParRunner`] (and how `bench_smoke` times it point by point).
+/// sweep ([`E12ServerLoad`]). Each point is an independent seeded job,
+/// which is how the sweep shards across the [`ParRunner`] (and how
+/// `bench_smoke` times it point by point).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct E12Point {
     /// Offered load as a multiple of link capacity at full quality.
@@ -681,39 +807,10 @@ const E12_SLOTS: u64 = 700;
 /// default so the sweep sees several session generations per run).
 const E12_DURATION_SLOTS: f64 = 150.0;
 
-/// The full E12 sweep grid: offered loads 0.5–1.5× capacity, Poisson
-/// and self-similar arrivals, all three server arms.
-#[must_use]
-pub fn e12_points() -> Vec<E12Point> {
-    let mut points = Vec::new();
-    for &self_similar in &[false, true] {
-        for &load in &[0.5, 0.8, 1.0, 1.2, 1.5] {
-            for &arm in &[
-                E12Arm::Uncontrolled,
-                E12Arm::DegradeOnly,
-                E12Arm::Controlled,
-            ] {
-                points.push(E12Point {
-                    load,
-                    self_similar,
-                    arm,
-                });
-            }
-        }
-    }
-    points
-}
-
-/// Runs one E12 sweep point. Seeds depend only on `(process, load)`,
-/// so the three arms of a point see the *same* arrival sequence and
-/// their comparison is paired, not statistical.
-#[must_use]
-pub fn e12_run_point(point: E12Point) -> ServerReport {
-    e12_run_point_instrumented(point, None)
-}
-
-/// [`e12_run_point`] with an optional per-slot metrics sink attached
-/// to the server run.
+/// Runs one E12 sweep point, with an optional per-slot metrics sink
+/// attached to the server run. Seeds depend only on
+/// `(process, load)`, so the three arms of a point see the *same*
+/// arrival sequence and their comparison is paired, not statistical.
 #[must_use]
 pub fn e12_run_point_instrumented(
     point: E12Point,
@@ -759,21 +856,60 @@ pub fn e12_run_point_instrumented(
         .expect("valid template")
 }
 
-/// Builds the full E12 run-log: every sweep point instrumented, a
-/// summary record and per-point summary metrics for all 30 points, and
-/// complete per-slot series for the 1.2× overload points (the ones the
-/// headline claims are about — exporting all 30 would make the log
-/// 5× larger for numbers nothing reads).
+/// E12 — the multi-session streaming server under offered-load sweep:
+/// admission control bounds the deadline-miss rate where the
+/// uncontrolled server collapses, and FGS layer shedding turns the
+/// overload cliff into a graceful utility slope.
 ///
-/// Points shard across [`ParRunner`] with per-shard registries merged
-/// in job order, so the log is byte-identical at any `DMS_THREADS`.
-#[must_use]
-pub fn e12_run_log() -> RunLog {
-    let points = e12_points();
-    let results = ParRunner::new().map(&points, |&point| {
+/// The run-log carries summary counters and gauges for all 30 points
+/// and complete per-slot series for the 1.2× overload points (the ones
+/// the headline claims are about — exporting all 30 would make the log
+/// 5× larger for numbers nothing reads).
+pub struct E12ServerLoad;
+
+impl Sweep for E12ServerLoad {
+    type Point = E12Point;
+    type Outcome = (ServerReport, ServeMetricsSink);
+    const ID: &'static str = "E12";
+    const TITLE: &'static str =
+        "Streaming server under load: admission control + FGS shedding (S2.2, S3.2, S4)";
+
+    /// Offered loads 0.5–1.5× capacity, Poisson and self-similar
+    /// arrivals, all three server arms.
+    fn points() -> Vec<E12Point> {
+        let mut points = Vec::new();
+        for &self_similar in &[false, true] {
+            for &load in &[0.5, 0.8, 1.0, 1.2, 1.5] {
+                for &arm in &[
+                    E12Arm::Uncontrolled,
+                    E12Arm::DegradeOnly,
+                    E12Arm::Controlled,
+                ] {
+                    points.push(E12Point {
+                        load,
+                        self_similar,
+                        arm,
+                    });
+                }
+            }
+        }
+        points
+    }
+
+    fn run(point: &E12Point) -> Self::Outcome {
         let mut sink = ServeMetricsSink::with_capacity(E12_SLOTS as usize);
-        let report = e12_run_point_instrumented(point, Some(&mut sink));
-        let mut registry = MetricsRegistry::new();
+        let report = e12_run_point_instrumented(*point, Some(&mut sink));
+        (report, sink)
+    }
+
+    fn meta() -> Vec<(&'static str, String)> {
+        vec![
+            ("slots", E12_SLOTS.to_string()),
+            ("capacity_sessions", E12_SESSIONS.to_string()),
+        ]
+    }
+
+    fn export(point: &E12Point, (report, sink): &Self::Outcome, registry: &mut MetricsRegistry) {
         let scope = format!("e12/{}", point.label());
         {
             let mut s = registry.scoped(&scope);
@@ -788,156 +924,103 @@ pub fn e12_run_log() -> RunLog {
             s.gauge_set("mean_layers", report.mean_layers);
         }
         if (point.load - 1.2).abs() < 1e-9 {
-            sink.export(&mut registry, &format!("{scope}/series"));
+            sink.export(registry, &format!("{scope}/series"));
         }
-        (report, registry)
-    });
-    let mut log = RunLog::new();
-    log.set_meta("experiment", "E12");
-    log.set_meta("slots", E12_SLOTS.to_string());
-    log.set_meta("capacity_sessions", E12_SESSIONS.to_string());
-    for (point, (report, registry)) in points.iter().zip(&results) {
-        log.registry_mut().merge(registry);
-        log.push(
-            RunRecord::new("e12-point")
-                .with("label", point.label())
-                .with("load", point.load)
-                .with("self_similar", point.self_similar)
-                .with("miss_rate", report.miss_rate())
-                .with("mean_utility", report.mean_utility())
-                .with("rejection_rate", report.rejection_rate()),
-        );
     }
-    log
-}
 
-/// Builds the run-log for one experiment: its paper-vs-measured rows
-/// as typed records, plus (for E12) the instrumented sweep metrics
-/// from [`e12_run_log`].
-#[must_use]
-pub fn run_log_for(exp: &Experiment) -> RunLog {
-    let mut log = match exp.id {
-        "E12" => e12_run_log(),
-        "E13" => e13_run_log(),
-        "E14" => e14_run_log(),
-        "E15" => e15_run_log(),
-        "E16" => e16_run_log(),
-        "E17" => e17_run_log(),
-        _ => RunLog::new(),
-    };
-    log.set_meta("experiment", exp.id);
-    log.set_meta("title", exp.title);
-    for row in &exp.rows {
-        log.push(
-            RunRecord::new("row")
-                .with("metric", row.metric.as_str())
-                .with("paper", row.paper.as_str())
-                .with("measured", row.measured.as_str()),
-        );
+    fn record(point: &E12Point, (report, _): &Self::Outcome) -> RunRecord {
+        RunRecord::new("e12-point")
+            .with("label", point.label())
+            .with("load", point.load)
+            .with("self_similar", point.self_similar)
+            .with("miss_rate", report.miss_rate())
+            .with("mean_utility", report.mean_utility())
+            .with("rejection_rate", report.rejection_rate())
     }
-    log
-}
 
-/// E12 — the multi-session streaming server under offered-load sweep:
-/// admission control bounds the deadline-miss rate where the
-/// uncontrolled server collapses, and FGS layer shedding turns the
-/// overload cliff into a graceful utility slope.
-#[must_use]
-pub fn e12_server_load() -> Experiment {
-    let points = e12_points();
-    let reports = ParRunner::new().map(&points, |&p| e12_run_point(p));
-    let find = |load: f64, self_similar: bool, arm: E12Arm| -> &ServerReport {
-        let want = E12Point {
-            load,
-            self_similar,
-            arm,
+    fn rows(grid: &Grid<Self>) -> Vec<Row> {
+        let find = |load, ss, arm| {
+            &grid
+                .find(|p| (p.load, p.self_similar, p.arm) == (load, ss, arm))
+                .0
         };
-        points
-            .iter()
-            .position(|p| *p == want)
-            .map(|i| &reports[i])
-            .expect("point is on the grid")
-    };
-    let mut rows = Vec::new();
-    for &ss in &[false, true] {
-        let name = if ss { "self-similar" } else { "Poisson" };
-        let unc = find(1.2, ss, E12Arm::Uncontrolled);
-        let ctl = find(1.2, ss, E12Arm::Controlled);
-        let base = find(0.8, ss, E12Arm::Controlled);
-        let gap = if ctl.miss_rate() > 0.0 {
-            format!("({:.0}x)", unc.miss_rate() / ctl.miss_rate())
-        } else {
-            "(controlled is miss-free)".to_string()
-        };
+        let mut rows = Vec::new();
+        for &ss in &[false, true] {
+            let name = if ss { "self-similar" } else { "Poisson" };
+            let unc = find(1.2, ss, E12Arm::Uncontrolled);
+            let ctl = find(1.2, ss, E12Arm::Controlled);
+            let base = find(0.8, ss, E12Arm::Controlled);
+            let gap = if ctl.miss_rate() > 0.0 {
+                format!("({:.0}x)", unc.miss_rate() / ctl.miss_rate())
+            } else {
+                "(controlled is miss-free)".to_string()
+            };
+            rows.push(Row::new(
+                format!("{name}: miss rate at 1.2x, uncontrolled vs controlled"),
+                "collapse vs bounded (> 5x apart)",
+                format!(
+                    "{:.1}% vs {:.2}% {gap}",
+                    unc.miss_rate() * 100.0,
+                    ctl.miss_rate() * 100.0,
+                ),
+            ));
+            rows.push(Row::new(
+                format!("{name}: controlled mean utility 0.8x -> 1.2x"),
+                "within 25% of the under-load baseline",
+                format!(
+                    "{:.3} -> {:.3} ({:.0}% kept)",
+                    base.mean_utility(),
+                    ctl.mean_utility(),
+                    ctl.mean_utility() / base.mean_utility() * 100.0
+                ),
+            ));
+            let unc15 = find(1.5, ss, E12Arm::Uncontrolled);
+            let shed15 = find(1.5, ss, E12Arm::DegradeOnly);
+            rows.push(Row::new(
+                format!("{name}: utility at 1.5x, cliff vs layer shedding"),
+                "shedding degrades gracefully",
+                format!(
+                    "{:.3} (no shedding) vs {:.3} at {:.1} mean layers",
+                    unc15.mean_utility(),
+                    shed15.mean_utility(),
+                    shed15.mean_layers
+                ),
+            ));
+            rows.push(Row::new(
+                format!("{name}: sessions rejected at 1.2x / 1.5x"),
+                "grows with overload",
+                format!(
+                    "{:.0}% / {:.0}%",
+                    find(1.2, ss, E12Arm::Controlled).rejection_rate() * 100.0,
+                    find(1.5, ss, E12Arm::Controlled).rejection_rate() * 100.0
+                ),
+            ));
+        }
+        let p_unc = find(1.0, false, E12Arm::Uncontrolled);
+        let s_unc = find(1.0, true, E12Arm::Uncontrolled);
         rows.push(Row::new(
-            format!("{name}: miss rate at 1.2x, uncontrolled vs controlled"),
-            "collapse vs bounded (> 5x apart)",
+            "1.0x uncontrolled miss rate, Poisson vs self-similar",
+            "same mean load: LRD bursts hurt far more (S3.2)",
             format!(
-                "{:.1}% vs {:.2}% {gap}",
-                unc.miss_rate() * 100.0,
-                ctl.miss_rate() * 100.0,
+                "{:.2}% vs {:.2}%",
+                p_unc.miss_rate() * 100.0,
+                s_unc.miss_rate() * 100.0
             ),
         ));
+        let p_ctl = find(1.2, false, E12Arm::Controlled);
+        let s_ctl = find(1.2, true, E12Arm::Controlled);
         rows.push(Row::new(
-            format!("{name}: controlled mean utility 0.8x -> 1.2x"),
-            "within 25% of the under-load baseline",
+            "controlled 1.2x: predicted vs measured occupancy (frames)",
+            "admitted set stays under the M/M/1/K bound",
             format!(
-                "{:.3} -> {:.3} ({:.0}% kept)",
-                base.mean_utility(),
-                ctl.mean_utility(),
-                ctl.mean_utility() / base.mean_utility() * 100.0
+                "Poisson {:.1} vs {:.2}, self-similar {:.1} vs {:.2}",
+                p_ctl.predicted_occupancy,
+                p_ctl.measured_occupancy,
+                s_ctl.predicted_occupancy,
+                s_ctl.measured_occupancy
             ),
         ));
-        let unc15 = find(1.5, ss, E12Arm::Uncontrolled);
-        let shed15 = find(1.5, ss, E12Arm::DegradeOnly);
-        rows.push(Row::new(
-            format!("{name}: utility at 1.5x, cliff vs layer shedding"),
-            "shedding degrades gracefully",
-            format!(
-                "{:.3} (no shedding) vs {:.3} at {:.1} mean layers",
-                unc15.mean_utility(),
-                shed15.mean_utility(),
-                shed15.mean_layers
-            ),
-        ));
-        rows.push(Row::new(
-            format!("{name}: sessions rejected at 1.2x / 1.5x"),
-            "grows with overload",
-            format!(
-                "{:.0}% / {:.0}%",
-                find(1.2, ss, E12Arm::Controlled).rejection_rate() * 100.0,
-                find(1.5, ss, E12Arm::Controlled).rejection_rate() * 100.0
-            ),
-        ));
-    }
-    let p_unc = find(1.0, false, E12Arm::Uncontrolled);
-    let s_unc = find(1.0, true, E12Arm::Uncontrolled);
-    rows.push(Row::new(
-        "1.0x uncontrolled miss rate, Poisson vs self-similar",
-        "same mean load: LRD bursts hurt far more (S3.2)",
-        format!(
-            "{:.2}% vs {:.2}%",
-            p_unc.miss_rate() * 100.0,
-            s_unc.miss_rate() * 100.0
-        ),
-    ));
-    let p_ctl = find(1.2, false, E12Arm::Controlled);
-    let s_ctl = find(1.2, true, E12Arm::Controlled);
-    rows.push(Row::new(
-        "controlled 1.2x: predicted vs measured occupancy (frames)",
-        "admitted set stays under the M/M/1/K bound",
-        format!(
-            "Poisson {:.1} vs {:.2}, self-similar {:.1} vs {:.2}",
-            p_ctl.predicted_occupancy,
-            p_ctl.measured_occupancy,
-            s_ctl.predicted_occupancy,
-            s_ctl.measured_occupancy
-        ),
-    ));
-    Experiment {
-        id: "E12",
-        title: "Streaming server under load: admission control + FGS shedding (S2.2, S3.2, S4)",
-        rows,
+        rows
     }
 }
 
@@ -1081,36 +1164,10 @@ const E13_PRE_WINDOW: (u64, u64) = (350, E13_FAULT_START);
 /// arm's full backoff horizon, so "recovered" means *stays* recovered.
 const E13_POST_WINDOW: (u64, u64) = (670, E13_SLOTS);
 
-/// The full E13 sweep grid: four fault intensities, all three arms.
-#[must_use]
-pub fn e13_points() -> Vec<E13Point> {
-    let mut points = Vec::new();
-    for &intensity in &[
-        E13Intensity::None,
-        E13Intensity::Transient,
-        E13Intensity::Stalls,
-        E13Intensity::Crash,
-    ] {
-        for &arm in &[
-            E12Arm::Uncontrolled,
-            E12Arm::DegradeOnly,
-            E12Arm::Controlled,
-        ] {
-            points.push(E13Point { intensity, arm });
-        }
-    }
-    points
-}
-
-/// Runs one E13 point. The workload seed is shared by *all* points and
-/// the plan seed by all arms of an intensity, so the sweep compares
-/// arms on identical arrivals under identical fault schedules.
-#[must_use]
-pub fn e13_run_point(point: E13Point) -> FaultReport {
-    e13_run_point_instrumented(point, None)
-}
-
-/// [`e13_run_point`] with an optional per-slot metrics sink attached.
+/// Runs one E13 point, with an optional per-slot metrics sink
+/// attached. The workload seed is shared by *all* points and the plan
+/// seed by all arms of an intensity, so the sweep compares arms on
+/// identical arrivals under identical fault schedules.
 #[must_use]
 pub fn e13_run_point_instrumented(
     point: E13Point,
@@ -1201,19 +1258,63 @@ pub fn e13_recovery_slots(sink: &ServeMetricsSink, intensity: E13Intensity) -> O
     None
 }
 
-/// Builds the full E13 run-log: per-point fault/recovery counters and
-/// recovery gauges for all 12 points, plus complete per-slot series
-/// for the crash-intensity points (the recovery-curve headline).
+/// E13 — the streaming server under a fault-intensity sweep: fault
+/// injection (link fades, corruption bursts, stalls, crash bursts)
+/// against the uncontrolled / degrade-only / controlled arms, measuring
+/// delivered-utility recovery and recovery time.
 ///
-/// Points shard across [`ParRunner`] with per-shard registries merged
-/// in job order, so the log is byte-identical at any `DMS_THREADS`.
-#[must_use]
-pub fn e13_run_log() -> RunLog {
-    let points = e13_points();
-    let results = ParRunner::new().map(&points, |&point| {
+/// The run-log carries per-point fault/recovery counters and recovery
+/// gauges for all 12 points, plus complete per-slot series for the
+/// crash-intensity points (the recovery-curve headline).
+pub struct E13Resilience;
+
+impl Sweep for E13Resilience {
+    type Point = E13Point;
+    type Outcome = (FaultReport, ServeMetricsSink);
+    const ID: &'static str = "E13";
+    const TITLE: &'static str =
+        "Resilience: fault injection + recovery on the streaming server (S5, Fig. 1)";
+
+    /// Four fault intensities, all three arms.
+    fn points() -> Vec<E13Point> {
+        let mut points = Vec::new();
+        for &intensity in &[
+            E13Intensity::None,
+            E13Intensity::Transient,
+            E13Intensity::Stalls,
+            E13Intensity::Crash,
+        ] {
+            for &arm in &[
+                E12Arm::Uncontrolled,
+                E12Arm::DegradeOnly,
+                E12Arm::Controlled,
+            ] {
+                points.push(E13Point { intensity, arm });
+            }
+        }
+        points
+    }
+
+    fn run(point: &E13Point) -> Self::Outcome {
         let mut sink = ServeMetricsSink::with_capacity(E13_SLOTS as usize);
-        let report = e13_run_point_instrumented(point, Some(&mut sink));
-        let mut registry = MetricsRegistry::new();
+        let report = e13_run_point_instrumented(*point, Some(&mut sink));
+        (report, sink)
+    }
+
+    fn meta() -> Vec<(&'static str, String)> {
+        vec![
+            ("slots", E13_SLOTS.to_string()),
+            ("capacity_sessions", E12_SESSIONS.to_string()),
+            (
+                "backoff_horizon_slots",
+                RecoveryConfig::default()
+                    .backoff_horizon_slots()
+                    .to_string(),
+            ),
+        ]
+    }
+
+    fn export(point: &E13Point, (report, sink): &Self::Outcome, registry: &mut MetricsRegistry) {
         let scope = format!("e13/{}", point.label());
         {
             let mut s = registry.scoped(&scope);
@@ -1235,141 +1336,101 @@ pub fn e13_run_log() -> RunLog {
             s.counter_add("degraded_slots", report.degraded_slots);
             s.gauge_set("miss_rate", report.base.miss_rate());
             s.gauge_set("mean_utility", report.base.mean_utility());
-            s.gauge_set("recovered_fraction", e13_recovered_fraction(&sink));
+            s.gauge_set("recovered_fraction", e13_recovered_fraction(sink));
         }
         if point.intensity == E13Intensity::Crash {
-            sink.export(&mut registry, &format!("{scope}/series"));
+            sink.export(registry, &format!("{scope}/series"));
         }
-        let recovered = e13_recovered_fraction(&sink);
-        let recovery_slots = e13_recovery_slots(&sink, point.intensity);
-        (report, recovered, recovery_slots, registry)
-    });
-    let mut log = RunLog::new();
-    log.set_meta("experiment", "E13");
-    log.set_meta("slots", E13_SLOTS.to_string());
-    log.set_meta("capacity_sessions", E12_SESSIONS.to_string());
-    log.set_meta(
-        "backoff_horizon_slots",
-        RecoveryConfig::default()
-            .backoff_horizon_slots()
-            .to_string(),
-    );
-    for (point, (report, recovered, recovery_slots, registry)) in points.iter().zip(&results) {
-        log.registry_mut().merge(registry);
-        let mut record = RunRecord::new("e13-point")
+    }
+
+    fn record(point: &E13Point, (report, sink): &Self::Outcome) -> RunRecord {
+        let record = RunRecord::new("e13-point")
             .with("label", point.label())
             .with("intensity", point.intensity.label())
             .with("arm", point.arm.label())
             .with("miss_rate", report.base.miss_rate())
             .with("mean_utility", report.base.mean_utility())
-            .with("recovered_fraction", *recovered)
+            .with("recovered_fraction", e13_recovered_fraction(sink))
             .with("crashed", report.crashed)
             .with("readmitted", report.readmitted)
             .with("lost_to_fault_bits", report.lost_to_fault_bits);
-        if let Some(slots) = recovery_slots {
-            record = record.with("recovery_slots", *slots);
+        match e13_recovery_slots(sink, point.intensity) {
+            Some(slots) => record.with("recovery_slots", slots),
+            None => record,
         }
-        log.push(record);
     }
-    log
-}
 
-/// E13 — the streaming server under a fault-intensity sweep: fault
-/// injection (link fades, corruption bursts, stalls, crash bursts)
-/// against the uncontrolled / degrade-only / controlled arms, measuring
-/// delivered-utility recovery and recovery time.
-#[must_use]
-pub fn e13_resilience() -> Experiment {
-    let points = e13_points();
-    let results = ParRunner::new().map(&points, |&point| {
-        let mut sink = ServeMetricsSink::with_capacity(E13_SLOTS as usize);
-        let report = e13_run_point_instrumented(point, Some(&mut sink));
-        (
-            report,
-            e13_recovered_fraction(&sink),
-            e13_recovery_slots(&sink, point.intensity),
-        )
-    });
-    let find = |intensity: E13Intensity, arm: E12Arm| {
-        let want = E13Point { intensity, arm };
-        points
-            .iter()
-            .position(|p| *p == want)
-            .map(|i| &results[i])
-            .expect("point is on the grid")
-    };
-    let mut rows = Vec::new();
-    for &intensity in &[
-        E13Intensity::Transient,
-        E13Intensity::Stalls,
-        E13Intensity::Crash,
-    ] {
-        let unc = find(intensity, E12Arm::Uncontrolled);
-        let shed = find(intensity, E12Arm::DegradeOnly);
-        let ctl = find(intensity, E12Arm::Controlled);
+    fn rows(grid: &Grid<Self>) -> Vec<Row> {
+        let find = |intensity, arm| grid.find(|p| *p == E13Point { intensity, arm });
+        let mut rows = Vec::new();
+        for &intensity in &[
+            E13Intensity::Transient,
+            E13Intensity::Stalls,
+            E13Intensity::Crash,
+        ] {
+            let unc = find(intensity, E12Arm::Uncontrolled);
+            let shed = find(intensity, E12Arm::DegradeOnly);
+            let ctl = find(intensity, E12Arm::Controlled);
+            rows.push(Row::new(
+                format!(
+                    "{}: recovered utility (uncontrolled / degrade-only / controlled)",
+                    intensity.label()
+                ),
+                "controlled >= 80% of pre-fault",
+                format!(
+                    "{:.0}% / {:.0}% / {:.0}%",
+                    e13_recovered_fraction(&unc.1) * 100.0,
+                    e13_recovered_fraction(&shed.1) * 100.0,
+                    e13_recovered_fraction(&ctl.1) * 100.0
+                ),
+            ));
+        }
+        let fmt_recovery = |r: &Self::Outcome| match e13_recovery_slots(&r.1, E13Intensity::Crash) {
+            Some(slots) => format!("{slots}"),
+            None => "never".to_string(),
+        };
+        let unc = find(E13Intensity::Crash, E12Arm::Uncontrolled);
+        let shed = find(E13Intensity::Crash, E12Arm::DegradeOnly);
+        let ctl = find(E13Intensity::Crash, E12Arm::Controlled);
         rows.push(Row::new(
+            "crash: recovery time to 90% of pre-fault utility, slots",
+            "retry+backoff recovers within the backoff horizon; no-retry waits for session turnover",
             format!(
-                "{}: recovered utility (uncontrolled / degrade-only / controlled)",
-                intensity.label()
-            ),
-            "controlled >= 80% of pre-fault",
-            format!(
-                "{:.0}% / {:.0}% / {:.0}%",
-                unc.1 * 100.0,
-                shed.1 * 100.0,
-                ctl.1 * 100.0
+                "{} / {} / {} (backoff horizon {})",
+                fmt_recovery(unc),
+                fmt_recovery(shed),
+                fmt_recovery(ctl),
+                RecoveryConfig::default().backoff_horizon_slots()
             ),
         ));
-    }
-    let fmt_recovery = |r: &(FaultReport, f64, Option<u64>)| match r.2 {
-        Some(slots) => format!("{slots}"),
-        None => "never".to_string(),
-    };
-    let unc = find(E13Intensity::Crash, E12Arm::Uncontrolled);
-    let shed = find(E13Intensity::Crash, E12Arm::DegradeOnly);
-    let ctl = find(E13Intensity::Crash, E12Arm::Controlled);
-    rows.push(Row::new(
-        "crash: recovery time to 90% of pre-fault utility, slots",
-        "retry+backoff recovers within the backoff horizon; no-retry waits for session turnover",
-        format!(
-            "{} / {} / {} (backoff horizon {})",
-            fmt_recovery(unc),
-            fmt_recovery(shed),
-            fmt_recovery(ctl),
-            RecoveryConfig::default().backoff_horizon_slots()
-        ),
-    ));
-    rows.push(Row::new(
-        "crash: victims retried / readmitted (controlled)",
-        "crashed sessions come back instead of being lost",
-        format!(
-            "{} crashed, {} retries, {} readmitted",
-            ctl.0.crashed, ctl.0.retries, ctl.0.readmitted
-        ),
-    ));
-    let stalls_ctl = find(E13Intensity::Stalls, E12Arm::Controlled);
-    rows.push(Row::new(
-        "stalls: detected / capacity re-estimates (controlled)",
-        "multiplexer flags stalls and admission re-plans",
-        format!(
-            "{} stall slots, {} episodes detected, {} re-estimates",
-            stalls_ctl.0.stall_slots,
-            stalls_ctl.0.stalls_detected,
-            stalls_ctl.0.capacity_reestimates
-        ),
-    ));
-    rows.push(Row::new(
-        "crash: bits lost to faults (uncontrolled vs controlled)",
-        "reservations released, nothing leaks",
-        format!(
-            "{} vs {} bits",
-            unc.0.lost_to_fault_bits, ctl.0.lost_to_fault_bits
-        ),
-    ));
-    Experiment {
-        id: "E13",
-        title: "Resilience: fault injection + recovery on the streaming server (S5, Fig. 1)",
-        rows,
+        rows.push(Row::new(
+            "crash: victims retried / readmitted (controlled)",
+            "crashed sessions come back instead of being lost",
+            format!(
+                "{} crashed, {} retries, {} readmitted",
+                ctl.0.crashed, ctl.0.retries, ctl.0.readmitted
+            ),
+        ));
+        let stalls_ctl = find(E13Intensity::Stalls, E12Arm::Controlled);
+        rows.push(Row::new(
+            "stalls: detected / capacity re-estimates (controlled)",
+            "multiplexer flags stalls and admission re-plans",
+            format!(
+                "{} stall slots, {} episodes detected, {} re-estimates",
+                stalls_ctl.0.stall_slots,
+                stalls_ctl.0.stalls_detected,
+                stalls_ctl.0.capacity_reestimates
+            ),
+        ));
+        rows.push(Row::new(
+            "crash: bits lost to faults (uncontrolled vs controlled)",
+            "reservations released, nothing leaks",
+            format!(
+                "{} vs {} bits",
+                unc.0.lost_to_fault_bits, ctl.0.lost_to_fault_bits
+            ),
+        ));
+        rows
     }
 }
 
@@ -1446,31 +1507,6 @@ pub fn e14_shard_weights(shards: usize) -> Vec<f64> {
     }
 }
 
-/// The full E14 grid: shard counts x loads x balancers x fault arms.
-#[must_use]
-pub fn e14_points() -> Vec<E14Point> {
-    let mut points = Vec::new();
-    for &shards in &E14_SHARD_COUNTS {
-        for &load in &E14_LOADS {
-            for &balancer in &[
-                BalancerPolicy::RoundRobin,
-                BalancerPolicy::JoinShortestQueue,
-                BalancerPolicy::PowerOfTwoChoices,
-            ] {
-                for &crash in &[false, true] {
-                    points.push(E14Point {
-                        shards,
-                        load,
-                        balancer,
-                        crash,
-                    });
-                }
-            }
-        }
-    }
-    points
-}
-
 fn e14_template() -> SessionTemplate {
     let mut template = SessionTemplate::streaming_default().expect("preset valid");
     template.mean_duration_slots = E14_DURATION_SLOTS;
@@ -1537,15 +1573,10 @@ fn e14_faults(point: E14Point) -> Vec<ShardFault> {
         .collect()
 }
 
-/// Runs one E14 point. The workload seed depends only on
-/// `(shards, load)`, so every balancer and fault arm of a fleet size
-/// sees the *same* arrival sequence and their comparison is paired.
-#[must_use]
-pub fn e14_run_point(point: E14Point) -> ClusterReport {
-    e14_run_point_instrumented(point, None)
-}
-
-/// [`e14_run_point`] with optional per-shard metrics sinks attached.
+/// Runs one E14 point, with optional per-shard metrics sinks
+/// attached. The workload seed depends only on `(shards, load)`, so
+/// every balancer and fault arm of a fleet size sees the *same*
+/// arrival sequence and their comparison is paired.
 #[must_use]
 pub fn e14_run_point_instrumented(
     point: E14Point,
@@ -1575,45 +1606,81 @@ pub fn e14_recovered_fraction(sinks: &[ServeMetricsSink]) -> f64 {
     window_mean(&total, E14_POST_WINDOW) / pre
 }
 
-/// Builds the full E14 run-log: cluster and per-shard counters for all
-/// 48 points, recovery gauges for the crash arms, and the aggregate
+/// E14 — scale-out across a sharded cluster: aggregate utility grows
+/// near-linearly with shard count under the predictor-guided
+/// balancers, the oblivious round-robin front collapses first on the
+/// skewed fleet, and cross-shard re-routing retains ≥90% of pre-crash
+/// utility when one of four shards dies.
+///
+/// The run-log carries cluster and per-shard counters for all 48
+/// points, recovery gauges for the crash arms, and the aggregate
 /// per-slot utility series for the headline crash points (one of four
 /// shards dying at 0.7x — the recovery curves the ≥90% claim is
 /// about).
-///
-/// Points shard across [`ParRunner`] (each point's shards fan out on
-/// the inner runner) with per-point registries merged in job order, so
-/// the log is byte-identical at any `DMS_THREADS`.
-#[must_use]
-pub fn e14_run_log() -> RunLog {
-    let points = e14_points();
-    let results = ParRunner::new().map(&points, |&point| {
+pub struct E14ScaleOut;
+
+impl Sweep for E14ScaleOut {
+    type Point = E14Point;
+    type Outcome = (ClusterReport, Vec<ServeMetricsSink>);
+    const ID: &'static str = "E14";
+    const TITLE: &'static str =
+        "Scale-out: sharded cluster, balancer policies + crash re-routing (S2.2, S4)";
+
+    /// Shard counts x loads x balancers x fault arms.
+    fn points() -> Vec<E14Point> {
+        let mut points = Vec::new();
+        for &shards in &E14_SHARD_COUNTS {
+            for &load in &E14_LOADS {
+                for &balancer in &[
+                    BalancerPolicy::RoundRobin,
+                    BalancerPolicy::JoinShortestQueue,
+                    BalancerPolicy::PowerOfTwoChoices,
+                ] {
+                    for &crash in &[false, true] {
+                        points.push(E14Point {
+                            shards,
+                            load,
+                            balancer,
+                            crash,
+                        });
+                    }
+                }
+            }
+        }
+        points
+    }
+
+    fn run(point: &E14Point) -> Self::Outcome {
         let mut sinks = Vec::new();
-        let report = e14_run_point_instrumented(point, Some(&mut sinks));
-        let mut registry = MetricsRegistry::new();
+        let report = e14_run_point_instrumented(*point, Some(&mut sinks));
+        (report, sinks)
+    }
+
+    fn meta() -> Vec<(&'static str, String)> {
+        vec![
+            ("slots", E14_SLOTS.to_string()),
+            ("sessions_per_unit", E14_SESSIONS_PER_UNIT.to_string()),
+            ("crash_slot", E14_CRASH_SLOT.to_string()),
+        ]
+    }
+
+    fn export(point: &E14Point, (report, sinks): &Self::Outcome, registry: &mut MetricsRegistry) {
         let scope = format!("e14/{}", point.label());
-        report.export(&mut registry, &scope);
-        let recovered = point.crash.then(|| e14_recovered_fraction(&sinks));
-        if let Some(fraction) = recovered {
+        report.export(registry, &scope);
+        if point.crash {
             registry
                 .scoped(&scope)
-                .gauge_set("recovered_fraction", fraction);
+                .gauge_set("recovered_fraction", e14_recovered_fraction(sinks));
         }
         if point.shards == 4 && (point.load - 0.7).abs() < 1e-9 && point.crash {
             registry
                 .scoped(&format!("{scope}/series"))
-                .series_extend("utility", aggregate_utility(&sinks));
+                .series_extend("utility", aggregate_utility(sinks));
         }
-        (report, recovered, registry)
-    });
-    let mut log = RunLog::new();
-    log.set_meta("experiment", "E14");
-    log.set_meta("slots", E14_SLOTS.to_string());
-    log.set_meta("sessions_per_unit", E14_SESSIONS_PER_UNIT.to_string());
-    log.set_meta("crash_slot", E14_CRASH_SLOT.to_string());
-    for (point, (report, recovered, registry)) in points.iter().zip(&results) {
-        log.registry_mut().merge(registry);
-        let mut record = RunRecord::new("e14-point")
+    }
+
+    fn record(point: &E14Point, (report, sinks): &Self::Outcome) -> RunRecord {
+        let record = RunRecord::new("e14-point")
             .with("label", point.label())
             .with("shards", point.shards as u64)
             .with("load", point.load)
@@ -1624,114 +1691,87 @@ pub fn e14_run_log() -> RunLog {
             .with("admitted", report.admitted())
             .with("rejected", report.rejected())
             .with("rerouted", report.dispatch.rerouted);
-        if let Some(fraction) = recovered {
-            record = record.with("recovered_fraction", *fraction);
+        if point.crash {
+            record.with("recovered_fraction", e14_recovered_fraction(sinks))
+        } else {
+            record
         }
-        log.push(record);
     }
-    log
-}
 
-/// E14 — scale-out across a sharded cluster: aggregate utility grows
-/// near-linearly with shard count under the predictor-guided
-/// balancers, the oblivious round-robin front collapses first on the
-/// skewed fleet, and cross-shard re-routing retains ≥90% of pre-crash
-/// utility when one of four shards dies.
-#[must_use]
-pub fn e14_scale_out() -> Experiment {
-    let points = e14_points();
-    let results = ParRunner::new().map(&points, |&point| {
-        let mut sinks = Vec::new();
-        let report = e14_run_point_instrumented(point, Some(&mut sinks));
-        let recovered = point.crash.then(|| e14_recovered_fraction(&sinks));
-        (report, recovered)
-    });
-    let find = |shards: usize, load: f64, balancer: BalancerPolicy, crash: bool| {
-        let want = E14Point {
-            shards,
-            load,
-            balancer,
-            crash,
+    fn rows(grid: &Grid<Self>) -> Vec<Row> {
+        let find = |shards, load, balancer, crash| {
+            grid.find(|p| {
+                (p.shards, p.load, p.balancer, p.crash) == (shards, load, balancer, crash)
+            })
         };
-        points
+        let mut rows = Vec::new();
+        let scaling: Vec<String> = E14_SHARD_COUNTS
             .iter()
-            .position(|p| *p == want)
-            .map(|i| &results[i])
-            .expect("point is on the grid")
-    };
-    let mut rows = Vec::new();
-    let scaling: Vec<String> = E14_SHARD_COUNTS
-        .iter()
-        .map(|&n| {
+            .map(|&n| {
+                format!(
+                    "{:.0}",
+                    find(n, 0.7, BalancerPolicy::JoinShortestQueue, false)
+                        .0
+                        .utility_sum()
+                )
+            })
+            .collect();
+        let one_shard = find(1, 0.7, BalancerPolicy::JoinShortestQueue, false)
+            .0
+            .utility_sum();
+        let eight_shards = find(8, 0.7, BalancerPolicy::JoinShortestQueue, false)
+            .0
+            .utility_sum();
+        rows.push(Row::new(
+            "aggregate utility, 1 -> 8 shards at 0.7x (jsq)",
+            "near-linear scale-out (>= 6x at 8 shards)",
+            format!("{} ({:.2}x)", scaling.join(" / "), eight_shards / one_shard),
+        ));
+        let rr = &find(8, 1.05, BalancerPolicy::RoundRobin, false).0;
+        let jsq = &find(8, 1.05, BalancerPolicy::JoinShortestQueue, false).0;
+        let p2c = &find(8, 1.05, BalancerPolicy::PowerOfTwoChoices, false).0;
+        rows.push(Row::new(
+            "utility at 1.05x on the skewed 8-shard fleet (rr / jsq / p2c)",
+            "oblivious rotation drowns the small shards; predictors don't (>= 1.5x apart)",
             format!(
-                "{:.0}",
-                find(n, 0.7, BalancerPolicy::JoinShortestQueue, false)
-                    .0
-                    .utility_sum()
-            )
-        })
-        .collect();
-    let one_shard = find(1, 0.7, BalancerPolicy::JoinShortestQueue, false)
-        .0
-        .utility_sum();
-    let eight_shards = find(8, 0.7, BalancerPolicy::JoinShortestQueue, false)
-        .0
-        .utility_sum();
-    rows.push(Row::new(
-        "aggregate utility, 1 -> 8 shards at 0.7x (jsq)",
-        "near-linear scale-out (>= 6x at 8 shards)",
-        format!("{} ({:.2}x)", scaling.join(" / "), eight_shards / one_shard),
-    ));
-    let rr = &find(8, 1.05, BalancerPolicy::RoundRobin, false).0;
-    let jsq = &find(8, 1.05, BalancerPolicy::JoinShortestQueue, false).0;
-    let p2c = &find(8, 1.05, BalancerPolicy::PowerOfTwoChoices, false).0;
-    rows.push(Row::new(
-        "utility at 1.05x on the skewed 8-shard fleet (rr / jsq / p2c)",
-        "oblivious rotation drowns the small shards; predictors don't (>= 1.5x apart)",
-        format!(
-            "{:.0} / {:.0} / {:.0} ({:.2}x / {:.2}x vs rr)",
-            rr.utility_sum(),
-            jsq.utility_sum(),
-            p2c.utility_sum(),
-            jsq.utility_sum() / rr.utility_sum(),
-            p2c.utility_sum() / rr.utility_sum()
-        ),
-    ));
-    rows.push(Row::new(
-        "sessions shed by the balancer at 1.05x, 8 shards (rr / jsq / p2c)",
-        "smart fronts reject what the fleet cannot serve; rr admits it all into overload",
-        format!(
-            "{} / {} / {}",
-            rr.dispatch.balancer_rejected,
-            jsq.dispatch.balancer_rejected,
-            p2c.dispatch.balancer_rejected
-        ),
-    ));
-    let fmt_rf = |r: &(ClusterReport, Option<f64>)| {
-        format!("{:.0}%", r.1.expect("crash arm has a fraction") * 100.0)
-    };
-    let rr_c = find(4, 0.7, BalancerPolicy::RoundRobin, true);
-    let jsq_c = find(4, 0.7, BalancerPolicy::JoinShortestQueue, true);
-    let p2c_c = find(4, 0.7, BalancerPolicy::PowerOfTwoChoices, true);
-    rows.push(Row::new(
-        "one-of-four shard crash at 0.7x: post/pre utility (rr / jsq / p2c)",
-        "re-routing keeps >= 90% of pre-crash utility",
-        format!("{} / {} / {}", fmt_rf(rr_c), fmt_rf(jsq_c), fmt_rf(p2c_c)),
-    ));
-    rows.push(Row::new(
-        "crash fail-over (jsq, 4 shards, 0.7x)",
-        "sessions in flight on the dead shard re-offer to the survivors",
-        format!(
-            "{} crashed, {} rerouted, {} balancer-rejected",
-            jsq_c.0.crashed(),
-            jsq_c.0.dispatch.rerouted,
-            jsq_c.0.dispatch.balancer_rejected
-        ),
-    ));
-    Experiment {
-        id: "E14",
-        title: "Scale-out: sharded cluster, balancer policies + crash re-routing (S2.2, S4)",
-        rows,
+                "{:.0} / {:.0} / {:.0} ({:.2}x / {:.2}x vs rr)",
+                rr.utility_sum(),
+                jsq.utility_sum(),
+                p2c.utility_sum(),
+                jsq.utility_sum() / rr.utility_sum(),
+                p2c.utility_sum() / rr.utility_sum()
+            ),
+        ));
+        rows.push(Row::new(
+            "sessions shed by the balancer at 1.05x, 8 shards (rr / jsq / p2c)",
+            "smart fronts reject what the fleet cannot serve; rr admits it all into overload",
+            format!(
+                "{} / {} / {}",
+                rr.dispatch.balancer_rejected,
+                jsq.dispatch.balancer_rejected,
+                p2c.dispatch.balancer_rejected
+            ),
+        ));
+        let fmt_rf = |r: &Self::Outcome| format!("{:.0}%", e14_recovered_fraction(&r.1) * 100.0);
+        let rr_c = find(4, 0.7, BalancerPolicy::RoundRobin, true);
+        let jsq_c = find(4, 0.7, BalancerPolicy::JoinShortestQueue, true);
+        let p2c_c = find(4, 0.7, BalancerPolicy::PowerOfTwoChoices, true);
+        rows.push(Row::new(
+            "one-of-four shard crash at 0.7x: post/pre utility (rr / jsq / p2c)",
+            "re-routing keeps >= 90% of pre-crash utility",
+            format!("{} / {} / {}", fmt_rf(rr_c), fmt_rf(jsq_c), fmt_rf(p2c_c)),
+        ));
+        rows.push(Row::new(
+            "crash fail-over (jsq, 4 shards, 0.7x)",
+            "sessions in flight on the dead shard re-offer to the survivors",
+            format!(
+                "{} crashed, {} rerouted, {} balancer-rejected",
+                jsq_c.0.crashed(),
+                jsq_c.0.dispatch.rerouted,
+                jsq_c.0.dispatch.balancer_rejected
+            ),
+        ));
+        rows
     }
 }
 
@@ -1837,6 +1877,9 @@ pub struct E15Outcome {
     pub utility_sum: f64,
     /// Mean per-session-slot utility.
     pub mean_utility: f64,
+    /// The full single-link report (server and reference arms), which
+    /// the E15 table compares bit for bit.
+    pub report: Option<ServerReport>,
 }
 
 /// The full E15 grid: every size × arm, minus the reference arm at
@@ -1907,150 +1950,78 @@ fn e15_server_config(sessions: u64, template: &SessionTemplate) -> ServerConfig 
     }
 }
 
-/// Runs the single-server arena-engine arm on a pre-built workload.
+/// Runs one E15 point on a pre-built workload and flattens its report
+/// into the common counters. Timing harnesses build the workload
+/// untimed, so they measure the engine, not the arrival-process
+/// generator every arm shares. The run is deterministic at any
+/// `DMS_THREADS`.
 ///
-/// Timing harnesses build the workload untimed and call this, so the
-/// sweep measures the engine, not the arrival-process generator both
-/// arms share.
+/// The reference arm runs the seed engine on the identical workload
+/// and config; its report must equal the server arm's bit for bit, so
+/// the only difference left to measure is speed. The cluster arm cuts
+/// the server arm's link into eight equal admit-all shards behind the
+/// JSQ balancer, mirror predictors doing the admission the single
+/// server's controller did.
+///
+/// A metrics sink attaches to the server arm only; the other arms
+/// ignore it. A [`ServeMetricsSink::bounded`] sink keeps even the
+/// 10^6-session run observable in O(1) memory: counters, quantile
+/// sketches of the per-slot series, and a deterministic per-session
+/// deadline-miss sample, instead of six million-element vectors
+/// nothing will ever plot whole.
 #[must_use]
-pub fn e15_run_server_on(sessions: u64, workload: &Workload) -> ServerReport {
-    ServerSim::new(e15_server_config(sessions, &workload.template))
-        .expect("valid config")
-        .run(workload)
-        .expect("valid workload")
-}
-
-/// Runs the single-server arena-engine arm at one size.
-#[must_use]
-pub fn e15_run_server(sessions: u64) -> ServerReport {
-    e15_run_server_on(sessions, &e15_workload(sessions))
-}
-
-/// [`e15_run_server_on`] with a metrics sink attached — the harness
-/// hook for bounded instrumentation. A [`ServeMetricsSink::bounded`]
-/// sink keeps the whole 10^6-session sweep observable in O(1) memory:
-/// counters, quantile sketches of the per-slot series, and a
-/// deterministic per-session deadline-miss sample, instead of six
-/// million-element vectors nothing will ever plot whole.
-#[must_use]
-pub fn e15_run_server_instrumented_on(
-    sessions: u64,
+pub fn e15_run_point_on(
+    point: E15Point,
     workload: &Workload,
     sink: Option<&mut ServeMetricsSink>,
-) -> ServerReport {
-    ServerSim::new(e15_server_config(sessions, &workload.template))
-        .expect("valid config")
-        .run_instrumented(workload, sink)
-        .expect("valid workload")
-}
-
-/// [`e15_run_server_instrumented_on`] at one size, building the
-/// workload itself.
-#[must_use]
-pub fn e15_run_server_instrumented(
-    sessions: u64,
-    sink: Option<&mut ServeMetricsSink>,
-) -> ServerReport {
-    e15_run_server_instrumented_on(sessions, &e15_workload(sessions), sink)
-}
-
-/// Runs the seed reference engine on the *identical* workload and
-/// config. Its report must equal [`e15_run_server`]'s bit for bit —
-/// the reduced experiment and the differential proptests both pin
-/// that — so the only difference left to measure is speed.
-#[must_use]
-pub fn e15_run_reference(sessions: u64) -> ServerReport {
-    e15_run_reference_on(sessions, &e15_workload(sessions))
-}
-
-/// [`e15_run_reference`] on a pre-built workload (see
-/// [`e15_run_server_on`]).
-#[must_use]
-pub fn e15_run_reference_on(sessions: u64, workload: &Workload) -> ServerReport {
-    ReferenceServerSim::new(e15_server_config(sessions, &workload.template))
-        .expect("valid config")
-        .run(workload)
-        .expect("valid workload")
-}
-
-/// Runs the 8-shard cluster arm: the server arm's link cut into equal
-/// admit-all shards behind the JSQ balancer, mirror predictors doing
-/// the admission the single server's controller did.
-#[must_use]
-pub fn e15_run_cluster(sessions: u64) -> ClusterReport {
-    e15_run_cluster_on(sessions, &e15_workload(sessions))
-}
-
-/// [`e15_run_cluster`] on a pre-built workload (see
-/// [`e15_run_server_on`]).
-#[must_use]
-pub fn e15_run_cluster_on(sessions: u64, workload: &Workload) -> ClusterReport {
-    let shard_bits = e15_capacity_bits(sessions, &workload.template) / E15_SHARDS as u64;
-    let shards = (0..E15_SHARDS)
-        .map(|_| ServerConfig {
-            capacity: CapacityModel {
-                link_bits_per_slot: shard_bits,
-                queue_frames: 64,
-                occupancy_bound: 8.0,
-            },
-            policy: AdmissionPolicy::AdmitAll,
-            degrade: None,
-            buffer_slots: 4,
-            miss_slots: 2,
-        })
-        .collect();
-    ClusterSim::new(ClusterConfig {
-        shards,
-        balancer: BalancerPolicy::JoinShortestQueue,
-        recovery: RecoveryConfig::default(),
-        seed: E15_BALANCER_SEED,
-    })
-    .expect("valid config")
-    .run(workload)
-    .expect("valid workload")
-}
-
-/// Runs one E15 point and flattens its report into the common
-/// counters. The run itself is deterministic at any `DMS_THREADS`;
-/// timing wrappers live in `bench_smoke`.
-#[must_use]
-pub fn e15_run_point(point: E15Point) -> E15Outcome {
-    e15_run_point_on(point, &e15_workload(point.sessions))
-}
-
-/// [`e15_run_point`] on a pre-built workload, so timing harnesses can
-/// keep workload generation outside the measured window.
-#[must_use]
-pub fn e15_run_point_on(point: E15Point, workload: &Workload) -> E15Outcome {
+) -> E15Outcome {
+    let config = e15_server_config(point.sessions, &workload.template);
+    let single = |r: ServerReport| E15Outcome {
+        offered: r.offered,
+        admitted: r.admitted,
+        deadline_misses: r.deadline_misses,
+        utility_sum: r.utility_sum,
+        mean_utility: r.mean_utility(),
+        report: Some(r),
+    };
     match point.arm {
-        E15Arm::Server => {
-            let r = e15_run_server_on(point.sessions, workload);
-            E15Outcome {
-                offered: r.offered,
-                admitted: r.admitted,
-                deadline_misses: r.deadline_misses,
-                utility_sum: r.utility_sum,
-                mean_utility: r.mean_utility(),
-            }
-        }
-        E15Arm::Reference => {
-            let r = e15_run_reference_on(point.sessions, workload);
-            E15Outcome {
-                offered: r.offered,
-                admitted: r.admitted,
-                deadline_misses: r.deadline_misses,
-                utility_sum: r.utility_sum,
-                mean_utility: r.mean_utility(),
-            }
-        }
+        E15Arm::Server => single(
+            ServerSim::new(config)
+                .expect("valid config")
+                .run_instrumented(workload, sink)
+                .expect("valid workload"),
+        ),
+        E15Arm::Reference => single(
+            ReferenceServerSim::new(config)
+                .expect("valid config")
+                .run(workload)
+                .expect("valid workload"),
+        ),
         E15Arm::Cluster8 => {
-            let r = e15_run_cluster_on(point.sessions, workload);
+            let shard = ServerConfig {
+                capacity: CapacityModel {
+                    link_bits_per_slot: config.capacity.link_bits_per_slot / E15_SHARDS as u64,
+                    ..config.capacity
+                },
+                policy: AdmissionPolicy::AdmitAll,
+                ..config
+            };
+            let r = ClusterSim::new(ClusterConfig {
+                shards: vec![shard; E15_SHARDS],
+                balancer: BalancerPolicy::JoinShortestQueue,
+                recovery: RecoveryConfig::default(),
+                seed: E15_BALANCER_SEED,
+            })
+            .expect("valid config")
+            .run(workload)
+            .expect("valid workload");
             E15Outcome {
                 offered: r.offered(),
                 admitted: r.admitted(),
                 deadline_misses: r.deadline_misses(),
                 utility_sum: r.utility_sum(),
                 mean_utility: r.mean_utility(),
+                report: None,
             }
         }
     }
@@ -2069,74 +2040,6 @@ pub fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// Builds the E15 run-log: the reduced point's counters for all three
-/// arms. Wall-clock and RSS deliberately stay out — run-logs are
-/// byte-diffed across `DMS_THREADS` in CI, so they carry only
-/// deterministic fields; the timings live in `BENCH_experiments.json`.
-#[must_use]
-pub fn e15_run_log() -> RunLog {
-    let points: Vec<E15Point> = [E15Arm::Server, E15Arm::Cluster8, E15Arm::Reference]
-        .iter()
-        .map(|&arm| E15Point {
-            sessions: E15_REDUCED_SESSIONS,
-            arm,
-        })
-        .collect();
-    let results = ParRunner::new().map(&points, |&point| e15_run_point(point));
-    let mut log = RunLog::new();
-    log.set_meta("experiment", "E15");
-    log.set_meta("slots", E15_SLOTS.to_string());
-    log.set_meta("reduced_sessions", E15_REDUCED_SESSIONS.to_string());
-    for (point, outcome) in points.iter().zip(&results) {
-        log.push(
-            RunRecord::new("e15-point")
-                .with("label", point.label())
-                .with("sessions_target", point.sessions)
-                .with("offered", outcome.offered)
-                .with("admitted", outcome.admitted)
-                .with("deadline_misses", outcome.deadline_misses)
-                .with("utility_sum", outcome.utility_sum)
-                .with("mean_utility", outcome.mean_utility),
-        );
-    }
-    // The bounded-instrumentation record: the reduced server point run
-    // again with a constant-memory sink. Its sketch quantiles and the
-    // deterministic miss sample land both in the registry (under
-    // `e15/instrumented`) and in a flat record, so the CI
-    // `DMS_THREADS` byte-diff covers the streaming aggregates end to
-    // end, not just the counters.
-    let mut sink = ServeMetricsSink::bounded();
-    let report = e15_run_server_instrumented(E15_REDUCED_SESSIONS, Some(&mut sink));
-    sink.export(log.registry_mut(), "e15/instrumented");
-    let quantile = |log: &RunLog, key: &str, q: f64| -> f64 {
-        match log.registry().get(&format!("e15/instrumented/{key}")) {
-            Some(Metric::Sketch(s)) => s.quantile(q).unwrap_or(0.0),
-            _ => 0.0,
-        }
-    };
-    let miss_sample = match log.registry().get("e15/instrumented/session_misses") {
-        Some(Metric::Reservoir(r)) => {
-            let sum: f64 = r.samples().iter().map(|e| e.value).sum();
-            (r.len() as u64, sum / r.len().max(1) as f64)
-        }
-        _ => (0, 0.0),
-    };
-    log.push(
-        RunRecord::new("e15-instrumented")
-            .with("label", "server-reduced-bounded")
-            .with("offered", report.offered)
-            .with("admitted", report.admitted)
-            .with("deadline_misses", report.deadline_misses)
-            .with("active_p50", quantile(&log, "active", 0.5))
-            .with("active_p99", quantile(&log, "active", 0.99))
-            .with("backlog_bits_p99", quantile(&log, "backlog_bits", 0.99))
-            .with("utility_p50", quantile(&log, "utility", 0.5))
-            .with("miss_sample_len", miss_sample.0)
-            .with("miss_sample_mean", miss_sample.1),
-    );
-    log
-}
-
 /// E15 — the million-session engine, checked at the reduced size CI
 /// can afford: the arena engine must reproduce the seed reference
 /// engine's report bit for bit, and the 8-shard fleet must track the
@@ -2144,21 +2047,103 @@ pub fn e15_run_log() -> RunLog {
 /// (sessions/sec/core, peak RSS, ≥5x over the reference at 10^5)
 /// runs in `bench_smoke` and lands in `BENCH_experiments.json`, where
 /// `bench_guard --min-throughput` holds the floor.
-#[must_use]
-pub fn e15_mega_scale() -> Experiment {
-    let reports = ParRunner::new().run(2, |i| {
-        if i == 0 {
-            e15_run_server(E15_REDUCED_SESSIONS)
-        } else {
-            e15_run_reference(E15_REDUCED_SESSIONS)
+///
+/// The run-log carries the reduced point's counters for all three
+/// arms. Wall-clock and RSS deliberately stay out — run-logs are
+/// byte-diffed across `DMS_THREADS` in CI, so they carry only
+/// deterministic fields; the timings live in `BENCH_experiments.json`.
+pub struct E15MegaScale;
+
+impl Sweep for E15MegaScale {
+    type Point = E15Point;
+    type Outcome = (E15Outcome, Option<ServeMetricsSink>);
+    const ID: &'static str = "E15";
+    const TITLE: &'static str =
+        "Mega-scale engine: timing-wheel + arena vs the seed engine (S2.2, S4)";
+
+    /// The reduced point in all three arms.
+    fn points() -> Vec<E15Point> {
+        [E15Arm::Server, E15Arm::Cluster8, E15Arm::Reference]
+            .iter()
+            .map(|&arm| E15Point {
+                sessions: E15_REDUCED_SESSIONS,
+                arm,
+            })
+            .collect()
+    }
+
+    /// The server arm carries a constant-memory sink, so the streaming
+    /// aggregates reach the run-log from the same run as the counters.
+    fn run(point: &E15Point) -> Self::Outcome {
+        let mut sink = (point.arm == E15Arm::Server).then(ServeMetricsSink::bounded);
+        let outcome = e15_run_point_on(*point, &e15_workload(point.sessions), sink.as_mut());
+        (outcome, sink)
+    }
+
+    fn meta() -> Vec<(&'static str, String)> {
+        vec![
+            ("slots", E15_SLOTS.to_string()),
+            ("reduced_sessions", E15_REDUCED_SESSIONS.to_string()),
+        ]
+    }
+
+    fn export(_: &E15Point, (_, sink): &Self::Outcome, registry: &mut MetricsRegistry) {
+        if let Some(sink) = sink {
+            sink.export(registry, "e15/instrumented");
         }
-    });
-    let (server, reference) = (reports[0], reports[1]);
-    let cluster = e15_run_cluster(E15_REDUCED_SESSIONS);
-    Experiment {
-        id: "E15",
-        title: "Mega-scale engine: timing-wheel + arena vs the seed engine (S2.2, S4)",
-        rows: vec![
+    }
+
+    fn record(point: &E15Point, (outcome, _): &Self::Outcome) -> RunRecord {
+        RunRecord::new("e15-point")
+            .with("label", point.label())
+            .with("sessions_target", point.sessions)
+            .with("offered", outcome.offered)
+            .with("admitted", outcome.admitted)
+            .with("deadline_misses", outcome.deadline_misses)
+            .with("utility_sum", outcome.utility_sum)
+            .with("mean_utility", outcome.mean_utility)
+    }
+
+    /// The bounded-instrumentation record: the server arm's sketch
+    /// quantiles and deterministic miss sample, flattened from the
+    /// registry (under `e15/instrumented`) into one record, so the CI
+    /// `DMS_THREADS` byte-diff covers the streaming aggregates end to
+    /// end, not just the counters.
+    fn finish(grid: &Grid<Self>, log: &mut RunLog) {
+        let server = &grid.find(|p| p.arm == E15Arm::Server).0;
+        let quantile = |log: &RunLog, key: &str, q: f64| -> f64 {
+            match log.registry().get(&format!("e15/instrumented/{key}")) {
+                Some(Metric::Sketch(s)) => s.quantile(q).unwrap_or(0.0),
+                _ => 0.0,
+            }
+        };
+        let miss_sample = match log.registry().get("e15/instrumented/session_misses") {
+            Some(Metric::Reservoir(r)) => {
+                let sum: f64 = r.samples().iter().map(|e| e.value).sum();
+                (r.len() as u64, sum / r.len().max(1) as f64)
+            }
+            _ => (0, 0.0),
+        };
+        log.push(
+            RunRecord::new("e15-instrumented")
+                .with("label", "server-reduced-bounded")
+                .with("offered", server.offered)
+                .with("admitted", server.admitted)
+                .with("deadline_misses", server.deadline_misses)
+                .with("active_p50", quantile(log, "active", 0.5))
+                .with("active_p99", quantile(log, "active", 0.99))
+                .with("backlog_bits_p99", quantile(log, "backlog_bits", 0.99))
+                .with("utility_p50", quantile(log, "utility", 0.5))
+                .with("miss_sample_len", miss_sample.0)
+                .with("miss_sample_mean", miss_sample.1),
+        );
+    }
+
+    fn rows(grid: &Grid<Self>) -> Vec<Row> {
+        let server = &grid.find(|p| p.arm == E15Arm::Server).0;
+        let cluster = &grid.find(|p| p.arm == E15Arm::Cluster8).0;
+        let reference = &grid.find(|p| p.arm == E15Arm::Reference).0;
+        vec![
             Row::new(
                 format!("sessions offered / admitted at the reduced {E15_REDUCED_SESSIONS}-session point"),
                 "predictor admits to the knee at 1.0x load",
@@ -2172,24 +2157,24 @@ pub fn e15_mega_scale() -> Experiment {
             Row::new(
                 "arena engine vs seed reference engine, full report",
                 "bit-for-bit identical",
-                format!("identical = {}", server == reference),
+                format!("identical = {}", server.report == reference.report),
             ),
             Row::new(
                 "mean utility, single link vs 8-shard jsq fleet",
                 "the fleet tracks the link it was cut from",
-                format!("{:.3} vs {:.3}", server.mean_utility(), cluster.mean_utility()),
+                format!("{:.3} vs {:.3}", server.mean_utility, cluster.mean_utility),
             ),
             Row::new(
                 "deadline misses (server / fleet)",
                 "admission keeps misses bounded at the knee",
-                format!("{} / {}", server.deadline_misses, cluster.deadline_misses()),
+                format!("{} / {}", server.deadline_misses, cluster.deadline_misses),
             ),
             Row::new(
                 "mega-scale sweep (10^4 / 10^5 / 10^6 sessions)",
                 "timed out-of-band",
                 "bench_smoke -> BENCH_experiments.json: sessions/sec/core, peak RSS, >= 5x vs reference at 10^5",
             ),
-        ],
+        ]
     }
 }
 
@@ -2281,18 +2266,6 @@ impl E16Point {
     pub fn label(self) -> String {
         format!("{}-{:.1}", self.arm.label(), self.load)
     }
-}
-
-/// The full E16 grid: every load × both arms.
-#[must_use]
-pub fn e16_points() -> Vec<E16Point> {
-    let mut points = Vec::new();
-    for &load in &E16_LOADS {
-        for &arm in &[E16Arm::Tiered, E16Arm::Flat] {
-            points.push(E16Point { arm, load });
-        }
-    }
-    points
 }
 
 fn e16_template() -> SessionTemplate {
@@ -2412,157 +2385,162 @@ pub fn e16_flat_config(load: f64) -> dms_cluster::TieredConfig {
     }
 }
 
-/// Runs one E16 point. Both arms are offered byte-identical sessions
-/// and content/class draws — generated once from the tiered config,
-/// merged in cache-pass order for the flat arm — so every comparison
-/// is at exactly equal offered load.
-#[must_use]
-pub fn e16_run_point(point: E16Point) -> dms_cluster::TieredReport {
-    let tiered = dms_cluster::TieredSim::new(e16_tiered_config(point.load)).expect("valid config");
-    let (workloads, draws) = tiered.generate().expect("valid workloads");
-    match point.arm {
-        E16Arm::Tiered => tiered.run_on(&workloads, &draws).expect("tiered run"),
-        E16Arm::Flat => {
-            let flat =
-                dms_cluster::TieredSim::new(e16_flat_config(point.load)).expect("valid config");
-            let (merged, merged_draws) = dms_cluster::merge_regions(
-                &workloads,
-                &draws,
-                tiered.config().template,
-                tiered.config().slots,
-            );
-            flat.run_on(&[merged], &[merged_draws]).expect("flat run")
-        }
-    }
-}
-
-/// Builds the E16 run-log: one record and one metrics scope per grid
-/// point, the per-slot origin-occupancy series for the headline
-/// tiered point, and the cache-hit-ratio vs origin-load curve.
-#[must_use]
-pub fn e16_run_log() -> RunLog {
-    let points = e16_points();
-    let results: Vec<(dms_cluster::TieredReport, MetricsRegistry)> =
-        ParRunner::new().map(&points, |&point| {
-            let report = e16_run_point(point);
-            let mut registry = MetricsRegistry::new();
-            let scope = format!("e16/{}", point.label());
-            report.export(&mut registry, &scope);
-            if point.arm == E16Arm::Tiered && (point.load - E16_LOADS[2]).abs() < 1e-9 {
-                registry.series_extend(
-                    &format!("{scope}/origin_active_bits"),
-                    report.origin_series.iter().copied(),
-                );
-            }
-            (report, registry)
-        });
-    let mut log = RunLog::new();
-    log.set_meta("experiment", "E16");
-    log.set_meta("slots", E16_SLOTS.to_string());
-    log.set_meta("regions", E16_REGIONS.to_string());
-    log.set_meta("origin_sessions", E16_ORIGIN_SESSIONS.to_string());
-    for (point, (report, registry)) in points.iter().zip(&results) {
-        log.registry_mut().merge(registry);
-        log.push(
-            RunRecord::new("e16-point")
-                .with("label", point.label())
-                .with("arm", point.arm.label())
-                .with("load", point.load)
-                .with("offered", report.offered())
-                .with("edge_hits", report.edge_hits())
-                .with("origin_fetches", report.origin_fetches())
-                .with("origin_rejected", report.origin_rejected())
-                .with("hit_ratio", report.hit_ratio())
-                .with("origin_load", report.origin_load())
-                .with("miss_rate", report.miss_rate())
-                .with("mean_utility", report.mean_utility())
-                .with("delivered_utility", report.delivered_utility())
-                .with("energy_j", report.total_energy_j())
-                .with("energy_j_per_bit", report.energy_per_bit()),
-        );
-    }
-    log
-}
-
 /// E16 — geo-tiered delivery vs a flat single-tier fleet at equal
 /// offered load: the tiered arm's cache hits bypass the shared origin
 /// bottleneck (more sessions served → more delivered utility) and its
 /// client-proximate last hop is cheaper per bit; the cache-hit-ratio
 /// vs origin-load curve quantifies how caching unloads the uplink.
-#[must_use]
-pub fn e16_geo_tiered() -> Experiment {
-    let points = e16_points();
-    let reports = ParRunner::new().map(&points, |&p| e16_run_point(p));
-    let find = |arm: E16Arm, load: f64| -> &dms_cluster::TieredReport {
+///
+/// The run-log carries one record and one metrics scope per grid
+/// point, the per-slot origin-occupancy series for the headline tiered
+/// point, and the cache-hit-ratio vs origin-load curve.
+pub struct E16GeoTiered;
+
+impl Sweep for E16GeoTiered {
+    type Point = E16Point;
+    type Outcome = dms_cluster::TieredReport;
+    const ID: &'static str = "E16";
+    const TITLE: &'static str =
+        "Geo-tiered delivery: edge fleets + origin vs one flat fleet (S2.2, S4)";
+
+    /// Every load × both arms.
+    fn points() -> Vec<E16Point> {
+        let mut points = Vec::new();
+        for &load in &E16_LOADS {
+            for &arm in &[E16Arm::Tiered, E16Arm::Flat] {
+                points.push(E16Point { arm, load });
+            }
+        }
         points
-            .iter()
-            .position(|p| p.arm == arm && (p.load - load).abs() < 1e-9)
-            .map(|i| &reports[i])
-            .expect("point is on the grid")
-    };
-    let peak = E16_LOADS[2];
-    let tiered = find(E16Arm::Tiered, peak);
-    let flat = find(E16Arm::Flat, peak);
-    let mut rows = vec![
-        Row::new(
-            format!("offered sessions at {peak}x (tiered == flat)"),
-            "identical workload both arms",
-            format!(
-                "{} == {} ({})",
-                tiered.offered(),
-                flat.offered(),
-                tiered.offered() == flat.offered()
-            ),
-        ),
-        Row::new(
-            format!("sessions lost at the origin at {peak}x, tiered vs flat"),
-            "caching rescues most of the flash crowd",
-            format!(
-                "{} ({:.0}%) vs {} ({:.0}%)",
-                tiered.origin_rejected(),
-                tiered.origin_rejected() as f64 / tiered.offered() as f64 * 100.0,
-                flat.origin_rejected(),
-                flat.origin_rejected() as f64 / flat.offered() as f64 * 100.0
-            ),
-        ),
-        Row::new(
-            format!("delivered utility at {peak}x, tiered vs flat"),
-            "tiered wins on volume served",
-            format!(
-                "{:.0} vs {:.0} ({:.2}x)",
-                tiered.delivered_utility(),
-                flat.delivered_utility(),
-                tiered.delivered_utility() / flat.delivered_utility()
-            ),
-        ),
-        Row::new(
-            format!("last-hop energy per delivered bit at {peak}x, tiered vs flat"),
-            "edge proximity + transit bypass are cheaper",
-            format!(
-                "{:.2} vs {:.2} nJ/bit ({:.0}% saved)",
-                tiered.energy_per_bit() * 1e9,
-                flat.energy_per_bit() * 1e9,
-                (1.0 - tiered.energy_per_bit() / flat.energy_per_bit()) * 100.0
-            ),
-        ),
-    ];
-    for &load in &E16_LOADS {
-        let t = find(E16Arm::Tiered, load);
-        rows.push(Row::new(
-            format!("cache-hit ratio vs origin load at {load}x"),
-            "hits rise with load; origin stays below the flat arm",
-            format!(
-                "{:.0}% hit -> origin rho {:.2} (flat rho {:.2})",
-                t.hit_ratio() * 100.0,
-                t.origin_load(),
-                find(E16Arm::Flat, load).origin_load()
-            ),
-        ));
     }
-    Experiment {
-        id: "E16",
-        title: "Geo-tiered delivery: edge fleets + origin vs one flat fleet (S2.2, S4)",
-        rows,
+
+    /// Both arms are offered byte-identical sessions and content/class
+    /// draws — generated once from the tiered config, merged in
+    /// cache-pass order for the flat arm — so every comparison is at
+    /// exactly equal offered load.
+    fn run(point: &E16Point) -> dms_cluster::TieredReport {
+        let tiered =
+            dms_cluster::TieredSim::new(e16_tiered_config(point.load)).expect("valid config");
+        let (workloads, draws) = tiered.generate().expect("valid workloads");
+        match point.arm {
+            E16Arm::Tiered => tiered.run_on(&workloads, &draws).expect("tiered run"),
+            E16Arm::Flat => {
+                let flat =
+                    dms_cluster::TieredSim::new(e16_flat_config(point.load)).expect("valid config");
+                let (merged, merged_draws) = dms_cluster::merge_regions(
+                    &workloads,
+                    &draws,
+                    tiered.config().template,
+                    tiered.config().slots,
+                );
+                flat.run_on(&[merged], &[merged_draws]).expect("flat run")
+            }
+        }
+    }
+
+    fn meta() -> Vec<(&'static str, String)> {
+        vec![
+            ("slots", E16_SLOTS.to_string()),
+            ("regions", E16_REGIONS.to_string()),
+            ("origin_sessions", E16_ORIGIN_SESSIONS.to_string()),
+        ]
+    }
+
+    fn export(
+        point: &E16Point,
+        report: &dms_cluster::TieredReport,
+        registry: &mut MetricsRegistry,
+    ) {
+        let scope = format!("e16/{}", point.label());
+        report.export(registry, &scope);
+        if point.arm == E16Arm::Tiered && (point.load - E16_LOADS[2]).abs() < 1e-9 {
+            registry.series_extend(
+                &format!("{scope}/origin_active_bits"),
+                report.origin_series.iter().copied(),
+            );
+        }
+    }
+
+    fn record(point: &E16Point, report: &dms_cluster::TieredReport) -> RunRecord {
+        RunRecord::new("e16-point")
+            .with("label", point.label())
+            .with("arm", point.arm.label())
+            .with("load", point.load)
+            .with("offered", report.offered())
+            .with("edge_hits", report.edge_hits())
+            .with("origin_fetches", report.origin_fetches())
+            .with("origin_rejected", report.origin_rejected())
+            .with("hit_ratio", report.hit_ratio())
+            .with("origin_load", report.origin_load())
+            .with("miss_rate", report.miss_rate())
+            .with("mean_utility", report.mean_utility())
+            .with("delivered_utility", report.delivered_utility())
+            .with("energy_j", report.total_energy_j())
+            .with("energy_j_per_bit", report.energy_per_bit())
+    }
+
+    fn rows(grid: &Grid<Self>) -> Vec<Row> {
+        let find = |arm, load: f64| grid.find(|p| p.arm == arm && (p.load - load).abs() < 1e-9);
+        let peak = E16_LOADS[2];
+        let tiered = find(E16Arm::Tiered, peak);
+        let flat = find(E16Arm::Flat, peak);
+        let mut rows = vec![
+            Row::new(
+                format!("offered sessions at {peak}x (tiered == flat)"),
+                "identical workload both arms",
+                format!(
+                    "{} == {} ({})",
+                    tiered.offered(),
+                    flat.offered(),
+                    tiered.offered() == flat.offered()
+                ),
+            ),
+            Row::new(
+                format!("sessions lost at the origin at {peak}x, tiered vs flat"),
+                "caching rescues most of the flash crowd",
+                format!(
+                    "{} ({:.0}%) vs {} ({:.0}%)",
+                    tiered.origin_rejected(),
+                    tiered.origin_rejected() as f64 / tiered.offered() as f64 * 100.0,
+                    flat.origin_rejected(),
+                    flat.origin_rejected() as f64 / flat.offered() as f64 * 100.0
+                ),
+            ),
+            Row::new(
+                format!("delivered utility at {peak}x, tiered vs flat"),
+                "tiered wins on volume served",
+                format!(
+                    "{:.0} vs {:.0} ({:.2}x)",
+                    tiered.delivered_utility(),
+                    flat.delivered_utility(),
+                    tiered.delivered_utility() / flat.delivered_utility()
+                ),
+            ),
+            Row::new(
+                format!("last-hop energy per delivered bit at {peak}x, tiered vs flat"),
+                "edge proximity + transit bypass are cheaper",
+                format!(
+                    "{:.2} vs {:.2} nJ/bit ({:.0}% saved)",
+                    tiered.energy_per_bit() * 1e9,
+                    flat.energy_per_bit() * 1e9,
+                    (1.0 - tiered.energy_per_bit() / flat.energy_per_bit()) * 100.0
+                ),
+            ),
+        ];
+        for &load in &E16_LOADS {
+            let t = find(E16Arm::Tiered, load);
+            rows.push(Row::new(
+                format!("cache-hit ratio vs origin load at {load}x"),
+                "hits rise with load; origin stays below the flat arm",
+                format!(
+                    "{:.0}% hit -> origin rho {:.2} (flat rho {:.2})",
+                    t.hit_ratio() * 100.0,
+                    t.origin_load(),
+                    find(E16Arm::Flat, load).origin_load()
+                ),
+            ));
+        }
+        rows
     }
 }
 
@@ -2675,18 +2653,6 @@ impl E17Point {
     pub fn label(self) -> String {
         format!("{}-{}", self.regime.label(), self.arm.label())
     }
-}
-
-/// The full E17 grid: every regime × both arms.
-#[must_use]
-pub fn e17_points() -> Vec<E17Point> {
-    let mut points = Vec::new();
-    for &regime in &[E17Regime::Trough, E17Regime::Diurnal, E17Regime::Surge] {
-        for &arm in &[E17Arm::Static, E17Arm::Adaptive] {
-            points.push(E17Point { regime, arm });
-        }
-    }
-    points
 }
 
 fn e17_template() -> SessionTemplate {
@@ -2810,39 +2776,69 @@ impl E17Outcome {
     }
 }
 
-/// Runs one E17 point. Both arms are offered the byte-identical
-/// ambient trace of the regime.
-#[must_use]
-pub fn e17_run_point(point: E17Point) -> E17Outcome {
-    let workload = e17_workload(point.regime);
-    match point.arm {
-        E17Arm::Static => {
-            let sim = ClusterSim::new(e17_static_config()).expect("valid config");
-            E17Outcome {
-                cluster: sim.run(&workload).expect("static run"),
-                control: None,
+/// E17 — the closed-loop adaptive fleet vs the static peak-provisioned
+/// baseline at byte-identical offered traces: autoscaling converts the
+/// diurnal/trough regimes' idle capacity into a strictly better
+/// utility-per-shard-hour bill, the PI controller sheds layers against
+/// the measured miss rate, and the UCB bandit settles on a balancer
+/// per regime.
+///
+/// The run-log carries one record and one metrics scope per grid
+/// point; the adaptive scopes carry the per-slot shard-count series
+/// and the per-window controller state (arm, reward, occupancy).
+pub struct E17AdaptiveFleet;
+
+impl Sweep for E17AdaptiveFleet {
+    type Point = E17Point;
+    type Outcome = E17Outcome;
+    const ID: &'static str = "E17";
+    const TITLE: &'static str =
+        "Closed-loop adaptive fleet: autoscale + PI shedding + bandit balancer (S2.2, S5)";
+
+    /// Every regime × both arms.
+    fn points() -> Vec<E17Point> {
+        let mut points = Vec::new();
+        for &regime in &[E17Regime::Trough, E17Regime::Diurnal, E17Regime::Surge] {
+            for &arm in &[E17Arm::Static, E17Arm::Adaptive] {
+                points.push(E17Point { regime, arm });
             }
         }
-        E17Arm::Adaptive => {
-            let sim = AdaptiveSim::new(e17_adaptive_config()).expect("valid config");
-            let report = sim.run(&workload, None).expect("adaptive run");
-            E17Outcome {
-                cluster: report.cluster,
-                control: Some(report.control),
+        points
+    }
+
+    /// Both arms are offered the byte-identical ambient trace of the
+    /// regime.
+    fn run(point: &E17Point) -> E17Outcome {
+        let workload = e17_workload(point.regime);
+        match point.arm {
+            E17Arm::Static => {
+                let sim = ClusterSim::new(e17_static_config()).expect("valid config");
+                E17Outcome {
+                    cluster: sim.run(&workload).expect("static run"),
+                    control: None,
+                }
+            }
+            E17Arm::Adaptive => {
+                let sim = AdaptiveSim::new(e17_adaptive_config()).expect("valid config");
+                let report = sim.run(&workload, None).expect("adaptive run");
+                E17Outcome {
+                    cluster: report.cluster,
+                    control: Some(report.control),
+                }
             }
         }
     }
-}
 
-/// Builds the E17 run-log: one record and one metrics scope per grid
-/// point; the adaptive scopes carry the per-slot shard-count series
-/// and the per-window controller state (arm, reward, occupancy).
-#[must_use]
-pub fn e17_run_log() -> RunLog {
-    let points = e17_points();
-    let results: Vec<(E17Outcome, MetricsRegistry)> = ParRunner::new().map(&points, |&point| {
-        let outcome = e17_run_point(point);
-        let mut registry = MetricsRegistry::new();
+    fn meta() -> Vec<(&'static str, String)> {
+        vec![
+            ("slots", E17_SLOTS.to_string()),
+            ("min_shards", E17_MIN_SHARDS.to_string()),
+            ("max_shards", E17_MAX_SHARDS.to_string()),
+            ("control_period", E17_PERIOD.to_string()),
+        ]
+    }
+
+    fn export(point: &E17Point, outcome: &E17Outcome, registry: &mut MetricsRegistry) {
         let scope = format!("e17/{}", point.label());
         match &outcome.control {
             Some(control) => {
@@ -2850,130 +2846,101 @@ pub fn e17_run_log() -> RunLog {
                     cluster: outcome.cluster.clone(),
                     control: control.clone(),
                 }
-                .export(&mut registry, &scope);
+                .export(registry, &scope);
             }
-            None => outcome.cluster.export(&mut registry, &scope),
+            None => outcome.cluster.export(registry, &scope),
         }
-        (outcome, registry)
-    });
-    let mut log = RunLog::new();
-    log.set_meta("experiment", "E17");
-    log.set_meta("slots", E17_SLOTS.to_string());
-    log.set_meta("min_shards", E17_MIN_SHARDS.to_string());
-    log.set_meta("max_shards", E17_MAX_SHARDS.to_string());
-    log.set_meta("control_period", E17_PERIOD.to_string());
-    for (point, (outcome, registry)) in points.iter().zip(&results) {
-        log.registry_mut().merge(registry);
-        let control = outcome.control.as_ref();
-        log.push(
-            RunRecord::new("e17-point")
-                .with("label", point.label())
-                .with("regime", point.regime.label())
-                .with("arm", point.arm.label())
-                .with("offered", outcome.cluster.offered())
-                .with("admitted", outcome.cluster.admitted())
-                .with("rejected", outcome.cluster.rejected())
-                .with("rerouted", outcome.cluster.dispatch.rerouted)
-                .with("utility_sum", outcome.cluster.utility_sum())
-                .with("shard_slots", outcome.shard_slots())
-                .with("utility_per_shard_hour", outcome.utility_per_shard_hour())
-                .with(
-                    "scale_ups",
-                    control.map_or(0, |c| c.scale_events.iter().filter(|e| e.up).count() as u64),
-                )
-                .with(
-                    "scale_ins",
-                    control.map_or(0, |c| {
-                        c.scale_events.iter().filter(|e| !e.up).count() as u64
-                    }),
-                ),
-        );
     }
-    log
-}
 
-/// E17 — the closed-loop adaptive fleet vs the static peak-provisioned
-/// baseline at byte-identical offered traces: autoscaling converts the
-/// diurnal/trough regimes' idle capacity into a strictly better
-/// utility-per-shard-hour bill, the PI controller sheds layers against
-/// the measured miss rate, and the UCB bandit settles on a balancer
-/// per regime.
-#[must_use]
-pub fn e17_adaptive_fleet() -> Experiment {
-    let points = e17_points();
-    let outcomes = ParRunner::new().map(&points, |&p| e17_run_point(p));
-    let find = |regime: E17Regime, arm: E17Arm| -> &E17Outcome {
-        points
-            .iter()
-            .position(|p| p.regime == regime && p.arm == arm)
-            .map(|i| &outcomes[i])
-            .expect("point is on the grid")
-    };
-    let mut rows = Vec::new();
-    for &regime in &[E17Regime::Trough, E17Regime::Diurnal, E17Regime::Surge] {
-        let s = find(regime, E17Arm::Static);
-        let a = find(regime, E17Arm::Adaptive);
+    fn record(point: &E17Point, outcome: &E17Outcome) -> RunRecord {
+        let control = outcome.control.as_ref();
+        RunRecord::new("e17-point")
+            .with("label", point.label())
+            .with("regime", point.regime.label())
+            .with("arm", point.arm.label())
+            .with("offered", outcome.cluster.offered())
+            .with("admitted", outcome.cluster.admitted())
+            .with("rejected", outcome.cluster.rejected())
+            .with("rerouted", outcome.cluster.dispatch.rerouted)
+            .with("utility_sum", outcome.cluster.utility_sum())
+            .with("shard_slots", outcome.shard_slots())
+            .with("utility_per_shard_hour", outcome.utility_per_shard_hour())
+            .with(
+                "scale_ups",
+                control.map_or(0, |c| c.scale_events.iter().filter(|e| e.up).count() as u64),
+            )
+            .with(
+                "scale_ins",
+                control.map_or(0, |c| {
+                    c.scale_events.iter().filter(|e| !e.up).count() as u64
+                }),
+            )
+    }
+
+    fn rows(grid: &Grid<Self>) -> Vec<Row> {
+        let find = |regime, arm| grid.find(|p| p.regime == regime && p.arm == arm);
+        let mut rows = Vec::new();
+        for &regime in &[E17Regime::Trough, E17Regime::Diurnal, E17Regime::Surge] {
+            let s = find(regime, E17Arm::Static);
+            let a = find(regime, E17Arm::Adaptive);
+            rows.push(Row::new(
+                format!("utility per shard-hour, {} regime", regime.label()),
+                "adapting the fleet to the users beats peak provisioning",
+                format!(
+                    "adaptive {:.0} vs static {:.0} ({:.2}x)",
+                    a.utility_per_shard_hour(),
+                    s.utility_per_shard_hour(),
+                    a.utility_per_shard_hour() / s.utility_per_shard_hour()
+                ),
+            ));
+        }
+        let diurnal = find(E17Regime::Diurnal, E17Arm::Adaptive);
+        let control = diurnal.control.as_ref().expect("adaptive arm");
+        let ups = control.scale_events.iter().filter(|e| e.up).count();
+        let ins = control.scale_events.iter().filter(|e| !e.up).count();
         rows.push(Row::new(
-            format!("utility per shard-hour, {} regime", regime.label()),
-            "adapting the fleet to the users beats peak provisioning",
+            "diurnal scale events (up / in)",
+            "the fleet breathes with the population swell",
             format!(
-                "adaptive {:.0} vs static {:.0} ({:.2}x)",
-                a.utility_per_shard_hour(),
-                s.utility_per_shard_hour(),
-                a.utility_per_shard_hour() / s.utility_per_shard_hour()
+                "{ups} up / {ins} in, bill {} of {} shard-slots",
+                control.shard_slots,
+                E17_MAX_SHARDS as u64 * E17_SLOTS
             ),
         ));
-    }
-    let diurnal = find(E17Regime::Diurnal, E17Arm::Adaptive);
-    let control = diurnal.control.as_ref().expect("adaptive arm");
-    let ups = control.scale_events.iter().filter(|e| e.up).count();
-    let ins = control.scale_events.iter().filter(|e| !e.up).count();
-    rows.push(Row::new(
-        "diurnal scale events (up / in)",
-        "the fleet breathes with the population swell",
-        format!(
-            "{ups} up / {ins} in, bill {} of {} shard-slots",
-            control.shard_slots,
-            E17_MAX_SHARDS as u64 * E17_SLOTS
-        ),
-    ));
-    let arms_played: std::collections::BTreeSet<&str> = control
-        .windows
-        .iter()
-        .filter(|w| w.offered > 0)
-        .map(|w| w.arm.label())
-        .collect();
-    let exploited = control
-        .windows
-        .iter()
-        .rev()
-        .find(|w| w.offered > 0)
-        .map_or("-", |w| w.arm.label());
-    rows.push(Row::new(
-        "bandit balancer selection (diurnal)",
-        "UCB explores all arms, then exploits",
-        format!(
-            "played {{{}}}, settled on {} over {} windows",
-            arms_played.into_iter().collect::<Vec<_>>().join(","),
-            exploited,
-            control.windows.len()
-        ),
-    ));
-    let surge = find(E17Regime::Surge, E17Arm::Adaptive);
-    rows.push(Row::new(
-        "surge regime sessions lost vs static",
-        "warm-up is the cost of starting small",
-        format!(
-            "adaptive rejects {} vs static {} of {}",
-            surge.cluster.rejected(),
-            find(E17Regime::Surge, E17Arm::Static).cluster.rejected(),
-            surge.cluster.offered()
-        ),
-    ));
-    Experiment {
-        id: "E17",
-        title: "Closed-loop adaptive fleet: autoscale + PI shedding + bandit balancer (S2.2, S5)",
-        rows,
+        let arms_played: std::collections::BTreeSet<&str> = control
+            .windows
+            .iter()
+            .filter(|w| w.offered > 0)
+            .map(|w| w.arm.label())
+            .collect();
+        let exploited = control
+            .windows
+            .iter()
+            .rev()
+            .find(|w| w.offered > 0)
+            .map_or("-", |w| w.arm.label());
+        rows.push(Row::new(
+            "bandit balancer selection (diurnal)",
+            "UCB explores all arms, then exploits",
+            format!(
+                "played {{{}}}, settled on {} over {} windows",
+                arms_played.into_iter().collect::<Vec<_>>().join(","),
+                exploited,
+                control.windows.len()
+            ),
+        ));
+        let surge = find(E17Regime::Surge, E17Arm::Adaptive);
+        rows.push(Row::new(
+            "surge regime sessions lost vs static",
+            "warm-up is the cost of starting small",
+            format!(
+                "adaptive rejects {} vs static {} of {}",
+                surge.cluster.rejected(),
+                find(E17Regime::Surge, E17Arm::Static).cluster.rejected(),
+                surge.cluster.offered()
+            ),
+        ));
+        rows
     }
 }
 
@@ -3006,6 +2973,7 @@ pub fn x1_lip_sync() -> Experiment {
                 ),
             ),
         ],
+        log: RunLog::new(),
     }
 }
 
@@ -3039,6 +3007,7 @@ pub fn x2_ctmc_transient() -> Experiment {
                 format!("{:.2e}", l1(&late)),
             ),
         ],
+        log: RunLog::new(),
     }
 }
 
@@ -3092,6 +3061,7 @@ pub fn x3_mapped_validation() -> Experiment {
                 ),
             ),
         ],
+        log: RunLog::new(),
     }
 }
 
@@ -3139,10 +3109,43 @@ pub fn x4_arq_packet_size() -> Experiment {
                 format!("{}", best_noisy < best_clean),
             ),
         ],
+        log: RunLog::new(),
     }
 }
 
-/// Every reproduced experiment in DESIGN.md order, extensions last.
+/// Runs one experiment and returns its rows and run-log.
+pub type ExperimentFn = fn() -> Experiment;
+
+/// Every reproduced experiment by id, in DESIGN.md order, extensions
+/// last: the one table [`all_experiments`], the `experiments` binary
+/// and `bench_smoke` read.
+pub const EXPERIMENTS: [(&str, ExperimentFn); 23] = [
+    ("F1", fig1_stream),
+    ("F2", fig2_design_flow),
+    ("E1", e1_asip_speedup),
+    ("E2", e2_traffic),
+    ("E3", e3_noc_mapping),
+    ("E4", e4_packet_size),
+    ("E5", e5_scheduling),
+    ("E6", e6_modulation),
+    ("E7", e7_image_tx),
+    ("E8", e8_fgs_streaming),
+    ("E9", e9_manet_routing),
+    ("E10", e10_steady_state),
+    ("E11", e11_ambient),
+    ("E12", run_sweep::<E12ServerLoad>),
+    ("E13", run_sweep::<E13Resilience>),
+    ("E14", run_sweep::<E14ScaleOut>),
+    ("E15", run_sweep::<E15MegaScale>),
+    ("E16", run_sweep::<E16GeoTiered>),
+    ("E17", run_sweep::<E17AdaptiveFleet>),
+    ("X1", x1_lip_sync),
+    ("X2", x2_ctmc_transient),
+    ("X3", x3_mapped_validation),
+    ("X4", x4_arq_packet_size),
+];
+
+/// Every experiment of [`EXPERIMENTS`], in table order.
 ///
 /// The experiments are mutually independent and fully seeded, so they
 /// run concurrently on a [`ParRunner`]; the job-order merge returns
@@ -3150,41 +3153,18 @@ pub fn x4_arq_packet_size() -> Experiment {
 /// (`DMS_THREADS=1` forces that loop back).
 #[must_use]
 pub fn all_experiments() -> Vec<Experiment> {
-    const EXPERIMENTS: [fn() -> Experiment; 23] = [
-        fig1_stream,
-        fig2_design_flow,
-        e1_asip_speedup,
-        e2_traffic,
-        e3_noc_mapping,
-        e4_packet_size,
-        e5_scheduling,
-        e6_modulation,
-        e7_image_tx,
-        e8_fgs_streaming,
-        e9_manet_routing,
-        e10_steady_state,
-        e11_ambient,
-        e12_server_load,
-        e13_resilience,
-        e14_scale_out,
-        e15_mega_scale,
-        e16_geo_tiered,
-        e17_adaptive_fleet,
-        x1_lip_sync,
-        x2_ctmc_transient,
-        x3_mapped_validation,
-        x4_arq_packet_size,
-    ];
-    ParRunner::new().run(EXPERIMENTS.len(), |i| EXPERIMENTS[i]())
+    ParRunner::new().run(EXPERIMENTS.len(), |i| (EXPERIMENTS[i].1)())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 
     #[test]
     fn every_experiment_produces_rows() {
-        for exp in all_experiments() {
+        for ((id, _), exp) in EXPERIMENTS.iter().zip(all_experiments()) {
+            assert_eq!(*id, exp.id, "table id vs experiment id");
             assert!(!exp.rows.is_empty(), "{} has no rows", exp.id);
             for row in &exp.rows {
                 assert!(!row.metric.is_empty());
@@ -3216,6 +3196,85 @@ mod tests {
         // Building the same log twice yields identical bytes — the
         // property the CI `DMS_THREADS` diff leans on.
         assert_eq!(json, run_log_for(&exp).to_json_string());
+    }
+
+    /// Times each toy point ran; only `run_sweep_runs_each_point_once`
+    /// runs the toy sweep.
+    static TOY_RUNS: [AtomicUsize; 5] = [const { AtomicUsize::new(0) }; 5];
+
+    /// Five points whose outcome is ten times the point.
+    struct Toy;
+
+    impl Sweep for Toy {
+        type Point = usize;
+        type Outcome = u64;
+        const ID: &'static str = "T1";
+        const TITLE: &'static str = "toy sweep";
+
+        fn points() -> Vec<usize> {
+            (0..5).collect()
+        }
+
+        fn run(point: &usize) -> u64 {
+            TOY_RUNS[*point].fetch_add(1, SeqCst);
+            *point as u64 * 10
+        }
+
+        fn meta() -> Vec<(&'static str, String)> {
+            vec![("points", "5".to_string())]
+        }
+
+        fn export(point: &usize, outcome: &u64, registry: &mut MetricsRegistry) {
+            registry.series_push("toy/order", *point as f64);
+            registry.counter_add(&format!("toy/p{point}/value"), *outcome);
+        }
+
+        fn record(point: &usize, outcome: &u64) -> RunRecord {
+            RunRecord::new("toy-point")
+                .with("point", *point as u64)
+                .with("value", *outcome)
+        }
+
+        fn rows(grid: &Grid<Self>) -> Vec<Row> {
+            (0..5)
+                .map(|i| Row::new(format!("p{i}"), "-", grid.find(|p| *p == i).to_string()))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn run_sweep_runs_each_point_once() {
+        let exp = run_sweep::<Toy>();
+        let runs: Vec<usize> = TOY_RUNS.iter().map(|r| r.load(SeqCst)).collect();
+        assert_eq!(runs, [1; 5], "each point runs exactly once");
+        // Records and the merged series come out in grid order, and
+        // the rows read the same outcomes the records carry.
+        let log = &exp.log;
+        assert_eq!(log.meta("points"), Some("5"));
+        assert_eq!(
+            log.registry().series("toy/order"),
+            &[0.0, 1.0, 2.0, 3.0, 4.0]
+        );
+        let values: Vec<String> = log
+            .records()
+            .iter()
+            .map(|r| {
+                assert_eq!(r.kind(), "toy-point");
+                r.fields()[1].1.render()
+            })
+            .collect();
+        assert_eq!(values, ["0", "10", "20", "30", "40"]);
+        let measured: Vec<&str> = exp.rows.iter().map(|r| r.measured.as_str()).collect();
+        assert_eq!(measured, values);
+        assert_eq!(log.registry().counter("toy/p3/value"), 30);
+        // run_log_for re-runs nothing and appends one `row` per row.
+        let full = run_log_for(&exp);
+        assert!(TOY_RUNS.iter().all(|r| r.load(SeqCst) == 1));
+        assert_eq!(&full.records()[..5], log.records());
+        let rows: Vec<&RunRecord> = full.records()[5..].iter().collect();
+        assert_eq!(rows.len(), exp.rows.len());
+        assert!(rows.iter().all(|r| r.kind() == "row"));
+        assert_eq!(full.meta("experiment"), Some("T1"));
     }
 
     /// Guards the EXPERIMENTS.md headline numbers: if a model change
@@ -3252,21 +3311,30 @@ mod tests {
         // utility within 25% of the 0.8x baseline, while the
         // uncontrolled server misses deadlines > 5x more often.
         for &ss in &[false, true] {
-            let base = e12_run_point(E12Point {
-                load: 0.8,
-                self_similar: ss,
-                arm: E12Arm::Controlled,
-            });
-            let ctl = e12_run_point(E12Point {
-                load: 1.2,
-                self_similar: ss,
-                arm: E12Arm::Controlled,
-            });
-            let unc = e12_run_point(E12Point {
-                load: 1.2,
-                self_similar: ss,
-                arm: E12Arm::Uncontrolled,
-            });
+            let base = e12_run_point_instrumented(
+                E12Point {
+                    load: 0.8,
+                    self_similar: ss,
+                    arm: E12Arm::Controlled,
+                },
+                None,
+            );
+            let ctl = e12_run_point_instrumented(
+                E12Point {
+                    load: 1.2,
+                    self_similar: ss,
+                    arm: E12Arm::Controlled,
+                },
+                None,
+            );
+            let unc = e12_run_point_instrumented(
+                E12Point {
+                    load: 1.2,
+                    self_similar: ss,
+                    arm: E12Arm::Uncontrolled,
+                },
+                None,
+            );
             assert!(
                 ctl.mean_utility() >= 0.75 * base.mean_utility(),
                 "E12 ss={ss}: controlled utility {} vs baseline {}",
@@ -3346,18 +3414,24 @@ mod tests {
             p2c.utility_sum(),
             rr.utility_sum()
         );
-        let one = e14_run_point(E14Point {
-            shards: 1,
-            load: 0.7,
-            balancer: BalancerPolicy::JoinShortestQueue,
-            crash: false,
-        });
-        let eight = e14_run_point(E14Point {
-            shards: 8,
-            load: 0.7,
-            balancer: BalancerPolicy::JoinShortestQueue,
-            crash: false,
-        });
+        let one = e14_run_point_instrumented(
+            E14Point {
+                shards: 1,
+                load: 0.7,
+                balancer: BalancerPolicy::JoinShortestQueue,
+                crash: false,
+            },
+            None,
+        );
+        let eight = e14_run_point_instrumented(
+            E14Point {
+                shards: 8,
+                load: 0.7,
+                balancer: BalancerPolicy::JoinShortestQueue,
+                crash: false,
+            },
+            None,
+        );
         assert!(
             eight.utility_sum() >= 6.0 * one.utility_sum(),
             "E14: 8-shard utility {} not 6x the 1-shard {}",
@@ -3379,11 +3453,11 @@ mod tests {
         // per bit at equal offered load, its caches absorb a healthy
         // hit ratio, and it keeps the origin cooler than the flat arm.
         let peak = E16_LOADS[2];
-        let tiered = e16_run_point(E16Point {
+        let tiered = E16GeoTiered::run(&E16Point {
             arm: E16Arm::Tiered,
             load: peak,
         });
-        let flat = e16_run_point(E16Point {
+        let flat = E16GeoTiered::run(&E16Point {
             arm: E16Arm::Flat,
             load: peak,
         });
@@ -3421,11 +3495,11 @@ mod tests {
         // trough and diurnal regimes (the autoscaler's raison d'être)
         // at byte-identical offered traces, with real margin on each.
         for (regime, margin) in [(E17Regime::Trough, 2.0), (E17Regime::Diurnal, 1.3)] {
-            let adaptive = e17_run_point(E17Point {
+            let adaptive = E17AdaptiveFleet::run(&E17Point {
                 regime,
                 arm: E17Arm::Adaptive,
             });
-            let fixed = e17_run_point(E17Point {
+            let fixed = E17AdaptiveFleet::run(&E17Point {
                 regime,
                 arm: E17Arm::Static,
             });
@@ -3446,7 +3520,7 @@ mod tests {
         }
         // The diurnal run actually breathes: at least one scale-up
         // and one scale-in, and the bill stays under the ceiling.
-        let diurnal = e17_run_point(E17Point {
+        let diurnal = E17AdaptiveFleet::run(&E17Point {
             regime: E17Regime::Diurnal,
             arm: E17Arm::Adaptive,
         });

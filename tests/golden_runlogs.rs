@@ -23,12 +23,11 @@
 //!   of;
 //! * `E14_n2_jsq_crash.json` — a single E14 cluster point (two skewed
 //!   shards, join-shortest-queue, one shard crashing mid-run), built
-//!   through the same export path as `e14_run_log`, so it exercises
-//!   the cluster dispatch ledger, fault harvesting, re-routing, and
-//!   the recovery gauge end to end;
+//!   through the E14 sweep's own `export` and `record`, so it
+//!   exercises the cluster dispatch ledger, fault harvesting,
+//!   re-routing, and the recovery gauge end to end;
 //! * `E16_tiered_0.6.json` — one E16 geo-tiered point (three edge
-//!   regions + shared origin at 0.6x load), built the way
-//!   `e16_run_log` renders each grid point, pinning the Zipf cache
+//!   regions + shared origin at 0.6x load), pinning the Zipf cache
 //!   pass, origin predictor ledger, flash-crowd workload, per-class
 //!   last-hop energy tables, and the nested per-region fleet export;
 //! * `E17_diurnal_adaptive.json` — the E17 closed-loop fleet on the
@@ -39,8 +38,8 @@
 use std::path::PathBuf;
 
 use dms_bench::{
-    e10_steady_state, e14_recovered_fraction, e14_run_point_instrumented, e16_run_point,
-    e17_run_point, run_log_for, E14Point, E16Arm, E16Point, E17Arm, E17Point, E17Regime,
+    e10_steady_state, run_log_for, E14Point, E14ScaleOut, E16Arm, E16GeoTiered, E16Point,
+    E17AdaptiveFleet, E17Arm, E17Point, E17Regime, Sweep,
 };
 use dms_cluster::BalancerPolicy;
 use dms_sim::{RunLog, RunLogReader, RunLogWriter, RunRecord, TailState};
@@ -88,35 +87,16 @@ fn assert_bytes_match_golden(rendered: &str, name: &str) {
     }
 }
 
-/// One E14 cluster point rendered into a run-log exactly the way
-/// `e14_run_log` renders each grid point: counter export per scope,
-/// recovery gauge on the crash arm, and an `e14-point` record.
+/// One E14 cluster point rendered into a run-log through the E14
+/// sweep's own `export` and `record`, the code that renders each grid
+/// point of the experiment's run-log.
 fn e14_point_log(point: E14Point) -> RunLog {
-    let mut sinks = Vec::new();
-    let report = e14_run_point_instrumented(point, Some(&mut sinks));
+    let outcome = E14ScaleOut::run(&point);
     let mut log = RunLog::new();
     log.set_meta("experiment", "E14");
     log.set_meta("point", point.label());
-    let scope = format!("e14/{}", point.label());
-    report.export(log.registry_mut(), &scope);
-    let recovered = e14_recovered_fraction(&sinks);
-    log.registry_mut()
-        .scoped(&scope)
-        .gauge_set("recovered_fraction", recovered);
-    log.push(
-        RunRecord::new("e14-point")
-            .with("label", point.label())
-            .with("shards", point.shards as u64)
-            .with("load", point.load)
-            .with("balancer", point.balancer.label())
-            .with("crash", point.crash)
-            .with("utility_sum", report.utility_sum())
-            .with("mean_utility", report.mean_utility())
-            .with("admitted", report.admitted())
-            .with("rejected", report.rejected())
-            .with("rerouted", report.dispatch.rerouted)
-            .with("recovered_fraction", recovered),
-    );
+    E14ScaleOut::export(&point, &outcome, log.registry_mut());
+    log.push(E14ScaleOut::record(&point, &outcome));
     log
 }
 
@@ -172,7 +152,7 @@ fn e16_tiered_point_matches_golden() {
         arm: E16Arm::Tiered,
         load: 0.6,
     };
-    let report = e16_run_point(point);
+    let report = E16GeoTiered::run(&point);
     let mut log = RunLog::new();
     log.set_meta("experiment", "E16");
     log.set_meta("point", point.label());
@@ -198,7 +178,7 @@ fn e17_diurnal_adaptive_point_matches_golden() {
         regime: E17Regime::Diurnal,
         arm: E17Arm::Adaptive,
     };
-    let outcome = e17_run_point(point);
+    let outcome = E17AdaptiveFleet::run(&point);
     let control = outcome.control.as_ref().expect("adaptive control trace");
     let mut log = RunLog::new();
     log.set_meta("experiment", "E17");
