@@ -16,7 +16,6 @@
 //! one fault-event model across the workspace.
 
 use dms_sim::{FaultPlan, FaultSpec, SimRng};
-use serde::{Deserialize, Serialize};
 
 use crate::error::AmbientError;
 
@@ -27,7 +26,7 @@ use crate::error::AmbientError;
 const SLOTS_PER_UNIT_TIME: u64 = 1024;
 
 /// A population of identical sensors with exponential failures.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SensorPopulation {
     /// Number of deployed sensors.
     pub sensors: usize,
@@ -140,7 +139,7 @@ impl SensorPopulation {
 /// gives the *long-run* availability of k-of-n services. This is the
 /// §5 "operate with limited resources and failing parts" story once
 /// maintenance exists.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RepairableSensorPopulation {
     sensors: usize,
     failure_rate: f64,

@@ -11,14 +11,12 @@
 //! — the "overall performance model" that §5 says must incorporate user
 //! behaviour.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::AmbientError;
 use crate::faults::SensorPopulation;
 use crate::user::UserBehaviorModel;
 
 /// One ambient service (e.g. presence tracking, gesture input).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Service {
     /// Name.
     pub name: String,
@@ -29,7 +27,7 @@ pub struct Service {
 }
 
 /// A smart space: a user model plus the services each activity needs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SmartSpace {
     user: UserBehaviorModel,
     services: Vec<Service>,
@@ -40,7 +38,7 @@ pub struct SmartSpace {
 }
 
 /// Evaluated smart-space quality at one point in time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SmartSpaceReport {
     /// Evaluation time.
     pub time: f64,

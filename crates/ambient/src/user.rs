@@ -9,12 +9,11 @@
 
 use dms_analysis::DiscreteMarkovChain;
 use dms_sim::SimRng;
-use serde::{Deserialize, Serialize};
 
 use crate::error::AmbientError;
 
 /// One user-activity state and its service demand.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActivityState {
     /// Name ("idle", "video-call", …).
     pub name: String,
@@ -25,7 +24,7 @@ pub struct ActivityState {
 }
 
 /// A DTMC over user activities.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserBehaviorModel {
     states: Vec<ActivityState>,
     chain: DiscreteMarkovChain,

@@ -7,8 +7,6 @@
 //! zero). Stationary and transient solutions are computed by
 //! *uniformisation*, reducing to the [`DiscreteMarkovChain`] machinery.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::AnalysisError;
 use crate::markov::DiscreteMarkovChain;
 
@@ -29,7 +27,7 @@ use crate::markov::DiscreteMarkovChain;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContinuousMarkovChain {
     q: Vec<Vec<f64>>,
     /// Uniformisation rate Λ ≥ max_i |q_ii| (strictly greater, to keep

@@ -8,8 +8,6 @@
 //! global balance equations (fast for the sparse chains produced by
 //! producer–consumer models).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::AnalysisError;
 
 /// Convergence tolerance shared by the iterative solvers.
@@ -37,7 +35,7 @@ const MAX_ITERATIONS: usize = 200_000;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiscreteMarkovChain {
     p: Vec<Vec<f64>>,
 }

@@ -10,13 +10,11 @@
 //! average buffer length (utilisation over time), loss and response
 //! time.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::AnalysisError;
 use crate::markov::DiscreteMarkovChain;
 
 /// Steady-state performance measures of a producer–consumer buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProducerConsumerPerformance {
     /// Delivered tokens per slot.
     pub throughput: f64,
@@ -53,7 +51,7 @@ pub struct ProducerConsumerPerformance {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProducerConsumerChain {
     p: f64,
     q: f64,

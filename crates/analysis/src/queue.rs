@@ -7,8 +7,6 @@
 //! breaks (§3.2), which experiment E2 demonstrates by comparing them
 //! against simulation under long-range-dependent input.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::AnalysisError;
 
 /// An M/M/1 queue: Poisson arrivals at rate λ, exponential service at
@@ -26,7 +24,7 @@ use crate::error::AnalysisError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MM1Queue {
     lambda: f64,
     mu: f64,
@@ -89,7 +87,7 @@ impl MM1Queue {
 /// [`dms_core::FiniteQueue`]-backed channel buffers.
 ///
 /// [`dms_core::FiniteQueue`]: https://docs.rs/dms-core
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MM1KQueue {
     lambda: f64,
     mu: f64,

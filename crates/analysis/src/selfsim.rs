@@ -23,7 +23,6 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use dms_sim::SimRng;
-use serde::{Deserialize, Serialize};
 
 use crate::error::AnalysisError;
 use crate::fft::{fft_in_place, Complex};
@@ -56,7 +55,7 @@ use crate::fft::{fft_in_place, Complex};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FractionalGaussianNoise {
     hurst: f64,
 }
@@ -245,7 +244,7 @@ fn update_ar_coefficients(phi: &mut Vec<f64>, kappa: f64) {
 /// `1 < α < 2` the aggregate count process is asymptotically
 /// self-similar with `H = (3 − α_min)/2` (Taqqu's theorem) — the reason
 /// aggregated multimedia flows defeat Markovian buffer sizing (§3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnOffAggregate {
     sources: usize,
     alpha_on: f64,
@@ -325,7 +324,7 @@ impl OnOffAggregate {
 
 /// Slotted Poisson arrivals — the short-range-dependent (Markovian)
 /// baseline of §3.2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoissonArrivals {
     rate: f64,
 }

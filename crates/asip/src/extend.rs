@@ -20,8 +20,6 @@
 //! [`Identifier`] mines a profiled program for profitable windows and
 //! greedily selects a set under the instruction-count and gate budgets.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::AsipError;
 use crate::gates;
 use crate::isa::Instr;
@@ -36,7 +34,7 @@ pub const MEM_PORTS: u64 = 2;
 pub const MAX_WINDOW: usize = 16;
 
 /// One custom (fused) instruction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CustomOp {
     /// Descriptive name (e.g. `fuse@14x5`).
     pub name: String,
@@ -100,7 +98,7 @@ impl CustomOp {
 }
 
 /// The set of custom instructions a processor configuration carries.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExtensionCatalog {
     ops: Vec<CustomOp>,
 }
@@ -154,7 +152,7 @@ impl ExtensionCatalog {
 }
 
 /// A profitable candidate window found by the identifier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {
     /// Start index of the window in the program.
     pub at: usize,

@@ -5,8 +5,6 @@
 //! flow's outputs mirror the §3.1 case study: speed-up over the plain
 //! base core, number of custom instructions, and total gate count.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::AsipError;
 use crate::extend::{ExtensionCatalog, Identifier};
 use crate::gates::AreaModel;
@@ -17,7 +15,7 @@ use crate::retarget::retarget;
 
 /// Constraints the customised processor must meet (Fig. 2's "verify"
 /// box).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowConstraints {
     /// Maximum number of custom instructions (§3.1: "less than 10").
     pub max_custom_instructions: usize,
@@ -44,7 +42,7 @@ impl Default for FlowConstraints {
 }
 
 /// The outcome of one complete design-flow run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowReport {
     /// Cycles of the unmodified base core.
     pub base_cycles: u64,

@@ -6,13 +6,11 @@
 //! [`ProgramBuilder`](crate::program::ProgramBuilder)), and a `Custom`
 //! opcode slot for the §3.1 instruction extensions.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of general-purpose registers.
 pub const REG_COUNT: u8 = 32;
 
 /// A register name. `Reg(0)` reads as zero and ignores writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Reg(pub u8);
 
 impl Reg {
@@ -27,7 +25,7 @@ impl Reg {
 }
 
 /// Branch comparison conditions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Cond {
     /// Equal.
     Eq,
@@ -43,7 +41,7 @@ pub enum Cond {
 ///
 /// Branch targets are absolute instruction indices (the builder resolves
 /// labels before a [`Program`](crate::program::Program) is produced).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Instr {
     /// `dst = a + b`
     Add(Reg, Reg, Reg),

@@ -12,15 +12,13 @@
 //! * parameters — data-cache size (direct-mapped, 4-word lines) and
 //!   memory size.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::AsipError;
 use crate::extend::ExtensionCatalog;
 use crate::isa::{Cond, Instr, Reg, REG_COUNT};
 use crate::program::Program;
 
 /// ISS configuration: predefined blocks and parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IssConfig {
     /// Data-memory size in 64-bit words.
     pub mem_words: usize,
@@ -51,7 +49,7 @@ impl Default for IssConfig {
 }
 
 /// The result of executing a program.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecReport {
     /// Total cycles consumed.
     pub cycles: u64,

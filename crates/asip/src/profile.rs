@@ -5,12 +5,10 @@
 //! parts of the application represent the most time consuming ones"
 //! (§3.1 / Fig. 2).
 
-use serde::{Deserialize, Serialize};
-
 use crate::iss::ExecReport;
 
 /// A profiled program: per-PC cycles and execution counts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Profile {
     pc_cycles: Vec<u64>,
     pc_execs: Vec<u64>,
@@ -18,7 +16,7 @@ pub struct Profile {
 }
 
 /// A contiguous hot region of the program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HotBlock {
     /// First instruction index of the block.
     pub start: usize,

@@ -1,7 +1,5 @@
 //! Programs and the label-resolving builder.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::AsipError;
 use crate::isa::{Cond, Instr, Reg};
 
@@ -12,7 +10,7 @@ pub struct Label(usize);
 
 /// A finished program: instructions with resolved absolute branch
 /// targets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     instrs: Vec<Instr>,
 }

@@ -256,9 +256,8 @@ fn main() {
     };
 
     // Micro-kernels behind the E15 numbers: event scheduling, the
-    // per-slot multiplexer pass, memoised admission. Same comparisons
-    // as the event_queue_perf / multiplexer_perf / admission_perf
-    // bins, recorded here so the JSON carries them.
+    // per-slot multiplexer pass, memoised admission, recorded here so
+    // the JSON carries them.
     println!("\nmicro-kernels:");
     let micro_timed: Vec<dms_bench::micro::MicroTiming> =
         dms_bench::micro::event_queue_micro(1 << 20)

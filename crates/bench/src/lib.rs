@@ -4,8 +4,7 @@
 //! `DESIGN.md` for the experiment index). Each returns an
 //! [`Experiment`] of paper-vs-measured rows; [`EXPERIMENTS`] lists them
 //! by id for [`all_experiments`], the `experiments` binary and
-//! `bench_smoke`, and the Criterion benches in `benches/` time the
-//! underlying kernels.
+//! `bench_smoke`, which times each one and the [`micro`] kernels.
 //!
 //! The server sweeps E12–E17 are each one [`Sweep`]: a grid of seeded
 //! points that [`run_sweep`] runs once each on the [`ParRunner`]. The

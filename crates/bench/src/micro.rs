@@ -5,9 +5,8 @@
 //! count-keyed memo).
 //!
 //! Each function runs both sides of one comparison on identical
-//! seeded input and returns the wall-clock timings; the
-//! `event_queue_perf`, `multiplexer_perf` and `admission_perf` bins
-//! print one comparison each, and `bench_smoke` folds all three into
+//! seeded input and returns the wall-clock timings; `bench_smoke`
+//! prints all three comparisons and folds them into
 //! `BENCH_experiments.json`. The *outputs* of the timed kernels are
 //! deterministic — only the seconds vary run to run.
 

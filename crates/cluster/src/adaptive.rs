@@ -51,7 +51,6 @@
 
 use dms_serve::{RecoveryConfig, ServeError, ServeMetricsSink, ServerConfig, Workload};
 use dms_sim::{FaultPlan, FaultSpec, MetricsRegistry};
-use serde::{Deserialize, Serialize};
 
 use crate::balancer::{BalancerPolicy, Route, ShardState};
 use crate::cluster::{ClusterConfig, ClusterReport, ClusterSim, DispatchReport, ShardFault};
@@ -79,7 +78,7 @@ fn ln_q16(t: u64) -> i64 {
 }
 
 /// Shard-count / warm-up knobs of the autoscaler.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoscaleConfig {
     /// Shards provisioned at slot 0 and never drained below.
     pub min_shards: usize,
@@ -158,7 +157,7 @@ impl AutoscaleConfig {
 }
 
 /// How the fleet picks its balancer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArmSelection {
     /// One policy for the whole run (the pinned/differential mode —
     /// and exactly the static cluster's behaviour).
@@ -183,7 +182,7 @@ impl ArmSelection {
 
 /// Full configuration of the adaptive fleet: one homogeneous shard
 /// template plus the three control loops' knobs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveConfig {
     /// Per-shard server configuration (homogeneous fleet — the
     /// autoscaler adds and removes identical replicas).
@@ -219,7 +218,7 @@ impl AdaptiveConfig {
 }
 
 /// One autoscaler decision.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScaleEvent {
     /// Control-boundary slot the decision fired at.
     pub slot: u64,
@@ -232,7 +231,7 @@ pub struct ScaleEvent {
 }
 
 /// One control window's measurements (closed at each boundary).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControlWindow {
     /// Slot the window closed at (a control boundary, or the horizon
     /// for the final partial window).

@@ -20,10 +20,9 @@
 
 use dms_serve::{AdmissionController, AdmissionMemo, AdmissionPolicy, CapacityModel, ServeError};
 use dms_sim::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Which balancing policy routes sessions to shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BalancerPolicy {
     /// Cycle through the live shards in index order, blind to load.
     /// The skew baseline: it overloads small shards exactly as an

@@ -28,14 +28,13 @@ use dms_serve::{
     FaultReport, RecoveryConfig, ServeError, ServeMetricsSink, ServerConfig, ServerSim, Workload,
 };
 use dms_sim::{FaultPlan, MetricsRegistry, ParRunner};
-use serde::{Deserialize, Serialize};
 
 use crate::balancer::BalancerPolicy;
 use crate::endpoint::FleetEndpoint;
 
 /// Cluster-wide configuration: the shard replicas plus the balancer
 /// that fronts them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// One server configuration per shard. Capacities may differ —
     /// heterogeneous fleets are exactly where balancer choice matters.
@@ -86,7 +85,7 @@ pub struct ShardFault {
 }
 
 /// The dispatch pass's routing ledger.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DispatchReport {
     /// Sessions in the offered workload.
     pub offered: u64,
@@ -99,11 +98,10 @@ pub struct DispatchReport {
     pub retries: u64,
     /// Sessions re-offered to the survivors after their shard died.
     pub rerouted: u64,
-    /// Offers still in backoff when a graceful endpoint shutdown
-    /// dropped them (always 0 for a batch dispatch, which runs every
-    /// retry to resolution). Closes the shutdown conservation ledger:
+    /// Offers dropped while still in backoff. Always 0: every dispatch
+    /// runs each retry to resolution. [`DispatchReport::verify`] still
+    /// counts it in the ledger
     /// `dispatched + balancer_rejected + drained == offered + rerouted`.
-    #[serde(default)]
     pub drained: u64,
     /// Sessions routed to each shard.
     pub shard_sessions: Vec<u64>,
@@ -363,10 +361,8 @@ impl ClusterSim {
 
     /// The shard-execution phase alone: runs already-dispatched
     /// per-shard workloads (one per shard, as produced by
-    /// [`ClusterSim::dispatch`] or a
-    /// [`FleetEndpoint`]) on the fleet and
-    /// merges the reports. `dms-net`'s fleet driver calls this at
-    /// shutdown with the endpoint's routed workloads.
+    /// [`ClusterSim::dispatch`] or a [`FleetEndpoint`]) on the fleet
+    /// and merges the reports.
     ///
     /// # Errors
     ///

@@ -1,11 +1,10 @@
 //! The fleet endpoint: the workspace's only cluster dispatcher.
 //!
 //! [`FleetEndpoint`] accepts offers one at a time in non-decreasing
-//! slot order. `dms-net`'s socket driver feeds it frames; the batch
-//! [`ClusterSim::dispatch`](crate::ClusterSim::dispatch) and the
-//! adaptive [`AdaptiveSim::dispatch`](crate::AdaptiveSim::dispatch)
-//! feed it sorted workloads. All of them produce bit-identical routing
-//! for the same offers because they *are* the same code path. Retries
+//! slot order. The batch [`ClusterSim::dispatch`](crate::ClusterSim::dispatch)
+//! and the adaptive [`AdaptiveSim::dispatch`](crate::AdaptiveSim::dispatch)
+//! feed it sorted workloads. Both produce bit-identical routing for
+//! the same offers because they *are* the same code path. Retries
 //! and re-offers flow through one timing wheel and one
 //! `(slot, arrival-order)` merge discipline: a dynamic offer strictly
 //! earlier than the next injected offer routes first; ties go to the
@@ -19,19 +18,13 @@
 //! a shard down through one path: the balancer routes around it from
 //! `b`, the sessions in flight on it are re-offered to the survivors
 //! with their remaining duration, and its reservations are released.
-//!
-//! A graceful [`FleetEndpoint::shutdown`] drops the retries still in
-//! backoff (counted as `drained`), releases every reserved admission
-//! bit, and checks that the ledger
-//! `dispatched + balancer_rejected + drained == offered + rerouted`
-//! closes ([`DispatchReport::verify`]).
 
 use dms_serve::{RecoveryConfig, ServeError, SessionRequest, SessionTemplate, Workload};
 use dms_sim::{EventQueue, SimTime};
 
 use crate::adaptive::Controller;
 use crate::balancer::{Balancer, Route, ShardState};
-use crate::cluster::{ClusterConfig, DispatchReport, LedgerError, ShardFault};
+use crate::cluster::{ClusterConfig, DispatchReport, ShardFault};
 
 /// One offer in the dispatch stream. Offers due at one slot route in
 /// push order: the wheel drains each slot FIFO.
@@ -41,36 +34,6 @@ struct Offer {
     id: u64,
     duration_slots: u64,
     attempt: u32,
-}
-
-/// Routing outcome of one processed offer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FleetVerdict {
-    /// Routed to this shard index.
-    Dispatched {
-        /// Receiving shard.
-        shard: usize,
-    },
-    /// Refused by every live mirror; backing off to retry.
-    Retrying {
-        /// Slot of the scheduled re-attempt.
-        next_slot: u64,
-    },
-    /// Refused with no retry budget left, expired past the horizon,
-    /// or dropped by a shutdown while still in backoff.
-    Rejected,
-}
-
-/// One entry of the endpoint's outcome stream (only recorded while
-/// [`FleetEndpoint::record_outcomes`] is on).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OfferOutcome {
-    /// Session id of the offer.
-    pub id: u64,
-    /// Slot the offer was processed at.
-    pub slot: u64,
-    /// What routing decided.
-    pub verdict: FleetVerdict,
 }
 
 /// The incremental cluster dispatcher: offers in (non-decreasing slot
@@ -101,8 +64,6 @@ pub struct FleetEndpoint {
     in_flight: Vec<Vec<(u64, u64, u64)>>,
     report: DispatchReport,
     last_offer_slot: u64,
-    outcomes: Option<Vec<OfferOutcome>>,
-    done: bool,
 }
 
 impl FleetEndpoint {
@@ -181,8 +142,6 @@ impl FleetEndpoint {
                 ..DispatchReport::default()
             },
             last_offer_slot: 0,
-            outcomes: None,
-            done: false,
         })
     }
 
@@ -199,39 +158,6 @@ impl FleetEndpoint {
         self.controller = Some(controller);
     }
 
-    /// The simulation horizon in slots.
-    #[must_use]
-    pub fn horizon(&self) -> u64 {
-        self.slots
-    }
-
-    /// The routing ledger so far.
-    #[must_use]
-    pub fn report(&self) -> &DispatchReport {
-        &self.report
-    }
-
-    /// Turns routing-outcome recording on or off (drained with
-    /// [`FleetEndpoint::take_outcomes`]). A session that backs off and
-    /// later routes produces several entries — the last one is final;
-    /// crash re-offers re-report the same id.
-    pub fn record_outcomes(&mut self, on: bool) {
-        if on {
-            if self.outcomes.is_none() {
-                self.outcomes = Some(Vec::new());
-            }
-        } else {
-            self.outcomes = None;
-        }
-    }
-
-    /// Moves the outcomes recorded since the last call into `out`.
-    pub fn take_outcomes(&mut self, out: &mut Vec<OfferOutcome>) {
-        if let Some(o) = self.outcomes.as_mut() {
-            out.append(o);
-        }
-    }
-
     /// Offers one session to the fleet. Offers must arrive in
     /// non-decreasing `slot` order — same-slot offers keep call order,
     /// exactly like the batch pass keeps workload order.
@@ -241,9 +167,6 @@ impl FleetEndpoint {
     /// Returns [`ServeError::InvalidParameter`] if `slot` goes
     /// backwards.
     pub fn offer(&mut self, id: u64, slot: u64, duration_slots: u64) -> Result<(), ServeError> {
-        if self.done {
-            return Err(ServeError::InvalidParameter("offer_after_shutdown"));
-        }
         if slot < self.last_offer_slot {
             return Err(ServeError::InvalidParameter("offer_slot"));
         }
@@ -274,20 +197,10 @@ impl FleetEndpoint {
     }
 
     /// Runs the stream to completion — remaining deaths harvested,
-    /// remaining retries resolved — leaving only the
-    /// [`FleetEndpoint::finish`] conversion. Split from `finish` so a
-    /// caller recording outcomes can still
-    /// [`FleetEndpoint::take_outcomes`] the end-of-stream resolutions.
-    pub fn drain_pending(&mut self) {
-        self.advance(None);
-        self.done = true;
-    }
-
-    /// Returns the per-shard workloads plus the ledger. The batch
+    /// remaining retries resolved — and returns the per-shard
+    /// workloads plus the ledger. The batch
     /// [`ClusterSim::dispatch`](crate::ClusterSim::dispatch) is
     /// exactly `offer()` over a sorted workload followed by this.
-    /// Implies [`FleetEndpoint::drain_pending`] unless a shutdown
-    /// already ended the stream.
     #[must_use]
     pub fn finish(self) -> (Vec<Workload>, DispatchReport) {
         let (workloads, report, _) = self.finish_controlled();
@@ -299,9 +212,7 @@ impl FleetEndpoint {
     pub(crate) fn finish_controlled(
         mut self,
     ) -> (Vec<Workload>, DispatchReport, Option<Controller>) {
-        if !self.done {
-            self.advance(None);
-        }
+        self.advance(None);
         if let Some(controller) = self.controller.as_mut() {
             controller.close(self.slots, &mut self.states);
         }
@@ -316,46 +227,6 @@ impl FleetEndpoint {
             })
             .collect();
         (workloads, self.report, self.controller)
-    }
-
-    /// Gracefully shuts the endpoint down at `slot`: dynamic offers
-    /// due before `slot` still route, retries left in backoff are
-    /// dropped as `drained` (with a [`FleetVerdict::Rejected`]
-    /// outcome), and every reserved admission bit is released exactly
-    /// like a take-down releases a dead shard's reservations. Call
-    /// [`FleetEndpoint::finish`] afterwards for the workloads.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`LedgerError`] of [`DispatchReport::verify`] if
-    /// the conservation ledger does not close — a dispatcher bug.
-    pub fn shutdown(&mut self, slot: u64) -> Result<(), LedgerError> {
-        self.advance(Some(slot));
-        self.done = true;
-        // Harvest deaths at or before the shutdown edge so their
-        // victims are accounted (as rerouted-then-drained) rather than
-        // silently vanishing with the endpoint.
-        while let Some(&(death_slot, _)) = self.deaths.get(self.next_death) {
-            if death_slot > slot {
-                break;
-            }
-            self.harvest_death();
-        }
-        while let Some(ev) = self.dynamic.pop() {
-            self.report.drained += 1;
-            let offer = ev.payload;
-            if let Some(o) = self.outcomes.as_mut() {
-                o.push(OfferOutcome {
-                    id: offer.id,
-                    slot,
-                    verdict: FleetVerdict::Rejected,
-                });
-            }
-        }
-        for state in &mut self.states {
-            state.release_all();
-        }
-        self.report.verify()
     }
 
     /// Processes edges and dynamic offers that must precede the next
@@ -446,7 +317,6 @@ impl FleetEndpoint {
             // the shards saw — keeps `admitted + rejected == offered`
             // exact at the cluster level.
             self.report.balancer_rejected += 1;
-            self.push_outcome(&offer, FleetVerdict::Rejected);
             return;
         }
         for state in &mut self.states {
@@ -473,7 +343,6 @@ impl FleetEndpoint {
                 if self.controller.is_some() || self.states[shard].dies() {
                     self.in_flight[shard].push((offer.slot, depart, offer.id));
                 }
-                self.push_outcome(&offer, FleetVerdict::Dispatched { shard });
             }
             Route::Refused => {
                 if offer.attempt < self.recovery.max_retries {
@@ -487,22 +356,10 @@ impl FleetEndpoint {
                             ..offer
                         },
                     );
-                    self.push_outcome(&offer, FleetVerdict::Retrying { next_slot: slot });
                 } else {
                     self.report.balancer_rejected += 1;
-                    self.push_outcome(&offer, FleetVerdict::Rejected);
                 }
             }
-        }
-    }
-
-    fn push_outcome(&mut self, offer: &Offer, verdict: FleetVerdict) {
-        if let Some(o) = self.outcomes.as_mut() {
-            o.push(OfferOutcome {
-                id: offer.id,
-                slot: offer.slot,
-                verdict,
-            });
         }
     }
 }
@@ -610,42 +467,6 @@ mod tests {
         );
     }
 
-    /// Shutdown releases every reserved admission bit (like crash
-    /// harvesting) and the drained ledger balances exactly.
-    #[test]
-    fn shutdown_releases_reservations_and_conserves() {
-        let wl = workload(1.5, 80, 200, 7);
-        let template = wl.template;
-        // A small saturated fleet so refusals (and thus in-backoff
-        // retries at the shutdown edge) actually occur.
-        let cfg = config(
-            vec![shard_config(40, &template), shard_config(40, &template)],
-            BalancerPolicy::JoinShortestQueue,
-        );
-        let mut ep = FleetEndpoint::with_faults(&cfg, template, wl.slots, &[], 64).expect("valid");
-        let mut order: Vec<usize> = (0..wl.sessions.len()).collect();
-        order.sort_by_key(|&i| wl.sessions[i].arrival_slot);
-        let mut fed = 0u64;
-        for &i in &order {
-            let s = wl.sessions[i];
-            if s.arrival_slot >= 100 {
-                break;
-            }
-            ep.offer(s.id, s.arrival_slot, s.duration_slots)
-                .expect("sorted offers");
-            fed += 1;
-        }
-        ep.shutdown(100).expect("shutdown ledger closes");
-        let (_, report) = ep.finish();
-        assert_eq!(report.offered, fed);
-        assert!(report.drained > 0, "a 1.5x-load fleet has retries pending");
-        assert_eq!(
-            report.dispatched + report.balancer_rejected + report.drained,
-            report.offered + report.rerouted,
-            "shutdown conservation ledger"
-        );
-    }
-
     /// A peer can send any duration: `slot + duration` saturates
     /// instead of wrapping the reservation into the past, where it
     /// would be released at once and skew routing.
@@ -676,48 +497,9 @@ mod tests {
         );
         let mut ep = FleetEndpoint::new(&cfg, template, wl.slots).expect("valid");
         ep.offer_workload(&wl).expect("sorted offers");
-        ep.drain_pending();
-        assert!(ep.report().retries > 0, "a 1.5x-load fleet saturates");
-        assert!(ep.report().dispatched > 0);
+        ep.advance(None);
+        assert!(ep.report.retries > 0, "a 1.5x-load fleet saturates");
+        assert!(ep.report.dispatched > 0);
         assert!(ep.in_flight.iter().all(Vec::is_empty));
-    }
-
-    #[test]
-    fn outcome_stream_covers_every_offer() {
-        let wl = workload(1.4, 60, 150, 11);
-        let template = wl.template;
-        let cfg = config(
-            vec![shard_config(30, &template), shard_config(30, &template)],
-            BalancerPolicy::JoinShortestQueue,
-        );
-        let mut ep = FleetEndpoint::new(&cfg, template, wl.slots).expect("valid");
-        ep.record_outcomes(true);
-        let mut order: Vec<usize> = (0..wl.sessions.len()).collect();
-        order.sort_by_key(|&i| wl.sessions[i].arrival_slot);
-        let mut outcomes = Vec::new();
-        for &i in &order {
-            let s = wl.sessions[i];
-            ep.offer(s.id, s.arrival_slot, s.duration_slots)
-                .expect("sorted offers");
-            ep.take_outcomes(&mut outcomes);
-        }
-        ep.drain_pending();
-        ep.take_outcomes(&mut outcomes);
-        let (_, report) = ep.finish();
-        let dispatched = outcomes
-            .iter()
-            .filter(|o| matches!(o.verdict, FleetVerdict::Dispatched { .. }))
-            .count() as u64;
-        let rejected = outcomes
-            .iter()
-            .filter(|o| o.verdict == FleetVerdict::Rejected)
-            .count() as u64;
-        let retrying = outcomes
-            .iter()
-            .filter(|o| matches!(o.verdict, FleetVerdict::Retrying { .. }))
-            .count() as u64;
-        assert_eq!(dispatched, report.dispatched);
-        assert_eq!(rejected, report.balancer_rejected);
-        assert_eq!(retrying, report.retries);
     }
 }

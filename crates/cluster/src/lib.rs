@@ -24,8 +24,8 @@
 //! bare [`dms_serve::ServerSim::run`] bit for bit.
 //!
 //! [`FleetEndpoint`] is the only dispatcher: the batch
-//! [`ClusterSim::dispatch`], the adaptive [`AdaptiveSim::dispatch`]
-//! and `dms-net`'s socket-fed fleet driver all route through it. Shard
+//! [`ClusterSim::dispatch`] and the adaptive [`AdaptiveSim::dispatch`]
+//! both route through it. Shard
 //! deaths and (adaptive fleets only) control boundaries are edges in
 //! its offer merge: an edge at slot `b` fires after every offer before
 //! `b` and before any offer at `b`. Every dispatch pass ends with
@@ -60,7 +60,7 @@ pub use cluster::{
     aggregate_utility, ClusterConfig, ClusterReport, ClusterSim, DispatchReport, LedgerError,
     ShardFault,
 };
-pub use endpoint::{FleetEndpoint, FleetVerdict, OfferOutcome};
+pub use endpoint::FleetEndpoint;
 pub use tiers::{
     merge_regions, ClassMix, ClassReport, ContentModel, DeviceClass, LastHopEnergy, RegionConfig,
     RegionReport, SessionDraw, TieredConfig, TieredReport, TieredSim, ZipfSampler,

@@ -53,7 +53,6 @@ use dms_serve::{
 use dms_sim::{MetricsRegistry, ParRunner, SimRng};
 use dms_wireless::jscc::CodecEnergy;
 use dms_wireless::{AdaptivePolicy, JsccOptimizer, Modulation, Transceiver};
-use serde::{Deserialize, Serialize};
 
 use crate::cluster::{ClusterConfig, ClusterReport, ClusterSim};
 
@@ -61,7 +60,7 @@ use crate::cluster::{ClusterConfig, ClusterReport, ClusterSim};
 pub const DEVICE_CLASSES: usize = 3;
 
 /// The client population of a region, by last-hop technology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeviceClass {
     /// Fixed broadband: constant per-bit NIC energy, decodes every
     /// FGS layer.
@@ -108,7 +107,7 @@ impl DeviceClass {
 /// slots by `churn_stride` positions. Caches hold content *ids*, so
 /// each rotation re-labels the hot set and previously-cached items go
 /// cold — a deterministic stand-in for trending-content turnover.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContentModel {
     /// Distinct content items.
     pub catalog_size: u64,
@@ -188,7 +187,7 @@ impl ZipfSampler {
 }
 
 /// Per-device-class population weights and FGS decode ceilings.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassMix {
     /// Relative population weight per [`DeviceClass`] (index order).
     pub weights: [f64; DEVICE_CLASSES],
@@ -232,7 +231,7 @@ impl ClassMix {
 /// serving tier — plus the core-network transit cost an origin fetch
 /// pays. Derived from the `dms-wireless` and `dms-manet` energy
 /// models by [`LastHopEnergy::derive`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LastHopEnergy {
     /// J/bit when the serving point is client-proximate (edge tier).
     pub edge_j_per_bit: [f64; DEVICE_CLASSES],
@@ -372,7 +371,7 @@ impl LastHopEnergy {
 
 /// One geographic region: an edge fleet, its arrival process, and its
 /// cache.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegionConfig {
     /// The region's `dms-cluster` fleet (shards + balancer + recovery).
     pub fleet: ClusterConfig,
@@ -389,7 +388,7 @@ pub struct RegionConfig {
 }
 
 /// The full tiered-delivery scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TieredConfig {
     /// Edge regions (≥ 1).
     pub regions: Vec<RegionConfig>,
@@ -442,7 +441,7 @@ impl TieredConfig {
 /// Per-session content/class draw, made at generation time so the
 /// cache pass never touches the rng (draws are a pure function of the
 /// config, independent of cache or origin state).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionDraw {
     /// Zipf popularity rank in `0..catalog_size`.
     pub rank: u64,
@@ -451,7 +450,7 @@ pub struct SessionDraw {
 }
 
 /// Last-hop accounting for one device class of one region.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassReport {
     /// The class.
     pub class: DeviceClass,
@@ -470,7 +469,7 @@ pub struct ClassReport {
 }
 
 /// One region's end-to-end report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegionReport {
     /// Sessions the region's workload offered.
     pub offered: u64,
@@ -504,7 +503,7 @@ impl RegionReport {
 }
 
 /// The tiered scenario's end-to-end report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TieredReport {
     /// Per-region reports, in region order.
     pub regions: Vec<RegionReport>,

@@ -6,12 +6,10 @@
 //! (usually asynchronously) between different communicating processes"
 //! (§2.1). Channels carry tokens through finite-length buffers.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::CoreError;
 
 /// Identifier of a process within a [`ProcessGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcessId(pub(crate) usize);
 
 impl ProcessId {
@@ -23,7 +21,7 @@ impl ProcessId {
 }
 
 /// Identifier of a channel within a [`ProcessGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChannelId(pub(crate) usize);
 
 impl ChannelId {
@@ -35,7 +33,7 @@ impl ChannelId {
 }
 
 /// A computational process (graph node).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Process {
     /// Human-readable name ("VLD", "IDCT", …).
     pub name: String,
@@ -47,7 +45,7 @@ pub struct Process {
 }
 
 /// A communication channel (graph edge) with a finite buffer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Channel {
     /// Producing process.
     pub src: ProcessId,
@@ -76,7 +74,7 @@ pub struct Channel {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcessGraph {
     name: String,
     processes: Vec<Process>,

@@ -6,8 +6,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::CoreError;
 use crate::graph::{ProcessGraph, ProcessId};
 use crate::platform::{PeId, Platform};
@@ -37,7 +35,7 @@ use crate::platform::{PeId, Platform};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Mapping {
     assignment: HashMap<ProcessId, PeId>,
 }

@@ -7,12 +7,10 @@
 //! a set of voltage/frequency operating points (for DVFS, §4) and a
 //! simple power model.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::CoreError;
 
 /// Identifier of a processing element within a [`Platform`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PeId(pub(crate) usize);
 
 impl PeId {
@@ -24,7 +22,7 @@ impl PeId {
 }
 
 /// The class of a processing element.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum PeKind {
     /// General-purpose processor (possibly with multimedia ISA extensions).
@@ -46,7 +44,7 @@ impl PeKind {
 }
 
 /// A voltage/frequency operating point for DVFS.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// Clock frequency in Hz.
     pub frequency_hz: f64,
@@ -64,7 +62,7 @@ impl OperatingPoint {
 }
 
 /// One processing element of the platform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcessingElement {
     /// Human-readable name.
     pub name: String,
@@ -109,7 +107,7 @@ impl ProcessingElement {
 /// assert!(p.pe(cpu).is_ok());
 /// assert_ne!(cpu, dsp);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Platform {
     name: String,
     pes: Vec<ProcessingElement>,

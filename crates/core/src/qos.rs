@@ -8,13 +8,11 @@
 //! metric *and* the tolerated deadline-miss ratio, and a [`QosReport`]
 //! carries the measured values out of any evaluator in the workspace.
 
-use serde::{Deserialize, Serialize};
-
 /// Measured quality-of-service of one evaluated design point.
 ///
 /// Produced by every simulator/evaluator in the workspace; consumed by
 /// [`QosRequirement::check`] and the design-space explorer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QosReport {
     /// Mean end-to-end latency in seconds.
     pub mean_latency_s: f64,
@@ -81,7 +79,7 @@ impl QosReport {
 /// };
 /// assert!(req.check(&measured).is_ok());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct QosRequirement {
     /// Upper bound on mean latency (seconds), if any.
     pub max_latency_s: Option<f64>,
@@ -98,7 +96,7 @@ pub struct QosRequirement {
 }
 
 /// A QoS metric that failed its requirement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum QosViolation {
     /// Mean latency exceeded the bound (measured, bound).

@@ -7,12 +7,10 @@
 //! energy-aware scheduler in `dms-noc`) consume: tasks carry a cycle
 //! count and an absolute deadline; edges carry communication volumes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::CoreError;
 
 /// Identifier of a task within a [`TaskGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(pub(crate) usize);
 
 impl TaskId {
@@ -33,7 +31,7 @@ impl TaskId {
 }
 
 /// One schedulable task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Task {
     /// Human-readable name.
     pub name: String,
@@ -45,7 +43,7 @@ pub struct Task {
 }
 
 /// A precedence edge with a communication payload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Dependency {
     /// The producing task.
     pub from: TaskId,
@@ -72,7 +70,7 @@ pub struct Dependency {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskGraph {
     name: String,
     tasks: Vec<Task>,

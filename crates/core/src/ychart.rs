@@ -8,13 +8,11 @@
 //! limits; [`ParetoFront`] keeps the non-dominated energy/latency
 //! trade-off points discovered during exploration.
 
-use serde::{Deserialize, Serialize};
-
 use crate::qos::{QosReport, QosRequirement, QosViolation};
 
 /// Design constraints beyond QoS: cost, area and design time appear in
 /// §1 as first-class concerns for consumer multimedia.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DesignConstraints {
     /// QoS requirements the mapped system must meet.
     pub qos: QosRequirement,
@@ -67,7 +65,7 @@ impl DesignConstraints {
 
 /// One evaluated point in the design space: a candidate mapping together
 /// with its measured QoS and implementation cost.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignPoint {
     /// A label identifying the candidate (e.g. a mapping digest).
     pub label: String,
@@ -113,7 +111,7 @@ impl DesignPoint {
 /// assert!(!front.offer(point("bad", 3.0, 3.0)));   // dominated: rejected
 /// assert_eq!(front.len(), 2);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ParetoFront {
     points: Vec<DesignPoint>,
 }

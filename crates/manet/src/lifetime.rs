@@ -11,7 +11,6 @@
 //! delivered traffic, first-death time and fragmentation.
 
 use dms_sim::SimRng;
-use serde::{Deserialize, Serialize};
 
 use crate::error::ManetError;
 use crate::network::Manet;
@@ -19,7 +18,7 @@ use crate::node::RadioParams;
 use crate::routing::{charge_route, route, Protocol};
 
 /// Configuration of one lifetime experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LifetimeConfig {
     /// Number of hosts.
     pub nodes: usize,
@@ -102,7 +101,7 @@ impl LifetimeConfig {
 }
 
 /// Measured outcome of one lifetime run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LifetimeReport {
     /// Protocol evaluated.
     pub protocol: Protocol,

@@ -1,13 +1,12 @@
 //! The network: deployment, connectivity and fragmentation.
 
 use dms_sim::SimRng;
-use serde::{Deserialize, Serialize};
 
 use crate::error::ManetError;
 use crate::node::{Node, RadioParams};
 
 /// A mobile-ad-hoc network of multimedia hosts with unit-disk links.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Manet {
     nodes: Vec<Node>,
     radio: RadioParams,

@@ -1,13 +1,11 @@
 //! Hosts: position, battery, and the first-order radio energy model.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ManetError;
 
 /// Radio energy parameters: `E_tx(k, d) = e_elec·k + e_amp·k·d^α`,
 /// `E_rx(k) = e_elec·k` — the classic first-order model used throughout
 /// the energy-aware-routing literature \[30–32\].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadioParams {
     /// Electronics energy per bit, joules (Tx and Rx alike).
     pub e_elec_j: f64,
@@ -69,7 +67,7 @@ impl RadioParams {
 }
 
 /// One multimedia host.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Node {
     /// X coordinate in metres.
     pub x: f64,

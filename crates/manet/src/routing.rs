@@ -17,12 +17,10 @@
 //! *predicted* lifetime from its recent drain rate (LPR \[32\]);
 //! [`Protocol::MaxMinResidual`] is the classic bottleneck baseline.
 
-use serde::{Deserialize, Serialize};
-
 use crate::network::Manet;
 
 /// The routing protocol under evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Protocol {
     /// Minimum total transmission+reception energy (Dijkstra) \[30\].

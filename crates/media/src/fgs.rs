@@ -9,7 +9,6 @@
 //! budget and what PSNR the received portion yields.
 
 use dms_sim::SimRng;
-use serde::{Deserialize, Serialize};
 
 use crate::error::MediaError;
 use crate::trace_gen::VideoTraceGenerator;
@@ -19,7 +18,7 @@ pub const BIT_PLANES: usize = 6;
 
 /// One FGS-coded frame: a mandatory base layer plus truncatable
 /// enhancement bit planes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FgsFrame {
     /// Display index.
     pub index: u64,
@@ -80,7 +79,7 @@ impl FgsFrame {
 }
 
 /// Layers a video trace into FGS frames.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FgsEncoder {
     /// Fraction of each frame's bits allocated to the base layer.
     base_fraction: f64,

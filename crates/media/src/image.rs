@@ -7,12 +7,10 @@
 //! `D(R) = σ² · 2^(−2R)`: each extra bit per pixel quarters the mean
 //! squared error.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::MediaError;
 
 /// A quantiser operating point: bits per pixel.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct QuantizerChoice {
     /// Bits spent per pixel (source rate `R`).
     pub bits_per_pixel: f64,
@@ -49,7 +47,7 @@ impl QuantizerChoice {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImageModel {
     width: u32,
     height: u32,

@@ -17,7 +17,6 @@
 use dms_core::graph::{ProcessGraph, ProcessId};
 use dms_core::FiniteQueue;
 use dms_sim::{Engine, EventQueue, Model, OnlineStats, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::error::MediaError;
 
@@ -51,7 +50,7 @@ pub fn decoder_graph() -> (ProcessGraph, [ProcessId; 5]) {
 
 /// How the shared CPU arbitrates among the decoder processes — the
 /// §2.1 "choosing the appropriate scheduling technique" knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum SchedulerPolicy {
     /// Fair rotation among VLD, IDCT and MV.
@@ -63,7 +62,7 @@ pub enum SchedulerPolicy {
 }
 
 /// Configuration of the decoder-pipeline simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecoderConfig {
     /// Mean ticks between packet arrivals (exponential interarrivals —
     /// network traffic into B2 is bursty).
@@ -134,7 +133,7 @@ impl DecoderConfig {
 }
 
 /// Measured outcome of a decoder-pipeline run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecoderPipelineReport {
     /// Frames fully displayed (both IDCT and MV halves done).
     pub displayed: u64,

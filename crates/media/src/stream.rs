@@ -18,7 +18,6 @@
 
 use dms_core::FiniteQueue;
 use dms_sim::{Engine, EventQueue, Model, OnlineStats, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::error::MediaError;
 
@@ -27,7 +26,7 @@ use crate::error::MediaError;
 /// The channel is in a Good or Bad state; each transmitted packet is
 /// lost with the state's loss probability, and the state evolves per
 /// transmission.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelModel {
     /// Probability of switching Good → Bad after a transmission.
     pub p_good_to_bad: f64,
@@ -107,7 +106,7 @@ impl ChannelModel {
 }
 
 /// Configuration of a Fig. 1(a) stream simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamConfig {
     /// Ticks between source packet emissions.
     pub source_interval: u64,
@@ -155,7 +154,7 @@ impl StreamConfig {
 }
 
 /// Measured outcome of a stream simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamReport {
     /// Packets consumed by the sink.
     pub delivered: u64,

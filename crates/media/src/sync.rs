@@ -13,13 +13,12 @@
 //! [`LipSyncScenario::optimal_offset`] quantifies.
 
 use dms_sim::SimRng;
-use serde::{Deserialize, Serialize};
 
 use crate::error::MediaError;
 
 /// One media path: fixed transit delay plus slowly varying jitter
 /// (AR(1) in milliseconds, clamped non-negative).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MediaPath {
     /// Mean one-way delay in milliseconds.
     pub mean_delay_ms: f64,
@@ -77,7 +76,7 @@ impl MediaPath {
 }
 
 /// Measured synchronisation quality of one run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyncReport {
     /// Mean skew (video − audio) in milliseconds; positive = video late.
     pub mean_skew_ms: f64,
@@ -92,7 +91,7 @@ pub struct SyncReport {
 }
 
 /// An audio+video pair of streams that must present together.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LipSyncScenario {
     /// The audio path.
     pub audio: MediaPath,

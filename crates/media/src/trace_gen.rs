@@ -10,12 +10,11 @@
 //! traffic-analysis premise of §3.2 / \[19\]).
 
 use dms_sim::SimRng;
-use serde::{Deserialize, Serialize};
 
 use crate::error::MediaError;
 
 /// The coding type of a video frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FrameKind {
     /// Intra-coded: largest, self-contained.
     I,
@@ -26,7 +25,7 @@ pub enum FrameKind {
 }
 
 /// One encoded video frame.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Frame {
     /// Display index of the frame.
     pub index: u64,
@@ -51,7 +50,7 @@ pub struct Frame {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VideoTraceGenerator {
     pattern: Vec<FrameKind>,
     mean_i: f64,

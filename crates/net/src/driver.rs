@@ -27,17 +27,12 @@
 //!
 //! On [`Frame::Shutdown`] the driver drains every remaining slot so
 //! in-flight sessions play out, then enforces the conservation
-//! invariant `admitted + rejected + drained == offered` — the same
-//! ledger discipline [`dms_cluster::FleetEndpoint::shutdown`] applies
-//! to reserved admission bits.
+//! invariant `admitted + rejected + drained == offered`.
 
 use std::fmt::Write as _;
 use std::io::{Read, Write};
 
-use dms_cluster::{DispatchReport, FleetEndpoint, FleetVerdict, OfferOutcome};
-use dms_serve::{
-    ServeError, ServerConfig, ServerEngine, SessionRequest, SessionTemplate, Workload,
-};
+use dms_serve::{ServeError, ServerConfig, ServerEngine, SessionRequest, SessionTemplate};
 use dms_sim::TickClock;
 
 use crate::endpoint::NetConnection;
@@ -141,15 +136,9 @@ impl SessionDriver {
         self.engine.horizon()
     }
 
-    /// The run-log so far. Identical for socket-fed and
-    /// direct-injected runs of the same offer trace — the log records
-    /// slots and verdicts, never the transport.
-    #[must_use]
-    pub fn run_log(&self) -> &str {
-        &self.log
-    }
-
-    /// Consumes the driver, returning the final run-log.
+    /// Consumes the driver, returning the final run-log. Identical for
+    /// socket-fed and direct-injected runs of the same offer trace —
+    /// the log records slots and verdicts, never the transport.
     #[must_use]
     pub fn into_run_log(self) -> String {
         self.log
@@ -482,144 +471,6 @@ pub fn drive_direct(
     Ok((driver.into_run_log(), report))
 }
 
-/// The fleet analogue of [`SessionDriver`]: frames route offers into
-/// a [`FleetEndpoint`] (mirror predictors + balancer) instead of a
-/// single engine. Dispatched offers come back as [`Frame::Admit`]
-/// carrying the decision slot, balancer rejections as
-/// [`Frame::Reject`]; retries stay internal until they resolve.
-/// After shutdown, [`FleetDriver::finish`] yields the per-shard
-/// workloads for [`dms_cluster::ClusterSim::run_dispatched`].
-#[derive(Debug)]
-pub struct FleetDriver {
-    endpoint: FleetEndpoint,
-    outcome_buf: Vec<OfferOutcome>,
-    hello_seen: bool,
-    done: bool,
-    last_slot: u64,
-}
-
-impl FleetDriver {
-    /// Wraps an endpoint; turns its outcome stream on.
-    #[must_use]
-    pub fn new(mut endpoint: FleetEndpoint) -> Self {
-        endpoint.record_outcomes(true);
-        FleetDriver {
-            endpoint,
-            outcome_buf: Vec::new(),
-            hello_seen: false,
-            done: false,
-            last_slot: 0,
-        }
-    }
-
-    /// Whether the session finished (shutdown ack sent).
-    #[must_use]
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
-    /// Applies one frame, pushing replies into `out`.
-    ///
-    /// # Errors
-    ///
-    /// Same protocol surface as [`SessionDriver::on_frame`]; endpoint
-    /// refusals (offer after shutdown, slot going backwards) surface
-    /// as [`NetError::Protocol`], and a dispatch ledger that does not
-    /// close at shutdown as [`NetError::Ledger`].
-    pub fn on_frame(&mut self, frame: Frame, out: &mut Vec<Frame>) -> Result<(), NetError> {
-        if self.done {
-            return Err(NetError::Protocol("frame after shutdown"));
-        }
-        match frame {
-            Frame::Hello {
-                version,
-                client_id,
-                slots,
-            } => {
-                if version != PROTOCOL_VERSION {
-                    return Err(NetError::Version {
-                        ours: PROTOCOL_VERSION,
-                        theirs: version,
-                    });
-                }
-                if slots != self.endpoint.horizon() {
-                    return Err(NetError::Protocol("slot horizon mismatch"));
-                }
-                self.hello_seen = true;
-                out.push(Frame::Hello {
-                    version: PROTOCOL_VERSION,
-                    client_id,
-                    slots,
-                });
-                Ok(())
-            }
-            Frame::Offer {
-                id,
-                arrival_slot,
-                duration_slots,
-            } => {
-                if !self.hello_seen {
-                    return Err(NetError::Protocol("offer before hello"));
-                }
-                self.last_slot = self.last_slot.max(arrival_slot);
-                self.endpoint
-                    .offer(id, arrival_slot, duration_slots)
-                    .map_err(|_| NetError::Protocol("offer refused by endpoint"))?;
-                self.pump(out);
-                Ok(())
-            }
-            Frame::Heartbeat { slot } => {
-                if !self.hello_seen {
-                    return Err(NetError::Protocol("heartbeat before hello"));
-                }
-                self.last_slot = self.last_slot.max(slot);
-                Ok(())
-            }
-            Frame::Shutdown { reason } => {
-                if !self.hello_seen {
-                    return Err(NetError::Protocol("shutdown before hello"));
-                }
-                self.endpoint
-                    .shutdown(self.last_slot)
-                    .map_err(NetError::Ledger)?;
-                self.pump(out);
-                out.push(Frame::Shutdown { reason });
-                self.done = true;
-                Ok(())
-            }
-            Frame::Admit { .. }
-            | Frame::Reject { .. }
-            | Frame::Data { .. }
-            | Frame::Shed { .. } => Err(NetError::Protocol("verdict frame sent to server")),
-        }
-    }
-
-    fn pump(&mut self, out: &mut Vec<Frame>) {
-        self.endpoint.take_outcomes(&mut self.outcome_buf);
-        for o in &self.outcome_buf {
-            match o.verdict {
-                FleetVerdict::Dispatched { .. } => out.push(Frame::Admit {
-                    id: o.id,
-                    slot: o.slot,
-                }),
-                FleetVerdict::Rejected => out.push(Frame::Reject {
-                    id: o.id,
-                    slot: o.slot,
-                }),
-                FleetVerdict::Retrying { .. } => {}
-            }
-        }
-        self.outcome_buf.clear();
-    }
-
-    /// Consumes the driver, yielding the per-shard workloads and the
-    /// dispatch report for [`dms_cluster::ClusterSim::run_dispatched`].
-    #[must_use]
-    pub fn finish(self) -> (Vec<Workload>, DispatchReport) {
-        self.endpoint.finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -787,61 +638,5 @@ mod tests {
             summary.contains("offered=1 admitted=0 rejected=0 drained=1"),
             "got: {summary}"
         );
-    }
-
-    #[test]
-    fn fleet_driver_matches_batch_dispatch_counts() {
-        use dms_cluster::{BalancerPolicy, ClusterConfig, ClusterSim};
-
-        let (cfg, workload) = setup(1.5, 200, 11);
-        let cluster = ClusterConfig {
-            shards: vec![cfg, cfg],
-            balancer: BalancerPolicy::JoinShortestQueue,
-            recovery: dms_serve::RecoveryConfig::default(),
-            seed: 17,
-        };
-        let sim = ClusterSim::new(cluster.clone()).expect("valid");
-        let (_, batch) = sim.dispatch(&workload, &[]).expect("dispatches");
-
-        let endpoint = FleetEndpoint::new(&cluster, workload.template, workload.slots)
-            .expect("valid endpoint");
-        let mut driver = FleetDriver::new(endpoint);
-        let mut out = Vec::new();
-        driver
-            .on_frame(
-                Frame::Hello {
-                    version: PROTOCOL_VERSION,
-                    client_id: 5,
-                    slots: workload.slots,
-                },
-                &mut out,
-            )
-            .unwrap();
-        let mut order: Vec<usize> = (0..workload.sessions.len()).collect();
-        order.sort_by_key(|&i| workload.sessions[i].arrival_slot);
-        for &i in &order {
-            let s = workload.sessions[i];
-            driver
-                .on_frame(
-                    Frame::Offer {
-                        id: s.id,
-                        arrival_slot: s.arrival_slot,
-                        duration_slots: s.duration_slots,
-                    },
-                    &mut out,
-                )
-                .unwrap();
-        }
-        driver
-            .on_frame(Frame::Shutdown { reason: 0 }, &mut out)
-            .unwrap();
-        let (_, dispatch) = driver.finish();
-        assert_eq!(dispatch.dispatched, batch.dispatched);
-        assert_eq!(dispatch.balancer_rejected, batch.balancer_rejected);
-        let admits = out
-            .iter()
-            .filter(|f| matches!(f, Frame::Admit { .. }))
-            .count() as u64;
-        assert_eq!(admits, dispatch.dispatched);
     }
 }

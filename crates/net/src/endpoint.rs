@@ -5,18 +5,17 @@
 //! slots — it moves bytes and fails loudly. What it *does* import from
 //! the simulated core is the recovery vocabulary: reconnect backoff is
 //! [`RecoveryConfig::backoff_slots`] scaled into wall-clock time by a
-//! slot duration ([`ReconnectPolicy::delay`]), and stall detection
-//! mirrors `stall_window_slots`. The schedules are therefore exactly
-//! as deterministic as the simulated ones — same config, same delays —
-//! which the reconnect tests pin down without opening a single socket:
-//! [`Reconnector`] and [`StallDetector`] are pure state machines, the
-//! blocking [`connect_with_backoff`] helper merely executes them.
+//! slot duration ([`ReconnectPolicy::delay`]). The schedule is
+//! therefore exactly as deterministic as the simulated one — same
+//! config, same delays — which the reconnect tests pin down without
+//! opening a single socket: [`Reconnector`] is a pure state machine,
+//! and the blocking [`connect_with_backoff`] helper merely executes it.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use dms_serve::RecoveryConfig;
 
@@ -149,34 +148,6 @@ impl NetConnection {
             NetConnection::Unix(s) => Ok(NetConnection::Unix(s.try_clone()?)),
         }
     }
-
-    /// Bounds blocking reads so a stalled peer surfaces as
-    /// `WouldBlock`/`TimedOut` instead of hanging the read loop.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Io`] if the option cannot be set.
-    pub fn set_read_timeout(&self, dur: Option<Duration>) -> Result<(), NetError> {
-        match self {
-            NetConnection::Tcp(s) => s.set_read_timeout(dur)?,
-            NetConnection::Unix(s) => s.set_read_timeout(dur)?,
-        }
-        Ok(())
-    }
-
-    /// Half-closes the write side, signalling end-of-offers while
-    /// still reading the peer's remaining verdicts.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Io`] if the shutdown fails.
-    pub fn shutdown_write(&self) -> Result<(), NetError> {
-        match self {
-            NetConnection::Tcp(s) => s.shutdown(std::net::Shutdown::Write)?,
-            NetConnection::Unix(s) => s.shutdown(std::net::Shutdown::Write)?,
-        }
-        Ok(())
-    }
 }
 
 impl Read for NetConnection {
@@ -268,54 +239,6 @@ impl Reconnector {
         self.attempt += 1;
         Some(d)
     }
-
-    /// A successful connection resets the schedule.
-    pub fn reset(&mut self) {
-        self.attempt = 0;
-    }
-}
-
-/// Heartbeat-based stall detector, the client-side mirror of the
-/// server's `stall_window_slots`: if no frame arrives for
-/// `stall_window_slots × slot_unit`, the connection is stalled. Pure —
-/// the caller feeds in `Instant`s, so tests can synthesize time.
-#[derive(Debug)]
-pub struct StallDetector {
-    window: Duration,
-    last_seen: Instant,
-}
-
-impl StallDetector {
-    /// A detector whose window is `recovery.stall_window_slots`
-    /// slots, anchored at `now`.
-    #[must_use]
-    pub fn new(policy: &ReconnectPolicy, now: Instant) -> Self {
-        let slots = policy.recovery.stall_window_slots;
-        let window = policy
-            .slot_unit
-            .saturating_mul(u32::try_from(slots).unwrap_or(u32::MAX));
-        StallDetector {
-            window,
-            last_seen: now,
-        }
-    }
-
-    /// Records frame (or heartbeat) arrival.
-    pub fn observe(&mut self, now: Instant) {
-        self.last_seen = now;
-    }
-
-    /// Whether the silence has exceeded the stall window.
-    #[must_use]
-    pub fn is_stalled(&self, now: Instant) -> bool {
-        now.duration_since(self.last_seen) > self.window
-    }
-
-    /// The stall window.
-    #[must_use]
-    pub fn window(&self) -> Duration {
-        self.window
-    }
 }
 
 /// Connects to `addr`, retrying with the policy's exponential backoff.
@@ -378,23 +301,6 @@ mod tests {
         assert_eq!(r.next_delay(), Some(Duration::from_millis(160)));
         assert_eq!(r.next_delay(), None);
         assert_eq!(r.attempts(), 3);
-        r.reset();
-        assert_eq!(r.next_delay(), Some(Duration::from_millis(40)));
-    }
-
-    #[test]
-    fn stall_detector_trips_after_the_window() {
-        let policy = ReconnectPolicy {
-            slot_unit: Duration::from_millis(10),
-            ..ReconnectPolicy::default()
-        };
-        let t0 = Instant::now();
-        let mut d = StallDetector::new(&policy, t0);
-        assert_eq!(d.window(), Duration::from_millis(30)); // 3 slots × 10ms
-        assert!(!d.is_stalled(t0 + Duration::from_millis(30)));
-        assert!(d.is_stalled(t0 + Duration::from_millis(31)));
-        d.observe(t0 + Duration::from_millis(31));
-        assert!(!d.is_stalled(t0 + Duration::from_millis(60)));
     }
 
     #[test]

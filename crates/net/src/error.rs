@@ -22,12 +22,8 @@ pub enum NetError {
     },
     /// The peer closed the connection before a graceful shutdown.
     Closed,
-    /// No heartbeat (or any other frame) within the stall window.
-    Stalled,
     /// Reconnect backoff ran out of retries.
     RetriesExhausted,
-    /// The fleet endpoint's dispatch ledger did not close at shutdown.
-    Ledger(dms_cluster::LedgerError),
     /// An underlying socket error.
     Io(std::io::Error),
 }
@@ -41,9 +37,7 @@ impl fmt::Display for NetError {
                 write!(f, "version mismatch: ours {ours}, peer {theirs}")
             }
             NetError::Closed => write!(f, "peer closed before shutdown"),
-            NetError::Stalled => write!(f, "stalled: no frame within the heartbeat window"),
             NetError::RetriesExhausted => write!(f, "reconnect retries exhausted"),
-            NetError::Ledger(e) => write!(f, "{e}"),
             NetError::Io(e) => write!(f, "io: {e}"),
         }
     }

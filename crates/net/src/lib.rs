@@ -15,17 +15,17 @@
 //!   connectors with the same recovery discipline the simulated fleet
 //!   uses: reconnect backoff is literally
 //!   [`dms_serve::RecoveryConfig::backoff_slots`] scaled by a slot
-//!   duration, stall detection mirrors the server's
-//!   `stall_window_slots`, and shutdown drains rather than drops.
+//!   duration.
 //!
-//! * **Lockstep drivers** ([`driver`]) — [`SessionDriver`] maps frames
+//! * **Lockstep driver** ([`driver`]) — [`SessionDriver`] maps frames
 //!   onto a [`dms_serve::ServerEngine`]: each offer carries its
 //!   arrival slot, the driver steps the engine exactly to that slot,
 //!   and admission verdicts flow back as [`Frame::Admit`] /
 //!   [`Frame::Reject`]. Wall-clock pacing ([`dms_sim::TickClock`])
 //!   only *times* the ticks; the slot stamps on the wire *decide*
 //!   them, which is why a socket-fed run produces byte-identical
-//!   run-logs to direct injection at any `DMS_THREADS`.
+//!   run-logs to direct injection at any `DMS_THREADS`. On shutdown
+//!   it drains rather than drops.
 //!
 //! The `dms-bench` crate ships `netserve` and `loadgen` binaries that
 //! put an E12-style Poisson workload over a real loopback socket; the
@@ -38,12 +38,10 @@ pub mod error;
 pub mod frame;
 
 pub use driver::{
-    drive_direct, run_loadgen, serve_connection, DriverConfig, FleetDriver, LoadgenReport,
-    SessionDriver,
+    drive_direct, run_loadgen, serve_connection, DriverConfig, LoadgenReport, SessionDriver,
 };
 pub use endpoint::{
     connect_with_backoff, EndpointAddr, Listener, NetConnection, ReconnectPolicy, Reconnector,
-    StallDetector,
 };
 pub use error::NetError;
 pub use frame::{Frame, FrameCodec, MAX_PAYLOAD, PROTOCOL_VERSION};

@@ -1,8 +1,15 @@
 //! Property-based tests for the wire protocol: the codec must be a
 //! bijection on well-formed streams and a total function (error, not
-//! panic) on everything else.
+//! panic) on everything else. The server driver must survive any offer
+//! stream a peer can send.
 
-use dms_net::{Frame, FrameCodec, NetError, MAX_PAYLOAD, PROTOCOL_VERSION};
+use dms_net::{
+    drive_direct, DriverConfig, Frame, FrameCodec, NetError, SessionDriver, MAX_PAYLOAD,
+    PROTOCOL_VERSION,
+};
+use dms_serve::{
+    AdmissionPolicy, CapacityModel, DegradeConfig, ServerConfig, SessionRequest, SessionTemplate,
+};
 use proptest::prelude::*;
 
 fn any_u64() -> std::ops::RangeInclusive<u64> {
@@ -36,6 +43,12 @@ fn any_frame() -> impl Strategy<Value = Frame> {
         any_u64().prop_map(|slot| Frame::Heartbeat { slot }),
         (0u8..=255).prop_map(|reason| Frame::Shutdown { reason }),
     ]
+}
+
+/// Offer durations a peer may send: short ones, any `u64`, and the
+/// largest one.
+fn any_duration() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..=4, any_u64(), Just(u64::MAX)]
 }
 
 proptest! {
@@ -130,6 +143,53 @@ proptest! {
         codec.push(&wire);
         // Drain until the codec errors, stalls, or empties — all fine.
         while let Ok(Some(_)) = codec.next_frame() {}
+    }
+
+    /// Any offer stream a peer may send in slot order — durations up
+    /// to `u64::MAX`, arrivals past the horizon — drives the server to
+    /// shutdown without a panic. The summary ledger closes, and every
+    /// decided offer gets exactly one verdict frame.
+    #[test]
+    fn hostile_offers_close_the_driver_ledger(
+        horizon in 1u64..=64,
+        steps in proptest::collection::vec((0u64..=3, any_duration()), 0..=64),
+    ) {
+        let template = SessionTemplate::streaming_default().expect("preset valid");
+        let cfg = ServerConfig {
+            capacity: CapacityModel {
+                link_bits_per_slot: 4 * template.full_bits(),
+                queue_frames: 64,
+                occupancy_bound: 8.0,
+            },
+            policy: AdmissionPolicy::QueuePredictor,
+            degrade: Some(DegradeConfig::default()),
+            buffer_slots: 4,
+            miss_slots: 2,
+        };
+        let mut arrival_slot = 0;
+        let offers: Vec<SessionRequest> = steps
+            .iter()
+            .zip(0u64..)
+            .map(|(&(gap, duration_slots), id)| {
+                arrival_slot += gap;
+                SessionRequest { id, arrival_slot, duration_slots }
+            })
+            .collect();
+        let driver = SessionDriver::new(&cfg, template, horizon, DriverConfig::default())
+            .expect("valid driver");
+        let (log, report) = drive_direct(driver, 1, &offers).expect("drives");
+        let summary = log.lines().last().expect("summary line");
+        let field = |key: &str| -> u64 {
+            summary
+                .split_whitespace()
+                .find_map(|kv| kv.strip_prefix(key)?.strip_prefix('=')?.parse().ok())
+                .expect("summary field")
+        };
+        let offered = field("offered");
+        prop_assert_eq!(offered, offers.len() as u64);
+        prop_assert_eq!(field("admitted") + field("rejected") + field("drained"), offered);
+        prop_assert_eq!(report.admitted, field("admitted"));
+        prop_assert_eq!(report.rejected, field("rejected"));
     }
 }
 

@@ -12,13 +12,11 @@
 //! optimisations in this crate charge energy through this model, so
 //! their *relative* results are insensitive to the absolute constants.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::NocError;
 use crate::topology::{Mesh2d, TileId};
 
 /// Per-bit energy parameters of routers and links.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BitEnergyModel {
     /// Energy for one bit to traverse one router, in picojoules.
     pub router_pj: f64,

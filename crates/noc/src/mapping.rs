@@ -16,7 +16,6 @@
 //! Decoder-class benchmark in the spirit of \[20\]'s evaluation.
 
 use dms_sim::SimRng;
-use serde::{Deserialize, Serialize};
 
 use crate::energy::BitEnergyModel;
 use crate::error::NocError;
@@ -27,7 +26,7 @@ pub type LinkLoad = ((TileId, TileId), f64);
 
 /// A core-communication graph: `volumes[i][j]` bytes/s from core `i` to
 /// core `j`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoreGraph {
     name: String,
     volumes: Vec<Vec<f64>>,
@@ -156,7 +155,7 @@ impl CoreGraph {
 }
 
 /// A placement of cores onto tiles: `tiles[core] = tile`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TileMapping {
     tiles: Vec<TileId>,
 }

@@ -8,13 +8,11 @@
 //! design parameter (§3.3, experiment E4): the header overhead favours
 //! large packets, link blocking favours small ones.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::NocError;
 use crate::topology::TileId;
 
 /// The role of a flit within its packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlitKind {
     /// Opens the wormhole; carries routing information.
     Head,
@@ -27,7 +25,7 @@ pub enum FlitKind {
 }
 
 /// One flit of an in-flight packet.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Flit {
     /// The owning packet's id.
     pub packet_id: u64,
@@ -54,7 +52,7 @@ impl Flit {
 }
 
 /// A packet before flit segmentation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Packet {
     /// Unique id.
     pub id: u64,

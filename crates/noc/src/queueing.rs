@@ -11,12 +11,11 @@
 //! identical utilisation.
 
 use dms_sim::Histogram;
-use serde::{Deserialize, Serialize};
 
 use crate::error::NocError;
 
 /// A single finite buffer served at a fixed rate in discrete slots.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlottedQueueSim {
     /// Buffer capacity in units (e.g. flits).
     pub capacity: usize,
@@ -25,7 +24,7 @@ pub struct SlottedQueueSim {
 }
 
 /// Measured queueing behaviour of one run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SlottedQueueReport {
     /// Total units offered.
     pub offered: f64,

@@ -17,7 +17,6 @@
 use std::collections::VecDeque;
 
 use dms_sim::{OnlineStats, SimRng};
-use serde::{Deserialize, Serialize};
 
 use crate::energy::BitEnergyModel;
 use crate::error::NocError;
@@ -26,7 +25,7 @@ use crate::topology::{Direction, Mesh2d, TileId};
 use crate::traffic::{InjectionProcess, MappedTraffic, TrafficPattern};
 
 /// The routing algorithm a [`NocSim`] run uses (§3.3's routing knob).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum RoutingAlgorithm {
     /// Deterministic dimension-ordered routing.
@@ -38,7 +37,7 @@ pub enum RoutingAlgorithm {
 }
 
 /// Configuration of a NoC simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NocConfig {
     /// Mesh width in tiles.
     pub width: usize,
@@ -109,7 +108,7 @@ impl NocConfig {
 }
 
 /// Measured outcome of a NoC simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NocReport {
     /// Packets created at sources.
     pub packets_injected: u64,

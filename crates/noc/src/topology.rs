@@ -5,12 +5,10 @@
 //! the canonical regular tile architecture; XY (dimension-ordered)
 //! routing is deadlock-free on it.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::NocError;
 
 /// Identifier of a tile in a [`Mesh2d`] (row-major).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TileId(pub usize);
 
 impl TileId {
@@ -23,7 +21,7 @@ impl TileId {
 
 /// A router port direction. `Local` is the tile's own injection/ejection
 /// port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Towards decreasing y.
     North,
@@ -86,7 +84,7 @@ impl Direction {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mesh2d {
     width: usize,
     height: usize,

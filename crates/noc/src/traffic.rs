@@ -9,12 +9,11 @@
 //! patterns capture.
 
 use dms_sim::SimRng;
-use serde::{Deserialize, Serialize};
 
 use crate::topology::{Mesh2d, TileId};
 
 /// Spatial destination pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum TrafficPattern {
     /// Uniformly random destination (excluding the source).
@@ -91,7 +90,7 @@ fn uniform_excluding(mesh: &Mesh2d, src: TileId, rng: &mut SimRng) -> TileId {
 }
 
 /// Temporal injection process: when does a tile create a packet?
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum InjectionProcess {
     /// Inject with independent probability `p` each cycle (short-range

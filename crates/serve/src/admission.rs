@@ -18,12 +18,11 @@
 //! `tests/proptest_serve.rs`.
 
 use dms_analysis::MM1KQueue;
-use serde::{Deserialize, Serialize};
 
 use crate::error::ServeError;
 
 /// The server capacity model admission decisions are made against.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CapacityModel {
     /// Shared link capacity, bits per slot.
     pub link_bits_per_slot: u64,
@@ -56,7 +55,7 @@ impl CapacityModel {
 }
 
 /// Whether (and how) sessions are vetted before activation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionPolicy {
     /// No control: every session is admitted (the collapse baseline).
     AdmitAll,
@@ -67,7 +66,7 @@ pub enum AdmissionPolicy {
 
 /// The admission controller: stateless prediction plus accept/reject
 /// bookkeeping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdmissionController {
     model: CapacityModel,
     policy: AdmissionPolicy,

@@ -16,7 +16,6 @@
 //! threshold.
 
 use dms_media::fgs::BIT_PLANES;
-use serde::{Deserialize, Serialize};
 
 use crate::error::ServeError;
 
@@ -45,7 +44,7 @@ use crate::error::ServeError;
 /// `target` per slot once misses stop; the `[0, integral_max]` clamp
 /// is the anti-windup — the integral can never demand more shed than
 /// `(ki·integral_max) >> 32` planes, and never goes negative.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PiConfig {
     /// Proportional gain, Q16 (`6.0` ≈ one plane shed per 0.17 of
     /// instantaneous miss rate above target).
@@ -102,7 +101,7 @@ impl PiConfig {
 }
 
 /// Configuration of the layer-shedding controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradeConfig {
     /// Shed one plane when demand/capacity exceeds this (e.g. `1.0`).
     pub shed_above: f64,
@@ -114,12 +113,10 @@ pub struct DegradeConfig {
     pub min_layers: usize,
     /// Closed-loop PI shedding on the measured deadline-miss rate.
     /// `None` keeps the open-loop hysteresis law above, bit for bit.
-    #[serde(default)]
     pub pi: Option<PiConfig>,
     /// Warm-up: the server rejects every arrival offered before this
     /// slot (a freshly provisioned shard serves nothing while it
     /// fills caches / pages in state). `0` = always warm.
-    #[serde(default)]
     pub warmup_slots: u64,
 }
 
@@ -163,12 +160,11 @@ impl DegradeConfig {
 }
 
 /// The server-wide enhancement-layer cap, adapted once per slot.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerController {
     config: DegradeConfig,
     layers: usize,
     /// PI accumulated error, Q16 (unused by the hysteresis law).
-    #[serde(default)]
     integral_q16: i64,
 }
 

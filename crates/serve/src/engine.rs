@@ -363,7 +363,9 @@ impl ServerEngine {
                     if admitted {
                         let act = self.next_act;
                         self.next_act += 1;
-                        let depart_slot = slot + req.duration_slots;
+                        // The duration may come from a peer: saturate
+                        // rather than overflow or wrap into the past.
+                        let depart_slot = slot.saturating_add(req.duration_slots);
                         let handle = self.arena.insert(req.id, act, idx, depart_slot, 0);
                         self.queue.schedule(
                             SimTime::from_ticks(depart_slot),
@@ -763,5 +765,23 @@ mod tests {
         engine.step_slot(None);
         engine.take_verdicts(&mut verdicts);
         assert_eq!(verdicts, vec![(1, true)], "late offer decided at slot 10");
+    }
+
+    /// A peer can send any duration: the departure slot saturates
+    /// instead of overflowing (a panic in debug builds) or wrapping
+    /// into the past (a 1-slot session in release builds).
+    #[test]
+    fn huge_duration_plays_out_to_the_horizon() {
+        let (cfg, workload) = setup(0.5, 20, 3);
+        let mut engine = ServerEngine::new(&cfg, workload.template, workload.slots).expect("valid");
+        engine.offer(crate::SessionRequest {
+            id: 1,
+            arrival_slot: 5,
+            duration_slots: u64::MAX,
+        });
+        engine.drain(None);
+        let report = engine.finish();
+        assert_eq!(report.base.admitted, 1);
+        assert_eq!(report.base.session_slots, 15, "served slots 5..20");
     }
 }

@@ -15,13 +15,12 @@
 
 use dms_media::ChannelModel;
 use dms_sim::FaultSpec;
-use serde::{Deserialize, Serialize};
 
 use crate::error::ServeError;
 use crate::session::ServerReport;
 
 /// Retry/backoff/timeout policy for sessions hit by faults.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryConfig {
     /// First-retry delay after a crash or timeout, slots (≥ 1).
     pub backoff_base_slots: u64,
@@ -97,7 +96,7 @@ impl RecoveryConfig {
 
 /// What one *faulted* server run measured: the nominal
 /// [`ServerReport`] plus the fault/recovery ledger.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultReport {
     /// The nominal accounting (admissions, misses, utility, bits).
     pub base: ServerReport,

@@ -22,7 +22,6 @@
 //! single-threaded run.
 
 use dms_sim::FaultPlan;
-use serde::{Deserialize, Serialize};
 
 use crate::admission::{AdmissionPolicy, CapacityModel};
 use crate::degrade::DegradeConfig;
@@ -33,7 +32,7 @@ use crate::metrics::ServeMetricsSink;
 use crate::workload::Workload;
 
 /// Full configuration of one server run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerConfig {
     /// Link capacity and admission bound.
     pub capacity: CapacityModel,
@@ -98,7 +97,7 @@ impl ServerConfig {
 }
 
 /// What one server run measured.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ServerReport {
     /// Sessions the workload offered.
     pub offered: u64,
@@ -159,7 +158,7 @@ impl ServerReport {
 }
 
 /// The slotted multi-session server simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerSim {
     config: ServerConfig,
 }

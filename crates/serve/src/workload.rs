@@ -26,12 +26,11 @@ use dms_media::trace_gen::VideoTraceGenerator;
 use dms_sim::SimRng;
 use dms_wireless::dvfs::DvfsCpu;
 use dms_wireless::fgs::FgsStreamer;
-use serde::{Deserialize, Serialize};
 
 use crate::error::ServeError;
 
 /// How new sessions arrive at the server, per scheduling slot.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
     /// Memoryless arrivals at `rate` sessions per slot.
     Poisson {
@@ -237,7 +236,7 @@ impl ArrivalProcess {
 /// The media profile every session of a workload is stamped from: an
 /// FGS-layered stream (mandatory base layer plus [`BIT_PLANES`]
 /// truncatable enhancement planes) expressed as per-slot bit demands.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionTemplate {
     /// Base-layer bits a session must receive every slot.
     pub base_bits: u64,
@@ -372,7 +371,7 @@ impl SessionTemplate {
 }
 
 /// One session the workload offers to the server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionRequest {
     /// Stable id (generation order).
     pub id: u64,
@@ -383,7 +382,7 @@ pub struct SessionRequest {
 }
 
 /// A fully materialised open-loop workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// Sessions in arrival order (ties broken by generation order —
     /// the FIFO order the event queue preserves).
@@ -409,29 +408,13 @@ impl Workload {
         seed: u64,
     ) -> Result<Workload, ServeError> {
         template.validate()?;
-        let master = SimRng::new(seed);
-        let counts = process.counts(slots as usize, &mut master.substream("serve-arrivals", 0))?;
-        let mut durations = master.substream("serve-durations", 0);
-        let mut sessions = Vec::new();
-        let mut id = 0u64;
-        for (slot, &n) in counts.iter().enumerate() {
-            for _ in 0..n {
-                let d = durations
-                    .exponential(template.mean_duration_slots)
-                    .ceil()
-                    .max(1.0) as u64;
-                sessions.push(SessionRequest {
-                    id,
-                    arrival_slot: slot as u64,
-                    duration_slots: d,
-                });
-                id += 1;
-            }
-        }
+        let counts = process.counts(
+            slots as usize,
+            &mut SimRng::new(seed).substream("serve-arrivals", 0),
+        )?;
         Ok(Workload {
-            sessions,
-            template,
             slots,
+            ..Workload::from_arrival_counts(&counts, template, seed)?
         })
     }
 

@@ -437,7 +437,7 @@ impl<E> EventQueue<E> {
 /// oracle for the timing wheel (the same role the Hosking fGn sampler
 /// plays for the circulant-embedding one): proptests drive both with
 /// identical schedules and assert bit-identical pop order. Also the
-/// baseline arm of the `event_queue_perf` micro-bench.
+/// baseline arm of `dms-bench`'s event-queue micro-benchmark.
 #[derive(Debug)]
 pub struct HeapEventQueue<E> {
     heap: BinaryHeap<ScheduledEvent<E>>,

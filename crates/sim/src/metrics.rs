@@ -17,8 +17,8 @@
 //!   metadata, typed [`RunRecord`]s and an embedded registry, dumped as
 //!   deterministic JSON.
 //!
-//! The workspace is offline and the vendored `serde` is a no-op stub,
-//! so JSON is rendered by the built-in [`JsonValue`] tree. Rendering is
+//! The workspace is offline and vendors no serialisation crate, so
+//! JSON is rendered by the built-in [`JsonValue`] tree. Rendering is
 //! *deterministic*: map keys come from a `BTreeMap`, record fields keep
 //! insertion order, and floats print through Rust's shortest-round-trip
 //! formatting, which is a pure function of the bits. Two runs that
@@ -57,8 +57,8 @@ use crate::stats::Histogram;
 
 /// A JSON value with deterministic rendering.
 ///
-/// Exists because the offline workspace vendors `serde` as a no-op stub
-/// (no `serde_json`). Floats render via Rust's shortest-round-trip
+/// Exists because the offline workspace vendors no serialisation
+/// crate. Floats render via Rust's shortest-round-trip
 /// `Display`, so identical bits produce identical bytes; non-finite
 /// floats render as `null` (JSON has no NaN/∞).
 #[derive(Debug, Clone, PartialEq)]

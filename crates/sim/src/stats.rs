@@ -8,7 +8,6 @@
 //! and [`Autocorrelation`] (lagged correlation, used to distinguish
 //! short-range from long-range-dependent traffic).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Single-pass mean/variance/extremes accumulator (Welford's algorithm).
@@ -25,7 +24,7 @@ use std::fmt;
 /// assert_eq!(s.count(), 4);
 /// assert!((s.variance() - 5.0 / 3.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
@@ -273,7 +272,7 @@ impl TimeWeighted {
 /// assert_eq!(h.total(), 10);
 /// assert!((h.quantile(0.5).unwrap() - 5.0).abs() <= 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

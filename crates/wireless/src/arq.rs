@@ -9,14 +9,12 @@
 //! the packet length, the wireless twin of the NoC packet-size
 //! exploration (E4).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::WirelessError;
 use crate::modulation::Modulation;
 use crate::transceiver::Transceiver;
 
 /// A stop-and-wait ARQ configuration over a given link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArqLink {
     /// Per-bit error probability after demodulation/decoding.
     pub ber: f64,

@@ -6,12 +6,11 @@
 //! SNR traces the adaptive transceiver policies react to.
 
 use dms_sim::SimRng;
-use serde::{Deserialize, Serialize};
 
 use crate::error::WirelessError;
 
 /// Log-distance path loss: `PL(d) = PL₀ + 10·n·log₁₀(d/d₀)` dB.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathLoss {
     /// Reference loss at `d₀ = 1 m`, in dB.
     pub pl0_db: f64,
@@ -38,7 +37,7 @@ impl PathLoss {
 
 /// A slow-fading channel producing per-slot SNR values (dB):
 /// `snr[t] = mean + shadow[t]` with `shadow` an AR(1) process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FadingChannel {
     /// Mean SNR in dB.
     pub mean_snr_db: f64,

@@ -6,12 +6,10 @@
 //! The operating points below follow the XScale-class processor used in
 //! the \[28\] testbed; energy per cycle scales as `V²`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::WirelessError;
 
 /// One frequency/voltage operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DvfsPoint {
     /// Clock frequency in Hz.
     pub frequency_hz: f64,
@@ -20,7 +18,7 @@ pub struct DvfsPoint {
 }
 
 /// A DVFS-capable CPU with discrete operating points.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DvfsCpu {
     points: Vec<DvfsPoint>,
     /// Effective switched capacitance in farads (energy/cycle = C·V²).

@@ -7,10 +7,8 @@
 //! constraint length: longer constraint lengths buy coding gain (dB)
 //! at exponentially growing Viterbi decoder work (states = 2^(K−1)).
 
-use serde::{Deserialize, Serialize};
-
 /// A convolutional-code configuration (rate-1/2 family).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum FecScheme {
     /// No coding.

@@ -20,13 +20,12 @@
 //!   decoding load sits at unity.
 
 use dms_media::fgs::FgsFrame;
-use serde::{Deserialize, Serialize};
 
 use crate::dvfs::DvfsCpu;
 use crate::error::WirelessError;
 
 /// The streaming policy under evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamingPolicy {
     /// Server sends everything; client decodes at maximum frequency and
     /// drops the excess.
@@ -36,7 +35,7 @@ pub enum StreamingPolicy {
 }
 
 /// Outcome of streaming one session.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FgsStreamReport {
     /// Frames streamed.
     pub frames: usize,

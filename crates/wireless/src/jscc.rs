@@ -16,7 +16,6 @@
 //! frozen.
 
 use dms_media::image::{ImageModel, QuantizerChoice};
-use serde::{Deserialize, Serialize};
 
 use crate::error::WirelessError;
 use crate::fec::FecScheme;
@@ -24,7 +23,7 @@ use crate::modulation::{db_to_linear, Modulation};
 use crate::transceiver::Transceiver;
 
 /// Energy constants of the encoding/decoding hardware.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CodecEnergy {
     /// Energy of one source-encoder operation, joules.
     pub enc_op_j: f64,
@@ -45,7 +44,7 @@ impl Default for CodecEnergy {
 }
 
 /// One evaluated JSCC configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JsccChoice {
     /// Source rate in bits/pixel.
     pub bits_per_pixel: f64,
@@ -60,7 +59,7 @@ pub struct JsccChoice {
 }
 
 /// Per-trace comparison of adaptive JSCC against the worst-case design.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JsccReport {
     /// Energy of the per-state optimum, summed over the trace.
     pub adaptive_energy_j: f64,

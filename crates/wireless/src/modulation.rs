@@ -10,8 +10,6 @@
 //! M-QAM `BER ≈ (4/log₂M)(1−1/√M) · Q(√(3·log₂M·γ_b/(M−1)))` with
 //! `γ_b` the per-bit SNR.
 
-use serde::{Deserialize, Serialize};
-
 /// The Gaussian tail function `Q(x) = ½·erfc(x/√2)`.
 ///
 /// Uses the Abramowitz–Stegun 7.1.26 rational approximation of `erf`
@@ -35,7 +33,7 @@ pub fn erfc(x: f64) -> f64 {
 }
 
 /// A digital modulation scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Modulation {
     /// Binary phase-shift keying (1 bit/symbol).

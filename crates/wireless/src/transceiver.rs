@@ -15,13 +15,11 @@
 //! at minimum energy; the baseline provisions one fixed pair for the
 //! worst slot.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::WirelessError;
 use crate::modulation::{db_to_linear, Modulation};
 
 /// Transceiver hardware parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Transceiver {
     /// Symbol rate in symbols per second.
     pub symbol_rate_hz: f64,
@@ -86,7 +84,7 @@ impl Transceiver {
 }
 
 /// A per-slot transmission decision.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TxChoice {
     /// Chosen modulation.
     pub modulation: Modulation,
@@ -97,7 +95,7 @@ pub struct TxChoice {
 }
 
 /// The dynamic modulation/power scaling policy of \[26\].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptivePolicy {
     target_ber: f64,
 }
@@ -205,7 +203,7 @@ impl AdaptivePolicy {
 }
 
 /// Outcome of simulating both schemes over a channel trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptationReport {
     /// Total adaptive-scheme energy, joules.
     pub adaptive_energy_j: f64,
