@@ -11,12 +11,19 @@
 //! balancer, which is what makes the smart policies *global* admission
 //! control rather than N local ones.
 //!
+//! Each `ShardState` keeps its reservations as bits per departure
+//! slot, from a release cursor up to the horizon: a reservation adds
+//! its bits to one slot and a release pops each slot it passes, both in
+//! O(1), where a heap of reservations paid O(log n) per push and pop.
+//!
 //! All three policies are deterministic functions of the dispatch
 //! history: round-robin keeps a cursor, join-shortest-queue compares
 //! ledgers, and power-of-two-choices draws its candidate pair from a
 //! seeded [`SimRng`] substream that advances once per decision. The
 //! dispatcher calls them from a single sequential pass over the offer
 //! stream, so routing is byte-identical at any `DMS_THREADS`.
+
+use std::collections::VecDeque;
 
 use dms_serve::{AdmissionController, AdmissionMemo, AdmissionPolicy, CapacityModel, ServeError};
 use dms_sim::SimRng;
@@ -70,9 +77,19 @@ pub(crate) struct ShardState {
     /// predicate/occupancy depend only on the session count — one
     /// analytical evaluation per count instead of one per offer.
     memo: AdmissionMemo,
-    /// Reserved sessions' `(depart_slot, bits)`, a min-heap via sorted
-    /// insertion being unnecessary: releases pop anything due.
-    departures: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
+    /// Reserved bits by departure slot: `departures[i]` departs at
+    /// `cursor + i`. A reservation departing at or after `horizon` is
+    /// never released before [`ShardState::release_all`] (the
+    /// endpoint releases no later than the horizon), so it is not
+    /// stored.
+    departures: VecDeque<u64>,
+    /// Every departure before this slot has been released.
+    cursor: u64,
+    /// Reserved bits whose departure was already behind the cursor;
+    /// the next release frees them.
+    overdue: u64,
+    /// The endpoint's horizon in slots.
+    horizon: u64,
     /// First slot at which the shard is dead, if it dies.
     down_from: Option<u64>,
     /// First slot at which the shard serves traffic; `None` = from
@@ -86,7 +103,7 @@ impl ShardState {
         capacity: CapacityModel,
         frame_bits: u64,
         down_from: Option<u64>,
-        expected_sessions: usize,
+        horizon: u64,
     ) -> Result<Self, ServeError> {
         Ok(ShardState {
             mirror: AdmissionController::new(
@@ -97,7 +114,14 @@ impl ShardState {
             capacity_bits: capacity.link_bits_per_slot,
             reserved_bits: 0,
             memo: AdmissionMemo::new(),
-            departures: std::collections::BinaryHeap::with_capacity(expected_sessions),
+            // Sized once to the most slots it can hold, so a
+            // reservation never reallocates it.
+            departures: VecDeque::with_capacity(
+                usize::try_from(horizon).expect("slot horizon fits usize"),
+            ),
+            cursor: 0,
+            overdue: 0,
+            horizon,
             down_from,
             up_from: None,
         })
@@ -140,15 +164,19 @@ impl ShardState {
     /// Releases reservations of sessions departing *before* `slot`.
     /// Strictly before: the server drains same-slot departures after
     /// same-slot arrivals, so a session departing at `slot` still
-    /// holds capacity against arrivals at `slot`.
+    /// holds capacity against arrivals at `slot`. Calls take
+    /// non-decreasing slots.
     pub(crate) fn release_until(&mut self, slot: u64) {
-        while let Some(&std::cmp::Reverse((depart, bits))) = self.departures.peek() {
-            if depart >= slot {
+        let mut freed = std::mem::take(&mut self.overdue);
+        while self.cursor < slot {
+            let Some(bits) = self.departures.pop_front() else {
+                self.cursor = slot;
                 break;
-            }
-            self.departures.pop();
-            self.reserved_bits = self.reserved_bits.saturating_sub(bits);
+            };
+            freed += bits;
+            self.cursor += 1;
         }
+        self.reserved_bits = self.reserved_bits.saturating_sub(freed);
     }
 
     /// Releases *every* reservation at once: when a shard is taken
@@ -156,13 +184,25 @@ impl ShardState {
     /// admission capacity.
     pub(crate) fn release_all(&mut self) {
         self.departures.clear();
+        self.overdue = 0;
         self.reserved_bits = 0;
     }
 
     /// Records a routed session occupying `bits` until `depart_slot`.
     pub(crate) fn reserve(&mut self, depart_slot: u64, bits: u64) {
         self.reserved_bits += bits;
-        self.departures.push(std::cmp::Reverse((depart_slot, bits)));
+        if depart_slot >= self.horizon {
+            return;
+        }
+        let Some(ahead) = depart_slot.checked_sub(self.cursor) else {
+            self.overdue += bits;
+            return;
+        };
+        let i = ahead as usize;
+        if i >= self.departures.len() {
+            self.departures.resize(i + 1, 0);
+        }
+        self.departures[i] += bits;
     }
 
     /// Reserved fraction of shard capacity (the JSQ metric).
@@ -308,7 +348,7 @@ mod tests {
 
     fn states(caps: &[u64]) -> Vec<ShardState> {
         caps.iter()
-            .map(|&c| ShardState::new(model(c), 1_000, None, 0).expect("valid"))
+            .map(|&c| ShardState::new(model(c), 1_000, None, 100).expect("valid"))
             .collect()
     }
 
@@ -366,5 +406,45 @@ mod tests {
         assert_eq!(shards[0].reserved_bits, 1_000, "departing slot still holds");
         shards[0].release_until(6);
         assert_eq!(shards[0].reserved_bits, 0);
+    }
+
+    proptest::proptest! {
+        /// The slot-indexed ledger holds exactly what a plain list of
+        /// `(depart, bits)` reservations holds, over reservations
+        /// departing behind the release cursor, before the horizon and
+        /// at or after it, non-decreasing releases up to the horizon,
+        /// and full releases. It never stores more slots than the
+        /// horizon.
+        #[test]
+        fn release_ledger_matches_a_list(
+            horizon in 1u64..64,
+            ops in proptest::collection::vec((0u8..10, 0u64..80, 1u64..5_000), 1..200),
+        ) {
+            let mut state = ShardState::new(model(100), 1_000, None, horizon).expect("valid");
+            let mut list: Vec<(u64, u64)> = Vec::new();
+            let mut released_to = 0u64;
+            for (kind, x, bits) in ops {
+                match kind {
+                    0..=5 => {
+                        state.reserve(x, bits);
+                        list.push((x, bits));
+                    }
+                    6..=8 => {
+                        released_to = (released_to + x % 4).min(horizon);
+                        state.release_until(released_to);
+                        list.retain(|&(depart, _)| depart >= released_to);
+                    }
+                    _ => {
+                        state.release_all();
+                        list.clear();
+                    }
+                }
+                proptest::prop_assert_eq!(
+                    state.reserved_bits,
+                    list.iter().map(|&(_, b)| b).sum::<u64>()
+                );
+                proptest::prop_assert!(state.departures.len() as u64 <= horizon);
+            }
+        }
     }
 }

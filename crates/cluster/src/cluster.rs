@@ -444,8 +444,9 @@ impl ClusterSim {
         if !faults.is_empty() && faults.len() != self.config.shards.len() {
             return Err(ServeError::InvalidParameter("faults"));
         }
-        // Pre-size the per-shard ledgers from the workload: a balanced
-        // fleet sees roughly `offered / shards` sessions per shard.
+        // Pre-size the per-shard session lists from the workload: a
+        // balanced fleet sees roughly `offered / shards` sessions per
+        // shard.
         let per_shard_hint = workload.sessions.len() / self.config.shards.len() + 1;
         let mut endpoint = FleetEndpoint::with_faults(
             &self.config,

@@ -83,7 +83,7 @@ impl FleetEndpoint {
 
     /// Builds an endpoint whose balancer routes around the shard
     /// deaths in `faults` (empty, or one entry per shard).
-    /// `per_shard_hint` pre-sizes the per-shard ledgers.
+    /// `per_shard_hint` pre-sizes the per-shard session lists.
     ///
     /// # Errors
     ///
@@ -112,7 +112,7 @@ impl FleetEndpoint {
                     cfg.capacity,
                     full_bits,
                     faults.get(i).and_then(|f| f.down_from),
-                    per_shard_hint,
+                    slots,
                 )
             })
             .collect::<Result<_, _>>()?;

@@ -26,8 +26,10 @@
 //! rule.
 //!
 //! On [`Frame::Shutdown`] the driver drains every remaining slot so
-//! in-flight sessions play out, then enforces the conservation
-//! invariant `admitted + rejected + drained == offered`.
+//! in-flight sessions play out, then checks its own counts of offers
+//! handed to the engine and of `Admit` and `Reject` frames sent against
+//! the engine's ledger; a mismatch is a [`NetError::Ledger`], never a
+//! panic.
 
 use std::fmt::Write as _;
 use std::io::{Read, Write};
@@ -93,6 +95,11 @@ pub struct SessionDriver {
     done: bool,
     last_offer_slot: u64,
     delivered_last: u64,
+    /// Offers handed to the engine, and `Admit` / `Reject` frames
+    /// emitted: the driver's side of the shutdown ledger check.
+    offers_sent: u64,
+    admits_sent: u64,
+    rejects_sent: u64,
 }
 
 impl SessionDriver {
@@ -121,6 +128,9 @@ impl SessionDriver {
             done: false,
             last_offer_slot: 0,
             delivered_last: 0,
+            offers_sent: 0,
+            admits_sent: 0,
+            rejects_sent: 0,
         })
     }
 
@@ -157,7 +167,8 @@ impl SessionDriver {
     /// [`NetError::Version`] on a handshake mismatch,
     /// [`NetError::Protocol`] on out-of-order frames (offer before
     /// hello, slot going backwards, frames after shutdown, verdict
-    /// frames sent *to* the server).
+    /// frames sent *to* the server), [`NetError::Ledger`] if at
+    /// shutdown the driver's counts disagree with the engine's.
     pub fn on_frame(&mut self, frame: Frame, out: &mut Vec<Frame>) -> Result<(), NetError> {
         if self.done {
             return Err(NetError::Protocol("frame after shutdown"));
@@ -203,6 +214,7 @@ impl SessionDriver {
                     arrival_slot,
                     duration_slots,
                 });
+                self.offers_sent += 1;
                 Ok(())
             }
             Frame::Heartbeat { slot } => {
@@ -223,14 +235,23 @@ impl SessionDriver {
                 let offered = self.engine.offered();
                 let admitted = self.engine.admitted();
                 let rejected = self.engine.rejected();
+                // Conservation: every offer the driver handed over is
+                // in the engine's ledger, and every verdict the engine
+                // recorded went out as exactly one frame.
+                for (field, driver, engine) in [
+                    ("offered", self.offers_sent, offered),
+                    ("admitted", self.admits_sent, admitted),
+                    ("rejected", self.rejects_sent, rejected),
+                ] {
+                    if driver != engine {
+                        return Err(NetError::Ledger {
+                            field,
+                            driver,
+                            engine,
+                        });
+                    }
+                }
                 let drained = self.engine.undecided();
-                // Conservation: every offer is admitted, rejected, or
-                // drained at shutdown — nothing leaks.
-                assert_eq!(
-                    admitted + rejected + drained,
-                    offered,
-                    "driver conservation violated"
-                );
                 let _ = writeln!(
                     self.log,
                     "summary offered={offered} admitted={admitted} rejected={rejected} \
@@ -262,8 +283,10 @@ impl SessionDriver {
                 let word = if admitted { "admit" } else { "reject" };
                 let _ = writeln!(self.log, "verdict slot={stepping} id={id} {word}");
                 out.push(if admitted {
+                    self.admits_sent += 1;
                     Frame::Admit { id, slot: stepping }
                 } else {
+                    self.rejects_sent += 1;
                     Frame::Reject { id, slot: stepping }
                 });
             }
@@ -638,5 +661,48 @@ mod tests {
             summary.contains("offered=1 admitted=0 rejected=0 drained=1"),
             "got: {summary}"
         );
+    }
+
+    /// A driver whose counts disagree with the engine's at shutdown
+    /// reports the mismatch as a typed error; it does not panic.
+    #[test]
+    fn ledger_mismatch_at_shutdown_is_a_typed_error() {
+        let (cfg, workload) = setup(1.0, 50, 3);
+        let mut driver = driver_for(&cfg, &workload);
+        let mut out = Vec::new();
+        driver
+            .on_frame(
+                Frame::Hello {
+                    version: PROTOCOL_VERSION,
+                    client_id: 1,
+                    slots: 50,
+                },
+                &mut out,
+            )
+            .unwrap();
+        for req in workload.sessions.iter().take(20) {
+            driver
+                .on_frame(
+                    Frame::Offer {
+                        id: req.id,
+                        arrival_slot: req.arrival_slot,
+                        duration_slots: req.duration_slots,
+                    },
+                    &mut out,
+                )
+                .unwrap();
+        }
+        driver.admits_sent += 1;
+        let err = driver.on_frame(Frame::Shutdown { reason: 0 }, &mut out);
+        let admitted = driver.engine().admitted();
+        assert!(admitted > 0, "the offers were decided");
+        match err {
+            Err(NetError::Ledger {
+                field: "admitted",
+                driver,
+                engine,
+            }) => assert_eq!((driver, engine), (admitted + 1, admitted)),
+            other => panic!("expected a ledger error, got {other:?}"),
+        }
     }
 }

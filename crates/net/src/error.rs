@@ -24,6 +24,17 @@ pub enum NetError {
     Closed,
     /// Reconnect backoff ran out of retries.
     RetriesExhausted,
+    /// At shutdown a driver's own count disagrees with the engine's
+    /// ledger: an offer went missing, or a verdict frame was sent for
+    /// no decision or not sent for one.
+    Ledger {
+        /// Which count: `"offered"`, `"admitted"` or `"rejected"`.
+        field: &'static str,
+        /// The driver's count.
+        driver: u64,
+        /// The engine's count.
+        engine: u64,
+    },
     /// An underlying socket error.
     Io(std::io::Error),
 }
@@ -38,6 +49,14 @@ impl fmt::Display for NetError {
             }
             NetError::Closed => write!(f, "peer closed before shutdown"),
             NetError::RetriesExhausted => write!(f, "reconnect retries exhausted"),
+            NetError::Ledger {
+                field,
+                driver,
+                engine,
+            } => write!(
+                f,
+                "ledger mismatch at shutdown: driver counted {driver} {field}, engine {engine}"
+            ),
             NetError::Io(e) => write!(f, "io: {e}"),
         }
     }

@@ -13,14 +13,23 @@
 //! on free-list history. That preserves the exact float-accumulation
 //! and crash-victim order of the original `Vec<ActiveSession>` loop
 //! (`ReferenceServerSim` pins this differentially). Departures mark the
-//! slot dead and leave a stale entry in `order`; the once-per-slot
+//! slot dead and leave a stale entry in `order`; the
 //! [`SessionArena::compact`] sweep removes stale entries and returns
 //! slots to the free list, so k same-slot departures cost O(k + n).
-//! A slot is only reusable after its stale entry is swept, which keeps
-//! every handle in `order` unambiguous. `Depart` events carry
-//! `(handle, act)` and are ignored unless the activation still matches
-//! — the generational check that keeps a stale departure from killing
-//! a recycled slot.
+//! The per-session slot path sweeps before it walks `order`; the
+//! settled-cohort step, which never walks it, defers the sweep until
+//! stale entries exceed an eighth of the live set
+//! ([`SessionArena::sweep_if_crowded`]), so a departure costs amortised
+//! O(1) and the arena holds at most the live set, an eighth more, and
+//! one slot's departures. A slot is only reusable after its stale
+//! entry is swept, which keeps every handle in `order` unambiguous.
+//! `Depart` events carry `(handle, act)` and are ignored unless the
+//! activation still matches — the generational check that keeps a
+//! stale departure from killing a recycled slot.
+
+/// [`SessionArena::sweep_if_crowded`] sweeps once stale `order`
+/// entries exceed `1 / STALE_SHARE` of the live set.
+const STALE_SHARE: usize = 8;
 
 /// Dense per-session state, indexed by slot handle (`u32`).
 #[derive(Debug, Default)]
@@ -163,6 +172,15 @@ impl SessionArena {
         self.alive[hi] = false;
         self.live -= 1;
         self.free.push(handle);
+    }
+
+    /// The deferred sweep: compacts only once stale entries exceed an
+    /// eighth of the live set. The share is a constant, not an option,
+    /// because it bounds how far the arena outgrows the live set.
+    pub fn sweep_if_crowded(&mut self) {
+        if self.stale * STALE_SHARE > self.live {
+            self.compact();
+        }
     }
 
     /// Sweeps stale entries out of `order` (returning their slots to

@@ -99,6 +99,15 @@ pub struct ServerEngine {
     next_act: u64,
     stall_streak: u64,
 
+    /// Every live session has backlog 0 and no consecutive misses.
+    /// Arrivals, readmissions, departures and crashes keep it true, and
+    /// each slot recomputes it at its end. While it holds, an
+    /// uncontended slot steps the live set as one cohort.
+    settled: bool,
+    /// The last `(bits, utility)` pair: `SessionTemplate::utility` is
+    /// pure, and nearly every session in a slot gets the same grant.
+    utility_memo: (u64, f64),
+
     /// Arrivals before this slot are rejected outright (the warm-up
     /// cost of a freshly provisioned shard); `0` = always warm.
     warmup_slots: u64,
@@ -176,6 +185,8 @@ impl ServerEngine {
             link_factor: 1.0,
             next_act: 0,
             stall_streak: 0,
+            settled: true,
+            utility_memo: (full_bits, template.utility(full_bits)),
             warmup_slots: config.degrade.map_or(0, |d| d.warmup_slots),
             prev_misses: 0,
             prev_active: 0,
@@ -235,10 +246,8 @@ impl ServerEngine {
     }
 
     /// Offers whose arrival slot has not been stepped yet — the
-    /// sessions a shutdown drains without a verdict. The driver's
-    /// conservation assertion is
-    /// `admitted + rejected + undecided == offered` at every step
-    /// boundary.
+    /// sessions a shutdown drains without a verdict:
+    /// `offered - admitted - rejected`.
     #[must_use]
     pub fn undecided(&self) -> u64 {
         self.offered() - self.admitted() - self.rejected()
@@ -275,9 +284,13 @@ impl ServerEngine {
     }
 
     /// Simulates one slot; returns `false` (and does nothing) once the
-    /// horizon is reached. The body is the seed `run_core` slot loop,
-    /// verbatim modulo `self.` — auditable against
-    /// [`crate::ReferenceServerSim`].
+    /// horizon is reached. The per-session path is the seed `run_core`
+    /// slot loop, auditable against [`crate::ReferenceServerSim`]. An
+    /// uncontended slot whose sessions are all settled (no backlog, no
+    /// misses) instead takes the settled-cohort step: every session is
+    /// granted exactly its demand, so the slot's ledger updates once
+    /// for the whole cohort, in time proportional to the slot's events
+    /// rather than to the live set.
     #[allow(clippy::too_many_lines)] // one slot loop, kept linear for auditability
     pub fn step_slot(&mut self, mut sink: Option<&mut ServeMetricsSink>) -> bool {
         if self.slot >= self.slots {
@@ -451,11 +464,18 @@ impl ServerEngine {
             (self.nominal_bits as f64 * self.link_factor).round() as u64
         };
 
-        // One sweep pass: drop entries killed by this slot's
-        // departures from the order walk (returning their slots to
-        // the free list) and sum the carried backlog. After this,
-        // `arena.order` is exactly the live set in admission order.
-        let carried = self.arena.compact();
+        // Settled, nothing is carried and the sweep of stale `order`
+        // entries can wait until they pile up. Otherwise one sweep
+        // pass drops entries killed by departures from the order walk
+        // (returning their slots to the free list) and sums the
+        // carried backlog; after it, `arena.order` is exactly the live
+        // set in admission order.
+        let carried = if self.settled {
+            self.arena.sweep_if_crowded();
+            0
+        } else {
+            self.arena.compact()
+        };
         let active_now = self.arena.live() as u64;
         let layers = match self.degrade.as_mut() {
             // Closed loop: the previous slot's measured miss rate
@@ -473,10 +493,37 @@ impl ServerEngine {
         self.report.base.mean_layers += layers.min(template.max_layers) as f64;
 
         let demand = template.demand_bits(layers);
-        let enqueued = demand * self.arena.live() as u64;
+        let enqueued = demand * active_now;
         let mut backlog_after = 0u64;
         let mut served = 0u64;
-        if self.arena.live() > 0 {
+        let cohort_fits = active_now
+            .checked_mul(demand)
+            .is_some_and(|total| total <= capacity_now);
+        if self.settled && active_now > 0 && cohort_fits {
+            // Settled-cohort step. Validation gives demand <= full_bits
+            // <= miss_bits < buffer_bits, so each session enqueues its
+            // demand without a drop and, the link covering the total,
+            // is granted all of it: nothing is purged or missed, no
+            // timeout can fire, every backlog stays 0 (measured
+            // occupancy adds 0) and the arena needs no write.
+            let corrupted = corrupted_bits(demand, corrupt_loss);
+            served = active_now * demand;
+            self.report.base.session_slots += active_now;
+            self.report.base.delivered_bits += active_now * (demand - corrupted);
+            self.report.lost_to_fault_bits += active_now * corrupted;
+            let u = memo_utility(
+                &mut self.utility_memo,
+                &template,
+                (demand - corrupted).min(full_bits),
+            );
+            self.report.base.utility_sum =
+                add_repeated(self.report.base.utility_sum, u, active_now);
+        } else if active_now > 0 {
+            if self.settled {
+                // The sweep was deferred; the walks below need `order`
+                // to be exactly the live set.
+                self.arena.compact();
+            }
             // Enqueue this slot's demand into each playout buffer,
             // tracking the total so the uncontended shortcut below
             // can skip the sort.
@@ -538,14 +585,7 @@ impl ServerEngine {
                 let grant = self.grants[hi];
                 self.arena.backlogs[hi] -= grant;
                 served += grant;
-                // In a corruption-burst slot, a fraction of the
-                // transmitted bits is lost in flight: they leave the
-                // buffer (the sender cannot tell) but never arrive.
-                let corrupted = if corrupt_loss > 0.0 {
-                    ((grant as f64 * corrupt_loss).round() as u64).min(grant)
-                } else {
-                    0
-                };
+                let corrupted = corrupted_bits(grant, corrupt_loss);
                 self.report.base.delivered_bits += grant - corrupted;
                 self.report.lost_to_fault_bits += corrupted;
                 if self.arena.backlogs[hi] > self.miss_bits {
@@ -557,8 +597,11 @@ impl ServerEngine {
                     self.arena.misses[hi] += 1;
                 } else {
                     self.arena.misses[hi] = 0;
-                    self.report.base.utility_sum +=
-                        template.utility((grant - corrupted).min(full_bits));
+                    self.report.base.utility_sum += memo_utility(
+                        &mut self.utility_memo,
+                        &template,
+                        (grant - corrupted).min(full_bits),
+                    );
                 }
                 backlog_after += self.arena.backlogs[hi];
             }
@@ -641,6 +684,9 @@ impl ServerEngine {
 
         self.prev_misses = self.report.base.deadline_misses - misses_before;
         self.prev_active = active_now;
+        // Settled again once the slot leaves no backlog and no miss:
+        // every session that did not miss had its miss streak reset.
+        self.settled = backlog_after == 0 && self.prev_misses == 0;
         self.slot += 1;
         true
     }
@@ -673,13 +719,55 @@ impl ServerEngine {
     }
 }
 
+/// Bits of a `grant` lost in flight in a corruption-burst slot: they
+/// leave the buffer (the sender cannot tell) but never arrive.
+fn corrupted_bits(grant: u64, loss: f64) -> u64 {
+    if loss > 0.0 {
+        ((grant as f64 * loss).round() as u64).min(grant)
+    } else {
+        0
+    }
+}
+
+/// `template.utility(bits)`, recomputed only when `bits` differs from
+/// the previous call's.
+fn memo_utility(memo: &mut (u64, f64), template: &SessionTemplate, bits: u64) -> f64 {
+    if memo.0 != bits {
+        *memo = (bits, template.utility(bits));
+    }
+    memo.1
+}
+
+/// `sum` after `n` additions of `u`, bit for bit what the loop yields.
+/// With `u == 1` and a whole, non-negative `sum` that stays within
+/// 2^53, every partial sum is an exactly representable integer, so one
+/// addition of `n` gives the same bits; otherwise it runs the loop.
+fn add_repeated(sum: f64, u: f64, n: u64) -> f64 {
+    let exact = u == 1.0
+        && sum.is_sign_positive()
+        && sum.fract() == 0.0
+        && (1u64 << 53)
+            .checked_sub(n)
+            .is_some_and(|limit| sum <= limit as f64);
+    if exact {
+        return sum + n as f64;
+    }
+    let mut total = sum;
+    for _ in 0..n {
+        total += u;
+    }
+    total
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::admission::AdmissionPolicy;
+    use crate::degrade::PiConfig;
     use crate::session::ServerSim;
     use crate::workload::{rate_for_load, ArrivalProcess, Workload};
-    use crate::CapacityModel;
+    use crate::{CapacityModel, DegradeConfig};
+    use dms_sim::FaultSpec;
 
     fn setup(load: f64, slots: u64, seed: u64) -> (ServerConfig, Workload) {
         let template = SessionTemplate::streaming_default().expect("preset valid");
@@ -783,5 +871,220 @@ mod tests {
         let report = engine.finish();
         assert_eq!(report.base.admitted, 1);
         assert_eq!(report.base.session_slots, 15, "served slots 5..20");
+    }
+
+    fn add_loop(sum: f64, u: f64, n: u64) -> f64 {
+        let mut total = sum;
+        for _ in 0..n {
+            total += u;
+        }
+        total
+    }
+
+    /// The settled-cohort step adds a slot's utility in one call; it
+    /// must leave the exact bits of n sequential additions.
+    #[test]
+    fn bulk_utility_add_matches_the_loop_bit_for_bit() {
+        let template = SessionTemplate::streaming_default().expect("preset valid");
+        let shed = template.utility(template.demand_bits(template.max_layers - 2));
+        assert!(shed < 1.0, "a shed layer count gives a utility below 1");
+        let edge = (1u64 << 53) as f64;
+        let n = 1_000u64;
+        let cases = [
+            (0.0, 1.0, n),
+            // Closed form right at the edge: the last sum is 2^53.
+            (edge - n as f64, 1.0, n),
+            // One past the edge: the loop runs.
+            (edge - n as f64 + 1.0, 1.0, n),
+            (12.5, 1.0, n),
+            (3.0, shed, n),
+            (7.0, 1.0, 0),
+            (7.0, shed, 0),
+            (7.0, 1.0, 1),
+            (0.25, shed, 1),
+        ];
+        for (sum, u, n) in cases {
+            assert_eq!(
+                add_repeated(sum, u, n).to_bits(),
+                add_loop(sum, u, n).to_bits(),
+                "sum {sum}, u {u}, n {n}"
+            );
+        }
+        // Further past the edge one addition of n would round away
+        // from the loop's result: the fallback is not optional.
+        let (sum, n) = (edge - 1.0, 4);
+        assert_ne!((sum + n as f64).to_bits(), add_loop(sum, 1.0, n).to_bits());
+        assert_eq!(
+            add_repeated(sum, 1.0, n).to_bits(),
+            add_loop(sum, 1.0, n).to_bits()
+        );
+        assert_ne!(
+            (3.0 + n as f64 * shed).to_bits(),
+            add_loop(3.0, shed, n).to_bits(),
+            "n * u in one step is not the loop's sum"
+        );
+    }
+
+    /// The deferred sweep bounds the arena: over a long settled run it
+    /// never holds more slots than the live peak, the stale share the
+    /// sweep tolerates, and one slot's departures. This is what keeps
+    /// peak RSS where the every-slot sweep had it.
+    #[test]
+    fn deferred_sweep_bounds_the_arena() {
+        let mut template = SessionTemplate::streaming_default().expect("preset valid");
+        template.mean_duration_slots = 40.0;
+        let cfg = ServerConfig {
+            capacity: CapacityModel {
+                link_bits_per_slot: 10_000 * template.full_bits(),
+                queue_frames: 64,
+                occupancy_bound: 8.0,
+            },
+            policy: AdmissionPolicy::AdmitAll,
+            degrade: None,
+            buffer_slots: 4,
+            miss_slots: 2,
+        };
+        let slots = 400u64;
+        let workload =
+            Workload::generate(ArrivalProcess::Poisson { rate: 100.0 }, template, slots, 5)
+                .expect("valid");
+        let mut departing = vec![0usize; slots as usize];
+        for req in &workload.sessions {
+            if let Some(d) = departing.get_mut((req.arrival_slot + req.duration_slots) as usize) {
+                *d += 1;
+            }
+        }
+        let most_departing = departing.iter().copied().max().unwrap_or(0);
+
+        let mut engine = ServerEngine::new(&cfg, workload.template, slots).expect("valid");
+        for req in &workload.sessions {
+            engine.offer(*req);
+        }
+        let mut peak = 0usize;
+        while engine.step_slot(None) {
+            assert!(engine.settled, "slot {}: left the cohort", engine.slot);
+            peak = peak.max(engine.arena.live());
+            // Stale entries may reach an eighth of the live set.
+            let bound = peak + peak / 8 + most_departing;
+            assert!(
+                engine.arena.capacity() <= bound,
+                "slot {}: arena holds {} slots, bound {bound}",
+                engine.slot,
+                engine.arena.capacity()
+            );
+        }
+        assert!(peak > 3_000, "live peak {peak}: the cohort must be large");
+        assert!(
+            workload.sessions.len() > 5 * peak,
+            "enough turnover that an unswept arena would outgrow the bound"
+        );
+    }
+
+    /// Runs `workload` on one engine; with `per_session`, `settled` is
+    /// cleared before every slot, which forces the per-session path.
+    fn run_paths(
+        cfg: &ServerConfig,
+        workload: &Workload,
+        plan: &FaultPlan,
+        per_session: bool,
+    ) -> (FaultReport, ServeMetricsSink) {
+        let recovery = RecoveryConfig::default();
+        let mut engine = ServerEngine::with_faults(
+            cfg,
+            workload.template,
+            workload.slots,
+            Some(plan),
+            Some(&recovery),
+        )
+        .expect("valid");
+        for req in &workload.sessions {
+            engine.offer(*req);
+        }
+        let mut sink = ServeMetricsSink::with_capacity(workload.slots as usize);
+        loop {
+            if per_session {
+                engine.settled = false;
+            }
+            if !engine.step_slot(Some(&mut sink)) {
+                break;
+            }
+        }
+        (engine.finish(), sink)
+    }
+
+    /// `ReferenceServerSim` predates the PI shedding law and the
+    /// warm-up gate, so for those the oracle of the settled-cohort
+    /// step is the engine's own per-session path, at cohort scale and
+    /// under every fault kind.
+    #[test]
+    fn settled_cohort_step_matches_the_per_session_path() {
+        let slots = 200u64;
+        let specs = [
+            FaultSpec::LinkDegradation {
+                start_slot: 30,
+                duration_slots: 20,
+                factor: 0.6,
+            },
+            FaultSpec::SlotStalls {
+                start_slot: 70,
+                duration_slots: 3,
+            },
+            FaultSpec::CrashBurst {
+                slot: 100,
+                fraction: 0.3,
+            },
+            FaultSpec::CorruptionBurst {
+                start_slot: 120,
+                duration_slots: 20,
+                p_good_to_bad: 0.3,
+                p_bad_to_good: 0.3,
+                loss_good: 0.01,
+                loss_bad: 0.2,
+            },
+        ];
+        let plan = FaultPlan::compile(&specs, slots, 11).expect("valid specs");
+        let hysteresis = DegradeConfig::default();
+        let pi = DegradeConfig {
+            pi: Some(PiConfig::default()),
+            warmup_slots: 10,
+            ..hysteresis
+        };
+        for degrade in [None, Some(hysteresis), Some(pi)] {
+            for (load, seed) in [(0.6, 1), (1.3, 2)] {
+                let mut template = SessionTemplate::streaming_default().expect("preset valid");
+                template.mean_duration_slots = 20.0;
+                let cfg = ServerConfig {
+                    capacity: CapacityModel {
+                        link_bits_per_slot: 1_500 * template.full_bits(),
+                        queue_frames: 64,
+                        occupancy_bound: 8.0,
+                    },
+                    policy: AdmissionPolicy::AdmitAll,
+                    degrade,
+                    buffer_slots: 4,
+                    miss_slots: 2,
+                };
+                let rate = rate_for_load(load, &template, cfg.capacity.link_bits_per_slot);
+                let workload =
+                    Workload::generate(ArrivalProcess::Poisson { rate }, template, slots, seed)
+                        .expect("valid");
+                let (fast, fast_sink) = run_paths(&cfg, &workload, &plan, false);
+                let (slow, slow_sink) = run_paths(&cfg, &workload, &plan, true);
+                let arm = format!("degrade {degrade:?}, load {load}");
+                assert_eq!(fast, slow, "{arm}");
+                assert_eq!(fast_sink.active(), slow_sink.active(), "{arm}");
+                assert_eq!(fast_sink.backlog_bits(), slow_sink.backlog_bits(), "{arm}");
+                assert_eq!(fast_sink.layer_cap(), slow_sink.layer_cap(), "{arm}");
+                assert_eq!(
+                    fast_sink.deadline_misses(),
+                    slow_sink.deadline_misses(),
+                    "{arm}"
+                );
+                let bits = |s: &ServeMetricsSink| -> Vec<u64> {
+                    s.utility().iter().map(|u| u.to_bits()).collect()
+                };
+                assert_eq!(bits(&fast_sink), bits(&slow_sink), "{arm}");
+            }
+        }
     }
 }

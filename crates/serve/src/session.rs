@@ -257,9 +257,9 @@ impl ServerSim {
     /// the horizon, finish. The engine is the offer-source seam shared
     /// with `dms-net`'s socket driver, so synthetic and socket offers
     /// run the same admission/multiplexing/recovery code path; its
-    /// slot loop is the seed implementation verbatim (pinned against
-    /// [`crate::ReferenceServerSim`] by differential proptests and the
-    /// golden run-logs).
+    /// slot loop is bit-identical to the seed implementation (pinned
+    /// against [`crate::ReferenceServerSim`] by differential proptests
+    /// and the golden run-logs).
     fn run_core(
         &self,
         workload: &Workload,

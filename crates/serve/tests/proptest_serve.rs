@@ -454,3 +454,75 @@ proptest! {
         prop_assert_eq!(fast_sink.enqueued_bits(), oracle_sink.enqueued_bits());
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The oracle at cohort scale. The two differential tests above
+    /// run a 10-session link, so a settled cohort holds about ten
+    /// sessions and a deferred sweep never waits long. Here the link
+    /// carries 100–2000 sessions and sessions are short, so large
+    /// settled cohorts step in bulk for many slots while departures
+    /// pile up unswept, until a fault, a miss or a contended slot
+    /// sends them back to the per-session path. The reference predates
+    /// the PI shedding law (it runs the hysteresis law for any degrade
+    /// config), so the PI arm is checked in the engine's own tests,
+    /// against its per-session path.
+    #[test]
+    fn arena_engine_matches_reference_at_cohort_scale(
+        link_sessions in 100u64..2_001,
+        load in 0.3f64..1.5,
+        selfsim in proptest::bool::ANY,
+        policy_admit_all in proptest::bool::ANY,
+        degrade_on in proptest::bool::ANY,
+        recovery_on in proptest::bool::ANY,
+        mean_duration in 5.0f64..60.0,
+        specs in proptest::collection::vec(fault_spec(), 0..5),
+        seed in 0u64..500,
+        plan_seed in 0u64..500,
+    ) {
+        const SLOTS: u64 = 200;
+        let mut template = SessionTemplate::streaming_default().expect("preset valid");
+        template.mean_duration_slots = mean_duration;
+        let capacity = CapacityModel {
+            link_bits_per_slot: link_sessions * template.full_bits(),
+            queue_frames: 64,
+            occupancy_bound: 8.0,
+        };
+        let rate = rate_for_load(load, &template, capacity.link_bits_per_slot);
+        let process = if selfsim {
+            ArrivalProcess::SelfSimilar { rate, hurst: 0.85, burstiness: 1.0 }
+        } else {
+            ArrivalProcess::Poisson { rate }
+        };
+        let workload = Workload::generate(process, template, SLOTS, seed).expect("valid workload");
+        let plan = FaultPlan::compile(&specs, SLOTS, plan_seed).expect("strategy emits valid specs");
+        let config = ServerConfig {
+            capacity,
+            policy: if policy_admit_all {
+                AdmissionPolicy::AdmitAll
+            } else {
+                AdmissionPolicy::QueuePredictor
+            },
+            degrade: degrade_on.then(DegradeConfig::default),
+            buffer_slots: 4,
+            miss_slots: 2,
+        };
+        let recovery = recovery_on.then(RecoveryConfig::default);
+        let mut fast_sink = ServeMetricsSink::with_capacity(SLOTS as usize);
+        let fast = ServerSim::new(config)
+            .expect("valid config")
+            .run_faulted(&workload, &plan, recovery.as_ref(), Some(&mut fast_sink))
+            .expect("runs");
+        let mut oracle_sink = ServeMetricsSink::with_capacity(SLOTS as usize);
+        let oracle = ReferenceServerSim::new(config)
+            .expect("valid config")
+            .run_faulted(&workload, &plan, recovery.as_ref(), Some(&mut oracle_sink))
+            .expect("runs");
+        prop_assert_eq!(fast, oracle);
+        prop_assert_eq!(fast_sink.admitted(), oracle_sink.admitted());
+        prop_assert_eq!(fast_sink.active(), oracle_sink.active());
+        prop_assert_eq!(fast_sink.deadline_misses(), oracle_sink.deadline_misses());
+        prop_assert_eq!(fast_sink.enqueued_bits(), oracle_sink.enqueued_bits());
+    }
+}
