@@ -2,7 +2,7 @@
 //! engine: event scheduling (timing wheel vs the seed binary heap),
 //! the per-slot multiplexer pass (arena engine vs the seed reference
 //! engine), and admission decisions (direct M/M/1/K evaluation vs the
-//! count-keyed memo).
+//! memo's admission frontier).
 //!
 //! Each function runs both sides of one comparison on identical
 //! seeded input and returns the wall-clock timings; `bench_smoke`
@@ -192,41 +192,80 @@ pub fn multiplexer_micro(sessions: u64) -> Vec<MicroTiming> {
     vec![arena, reference]
 }
 
-/// Times `decisions` admission evaluations at cycling session counts:
-/// the controller's direct M/M/1/K computation vs the count-keyed
-/// [`AdmissionMemo`] in front of the same controller (the per-slot
-/// batching the engines use). Both sides must agree on every verdict.
-#[must_use]
-pub fn admission_micro(decisions: u64) -> Vec<MicroTiming> {
-    let frame = 1_000u64;
-    let ctrl = AdmissionController::new(
+/// Frame size the admission micro-benchmark's sessions demand, bits.
+const ADMISSION_FRAME_BITS: u64 = 1_000;
+
+/// The admission controller both sides of [`admission_micro`] query:
+/// a 1000-session link, K 64, bound 8.
+fn admission_controller() -> AdmissionController {
+    AdmissionController::new(
         CapacityModel {
-            link_bits_per_slot: 1_000 * frame,
+            link_bits_per_slot: 1_000 * ADMISSION_FRAME_BITS,
             queue_frames: 64,
             occupancy_bound: 8.0,
         },
         AdmissionPolicy::QueuePredictor,
-        frame,
+        ADMISSION_FRAME_BITS,
     )
-    .expect("valid config");
-    // Counts sweep 0..2000 — half inside the admit region, half out —
-    // so the memo sees the full decision surface, not one cached bit.
+    .expect("valid config")
+}
+
+/// The admission queries a serving engine makes over `decisions`
+/// arrivals, as `(effective capacity, live sessions)` pairs. Each
+/// arrival joins while the predictor admits it and a session departs
+/// every third arrival, so the live set climbs from 0 through the
+/// admission frontier and then hovers on it. Halfway through, the
+/// capacity is re-estimated to half, as under a fade: the live set
+/// drains down to the new frontier and hovers there.
+fn admission_sweep(ctrl: &AdmissionController, decisions: u64) -> Vec<(u64, u64)> {
+    let mut ctrl = ctrl.clone();
+    let link = ctrl.model().link_bits_per_slot;
+    let mut live = 0u64;
+    (0..decisions)
+        .map(|i| {
+            if i == decisions / 2 {
+                ctrl.set_effective_capacity(link / 2);
+            }
+            let query = (ctrl.effective_capacity(), live);
+            if ctrl.would_admit(live * ADMISSION_FRAME_BITS, ADMISSION_FRAME_BITS) {
+                live += 1;
+            }
+            if i % 3 == 2 {
+                live = live.saturating_sub(1);
+            }
+            query
+        })
+        .collect()
+}
+
+/// Times `decisions` admission evaluations along an engine's live set
+/// (a climb from 0 through the admission frontier, a hover on it, a
+/// capacity re-estimate to half and a hover on the new frontier): the
+/// controller's direct M/M/1/K computation vs the [`AdmissionMemo`]
+/// in front of the same controller, which the engines consult. The
+/// sweep is built untimed; both sides must agree on every verdict.
+#[must_use]
+pub fn admission_micro(decisions: u64) -> Vec<MicroTiming> {
+    let ctrl = admission_controller();
+    let sweep = admission_sweep(&ctrl, decisions);
     let direct = timed("admission/direct", decisions, || {
+        let mut ctrl = ctrl.clone();
         let mut admitted = 0u64;
-        for i in 0..decisions {
-            let count = i % 2_000;
-            if ctrl.would_admit(count * frame, frame) {
+        for &(capacity, live) in &sweep {
+            ctrl.set_effective_capacity(capacity);
+            if ctrl.would_admit(live * ADMISSION_FRAME_BITS, ADMISSION_FRAME_BITS) {
                 admitted += 1;
             }
         }
         std::hint::black_box(admitted);
     });
     let memo = timed("admission/memo", decisions, || {
+        let mut ctrl = ctrl.clone();
         let mut memo = AdmissionMemo::new();
         let mut admitted = 0u64;
-        for i in 0..decisions {
-            let count = i % 2_000;
-            if memo.would_admit(&ctrl, count) {
+        for &(capacity, live) in &sweep {
+            ctrl.set_effective_capacity(capacity);
+            if memo.would_admit(&ctrl, live) {
                 admitted += 1;
             }
         }
@@ -267,28 +306,25 @@ mod tests {
 
     #[test]
     fn admission_micro_sides_agree() {
-        // The timing wrappers discard the verdicts; re-check a slice
-        // of the decision surface here so "memoised" stays "same
-        // answers, fewer evaluations".
-        let frame = 1_000u64;
-        let ctrl = AdmissionController::new(
-            CapacityModel {
-                link_bits_per_slot: 1_000 * frame,
-                queue_frames: 64,
-                occupancy_bound: 8.0,
-            },
-            AdmissionPolicy::QueuePredictor,
-            frame,
-        )
-        .expect("valid config");
+        // The timing wrappers discard the verdicts; re-check the whole
+        // sweep here so "memoised" stays "same answers, fewer
+        // evaluations". The sweep must cross the frontier at both
+        // capacities: admissions and refusals at each.
+        let mut ctrl = admission_controller();
+        let sweep = admission_sweep(&ctrl, 8_192);
         let mut memo = AdmissionMemo::new();
-        for count in 0..2_000 {
+        let mut verdicts = std::collections::BTreeMap::new();
+        for &(capacity, live) in &sweep {
+            ctrl.set_effective_capacity(capacity);
+            let direct = ctrl.would_admit(live * ADMISSION_FRAME_BITS, ADMISSION_FRAME_BITS);
             assert_eq!(
-                memo.would_admit(&ctrl, count),
-                ctrl.would_admit(count * frame, frame),
-                "count {count}"
+                memo.would_admit(&ctrl, live),
+                direct,
+                "{live} at {capacity}"
             );
+            *verdicts.entry((capacity, direct)).or_insert(0u64) += 1;
         }
+        assert_eq!(verdicts.len(), 4, "{verdicts:?}");
         assert_eq!(admission_micro(1_024).len(), 2);
     }
 }

@@ -447,7 +447,8 @@ impl Controller {
         // 1. Load signal: mean predicted occupancy over the shards the
         //    balancer can route to at `b`. `release_until` first, so
         //    the signal sees the same reservation ledger the next
-        //    routing decision would (idempotent — routing re-releases).
+        //    routing decision would (idempotent — the endpoint releases
+        //    every shard again once an offer's slot passes its mark).
         let mut occ_sum = 0.0f64;
         let mut routable = 0u64;
         for state in states.iter_mut() {

@@ -15,6 +15,11 @@
 //! slot, from a release cursor up to the horizon: a reservation adds
 //! its bits to one slot and a release pops each slot it passes, both in
 //! O(1), where a heap of reservations paid O(log n) per push and pop.
+//! It also keeps its JSQ fraction, recomputed only when its reserved
+//! bits change, and its mirror's admission frontier
+//! ([`AdmissionMemo`]), so a routing decision does no M/M/1/K
+//! evaluation and no division. The `Balancer` rebuilds its list of
+//! live shards once per slot, not once per offer.
 //!
 //! All three policies are deterministic functions of the dispatch
 //! history: round-robin keeps a cursor, join-shortest-queue compares
@@ -71,11 +76,15 @@ pub(crate) struct ShardState {
     /// Aggregate full-quality demand of sessions currently routed
     /// here, bits per slot.
     reserved_bits: u64,
-    /// Count-keyed memo over the mirror's M/M/1/K evaluations. Every
-    /// offer in this cluster demands exactly `frame_bits`, so the
-    /// reserved ledger stays a whole number of frames and the mirror's
-    /// predicate/occupancy depend only on the session count — one
-    /// analytical evaluation per count instead of one per offer.
+    /// `reserved_bits / capacity_bits`, the JSQ metric, updated
+    /// wherever `reserved_bits` changes.
+    fraction: f64,
+    /// Memo over the mirror's M/M/1/K evaluations. Every offer in this
+    /// cluster demands exactly `frame_bits`, so the reserved ledger
+    /// stays a whole number of frames and the mirror's predicate and
+    /// occupancy depend only on the session count: the predicate is
+    /// one comparison against the admission frontier, searched once
+    /// per capacity, and each occupancy is evaluated once per count.
     memo: AdmissionMemo,
     /// Reserved bits by departure slot: `departures[i]` departs at
     /// `cursor + i`. A reservation departing at or after `horizon` is
@@ -113,6 +122,7 @@ impl ShardState {
             )?,
             capacity_bits: capacity.link_bits_per_slot,
             reserved_bits: 0,
+            fraction: 0.0,
             memo: AdmissionMemo::new(),
             // Sized once to the most slots it can hold, so a
             // reservation never reallocates it.
@@ -176,7 +186,9 @@ impl ShardState {
             freed += bits;
             self.cursor += 1;
         }
-        self.reserved_bits = self.reserved_bits.saturating_sub(freed);
+        if freed > 0 {
+            self.set_reserved(self.reserved_bits.saturating_sub(freed));
+        }
     }
 
     /// Releases *every* reservation at once: when a shard is taken
@@ -185,12 +197,12 @@ impl ShardState {
     pub(crate) fn release_all(&mut self) {
         self.departures.clear();
         self.overdue = 0;
-        self.reserved_bits = 0;
+        self.set_reserved(0);
     }
 
     /// Records a routed session occupying `bits` until `depart_slot`.
     pub(crate) fn reserve(&mut self, depart_slot: u64, bits: u64) {
-        self.reserved_bits += bits;
+        self.set_reserved(self.reserved_bits + bits);
         if depart_slot >= self.horizon {
             return;
         }
@@ -205,14 +217,16 @@ impl ShardState {
         self.departures[i] += bits;
     }
 
-    /// Reserved fraction of shard capacity (the JSQ metric).
-    fn reserved_fraction(&self) -> f64 {
-        self.reserved_bits as f64 / self.capacity_bits as f64
+    /// Sets the reserved bits and the JSQ fraction with them.
+    fn set_reserved(&mut self, bits: u64) {
+        self.reserved_bits = bits;
+        self.fraction = bits as f64 / self.capacity_bits as f64;
     }
 
     /// Predicted mean occupancy if `bits` more demand joins. Served
-    /// from the count-keyed memo on the frame-aligned hot path (every
-    /// dispatch offer); bit-identical to the direct evaluation.
+    /// from the memo's per-count cache on the frame-aligned hot path
+    /// (both P2C candidates of every offer); bit-identical to the
+    /// direct evaluation.
     fn occupancy_with(&mut self, bits: u64) -> f64 {
         let frame = self.mirror.frame_bits();
         if bits == frame && self.reserved_bits.is_multiple_of(frame) {
@@ -223,11 +237,11 @@ impl ShardState {
         }
     }
 
-    /// Mirror admission predicate for `bits` more demand; memoised
-    /// like [`ShardState::occupancy_with`]. Also the bandit's
-    /// dispatch-time "good routing" oracle (`pub(crate)` for
-    /// `adaptive`); pure modulo memo fills, which are bit-identical
-    /// to the direct evaluation.
+    /// Mirror admission predicate for `bits` more demand, answered
+    /// from the memo's admission frontier on the frame-aligned hot
+    /// path. Also the bandit's dispatch-time "good routing" oracle
+    /// (`pub(crate)` for `adaptive`); pure modulo the memo's frontier
+    /// search, whose verdicts equal the direct evaluation.
     pub(crate) fn would_admit(&mut self, bits: u64) -> bool {
         let frame = self.mirror.frame_bits();
         if bits == frame && self.reserved_bits.is_multiple_of(frame) {
@@ -256,9 +270,12 @@ pub(crate) struct Balancer {
     policy: BalancerPolicy,
     cursor: usize,
     rng: SimRng,
-    /// Live-shard index scratch, reused across every routing decision
-    /// so the dispatch hot loop never allocates.
+    /// Indices of the shards alive at `live_slot`, reused across
+    /// every routing decision so the dispatch hot loop never
+    /// allocates.
     live: Vec<usize>,
+    /// The slot `live` was built for; `None` before the first route.
+    live_slot: Option<u64>,
 }
 
 impl Balancer {
@@ -268,18 +285,26 @@ impl Balancer {
             cursor: 0,
             rng: SimRng::new(seed).substream("cluster-p2c", 0),
             live: Vec::new(),
+            live_slot: None,
         }
     }
 
     /// Picks a shard for a session demanding `bits` per slot arriving
-    /// at `slot`. Callers must have called
-    /// [`ShardState::release_until`] on every shard first. Takes the
-    /// shards mutably so the per-shard memos can fill lazily; the
-    /// decisions are pure functions of the same state as before.
+    /// at `slot`. Callers route in non-decreasing slot order, have
+    /// released every shard up to `slot` ([`ShardState::release_until`];
+    /// once per slot is enough), and change a shard's up/down stamps
+    /// only at a slot edge `b`, before any route at `b`, with effect
+    /// from `b` on — so the live list is rebuilt only when `slot`
+    /// moves. Takes the shards mutably so the per-shard memos can fill
+    /// lazily; the decisions are pure functions of the same state as
+    /// before.
     pub(crate) fn route(&mut self, shards: &mut [ShardState], slot: u64, bits: u64) -> Route {
-        self.live.clear();
-        self.live
-            .extend((0..shards.len()).filter(|&i| shards[i].alive(slot)));
+        if self.live_slot != Some(slot) {
+            self.live.clear();
+            self.live
+                .extend((0..shards.len()).filter(|&i| shards[i].alive(slot)));
+            self.live_slot = Some(slot);
+        }
         if self.live.is_empty() {
             return Route::Refused;
         }
@@ -299,8 +324,8 @@ impl Balancer {
                     .copied()
                     .min_by(|&a, &b| {
                         shards[a]
-                            .reserved_fraction()
-                            .total_cmp(&shards[b].reserved_fraction())
+                            .fraction
+                            .total_cmp(&shards[b].fraction)
                             .then(a.cmp(&b))
                     })
                     .expect("live set is non-empty");
@@ -414,7 +439,8 @@ mod tests {
         /// departing behind the release cursor, before the horizon and
         /// at or after it, non-decreasing releases up to the horizon,
         /// and full releases. It never stores more slots than the
-        /// horizon.
+        /// horizon, and the cached JSQ fraction has the bits of the
+        /// recomputed one after every operation.
         #[test]
         fn release_ledger_matches_a_list(
             horizon in 1u64..64,
@@ -442,6 +468,10 @@ mod tests {
                 proptest::prop_assert_eq!(
                     state.reserved_bits,
                     list.iter().map(|&(_, b)| b).sum::<u64>()
+                );
+                proptest::prop_assert_eq!(
+                    state.fraction.to_bits(),
+                    (state.reserved_bits as f64 / state.capacity_bits as f64).to_bits()
                 );
                 proptest::prop_assert!(state.departures.len() as u64 <= horizon);
             }

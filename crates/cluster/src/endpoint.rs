@@ -64,6 +64,9 @@ pub struct FleetEndpoint {
     in_flight: Vec<Vec<(u64, u64, u64)>>,
     report: DispatchReport,
     last_offer_slot: u64,
+    /// Every shard has released the reservations departing before
+    /// this slot.
+    released_to: u64,
 }
 
 impl FleetEndpoint {
@@ -142,6 +145,7 @@ impl FleetEndpoint {
                 ..DispatchReport::default()
             },
             last_offer_slot: 0,
+            released_to: 0,
         })
     }
 
@@ -319,8 +323,14 @@ impl FleetEndpoint {
             self.report.balancer_rejected += 1;
             return;
         }
-        for state in &mut self.states {
-            state.release_until(offer.slot);
+        // Once per slot: a second release at the same slot frees
+        // nothing, as a reservation made below departs after its
+        // offer's slot, never behind the release cursor.
+        if offer.slot > self.released_to {
+            for state in &mut self.states {
+                state.release_until(offer.slot);
+            }
+            self.released_to = offer.slot;
         }
         let arm = self.controller.as_ref().map_or(0, Controller::arm);
         let route = self.balancers[arm].route(&mut self.states, offer.slot, self.full_bits);

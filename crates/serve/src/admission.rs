@@ -122,8 +122,8 @@ impl AdmissionController {
     /// Re-estimates the capacity the predictor plans against (the
     /// multiplexer's measured service rate under faults). A zero
     /// estimate fails closed: the predictor saturates and the
-    /// `QueuePredictor` policy rejects everything until capacity
-    /// returns.
+    /// `QueuePredictor` policy rejects everything, whatever the bound,
+    /// until capacity returns.
     pub fn set_effective_capacity(&mut self, bits_per_slot: u64) {
         self.effective_bits = bits_per_slot;
     }
@@ -155,8 +155,12 @@ impl AdmissionController {
     pub fn would_admit(&self, active_bits: u64, candidate_bits: u64) -> bool {
         match self.policy {
             AdmissionPolicy::AdmitAll => true,
+            // At zero capacity the prediction is `K`, which a bound of
+            // `K` would pass: refuse outright instead.
             AdmissionPolicy::QueuePredictor => {
-                self.predicted_occupancy(active_bits + candidate_bits) <= self.model.occupancy_bound
+                self.effective_bits > 0
+                    && self.predicted_occupancy(active_bits + candidate_bits)
+                        <= self.model.occupancy_bound
             }
         }
     }
@@ -205,24 +209,51 @@ impl AdmissionController {
 /// admissible set the predictor lets through.
 const MEMO_MAX_SESSIONS: u64 = 1 << 21;
 
-/// Count-keyed memo over an [`AdmissionController`]'s M/M/1/K
-/// evaluations, for hot loops where every candidate demands the same
-/// `frame_bits`: the predicate and the occupancy prediction then
-/// depend only on the resulting *session count*, so each count is
-/// evaluated once per effective capacity instead of once per offer.
+/// The admission frontier covers loads `ρ` up to `1 + 512/(K + 1)`,
+/// where `ρ^(K+1) < e^512` cannot overflow an `f64`.
+const FRONTIER_LOAD_HEADROOM: u64 = 512;
+
+/// Memo over an [`AdmissionController`]'s M/M/1/K evaluations, for hot
+/// loops where every candidate demands the same `frame_bits`: the
+/// predicate and the occupancy prediction then depend only on the
+/// resulting *session count*.
 ///
-/// Entries are cached results of the exact controller calls, so a
-/// memoised loop is bit-identical to a per-offer one (the differential
-/// proptests against the reference server pin this). The memo empties
-/// itself whenever the controller's effective capacity moved since the
-/// last call — re-estimation under faults just costs a refill.
+/// The predicate is kept as an **admission frontier**: the first
+/// session count the predictor refuses. A bisection finds it once per
+/// effective capacity, in at most 22 evaluations, and from then on a
+/// verdict is one comparison, `count < frontier`. That equals the
+/// direct call because the admitted counts form one interval from 0:
+///
+/// * `count` sessions admit one more iff `L(ρ) <= bound`, with
+///   `ρ = (count + 1)·frame_bits / effective` and `L` the M/M/1/K mean
+///   occupancy, which rises strictly with `ρ`;
+/// * the computed `L` keeps that order from count to count: its
+///   rounding error, about 1e-13 near the bound, is far below its rise
+///   per count there (at K 64 and bound 8: 2.6e-3 at a 31,250-session
+///   link, 3.2e-4 at 250,000), so the predicate changes value once;
+/// * the frontier covers only counts whose load stays within
+///   `1 + 512/(K + 1)` (and whose demand fits a `u64`). Beyond `f64`
+///   overflow of `ρ^(K+1)` the evaluation yields 0 or NaN in narrow
+///   bands of load, and the computed predicate is no longer monotone.
+///   Counts past that ceiling, or at 2^21 and above, take the direct
+///   path, so an admit-everything predicate leaves the frontier at the
+///   ceiling, never a refusal.
+///
+/// `tests/proptest_serve.rs` checks every verdict against the direct
+/// call over random capacity models and query orders.
+///
+/// Predicted occupancies enter reports bit for bit, so they stay cached
+/// per count: each is the return of the identical pure call. The memo
+/// resets whenever the controller's effective capacity moved since the
+/// last call; a re-estimate under faults costs one new search.
 #[derive(Debug, Clone, Default)]
 pub struct AdmissionMemo {
     /// Effective capacity the cached entries were computed against.
     effective_bits: u64,
-    /// Admission predicate by resulting session count:
-    /// 0 = unknown, 1 = admit, 2 = reject.
-    admit: Vec<u8>,
+    /// `(frontier, ceiling)` at that capacity, once searched: the
+    /// first refused count below `ceiling` (or `ceiling` itself), and
+    /// the count from which the frontier no longer answers.
+    frontier: Option<(u64, u64)>,
     /// Predicted occupancy by active session count; NaN = unknown.
     occupancy: Vec<f64>,
 }
@@ -236,7 +267,7 @@ impl AdmissionMemo {
 
     fn sync(&mut self, ctrl: &AdmissionController) {
         if self.effective_bits != ctrl.effective_bits {
-            self.admit.clear();
+            self.frontier = None;
             self.occupancy.clear();
             self.effective_bits = ctrl.effective_bits;
         }
@@ -249,24 +280,12 @@ impl AdmissionMemo {
         if ctrl.policy == AdmissionPolicy::AdmitAll {
             return true;
         }
-        let direct =
-            |c: &AdmissionController| c.would_admit(active_sessions * c.frame_bits, c.frame_bits);
-        if active_sessions >= MEMO_MAX_SESSIONS {
-            return direct(ctrl);
-        }
         self.sync(ctrl);
-        let idx = active_sessions as usize;
-        if self.admit.len() <= idx {
-            self.admit.resize(idx + 1, 0);
-        }
-        match self.admit[idx] {
-            1 => true,
-            2 => false,
-            _ => {
-                let admit = direct(ctrl);
-                self.admit[idx] = if admit { 1 } else { 2 };
-                admit
-            }
+        let (frontier, ceiling) = *self.frontier.get_or_insert_with(|| search_frontier(ctrl));
+        if active_sessions < ceiling {
+            active_sessions < frontier
+        } else {
+            ctrl.would_admit(active_sessions * ctrl.frame_bits, ctrl.frame_bits)
         }
     }
 
@@ -298,6 +317,32 @@ impl AdmissionMemo {
         }
         self.occupancy[idx]
     }
+}
+
+/// Bisects the admission frontier of `ctrl`: returns the first count
+/// below the ceiling that the predictor refuses (the ceiling if none
+/// is), and the ceiling — the first count past the frontier's load
+/// range ([`FRONTIER_LOAD_HEADROOM`]) or whose demand overflows a
+/// `u64`, capped at [`MEMO_MAX_SESSIONS`].
+fn search_frontier(ctrl: &AdmissionController) -> (u64, u64) {
+    let frame = ctrl.frame_bits;
+    let k = u128::from(ctrl.model.queue_frames) + 1;
+    // `c < by_load` implies `(c + 1)·frame·(K + 1) <= effective·(K + 1 + 512)`.
+    let by_load = u128::from(ctrl.effective_bits) * (k + u128::from(FRONTIER_LOAD_HEADROOM))
+        / (u128::from(frame) * k);
+    let ceiling = MEMO_MAX_SESSIONS
+        .min(u64::MAX / frame)
+        .min(u64::try_from(by_load).unwrap_or(u64::MAX));
+    let (mut lo, mut hi) = (0, ceiling);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if ctrl.would_admit(mid * frame, frame) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    (lo, ceiling)
 }
 
 #[cfg(test)]
@@ -392,6 +437,18 @@ mod tests {
         // Restoring the nominal capacity restores the decision.
         c.set_effective_capacity(c.model().link_bits_per_slot);
         assert!(c.would_admit(49_000, 1_000));
+        // A bound of K itself, which the saturated prediction meets,
+        // must not open the predicate at zero capacity.
+        let mut m = model();
+        m.occupancy_bound = f64::from(m.queue_frames);
+        let mut c =
+            AdmissionController::new(m, AdmissionPolicy::QueuePredictor, 1_000).expect("valid");
+        assert!(c.would_admit(10_000, 1_000));
+        c.set_effective_capacity(0);
+        assert_eq!(c.predicted_occupancy(11_000), f64::from(m.queue_frames));
+        assert!(!c.would_admit(10_000, 1_000));
+        assert!(!c.would_admit(0, 0));
+        assert!(!AdmissionMemo::new().would_admit(&c, 10));
     }
 
     #[test]
@@ -456,6 +513,103 @@ mod tests {
             memo.predicted_occupancy(&c, 49).to_bits(),
             occ_full.to_bits()
         );
+    }
+
+    /// The frontier of a fresh memo over `ctrl`, and its ceiling.
+    fn frontier_of(ctrl: &AdmissionController) -> (u64, u64) {
+        let mut memo = AdmissionMemo::new();
+        memo.would_admit(ctrl, 0);
+        memo.frontier.expect("searched on the first query")
+    }
+
+    /// At the benchmark's link sizes (K 64, bound 8) the frontier
+    /// answers exactly what the direct predicate answers: every count
+    /// within 4096 of the frontier, and every 64th up to twice it.
+    #[test]
+    fn frontier_matches_direct_at_the_benchmark_links() {
+        let frame = crate::SessionTemplate::streaming_default()
+            .expect("preset valid")
+            .full_bits();
+        for sessions in [5_000u64, 10_000, 31_250, 250_000] {
+            let c = AdmissionController::new(
+                CapacityModel {
+                    link_bits_per_slot: sessions * frame,
+                    queue_frames: 64,
+                    occupancy_bound: 8.0,
+                },
+                AdmissionPolicy::QueuePredictor,
+                frame,
+            )
+            .expect("valid");
+            let (frontier, ceiling) = frontier_of(&c);
+            assert!(frontier > 0 && frontier < sessions && ceiling > 2 * frontier);
+            assert!(c.would_admit((frontier - 1) * frame, frame));
+            assert!(!c.would_admit(frontier * frame, frame));
+            let mut memo = AdmissionMemo::new();
+            let near = frontier.saturating_sub(4_096)..=frontier + 4_096;
+            for count in near.chain((0..=2 * frontier).step_by(64)) {
+                assert_eq!(
+                    memo.would_admit(&c, count),
+                    c.would_admit(count * frame, frame),
+                    "{sessions}-session link, count {count}"
+                );
+            }
+        }
+    }
+
+    /// A predicate that admits every count under the ceiling leaves
+    /// the frontier at the ceiling: the ceiling is where the memo stops
+    /// answering, not a refusal.
+    #[test]
+    fn admit_everything_leaves_the_frontier_at_the_ceiling() {
+        let mut m = model();
+        m.occupancy_bound = f64::from(m.queue_frames);
+        let c = AdmissionController::new(m, AdmissionPolicy::QueuePredictor, 1_000).expect("valid");
+        let (frontier, ceiling) = frontier_of(&c);
+        assert_eq!(frontier, ceiling);
+        let mut memo = AdmissionMemo::new();
+        for count in [0, ceiling - 1, ceiling, ceiling + 1, MEMO_MAX_SESSIONS] {
+            assert!(c.would_admit(count * 1_000, 1_000), "count {count}");
+            assert!(memo.would_admit(&c, count), "count {count}");
+        }
+    }
+
+    /// Past `f64` overflow the computed predicate is not monotone: at
+    /// K 256 on a 100-frame link it refuses 1581 sessions but admits
+    /// 1582 (the mean occupancy evaluates to 0 there). The frontier
+    /// stops short of such loads, so the memo still agrees.
+    #[test]
+    fn frontier_stops_short_of_float_overflow() {
+        let c = AdmissionController::new(
+            CapacityModel {
+                link_bits_per_slot: 100_000,
+                queue_frames: 256,
+                occupancy_bound: 8.0,
+            },
+            AdmissionPolicy::QueuePredictor,
+            1_000,
+        )
+        .expect("valid");
+        assert!(!c.would_admit(1_581_000, 1_000));
+        assert!(c.would_admit(1_582_000, 1_000));
+        let (frontier, ceiling) = frontier_of(&c);
+        assert!(frontier < ceiling && ceiling < 1_581);
+        let mut memo = AdmissionMemo::new();
+        assert!(!memo.would_admit(&c, 1_581));
+        assert!(memo.would_admit(&c, 1_582));
+    }
+
+    /// Counts whose demand would overflow a `u64` are never probed.
+    #[test]
+    fn frontier_search_never_overflows_the_demand() {
+        let frame = u64::MAX / 2_000;
+        let mut m = model();
+        m.link_bits_per_slot = 1_000 * frame;
+        let c = AdmissionController::new(m, AdmissionPolicy::QueuePredictor, frame).expect("valid");
+        let (frontier, ceiling) = frontier_of(&c);
+        assert_eq!(ceiling, u64::MAX / frame);
+        assert!(c.would_admit((frontier - 1) * frame, frame));
+        assert!(!c.would_admit(frontier * frame, frame));
     }
 
     #[test]

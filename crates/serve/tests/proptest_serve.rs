@@ -1,9 +1,9 @@
 //! Property-based tests for the streaming server's safety invariants.
 
 use dms_serve::{
-    rate_for_load, AdmissionController, AdmissionPolicy, ArrivalProcess, CapacityModel,
-    DegradeConfig, RecoveryConfig, ReferenceServerSim, ServeMetricsSink, ServerConfig, ServerSim,
-    SessionTemplate, Workload,
+    rate_for_load, AdmissionController, AdmissionMemo, AdmissionPolicy, ArrivalProcess,
+    CapacityModel, DegradeConfig, RecoveryConfig, ReferenceServerSim, ServeMetricsSink,
+    ServerConfig, ServerSim, SessionTemplate, Workload,
 };
 use dms_sim::{FaultPlan, FaultSpec};
 use proptest::prelude::*;
@@ -127,6 +127,75 @@ proptest! {
         // the larger prediction.
         let hi_occ = ctl.predicted_occupancy(hi + candidate);
         prop_assert!(ctl.predicted_occupancy(lo + candidate) <= hi_occ + occupancy_slack(hi_occ));
+    }
+
+    /// The memo's admission frontier answers exactly what the direct
+    /// predicate answers, over capacity models from a 1-frame to a
+    /// 10^6-frame link, K from 1 to 256 and a bound anywhere in
+    /// `(0, K]`, K included. The query walk climbs, falls, hovers,
+    /// jumps to a load or to any count below 2^22 (past the memo's
+    /// ceiling), and re-estimates the capacity anywhere in
+    /// `[0, 2 × link]` between queries, 0 included.
+    #[test]
+    fn admission_frontier_matches_the_direct_predicate(
+        link_frames in (0u32..20, 1u64..1_000_001).prop_map(|(s, x)| (x >> s).max(1)),
+        frame_bits in 1u64..10_001,
+        k in 1u32..257,
+        bound_permille in prop_oneof![Just(1_000u32), 1u32..1_001],
+        walk in proptest::collection::vec((0u8..7, 0u64..1 << 22), 1..48),
+    ) {
+        let link_bits = link_frames * frame_bits;
+        let model = CapacityModel {
+            link_bits_per_slot: link_bits,
+            queue_frames: k,
+            occupancy_bound: f64::from(bound_permille) / 1_000.0 * f64::from(k),
+        };
+        let mut ctl = AdmissionController::new(model, AdmissionPolicy::QueuePredictor, frame_bits)
+            .expect("valid model");
+        let mut memo = AdmissionMemo::new();
+        let mut cursor = 0u64;
+        let mut query = |ctl: &AdmissionController, count: u64| {
+            prop_assert_eq!(
+                memo.would_admit(ctl, count),
+                ctl.would_admit(count * frame_bits, frame_bits),
+                "count {} at capacity {} of {:?}",
+                count,
+                ctl.effective_capacity(),
+                model
+            );
+            Ok(())
+        };
+        for (kind, x) in walk {
+            match kind {
+                0 => {
+                    for _ in 0..=x % 64 {
+                        cursor += 1;
+                        query(&ctl, cursor)?;
+                    }
+                }
+                1 => {
+                    for _ in 0..=x % 64 {
+                        cursor = cursor.saturating_sub(1);
+                        query(&ctl, cursor)?;
+                    }
+                }
+                2 => {
+                    for i in 0..=x % 32 {
+                        query(&ctl, cursor + i % 2)?;
+                    }
+                }
+                3 => {
+                    cursor = link_frames * (x % 3_000) / 1_000;
+                    query(&ctl, cursor)?;
+                }
+                4 => {
+                    cursor = x >> (x % 23);
+                    query(&ctl, cursor)?;
+                }
+                5 => ctl.set_effective_capacity(link_bits * (x % 2_001) / 1_000),
+                _ => ctl.set_effective_capacity(0),
+            }
+        }
     }
 
     /// End to end: a controlled server run admits only while its own

@@ -12,7 +12,7 @@
 //! git diff tests/golden/
 //! ```
 //!
-//! Five snapshots, chosen for coverage-per-byte:
+//! Seven snapshots, chosen for coverage-per-byte:
 //!
 //! * `E10.json` — the steady-state experiment's full run-log, the
 //!   oldest table in the suite (analysis + simulation agreement);
@@ -21,6 +21,14 @@
 //!   on the golden path) and re-concatenated: the canonical compact
 //!   single-line rendering every streamed run-log directory is made
 //!   of;
+//! * `E12_selfsim-1.2x-controlled.json` — one E12 server point (fGn
+//!   arrivals at 1.2x, predictor admission plus layer shedding), with
+//!   its per-slot series: pins the memoised M/M/1/K admission path of
+//!   the serving engine on an overloaded link;
+//! * `E13_crash-controlled.json` — one E13 point under the full fault
+//!   stack with recovery, with its per-slot series: its capacity
+//!   re-estimates reset the admission memo mid-run, and its retries
+//!   take the re-admission predicate;
 //! * `E14_n2_jsq_crash.json` — a single E14 cluster point (two skewed
 //!   shards, join-shortest-queue, one shard crashing mid-run), built
 //!   through the E14 sweep's own `export` and `record`, so it
@@ -38,8 +46,9 @@
 use std::path::PathBuf;
 
 use dms_bench::{
-    e10_steady_state, run_log_for, E14Point, E14ScaleOut, E16Arm, E16GeoTiered, E16Point,
-    E17AdaptiveFleet, E17Arm, E17Point, E17Regime, Sweep,
+    e10_steady_state, run_log_for, E12Arm, E12Point, E12ServerLoad, E13Intensity, E13Point,
+    E13Resilience, E14Point, E14ScaleOut, E16Arm, E16GeoTiered, E16Point, E17AdaptiveFleet, E17Arm,
+    E17Point, E17Regime, Sweep,
 };
 use dms_cluster::BalancerPolicy;
 use dms_sim::{RunLog, RunLogReader, RunLogWriter, RunRecord, TailState};
@@ -87,16 +96,16 @@ fn assert_bytes_match_golden(rendered: &str, name: &str) {
     }
 }
 
-/// One E14 cluster point rendered into a run-log through the E14
-/// sweep's own `export` and `record`, the code that renders each grid
-/// point of the experiment's run-log.
-fn e14_point_log(point: E14Point) -> RunLog {
-    let outcome = E14ScaleOut::run(&point);
+/// One point of sweep `S` rendered into a run-log through the sweep's
+/// own `export` and `record`, the code that renders each grid point of
+/// the experiment's run-log.
+fn point_log<S: Sweep>(point: &S::Point, label: String) -> RunLog {
+    let outcome = S::run(point);
     let mut log = RunLog::new();
-    log.set_meta("experiment", "E14");
-    log.set_meta("point", point.label());
-    E14ScaleOut::export(&point, &outcome, log.registry_mut());
-    log.push(E14ScaleOut::record(&point, &outcome));
+    log.set_meta("experiment", S::ID);
+    log.set_meta("point", label);
+    S::export(point, &outcome, log.registry_mut());
+    log.push(S::record(point, &outcome));
     log
 }
 
@@ -136,13 +145,35 @@ fn e10_streamed_jsonl_chunks_match_golden() {
 }
 
 #[test]
+fn e12_overloaded_server_point_matches_golden() {
+    let point = E12Point {
+        load: 1.2,
+        self_similar: true,
+        arm: E12Arm::Controlled,
+    };
+    let log = point_log::<E12ServerLoad>(&point, point.label());
+    assert_matches_golden(&log, "E12_selfsim-1.2x-controlled.json");
+}
+
+#[test]
+fn e13_crash_recovery_point_matches_golden() {
+    let point = E13Point {
+        intensity: E13Intensity::Crash,
+        arm: E12Arm::Controlled,
+    };
+    let log = point_log::<E13Resilience>(&point, point.label());
+    assert_matches_golden(&log, "E13_crash-controlled.json");
+}
+
+#[test]
 fn e14_cluster_point_matches_golden() {
-    let log = e14_point_log(E14Point {
+    let point = E14Point {
         shards: 2,
         load: 0.7,
         balancer: BalancerPolicy::JoinShortestQueue,
         crash: true,
-    });
+    };
+    let log = point_log::<E14ScaleOut>(&point, point.label());
     assert_matches_golden(&log, "E14_n2_jsq_crash.json");
 }
 
