@@ -1816,7 +1816,7 @@ pub const E15_REDUCED_SESSIONS: u64 = 20_000;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum E15Arm {
     /// The arena-engine [`ServerSim`]: one link, one admission
-    /// controller, timing-wheel scheduler, SoA session store.
+    /// controller, per-slot event calendar, SoA session store.
     Server,
     /// Eight equal shards behind the JSQ balancer — the same total
     /// link, scaled out.

@@ -117,9 +117,10 @@ fn event_queue_regime(
 /// [`EventQueue`] and the seed [`HeapEventQueue`] on identical
 /// arrival patterns in two regimes: a *small* live set (16 events per
 /// slot, ~2k live — E12-sized, where the heap fits in cache) and the
-/// *mega* live set (2048 per slot, ~256k live — the E15 regime the
-/// wheel exists for, where every heap sift walks cold memory). Both
-/// queues must drain the same number of events.
+/// *mega* live set (2048 per slot, ~256k live — E15-sized, where every
+/// heap sift walks cold memory). The serving engine keeps its events
+/// in a per-slot calendar instead; the wheel remains the general
+/// `dms_sim` queue. Both queues must drain the same number of events.
 #[must_use]
 pub fn event_queue_micro(events: u64) -> Vec<MicroTiming> {
     let mut timings = event_queue_regime(

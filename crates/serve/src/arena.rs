@@ -34,12 +34,11 @@ const STALE_SHARE: usize = 8;
 /// Dense per-session state, indexed by slot handle (`u32`).
 #[derive(Debug, Default)]
 pub(crate) struct SessionArena {
-    /// Workload session id (unique among live sessions).
+    /// Session id (unique among live sessions); a crash or timeout
+    /// victim's retry carries it.
     pub ids: Vec<u64>,
     /// Activation id, unique per (re)admission — the generation tag.
     pub acts: Vec<u64>,
-    /// Index into `workload.sessions`, for scheduling retries.
-    pub idxs: Vec<usize>,
     /// Slot this activation departs at.
     pub depart_slots: Vec<u64>,
     /// Consecutive deadline-missed slots (playout-timeout trigger).
@@ -67,7 +66,6 @@ impl SessionArena {
         SessionArena {
             ids: Vec::with_capacity(capacity),
             acts: Vec::with_capacity(capacity),
-            idxs: Vec::with_capacity(capacity),
             depart_slots: Vec::with_capacity(capacity),
             misses: Vec::with_capacity(capacity),
             attempts: Vec::with_capacity(capacity),
@@ -93,13 +91,12 @@ impl SessionArena {
 
     /// Admits a session: recycles a swept slot or grows the arrays,
     /// appends the handle to `order`, and returns it.
-    pub fn insert(&mut self, id: u64, act: u64, idx: usize, depart_slot: u64, attempt: u32) -> u32 {
+    pub fn insert(&mut self, id: u64, act: u64, depart_slot: u64, attempt: u32) -> u32 {
         let h = match self.free.pop() {
             Some(h) => {
                 let hi = h as usize;
                 self.ids[hi] = id;
                 self.acts[hi] = act;
-                self.idxs[hi] = idx;
                 self.depart_slots[hi] = depart_slot;
                 self.misses[hi] = 0;
                 self.attempts[hi] = attempt;
@@ -111,7 +108,6 @@ impl SessionArena {
                 let h = u32::try_from(self.ids.len()).expect("session arena exceeds u32 handles");
                 self.ids.push(id);
                 self.acts.push(act);
-                self.idxs.push(idx);
                 self.depart_slots.push(depart_slot);
                 self.misses.push(0);
                 self.attempts.push(attempt);
@@ -218,9 +214,9 @@ mod tests {
     #[test]
     fn insert_depart_compact_recycles_slots() {
         let mut a = SessionArena::with_capacity(4);
-        let h0 = a.insert(10, 0, 0, 5, 0);
-        let h1 = a.insert(11, 1, 1, 6, 0);
-        let h2 = a.insert(12, 2, 2, 7, 0);
+        let h0 = a.insert(10, 0, 5, 0);
+        let h1 = a.insert(11, 1, 6, 0);
+        let h2 = a.insert(12, 2, 7, 0);
         assert_eq!(a.live(), 3);
         assert_eq!(a.order, vec![h0, h1, h2]);
 
@@ -238,7 +234,7 @@ mod tests {
         assert_eq!(a.order, vec![h0, h2]);
 
         // ...after which the slot is recycled, newest-first.
-        let h3 = a.insert(13, 3, 3, 9, 1);
+        let h3 = a.insert(13, 3, 9, 1);
         assert_eq!(h3, h1, "freed slot is reused");
         assert_eq!(a.capacity(), 3, "no growth while the free list feeds");
         assert_eq!(a.order, vec![h0, h2, h3]);
@@ -249,7 +245,7 @@ mod tests {
     #[test]
     fn take_newest_yields_victims_in_insertion_order() {
         let mut a = SessionArena::with_capacity(4);
-        let handles: Vec<u32> = (0..5).map(|i| a.insert(i, i, i as usize, 9, 0)).collect();
+        let handles: Vec<u32> = (0..5).map(|i| a.insert(i, i, 9, 0)).collect();
         // Kill one mid-list so a stale entry sits between live ones,
         // then one at the tail so take_newest has to sweep past it.
         a.depart(handles[2], 2);

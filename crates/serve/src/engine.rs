@@ -12,6 +12,16 @@
 //! the `ReferenceServerSim` differential proptests and the golden
 //! run-logs).
 //!
+//! A slot's events drain in scheduling order. A batch run schedules
+//! every offer before the first step, so a slot's arrivals drain
+//! before the departures admitted sessions schedule for it. An offer
+//! injected between steps, as the socket driver injects them, drains
+//! after the departures already scheduled for its slot, which then
+//! free their capacity first. Incremental and batch injection
+//! therefore agree only where that order changes no verdict;
+//! `incremental_injection_matches_batch_run` pins one seed where they
+//! agree.
+//!
 //! The engine advances one slot per [`ServerEngine::step_slot`] call
 //! and never looks at a wall clock: whoever drives it (a `for` loop or
 //! a network driver pacing real time through `dms_sim::TickClock`)
@@ -19,7 +29,9 @@
 //! socket-fed runs byte-deterministic — the simulation only ever sees
 //! the slot numbers stamped on the offers.
 
-use dms_sim::{EventQueue, FaultEvent, FaultPlan, ScheduledFault, SimTime};
+use std::collections::BTreeMap;
+
+use dms_sim::{FaultEvent, FaultPlan, ScheduledFault};
 
 use crate::admission::{AdmissionController, AdmissionMemo};
 use crate::arena::SessionArena;
@@ -30,11 +42,18 @@ use crate::metrics::ServeMetricsSink;
 use crate::session::{ServerConfig, ServerReport};
 use crate::workload::{SessionRequest, SessionTemplate};
 
-/// Event payload of the server's slotted event loop.
-#[derive(Debug, Clone, Copy)]
+/// Event payload of the server's slotted event loop. Each event
+/// carries what it needs, so nothing outlives its event; the slot it
+/// fires at is the calendar bucket that holds it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ServerEvent {
-    /// Index into the engine's offer ledger.
-    Arrive(usize),
+    /// A first offer.
+    Arrive {
+        /// Session id.
+        id: u64,
+        /// Service slots the session wants.
+        duration: u64,
+    },
     /// Activation to deactivate, addressed by arena handle. The `act`
     /// generation tag makes the departure O(1) *and* safe: a `Depart`
     /// scheduled for a crashed activation must not kill whatever later
@@ -43,13 +62,134 @@ enum ServerEvent {
     Depart { handle: u32, act: u64 },
     /// A crashed or timed-out session re-offering itself after backoff.
     Retry {
-        /// Index into the engine's offer ledger.
-        idx: usize,
+        /// Session id.
+        id: u64,
         /// Retry attempts consumed before this one fires.
         attempt: u32,
         /// Service slots the session still wants.
         remaining: u64,
     },
+}
+
+// Pending events dominate the engine's memory at mega-scale.
+const _: () = assert!(std::mem::size_of::<ServerEvent>() == 24);
+
+/// The farthest the calendar's ring reaches past its cursor, in slots
+/// (a power of two). Events beyond it wait in the overflow map, so a
+/// huge duration costs one map entry, not a bucket per slot.
+const WINDOW_SLOTS: usize = 4096;
+
+/// The engine's pending events, one bucket per slot: a calendar queue
+/// (R. Brown, "Calendar queues", CACM 31(10), 1988) with the bucket
+/// width fixed at one slot, because the engine only ever asks what is
+/// due at the slot it steps.
+///
+/// It drains a slot's events in the order a `(time, insertion)`
+/// priority queue pops them. A bucket holds its slot's events in
+/// scheduling order: overflow entries move in when the window reaches
+/// their slot, before anything can be pushed to it directly. Events
+/// scheduled for the slot just drained (a zero-duration departure)
+/// wait in `overdue` and drain first at the next slot, ahead of
+/// everything due there, as their earlier time orders them.
+#[derive(Debug)]
+struct SlotCalendar {
+    /// Power-of-two ring covering slots `[cursor, cursor + len)`; slot
+    /// `s` sits at `s % len`. Doubles on demand up to `window`.
+    ring: Vec<Vec<ServerEvent>>,
+    /// Largest ring length (a power of two).
+    window: usize,
+    /// Next slot to drain.
+    cursor: u64,
+    /// Events for slot `cursor - 1` scheduled after its drain.
+    overdue: Vec<ServerEvent>,
+    /// Events at or past `cursor + len`, by slot, in scheduling order.
+    overflow: BTreeMap<u64, Vec<ServerEvent>>,
+    /// Events at or after this slot never drain, so they are dropped.
+    horizon: u64,
+}
+
+impl SlotCalendar {
+    fn new(horizon: u64, window: usize) -> Self {
+        debug_assert!(window.is_power_of_two());
+        SlotCalendar {
+            ring: vec![Vec::new()],
+            window,
+            cursor: 0,
+            overdue: Vec::new(),
+            overflow: BTreeMap::new(),
+            horizon,
+        }
+    }
+
+    fn bucket(&mut self, slot: u64) -> &mut Vec<ServerEvent> {
+        let mask = self.ring.len() as u64 - 1;
+        &mut self.ring[(slot & mask) as usize]
+    }
+
+    /// Files `ev` to fire at `slot`, which must not precede the slot
+    /// just drained.
+    fn schedule(&mut self, slot: u64, ev: ServerEvent) {
+        if slot >= self.horizon {
+            return;
+        }
+        let Some(ahead) = slot.checked_sub(self.cursor) else {
+            debug_assert_eq!(slot + 1, self.cursor, "scheduled before the drained slot");
+            self.overdue.push(ev);
+            return;
+        };
+        while ahead >= self.ring.len() as u64 && self.ring.len() < self.window {
+            self.grow();
+        }
+        if ahead < self.ring.len() as u64 {
+            self.bucket(slot).push(ev);
+        } else {
+            self.overflow.entry(slot).or_default().push(ev);
+        }
+    }
+
+    /// Doubles the ring. Each bucket moves to its slot's index in the
+    /// wider ring, then the overflow the wider window reaches moves in.
+    fn grow(&mut self) {
+        let len = self.ring.len();
+        self.ring.resize_with(2 * len, Vec::new);
+        for i in 0..len {
+            // The slot in [cursor, cursor + len) that bucket i holds.
+            let slot = self.cursor + ((i as u64).wrapping_sub(self.cursor) & (len as u64 - 1));
+            if slot & len as u64 != 0 {
+                self.ring.swap(i, i + len);
+            }
+        }
+        self.refill();
+    }
+
+    /// Moves the overflow entries the ring now covers into their
+    /// buckets, which are still empty.
+    fn refill(&mut self) {
+        let end = self.cursor.saturating_add(self.ring.len() as u64);
+        while let Some(entry) = self.overflow.first_entry() {
+            if *entry.key() >= end {
+                break;
+            }
+            let (slot, mut events) = entry.remove_entry();
+            self.bucket(slot).append(&mut events);
+        }
+    }
+
+    /// Moves the events due at `slot`, the cursor, into `due` in drain
+    /// order and advances the cursor. The drained bucket keeps `due`'s
+    /// old buffer, so a steady state allocates nothing.
+    fn drain_into(&mut self, slot: u64, due: &mut Vec<ServerEvent>) {
+        debug_assert_eq!(slot, self.cursor, "slots drain in order");
+        due.clear();
+        if self.overdue.is_empty() {
+            std::mem::swap(self.bucket(slot), due);
+        } else {
+            due.append(&mut self.overdue);
+            due.append(self.bucket(slot));
+        }
+        self.cursor += 1;
+        self.refill();
+    }
 }
 
 /// One first-offer admission verdict, recorded when
@@ -77,12 +217,10 @@ pub struct ServerEngine {
     admission: AdmissionController,
     degrade: Option<LayerController>,
     memo: AdmissionMemo,
-    queue: EventQueue<ServerEvent>,
+    calendar: SlotCalendar,
     arena: SessionArena,
-
-    /// Every offer ever injected, in injection order. Events address
-    /// offers by index, so the ledger only grows.
-    sessions: Vec<SessionRequest>,
+    /// Offers injected so far.
+    offered: u64,
 
     // Per-slot scratch hoisted out of the loop.
     due: Vec<ServerEvent>,
@@ -91,7 +229,7 @@ pub struct ServerEngine {
     crash_buf: Vec<u32>,
 
     // Fault state. The plan's events are walked with a cursor, not
-    // spliced into `queue`, so the arrival/departure FIFO order within
+    // spliced into `calendar`, so the arrival/departure FIFO order within
     // a slot is untouched by fault injection.
     fault_events: Vec<ScheduledFault>,
     fault_cursor: usize,
@@ -173,9 +311,9 @@ impl ServerEngine {
             admission,
             degrade,
             memo: AdmissionMemo::new(),
-            queue: EventQueue::with_capacity(1024),
+            calendar: SlotCalendar::new(slots, WINDOW_SLOTS),
             arena: SessionArena::with_capacity(1024),
-            sessions: Vec::new(),
+            offered: 0,
             due: Vec::new(),
             grants: Vec::new(),
             sorted: Vec::new(),
@@ -196,10 +334,11 @@ impl ServerEngine {
         })
     }
 
-    /// Pre-sizes the offer ledger (purely an allocation hint).
-    pub fn reserve(&mut self, additional: usize) {
-        self.sessions.reserve(additional);
-    }
+    /// Does nothing, and is kept for callers that size an engine before
+    /// injecting. Offers live only in their `Arrive` events, and the
+    /// calendar grows with the events it holds, so there is nothing to
+    /// pre-size.
+    pub fn reserve(&mut self, _additional: usize) {}
 
     /// Injects one offer. An offer stamped for a slot already stepped
     /// arrives at the next unstepped slot — the socket driver's
@@ -207,11 +346,14 @@ impl ServerEngine {
     /// it. Offers within one slot keep injection order (FIFO), exactly
     /// like `Workload` arrivals keep generation order.
     pub fn offer(&mut self, request: SessionRequest) {
-        let idx = self.sessions.len();
-        let at = request.arrival_slot.max(self.slot);
-        self.sessions.push(request);
-        self.queue
-            .schedule(SimTime::from_ticks(at), ServerEvent::Arrive(idx));
+        self.offered += 1;
+        self.calendar.schedule(
+            request.arrival_slot.max(self.slot),
+            ServerEvent::Arrive {
+                id: request.id,
+                duration: request.duration_slots,
+            },
+        );
     }
 
     /// Next slot [`ServerEngine::step_slot`] will simulate (slots
@@ -230,7 +372,7 @@ impl ServerEngine {
     /// Offers injected so far.
     #[must_use]
     pub fn offered(&self) -> u64 {
-        self.sessions.len() as u64
+        self.offered
     }
 
     /// First offers admitted so far.
@@ -297,7 +439,6 @@ impl ServerEngine {
             return false;
         }
         let slot = self.slot;
-        let now = SimTime::from_ticks(slot);
         let template = self.template;
         let full_bits = self.full_bits;
         let admitted_before = self.admission.admitted();
@@ -329,12 +470,10 @@ impl ServerEngine {
                             let remaining = self.arena.depart_slots[hi].saturating_sub(slot);
                             if self.arena.attempts[hi] < rec.max_retries && remaining > 0 {
                                 self.report.retries += 1;
-                                self.queue.schedule(
-                                    SimTime::from_ticks(slot.saturating_add(
-                                        rec.backoff_slots(self.arena.attempts[hi]),
-                                    )),
+                                self.calendar.schedule(
+                                    slot.saturating_add(rec.backoff_slots(self.arena.attempts[hi])),
                                     ServerEvent::Retry {
-                                        idx: self.arena.idxs[hi],
+                                        id: self.arena.ids[hi],
                                         attempt: self.arena.attempts[hi],
                                         remaining,
                                     },
@@ -354,12 +493,10 @@ impl ServerEngine {
         //    the slot; retries were scheduled after arrivals, so
         //    fresh offers keep their admission priority).
         let mut due = std::mem::take(&mut self.due);
-        due.clear();
-        due.extend(self.queue.drain_ready(now).map(|ev| ev.payload));
+        self.calendar.drain_into(slot, &mut due);
         for &ev in &due {
             match ev {
-                ServerEvent::Arrive(idx) => {
-                    let req = self.sessions[idx];
+                ServerEvent::Arrive { id, duration } => {
                     let admitted = if slot < self.warmup_slots {
                         // Warm-up gate: the shard exists but is not
                         // ready to serve; the rejection is recorded so
@@ -371,19 +508,17 @@ impl ServerEngine {
                             .decide(&mut self.admission, self.arena.live() as u64)
                     };
                     if let Some(v) = self.verdicts.as_mut() {
-                        v.push((req.id, admitted));
+                        v.push((id, admitted));
                     }
                     if admitted {
                         let act = self.next_act;
                         self.next_act += 1;
                         // The duration may come from a peer: saturate
                         // rather than overflow or wrap into the past.
-                        let depart_slot = slot.saturating_add(req.duration_slots);
-                        let handle = self.arena.insert(req.id, act, idx, depart_slot, 0);
-                        self.queue.schedule(
-                            SimTime::from_ticks(depart_slot),
-                            ServerEvent::Depart { handle, act },
-                        );
+                        let depart_slot = slot.saturating_add(duration);
+                        let handle = self.arena.insert(id, act, depart_slot, 0);
+                        self.calendar
+                            .schedule(depart_slot, ServerEvent::Depart { handle, act });
                     }
                 }
                 ServerEvent::Depart { handle, act } => {
@@ -398,7 +533,7 @@ impl ServerEngine {
                     }
                 }
                 ServerEvent::Retry {
-                    idx,
+                    id,
                     attempt,
                     remaining,
                 } => {
@@ -414,28 +549,18 @@ impl ServerEngine {
                         let act = self.next_act;
                         self.next_act += 1;
                         let depart_slot = slot.saturating_add(remaining);
-                        let handle = self.arena.insert(
-                            self.sessions[idx].id,
-                            act,
-                            idx,
-                            depart_slot,
-                            attempt + 1,
-                        );
-                        self.queue.schedule(
-                            SimTime::from_ticks(depart_slot),
-                            ServerEvent::Depart { handle, act },
-                        );
+                        let handle = self.arena.insert(id, act, depart_slot, attempt + 1);
+                        self.calendar
+                            .schedule(depart_slot, ServerEvent::Depart { handle, act });
                     } else {
                         self.report.retry_rejected += 1;
                         if let Some(rec) = self.recovery {
                             if attempt + 1 < rec.max_retries {
                                 self.report.retries += 1;
-                                self.queue.schedule(
-                                    SimTime::from_ticks(
-                                        slot.saturating_add(rec.backoff_slots(attempt + 1)),
-                                    ),
+                                self.calendar.schedule(
+                                    slot.saturating_add(rec.backoff_slots(attempt + 1)),
                                     ServerEvent::Retry {
-                                        idx,
+                                        id,
                                         attempt: attempt + 1,
                                         remaining,
                                     },
@@ -623,12 +748,10 @@ impl ServerEngine {
                         let remaining = self.arena.depart_slots[hi].saturating_sub(slot + 1);
                         if self.arena.attempts[hi] < rec.max_retries && remaining > 0 {
                             self.report.retries += 1;
-                            self.queue.schedule(
-                                SimTime::from_ticks(
-                                    slot.saturating_add(rec.backoff_slots(self.arena.attempts[hi])),
-                                ),
+                            self.calendar.schedule(
+                                slot.saturating_add(rec.backoff_slots(self.arena.attempts[hi])),
                                 ServerEvent::Retry {
-                                    idx: self.arena.idxs[hi],
+                                    id: self.arena.ids[hi],
                                     attempt: self.arena.attempts[hi],
                                     remaining,
                                 },
@@ -704,7 +827,7 @@ impl ServerEngine {
     #[must_use]
     pub fn finish(mut self) -> FaultReport {
         self.report.base = ServerReport {
-            offered: self.sessions.len() as u64,
+            offered: self.offered,
             admitted: self.admission.admitted(),
             rejected: self.admission.rejected(),
             slots: self.slot,
@@ -767,7 +890,9 @@ mod tests {
     use crate::session::ServerSim;
     use crate::workload::{rate_for_load, ArrivalProcess, Workload};
     use crate::{CapacityModel, DegradeConfig};
-    use dms_sim::FaultSpec;
+    use dms_sim::{FaultSpec, HeapEventQueue, SimTime};
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn setup(load: f64, slots: u64, seed: u64) -> (ServerConfig, Workload) {
         let template = SessionTemplate::streaming_default().expect("preset valid");
@@ -788,9 +913,13 @@ mod tests {
         (cfg, workload)
     }
 
-    /// The seam contract: injecting offers incrementally — interleaved
-    /// with stepping, exactly as the socket driver does — must be
-    /// bit-identical to the batch runner's inject-everything-up-front.
+    /// The seam contract: a slot's events drain in scheduling order.
+    /// Offers injected incrementally, interleaved with stepping as the
+    /// socket driver does, are scheduled after the departures already
+    /// due in their slot and so drain after them, while a batch run
+    /// injects every offer first. The two runs can therefore differ
+    /// wherever a departure freed capacity before an arrival was
+    /// decided; this test pins one seed and size where they agree.
     #[test]
     fn incremental_injection_matches_batch_run() {
         let (cfg, workload) = setup(1.2, 400, 21);
@@ -871,6 +1000,184 @@ mod tests {
         let report = engine.finish();
         assert_eq!(report.base.admitted, 1);
         assert_eq!(report.base.session_slots, 15, "served slots 5..20");
+    }
+
+    /// A peer can send any duration, and none may size the calendar:
+    /// past its window an event costs one overflow entry per distinct
+    /// slot, and an event at or after the horizon costs nothing.
+    #[test]
+    fn hostile_durations_leave_the_calendar_bounded() {
+        let template = SessionTemplate::streaming_default().expect("preset valid");
+        let cfg = ServerConfig {
+            capacity: CapacityModel {
+                link_bits_per_slot: 1_000 * template.full_bits(),
+                queue_frames: 64,
+                occupancy_bound: 8.0,
+            },
+            policy: AdmissionPolicy::AdmitAll,
+            degrade: None,
+            buffer_slots: 4,
+            miss_slots: 2,
+        };
+        // The shorter horizon first: a ring grown to the farthest slot
+        // fails the assertion there instead of exhausting memory.
+        for horizon in [1u64 << 20, 1 << 40] {
+            let mut engine = ServerEngine::new(&cfg, template, horizon).expect("valid");
+            let mut departures = BTreeSet::new();
+            let mut id = 0;
+            for arrival_slot in 0..8 {
+                // 1, 2, 4, ..., horizon / 2, one uneven duration, and
+                // one that saturates the departure slot.
+                let durations = (0..horizon.trailing_zeros())
+                    .map(|k| 1u64 << k)
+                    .chain([3 * (horizon >> 3) + arrival_slot, u64::MAX]);
+                for duration_slots in durations {
+                    engine.offer(SessionRequest {
+                        id,
+                        arrival_slot,
+                        duration_slots,
+                    });
+                    id += 1;
+                    departures.insert(arrival_slot.saturating_add(duration_slots));
+                }
+            }
+            for _ in 0..16 {
+                assert!(engine.step_slot(None));
+            }
+            assert_eq!(engine.admitted(), id, "every offer is admitted");
+            let cal = &engine.calendar;
+            let window_end = cal.cursor + WINDOW_SLOTS as u64;
+            let far = departures.range(window_end..horizon).count();
+            assert!(
+                cal.ring.len() <= WINDOW_SLOTS,
+                "horizon {horizon}: ring of {} buckets",
+                cal.ring.len()
+            );
+            assert!(
+                cal.overflow.len() <= far,
+                "horizon {horizon}: {} overflow entries for {far} far slots",
+                cal.overflow.len()
+            );
+        }
+    }
+
+    /// Events the calendar holds: every one below the horizon that has
+    /// not drained yet.
+    fn pending(cal: &SlotCalendar) -> usize {
+        cal.ring.iter().map(Vec::len).sum::<usize>()
+            + cal.overdue.len()
+            + cal.overflow.values().map(Vec::len).sum::<usize>()
+    }
+
+    /// One step of an engine-shaped calendar workload.
+    #[derive(Debug, Clone)]
+    enum CalOp {
+        /// An offer injected between slots, this far past the cursor.
+        Inject(u64),
+        /// An offer injected at `horizon - 2 + k`, or at the cursor if
+        /// that is later.
+        NearHorizon(u64),
+        /// One slot's drain, then one schedule per offset from the
+        /// drained slot: 0 is the drained slot itself (a zero-duration
+        /// departure), small offsets are backoffs, large ones pass the
+        /// window or the horizon.
+        Drain(Vec<u64>),
+    }
+
+    fn cal_offset() -> impl Strategy<Value = u64> {
+        prop_oneof![Just(0u64), 1u64..=8, 0u64..64, 0u64..400, Just(u64::MAX)]
+    }
+
+    fn cal_op() -> impl Strategy<Value = CalOp> {
+        prop_oneof![
+            cal_offset().prop_map(CalOp::Inject),
+            (0u64..4).prop_map(CalOp::NearHorizon),
+            collection::vec(cal_offset(), 0..4).prop_map(CalOp::Drain),
+            collection::vec(cal_offset(), 0..4).prop_map(CalOp::Drain),
+        ]
+    }
+
+    /// A calendar and the `(time, seq)` heap, fed the same schedules.
+    struct CalendarOracle {
+        cal: SlotCalendar,
+        heap: HeapEventQueue<ServerEvent>,
+        next: u64,
+        /// Events scheduled below the horizon and not yet drained.
+        live: usize,
+    }
+
+    impl CalendarOracle {
+        fn schedule(&mut self, slot: u64) {
+            let ev = ServerEvent::Depart {
+                handle: self.next as u32,
+                act: self.next,
+            };
+            self.next += 1;
+            if slot < self.cal.horizon {
+                self.live += 1;
+            }
+            self.cal.schedule(slot, ev);
+            self.heap.schedule(SimTime::from_ticks(slot), ev);
+        }
+
+        /// Drains the cursor's slot from both and checks they agree;
+        /// returns the drained slot.
+        fn drain(&mut self, due: &mut Vec<ServerEvent>) -> u64 {
+            let slot = self.cal.cursor;
+            self.cal.drain_into(slot, due);
+            let at = SimTime::from_ticks(slot);
+            let want: Vec<ServerEvent> =
+                std::iter::from_fn(|| self.heap.pop_at_or_before(at).map(|e| e.payload)).collect();
+            assert_eq!(*due, want, "slot {slot}: drain order");
+            self.live -= due.len();
+            assert_eq!(pending(&self.cal), self.live, "slot {slot}: held events");
+            assert!(self.cal.ring.len() <= self.cal.window);
+            let end = self.cal.cursor + self.cal.ring.len() as u64;
+            assert!(self.cal.overflow.keys().all(|&s| s >= end), "slot {slot}");
+            slot
+        }
+    }
+
+    proptest! {
+        /// The calendar's order oracle: under injections between slots
+        /// (some past the window, some at or after the horizon), one
+        /// drain per slot, schedules made after a drain (for the
+        /// drained slot, one backoff ahead, past the window) and ring
+        /// growth mid-run, every slot below the horizon drains exactly
+        /// the events the heap pops for it, in the heap's order.
+        #[test]
+        fn calendar_drains_each_slot_in_heap_order(
+            window in prop_oneof![Just(1usize), Just(2), Just(8), Just(32), Just(WINDOW_SLOTS)],
+            horizon in 1u64..300,
+            ops in collection::vec(cal_op(), 1..300),
+        ) {
+            let mut o = CalendarOracle {
+                cal: SlotCalendar::new(horizon, window),
+                heap: HeapEventQueue::new(),
+                next: 0,
+                live: 0,
+            };
+            let mut due = Vec::new();
+            for op in ops {
+                let cursor = o.cal.cursor;
+                match op {
+                    CalOp::Inject(ahead) => o.schedule(cursor.saturating_add(ahead)),
+                    CalOp::NearHorizon(k) => o.schedule((horizon + k).saturating_sub(2).max(cursor)),
+                    CalOp::Drain(follow) => {
+                        if cursor == horizon {
+                            continue;
+                        }
+                        let slot = o.drain(&mut due);
+                        for off in follow {
+                            o.schedule(slot.saturating_add(off));
+                        }
+                    }
+                }
+            }
+            while o.cal.cursor < horizon {
+                o.drain(&mut due);
+            }
+        }
     }
 
     fn add_loop(sum: f64, u: f64, n: u64) -> f64 {

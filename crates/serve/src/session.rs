@@ -2,10 +2,9 @@
 //! over one shared link.
 //!
 //! [`ServerSim`] runs an open-loop [`Workload`] through
-//! a slotted server: every slot it drains due arrival/departure events
-//! from a [`dms_sim::EventQueue`] (FIFO within the slot, via
-//! [`dms_sim::EventQueue::drain_ready`]), asks the
-//! [`crate::AdmissionController`] about each
+//! a slotted server: every slot it drains the slot's arrival, departure
+//! and retry events from a per-slot calendar (in scheduling order),
+//! asks the [`crate::AdmissionController`] about each
 //! arrival, lets the [`crate::LayerController`] pick
 //! the slot's FGS layer cap, and then divides the link capacity over
 //! the active sessions with a max-min fair water-filling allocation.
@@ -274,7 +273,6 @@ impl ServerSim {
             faults,
             recovery,
         )?;
-        engine.reserve(workload.sessions.len());
         for &req in &workload.sessions {
             engine.offer(req);
         }

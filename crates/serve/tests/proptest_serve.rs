@@ -425,7 +425,7 @@ proptest! {
     }
 
     /// Differential oracle for the arena-backed engine: on arbitrary
-    /// loads, policies and arrival processes, the timing-wheel + arena
+    /// loads, policies and arrival processes, the slot-calendar + arena
     /// `ServerSim` produces a report *byte-identical* (every counter and
     /// every float, compared exactly) to [`ReferenceServerSim`], the
     /// retained seed implementation (binary heap + `Vec` active set +
