@@ -165,7 +165,7 @@ pub fn multiplexer_micro(sessions: u64) -> Vec<MicroTiming> {
     let config = ServerConfig {
         capacity: CapacityModel {
             // A tenth of full demand: every slot is contended, so the
-            // sort + water-fill path runs, not the all-full shortcut.
+            // water-fill runs, not the all-full shortcut.
             link_bits_per_slot: sessions * workload.template.full_bits() / 10,
             queue_frames: 64,
             occupancy_bound: 8.0,

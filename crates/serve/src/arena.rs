@@ -1,7 +1,7 @@
 //! Generational struct-of-arrays store for active sessions.
 //!
 //! The server's hot loop touches every active session a handful of
-//! times per slot (enqueue, water-fill sort, grant application), and at
+//! times per slot (enqueue, water-fill, grant application), and at
 //! mega-scale that working set dwarfs the cache. [`SessionArena`] keeps
 //! each field in its own dense array so a per-slot pass streams exactly
 //! the bytes it needs, and recycles slots through a free list so a

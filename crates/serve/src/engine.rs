@@ -225,7 +225,10 @@ pub struct ServerEngine {
     // Per-slot scratch hoisted out of the loop.
     due: Vec<ServerEvent>,
     grants: Vec<u64>,
-    sorted: Vec<u32>,
+    /// The contended slot's backlogs, permuted by the level search.
+    levels: Vec<u64>,
+    /// The contended slot's sessions above the water level.
+    tail: Vec<u32>,
     crash_buf: Vec<u32>,
 
     // Fault state. The plan's events are walked with a cursor, not
@@ -316,7 +319,8 @@ impl ServerEngine {
             offered: 0,
             due: Vec::new(),
             grants: Vec::new(),
-            sorted: Vec::new(),
+            levels: Vec::new(),
+            tail: Vec::new(),
             crash_buf: Vec::new(),
             fault_events: faults.map_or_else(Vec::new, |f| f.events().to_vec()),
             fault_cursor: 0,
@@ -651,7 +655,7 @@ impl ServerEngine {
             }
             // Enqueue this slot's demand into each playout buffer,
             // tracking the total so the uncontended shortcut below
-            // can skip the sort.
+            // can skip the water-fill.
             let mut total_backlog = 0u64;
             for &h in &self.arena.order {
                 let b = &mut self.arena.backlogs[h as usize];
@@ -660,46 +664,29 @@ impl ServerEngine {
                 self.report.base.buffer_dropped_bits += want - capped;
                 *b = capped;
                 // Saturating: a saturated total can only exceed any
-                // real link capacity, which routes to the sorted
-                // (contended) path below.
+                // real link capacity, which routes to the contended
+                // path below.
                 total_backlog = total_backlog.saturating_add(capped);
             }
 
             self.grants.resize(self.arena.capacity(), 0);
             if total_backlog <= capacity_now {
                 // Uncontended slot: max-min fair trivially grants
-                // every session its whole backlog, so the ascending
-                // sort below would change nothing. At the admission
-                // knee most slots land here, and skipping the
-                // O(n log n) sort is the arena engine's biggest
-                // per-slot win (bit-identical by construction — the
-                // water-fill loop yields grant = backlog whenever
-                // the link covers the total).
+                // every session its whole backlog, with no level to
+                // search for.
                 for &h in &self.arena.order {
                     self.grants[h as usize] = self.arena.backlogs[h as usize];
                 }
             } else {
-                // Max-min fair water-filling: ascending backlog,
-                // ties by id, so small sessions are satisfied first
-                // and the slack flows to the backlogged ones.
-                // Integer division truncation leaves at most `n`
-                // bits per slot unallocated. `(backlog, id)` is a
-                // total order (ids are unique among live sessions),
-                // so the unstable sort is deterministic.
-                self.sorted.clear();
-                self.sorted.extend_from_slice(&self.arena.order);
-                let arena = &self.arena;
-                self.sorted
-                    .sort_unstable_by_key(|&h| (arena.backlogs[h as usize], arena.ids[h as usize]));
-                let mut remaining = capacity_now;
-                let mut left = self.sorted.len() as u64;
-                for &h in &self.sorted {
-                    let share = remaining / left;
-                    let grant = arena.backlogs[h as usize].min(share);
-                    self.grants[h as usize] = grant;
-                    remaining -= grant;
-                    left -= 1;
-                }
+                water_fill(
+                    &self.arena.order,
+                    &self.arena.backlogs,
+                    &self.arena.ids,
+                    capacity_now,
+                    &mut self.grants,
+                    &mut self.levels,
+                    &mut self.tail,
+                );
             }
 
             self.report.base.session_slots += self.arena.live() as u64;
@@ -861,25 +848,171 @@ fn memo_utility(memo: &mut (u64, f64), template: &SessionTemplate, bits: u64) ->
     memo.1
 }
 
-/// `sum` after `n` additions of `u`, bit for bit what the loop yields.
-/// With `u == 1` and a whole, non-negative `sum` that stays within
-/// 2^53, every partial sum is an exactly representable integer, so one
-/// addition of `n` gives the same bits; otherwise it runs the loop.
-fn add_repeated(sum: f64, u: f64, n: u64) -> f64 {
-    let exact = u == 1.0
-        && sum.is_sign_positive()
-        && sum.fract() == 0.0
-        && (1u64 << 53)
-            .checked_sub(n)
-            .is_some_and(|limit| sum <= limit as f64);
-    if exact {
-        return sum + n as f64;
+/// Max-min fair water-filling (Bertsekas & Gallager, *Data Networks*,
+/// ch. 6) of `capacity` bits over the sessions in `order`, for a slot
+/// whose total backlog exceeds it: writes each session's grant into
+/// `grants`, by handle. The grants are exactly those of the sorted
+/// loop, which visits the sessions in ascending `(backlog, id)` and
+/// grants each `min(backlog, remaining / left)`; selection finds them
+/// in expected O(n), where the sort took O(n log n).
+///
+/// Let `f(v) = Σ min(bᵢ, v)` and `C = capacity`. The loop's first
+/// session at backlog `b` finds `remaining = C − Σ_{bⱼ<b} bⱼ` and
+/// `left = #{bⱼ ≥ b}`, so it gets its whole backlog iff
+/// `b·left ≤ remaining`, i.e. iff `f(b) ≤ C`, and then so does the rest
+/// of its tie group, since the share never falls. `f` is nondecreasing,
+/// so whole backlogs go to exactly the sessions at or below the water
+/// level, the largest backlog `v*` with `f(v*) ≤ C` (there may be
+/// none). The other `t` sessions share `R = C − Σ_{b ≤ v*} b = q·t + r`:
+/// the share stays `q` until `r` sessions are left and is `q + 1` from
+/// there. `f` exceeds `C` at the smallest tail backlog, so every tail
+/// backlog is at least `q + 1`: the first `t − r` tail sessions in
+/// `(backlog, id)` order get `q`, the last `r` get `q + 1`, and the
+/// slot allocates all of its capacity. Ids are unique among live
+/// sessions, so `(backlog, id)` is a total order, and the `r` largest
+/// keys one selection finds are the loop's last `r`.
+///
+/// `levels` and `tail` are scratch. Sums run in `u128`, which no set of
+/// backlogs can overflow.
+fn water_fill(
+    order: &[u32],
+    backlogs: &[u64],
+    ids: &[u64],
+    capacity: u64,
+    grants: &mut [u64],
+    levels: &mut Vec<u64>,
+    tail: &mut Vec<u32>,
+) {
+    levels.clear();
+    levels.extend(order.iter().map(|&h| backlogs[h as usize]));
+    let (level, below, above) = water_level(levels, capacity);
+    let rest = u128::from(capacity) - below;
+    // No tail means every backlog fits; the caller never asks then.
+    let (q, r) = match u128::from(above) {
+        0 => (0, 0),
+        t => ((rest / t) as u64, (rest % t) as usize),
+    };
+    tail.clear();
+    for &h in order {
+        let b = backlogs[h as usize];
+        grants[h as usize] = if level.is_some_and(|v| b <= v) {
+            b
+        } else {
+            tail.push(h);
+            q
+        };
     }
-    let mut total = sum;
-    for _ in 0..n {
-        total += u;
+    if r > 0 {
+        let split = tail.len() - r;
+        tail.select_nth_unstable_by_key(split, |&h| (backlogs[h as usize], ids[h as usize]));
+        for &h in &tail[split..] {
+            grants[h as usize] = q + 1;
+        }
     }
-    total
+}
+
+/// The water level of `capacity` over the backlogs in `levels`: the
+/// largest backlog `v` with `Σ min(bᵢ, v) ≤ capacity` (`None` if there
+/// is none), the sum of the backlogs at or below it and the number
+/// above it. Permutes `levels`.
+///
+/// Each round takes the candidates' median as pivot `p`, splits them
+/// into `< p`, `= p` and `> p`, evaluates `f(p)` from the sum of the
+/// values below `p` and the count at or above it, and keeps the side
+/// that holds the level. The values left behind enter the sum below the
+/// candidates or the count above them. The median halves the candidates
+/// every round, so the search is linear in their number.
+fn water_level(levels: &mut [u64], capacity: u64) -> (Option<u64>, u128, u64) {
+    let capacity = u128::from(capacity);
+    let mut level = None;
+    let mut below = 0u128;
+    let mut above = 0u64;
+    let mut candidates = levels;
+    while !candidates.is_empty() {
+        let mid = candidates.len() / 2;
+        let all = std::mem::take(&mut candidates);
+        let (lo, &mut p, hi) = all.select_nth_unstable(mid);
+        // lo <= p <= hi: move each side's ties with p next to it.
+        let n_lt = partition(lo, |b| b < p);
+        let n_gt = partition(hi, |b| b > p);
+        let lt_sum: u128 = lo[..n_lt].iter().map(|&b| u128::from(b)).sum();
+        let ties = (lo.len() - n_lt + 1 + hi.len() - n_gt) as u64;
+        let at_least_p = u128::from(ties + n_gt as u64 + above);
+        if below + lt_sum + u128::from(p) * at_least_p <= capacity {
+            level = Some(p);
+            below += lt_sum + u128::from(p) * u128::from(ties);
+            candidates = &mut hi[..n_gt];
+        } else {
+            above += ties + n_gt as u64;
+            candidates = &mut lo[..n_lt];
+        }
+    }
+    (level, below, above)
+}
+
+/// Moves the values of `v` that satisfy `pred` to its front; returns
+/// how many there are.
+fn partition(v: &mut [u64], pred: impl Fn(u64) -> bool) -> usize {
+    let mut n = 0;
+    for i in 0..v.len() {
+        if pred(v[i]) {
+            v.swap(n, i);
+            n += 1;
+        }
+    }
+    n
+}
+
+/// `sum` after `n` additions of `u`, bit for bit what the loop
+/// `for _ in 0..n { sum += u }` yields, in time proportional to the
+/// binades the sum crosses rather than to `n`.
+///
+/// A binade `[2^e, 2^(e+1))` holds the doubles that share one spacing
+/// `w = 2^(e−52)`, and a double's bit pattern counts multiples of `w`
+/// within it (below `2^-1022`, where the spacing stays `2^-1074`, the
+/// exponent field is 0 and the same holds). For `x` in the binade,
+/// while `x + u` stays below its top, `fl(x + u) = x + δ`, where `δ` is
+/// the multiple of `w` nearest `u`, the same at every step. The
+/// exception is an exact tie, where `u/w` ends in ½ (such as `u = 1`
+/// past 2^53): round-half-even then lands on an even multiple of `w`
+/// after one step, and from there every tie resolves by the same `δ`.
+/// So per binade the function takes two real additions from a sum
+/// already inside it, reads `δ` off the second, and jumps as many steps
+/// as keep every step below the top, by adding `k·δ/w` to the sum's
+/// bit pattern, which is exact. Real additions cross the top, and
+/// `δ == 0` means the sum never moves again. A negative, non-finite or
+/// huge sum (1e300 and above), or a `u` that is negative or not finite,
+/// takes real additions only.
+fn add_repeated(mut sum: f64, u: f64, mut n: u64) -> f64 {
+    let steady = u.is_finite() && u >= 0.0;
+    while n > 0 {
+        let start = sum;
+        sum += u;
+        n -= 1;
+        if !(steady && n > 0 && start.is_sign_positive() && start < 1e300) {
+            continue;
+        }
+        // The start's binade ends where its exponent field steps up.
+        let top = ((start.to_bits() >> 52) + 1) << 52;
+        let first = sum.to_bits();
+        if first >= top {
+            continue;
+        }
+        sum += u;
+        n -= 1;
+        let second = sum.to_bits();
+        if second >= top {
+            continue;
+        }
+        let step = second - first;
+        if step == 0 {
+            return sum;
+        }
+        let k = ((top - second - 1) / step).min(n);
+        sum = f64::from_bits(second + k * step);
+        n -= k;
+    }
+    sum
 }
 
 #[cfg(test)]
@@ -1188,10 +1321,78 @@ mod tests {
         total
     }
 
-    /// The settled-cohort step adds a slot's utility in one call; it
-    /// must leave the exact bits of n sequential additions.
+    /// The sums the settled-cohort step starts from: zero, subnormals,
+    /// random magnitudes from 2^-20 to 2^60, and sums within a few
+    /// thousand of 2^53 and 2^54, where the spacing reaches 1 and 2.
+    fn start_sum() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            (1u64..1 << 52).prop_map(f64::from_bits),
+            (-20.0f64..60.0).prop_map(|e| e.exp2()),
+            (0u64..8192).prop_map(|d| ((1u64 << 53) - 4096 + d) as f64),
+            (0u64..8192).prop_map(|d| ((1u64 << 54) - 8192 + 2 * d) as f64),
+        ]
+    }
+
+    /// What to add: 0, 1, ½, 2^-k, ⅓, 1 a few ulps off, random values
+    /// in (0, 1], and values above the sum (1 to 5 times it, plus 0.3).
+    #[derive(Debug, Clone, Copy)]
+    enum Addend {
+        Fixed(f64),
+        OnePlusUlps(i64),
+        Unit(f64),
+        AboveSum(f64),
+    }
+
+    fn addend() -> impl Strategy<Value = Addend> {
+        prop_oneof![
+            prop_oneof![Just(0.0), Just(1.0), Just(0.5), Just(1.0 / 3.0)].prop_map(Addend::Fixed),
+            (1i32..70).prop_map(|k| Addend::Fixed(f64::from(-k).exp2())),
+            (-4i64..=4).prop_map(Addend::OnePlusUlps),
+            (0.0f64..1.0).prop_map(Addend::Unit),
+            (1.0f64..5.0).prop_map(Addend::AboveSum),
+        ]
+    }
+
+    impl Addend {
+        fn value(self, sum: f64) -> f64 {
+            match self {
+                Addend::Fixed(u) => u,
+                Addend::OnePlusUlps(k) => f64::from_bits(1f64.to_bits().wrapping_add_signed(k)),
+                // 1 − [0, 1) is (0, 1].
+                Addend::Unit(x) => 1.0 - x,
+                Addend::AboveSum(x) => sum * x + 0.3,
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// The settled-cohort step adds a slot's utility in one call;
+        /// it must leave the exact bits of n sequential additions, for
+        /// any start, addend and count.
+        #[test]
+        fn bulk_utility_add_matches_the_loop_bit_for_bit(
+            sum in start_sum(),
+            addend in addend(),
+            n in prop_oneof![0u64..4, 0u64..5_000, 0u64..1_000_000, Just(1_000_000)],
+        ) {
+            let u = addend.value(sum);
+            prop_assert_eq!(
+                add_repeated(sum, u, n).to_bits(),
+                add_loop(sum, u, n).to_bits(),
+                "sum {:e}, u {:e}, n {}",
+                sum,
+                u,
+                n
+            );
+        }
+    }
+
+    /// The fixed cases of the settled-cohort step's exact sum: the
+    /// engine's own utilities at 2^53 and past it.
     #[test]
-    fn bulk_utility_add_matches_the_loop_bit_for_bit() {
+    fn bulk_utility_add_keeps_the_fixed_cases() {
         let template = SessionTemplate::streaming_default().expect("preset valid");
         let shed = template.utility(template.demand_bits(template.max_layers - 2));
         assert!(shed < 1.0, "a shed layer count gives a utility below 1");
@@ -1199,10 +1400,14 @@ mod tests {
         let n = 1_000u64;
         let cases = [
             (0.0, 1.0, n),
-            // Closed form right at the edge: the last sum is 2^53.
+            // The last sum is 2^53, the top of the spacing-1 binade.
             (edge - n as f64, 1.0, n),
-            // One past the edge: the loop runs.
+            // One past it: 2^53 + 1 is a tie that rounds back down.
             (edge - n as f64 + 1.0, 1.0, n),
+            // Ties from an odd multiple of the spacing: the first step
+            // rounds up to an even one, and every later step adds 0.
+            (edge + 2.0, 1.0, n),
+            ((1u64 << 52) as f64 + 1.0, 0.5, n),
             (12.5, 1.0, n),
             (3.0, shed, n),
             (7.0, 1.0, 0),
@@ -1217,8 +1422,8 @@ mod tests {
                 "sum {sum}, u {u}, n {n}"
             );
         }
-        // Further past the edge one addition of n would round away
-        // from the loop's result: the fallback is not optional.
+        // Past the edge one addition of n rounds away from the loop's
+        // result, and so does one addition of n·u for a fractional u.
         let (sum, n) = (edge - 1.0, 4);
         assert_ne!((sum + n as f64).to_bits(), add_loop(sum, 1.0, n).to_bits());
         assert_eq!(
@@ -1230,6 +1435,124 @@ mod tests {
             add_loop(3.0, shed, n).to_bits(),
             "n * u in one step is not the loop's sum"
         );
+    }
+
+    /// The water-fill oracle: the sorted loop the engine ran before the
+    /// selection, visiting sessions in ascending `(backlog, id)`.
+    fn water_fill_sorted(
+        order: &[u32],
+        backlogs: &[u64],
+        ids: &[u64],
+        capacity: u64,
+        grants: &mut [u64],
+    ) {
+        let mut sorted = order.to_vec();
+        sorted.sort_unstable_by_key(|&h| (backlogs[h as usize], ids[h as usize]));
+        let mut remaining = capacity;
+        let mut left = sorted.len() as u64;
+        for &h in &sorted {
+            let share = remaining / left;
+            let grant = backlogs[h as usize].min(share);
+            grants[h as usize] = grant;
+            remaining -= grant;
+            left -= 1;
+        }
+    }
+
+    /// A bijection on `u64` (the splitmix64 finaliser), so ids derived
+    /// from distinct handles stay distinct and follow no handle order.
+    fn mix(mut z: u64) -> u64 {
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Backlogs in admission order: 1–3 distinct values (heavy ties),
+    /// all equal, random, and values around `u64::MAX / n`, whose sums
+    /// pass `u64::MAX`.
+    fn contended_backlogs() -> impl Strategy<Value = Vec<u64>> {
+        let sizes = || prop_oneof![Just(1usize), 1usize..8, 1usize..300];
+        prop_oneof![
+            (
+                collection::vec(0u64..40, 1..4),
+                collection::vec(0usize..3, 1..300)
+            )
+                .prop_map(|(values, picks)| picks
+                    .iter()
+                    .map(|&i| values[i % values.len()])
+                    .collect()),
+            (0u64..1_000_000, sizes()).prop_map(|(b, n)| vec![b; n]),
+            (sizes(), collection::vec(0u64..1_000_000, 300))
+                .prop_map(|(n, values)| values[..n].to_vec()),
+            (sizes(), collection::vec(0u64..64, 300)).prop_map(|(n, offsets)| {
+                let base = u64::MAX / n as u64;
+                offsets[..n]
+                    .iter()
+                    .map(|&o| (base - 32).saturating_add(o))
+                    .collect()
+            }),
+            (sizes(), collection::vec(0u64..=128, 300)).prop_map(|(n, steps)| {
+                let base = u64::MAX / n as u64;
+                steps[..n]
+                    .iter()
+                    .map(|&k| (base / 64).saturating_mul(k))
+                    .collect()
+            }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+        /// The selection water-fill equals the sorted loop, grant for
+        /// grant by handle, in every contended slot: capacities of 0,
+        /// below the session count, one short of the total and
+        /// anywhere between, over live handles scattered among dead
+        /// ones, with ids that do not follow handle order.
+        #[test]
+        fn water_fill_matches_the_sorted_loop(
+            backlogs in contended_backlogs(),
+            capacity_kind in 0u8..4,
+            fraction in 0.0f64..1.0,
+            salt in 0u64..u64::MAX,
+        ) {
+            let n = backlogs.len();
+            let total: u128 = backlogs.iter().map(|&b| u128::from(b)).sum();
+            if total == 0 {
+                return Ok(());
+            }
+            let short = u64::try_from(total - 1).unwrap_or(u64::MAX - 1);
+            let capacity = match capacity_kind {
+                0 => 0,
+                1 => (n as u64 - 1).min(short),
+                2 => short,
+                _ => (short as f64 * fraction) as u64,
+            };
+            // Half as many dead handles as live ones, shuffled in.
+            let slots = n + n / 2;
+            let mut handles: Vec<u32> = (0..slots as u32).collect();
+            handles.sort_by_key(|&h| mix(u64::from(h) ^ salt));
+            let order = &handles[..n];
+            let mut by_handle = vec![0u64; slots];
+            for (&h, &b) in order.iter().zip(&backlogs) {
+                by_handle[h as usize] = b;
+            }
+            let ids: Vec<u64> = (0..slots as u64).map(|h| mix(h ^ salt.rotate_left(17))).collect();
+
+            let mut want = vec![u64::MAX; slots];
+            water_fill_sorted(order, &by_handle, &ids, capacity, &mut want);
+            let mut got = vec![u64::MAX; slots];
+            let (mut levels, mut tail) = (Vec::new(), Vec::new());
+            water_fill(order, &by_handle, &ids, capacity, &mut got, &mut levels, &mut tail);
+            for &h in order {
+                let h = h as usize;
+                prop_assert_eq!(
+                    got[h], want[h],
+                    "handle {} (backlog {}, id {}), capacity {}", h, by_handle[h], ids[h], capacity
+                );
+            }
+            let granted: u128 = order.iter().map(|&h| u128::from(got[h as usize])).sum();
+            prop_assert_eq!(granted, u128::from(capacity), "a contended slot allocates it all");
+        }
     }
 
     /// The deferred sweep bounds the arena: over a long settled run it

@@ -323,6 +323,13 @@ impl SessionTemplate {
         if self.max_layers > BIT_PLANES {
             return Err(ServeError::InvalidParameter("max_layers"));
         }
+        // Full demand, the largest `demand_bits`, must fit a u64.
+        let full = self.plane_bits[..self.max_layers]
+            .iter()
+            .try_fold(self.base_bits, |bits, &plane| bits.checked_add(plane));
+        if full.is_none() {
+            return Err(ServeError::InvalidParameter("plane_bits"));
+        }
         if !(self.mean_duration_slots.is_finite() && self.mean_duration_slots >= 1.0) {
             return Err(ServeError::InvalidParameter("mean_duration_slots"));
         }
@@ -809,6 +816,34 @@ mod tests {
         assert!(a.sessions.iter().all(|s| s.duration_slots >= 1));
         let c = Workload::generate(p, t, 500, 43).expect("valid");
         assert_ne!(a, c, "different seeds must differ");
+    }
+
+    /// A template whose full demand overflows u64 is a typed error,
+    /// where building an engine from it used to overflow in
+    /// `demand_bits`. Planes past `max_layers` are never served.
+    #[test]
+    fn overflowing_plane_bits_are_rejected() {
+        let mut t = template();
+        t.max_layers = BIT_PLANES - 1;
+        t.plane_bits[BIT_PLANES - 1] = u64::MAX;
+        assert_eq!(t.validate(), Ok(()));
+        // With the base alone this plane reaches u64::MAX; the planes
+        // before it push the sum past.
+        t.plane_bits[t.max_layers - 1] = u64::MAX - t.base_bits;
+        let err = Err(ServeError::InvalidParameter("plane_bits"));
+        assert_eq!(t.validate(), err);
+        let cfg = crate::ServerConfig {
+            capacity: crate::CapacityModel {
+                link_bits_per_slot: 1 << 40,
+                queue_frames: 64,
+                occupancy_bound: 8.0,
+            },
+            policy: crate::AdmissionPolicy::AdmitAll,
+            degrade: None,
+            buffer_slots: 4,
+            miss_slots: 2,
+        };
+        assert_eq!(crate::ServerEngine::new(&cfg, t, 10).err(), err.err());
     }
 
     #[test]
