@@ -280,8 +280,15 @@ impl SessionDriver {
             self.engine.step_slot(None);
             self.engine.take_verdicts(&mut self.verdict_buf);
             for &(id, admitted) in &self.verdict_buf {
-                let word = if admitted { "admit" } else { "reject" };
-                let _ = writeln!(self.log, "verdict slot={stepping} id={id} {word}");
+                // One line per verdict on the server's critical path:
+                // `verdict slot={stepping} id={id} {word}`, built
+                // without `core::fmt`.
+                self.log.push_str("verdict slot=");
+                push_decimal(&mut self.log, stepping);
+                self.log.push_str(" id=");
+                push_decimal(&mut self.log, id);
+                self.log
+                    .push_str(if admitted { " admit\n" } else { " reject\n" });
                 out.push(if admitted {
                     self.admits_sent += 1;
                     Frame::Admit { id, slot: stepping }
@@ -308,6 +315,21 @@ impl SessionDriver {
             }
         }
     }
+}
+
+/// Appends `v` in decimal: the bytes `format!("{v}")` gives.
+fn push_decimal(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 /// Runs a [`SessionDriver`] over a connection: decode frames, apply,
@@ -500,6 +522,35 @@ mod tests {
     use dms_serve::{
         rate_for_load, AdmissionPolicy, ArrivalProcess, CapacityModel, SessionTemplate, Workload,
     };
+    use proptest::prelude::*;
+
+    /// `v` appended to a line already started, as the run-log does.
+    fn decimal(v: u64) -> String {
+        let mut out = String::from("id=");
+        push_decimal(&mut out, v);
+        out
+    }
+
+    #[test]
+    fn push_decimal_keeps_the_fixed_cases() {
+        for v in [0, 9, 10, 99, 100, u64::MAX] {
+            assert_eq!(decimal(v), format!("id={v}"));
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn push_decimal_matches_format(
+            v in prop_oneof![
+                0u64..u64::MAX,
+                0u64..1_000,
+                (0u32..64).prop_map(|k| 1u64 << k),
+                (1u32..20).prop_map(|k| 10u64.pow(k) - 1),
+            ],
+        ) {
+            prop_assert_eq!(decimal(v), format!("id={v}"));
+        }
+    }
 
     fn setup(load: f64, slots: u64, seed: u64) -> (ServerConfig, Workload) {
         let template = SessionTemplate::streaming_default().expect("preset valid");

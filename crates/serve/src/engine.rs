@@ -34,7 +34,7 @@ use std::collections::BTreeMap;
 use dms_sim::{FaultEvent, FaultPlan, ScheduledFault};
 
 use crate::admission::{AdmissionController, AdmissionMemo};
-use crate::arena::SessionArena;
+use crate::arena::{Departure, Session, SessionArena};
 use crate::degrade::LayerController;
 use crate::error::ServeError;
 use crate::faults::{FaultReport, RecoveryConfig};
@@ -44,7 +44,8 @@ use crate::workload::{SessionRequest, SessionTemplate};
 
 /// Event payload of the server's slotted event loop. Each event
 /// carries what it needs, so nothing outlives its event; the slot it
-/// fires at is the calendar bucket that holds it.
+/// fires at is the calendar bucket that holds it. Departures are not
+/// events: a bucket files them apart, as 8-byte [`Departure`]s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ServerEvent {
     /// A first offer.
@@ -54,12 +55,6 @@ enum ServerEvent {
         /// Service slots the session wants.
         duration: u64,
     },
-    /// Activation to deactivate, addressed by arena handle. The `act`
-    /// generation tag makes the departure O(1) *and* safe: a `Depart`
-    /// scheduled for a crashed activation must not kill whatever later
-    /// activation recycled the slot, so [`SessionArena::depart`]
-    /// matches on `act` before freeing.
-    Depart { handle: u32, act: u64 },
     /// A crashed or timed-out session re-offering itself after backoff.
     Retry {
         /// Session id.
@@ -79,32 +74,110 @@ const _: () = assert!(std::mem::size_of::<ServerEvent>() == 24);
 /// huge duration costs one map entry, not a bucket per slot.
 const WINDOW_SLOTS: usize = 4096;
 
+/// One slot's pending events and departures, each list in scheduling
+/// order, and where the two interleave.
+///
+/// A mark `(i, d)` says that `departs[..d]` drain before `events[i]`;
+/// departures past the last mark drain after the last event. Filing an
+/// event adds a mark only if departures were filed since the previous
+/// one, so a bucket whose events all came before its departures (every
+/// bucket of a batch run without retries) has none.
+#[derive(Debug, Default)]
+struct Bucket {
+    events: Vec<ServerEvent>,
+    departs: Vec<Departure>,
+    marks: Vec<(usize, usize)>,
+}
+
+impl Bucket {
+    /// Departures the marks release before some event.
+    fn released(&self) -> usize {
+        self.marks.last().map_or(0, |&(_, d)| d)
+    }
+
+    fn push_event(&mut self, ev: ServerEvent) {
+        if self.departs.len() > self.released() {
+            self.marks.push((self.events.len(), self.departs.len()));
+        }
+        self.events.push(ev);
+    }
+
+    fn is_empty(&self) -> bool {
+        self.events.is_empty() && self.departs.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.events.clear();
+        self.departs.clear();
+        self.marks.clear();
+    }
+
+    /// Moves `other`'s entries after this bucket's, emptying it. Its
+    /// marks shift by this bucket's lengths; if this bucket ends in
+    /// departures, they must drain before `other`'s first event, which
+    /// takes a mark at the seam unless `other`'s own first mark is
+    /// there.
+    fn append(&mut self, other: &mut Bucket) {
+        let (events, departs) = (self.events.len(), self.departs.len());
+        if departs > self.released()
+            && !other.events.is_empty()
+            && other.marks.first().is_none_or(|&(i, _)| i > 0)
+        {
+            self.marks.push((events, departs));
+        }
+        self.marks.extend(
+            other
+                .marks
+                .drain(..)
+                .map(|(i, d)| (i + events, d + departs)),
+        );
+        self.events.append(&mut other.events);
+        self.departs.append(&mut other.departs);
+    }
+
+    /// The bucket in drain order, as runs: each item's events drain,
+    /// then its departures.
+    fn runs(&self) -> impl Iterator<Item = (&[ServerEvent], &[Departure])> + '_ {
+        let mut from = (0, 0);
+        let end = (self.events.len(), self.departs.len());
+        self.marks
+            .iter()
+            .copied()
+            .chain(std::iter::once(end))
+            .map(move |(i, d)| {
+                let run = (&self.events[from.0..i], &self.departs[from.1..d]);
+                from = (i, d);
+                run
+            })
+    }
+}
+
 /// The engine's pending events, one bucket per slot: a calendar queue
 /// (R. Brown, "Calendar queues", CACM 31(10), 1988) with the bucket
 /// width fixed at one slot, because the engine only ever asks what is
 /// due at the slot it steps.
 ///
-/// It drains a slot's events in the order a `(time, insertion)`
-/// priority queue pops them. A bucket holds its slot's events in
-/// scheduling order: overflow entries move in when the window reaches
-/// their slot, before anything can be pushed to it directly. Events
-/// scheduled for the slot just drained (a zero-duration departure)
-/// wait in `overdue` and drain first at the next slot, ahead of
-/// everything due there, as their earlier time orders them.
+/// It drains a slot's events and departures in the order a
+/// `(time, insertion)` priority queue pops them. A bucket holds its
+/// slot's entries in scheduling order: overflow entries move in when
+/// the window reaches their slot, before anything can be filed there
+/// directly. Entries filed for the slot just drained (a zero-duration
+/// departure) wait in `overdue` and drain first at the next slot, ahead
+/// of everything due there, as their earlier time orders them.
 #[derive(Debug)]
 struct SlotCalendar {
     /// Power-of-two ring covering slots `[cursor, cursor + len)`; slot
     /// `s` sits at `s % len`. Doubles on demand up to `window`.
-    ring: Vec<Vec<ServerEvent>>,
+    ring: Vec<Bucket>,
     /// Largest ring length (a power of two).
     window: usize,
     /// Next slot to drain.
     cursor: u64,
-    /// Events for slot `cursor - 1` scheduled after its drain.
-    overdue: Vec<ServerEvent>,
-    /// Events at or past `cursor + len`, by slot, in scheduling order.
-    overflow: BTreeMap<u64, Vec<ServerEvent>>,
-    /// Events at or after this slot never drain, so they are dropped.
+    /// Entries for slot `cursor - 1` filed after its drain.
+    overdue: Bucket,
+    /// Entries at or past `cursor + len`, by slot, in scheduling order.
+    overflow: BTreeMap<u64, Bucket>,
+    /// Entries at or after this slot never drain, so they are dropped.
     horizon: u64,
 }
 
@@ -112,38 +185,51 @@ impl SlotCalendar {
     fn new(horizon: u64, window: usize) -> Self {
         debug_assert!(window.is_power_of_two());
         SlotCalendar {
-            ring: vec![Vec::new()],
+            ring: vec![Bucket::default()],
             window,
             cursor: 0,
-            overdue: Vec::new(),
+            overdue: Bucket::default(),
             overflow: BTreeMap::new(),
             horizon,
         }
     }
 
-    fn bucket(&mut self, slot: u64) -> &mut Vec<ServerEvent> {
+    fn bucket(&mut self, slot: u64) -> &mut Bucket {
         let mask = self.ring.len() as u64 - 1;
         &mut self.ring[(slot & mask) as usize]
     }
 
-    /// Files `ev` to fire at `slot`, which must not precede the slot
-    /// just drained.
-    fn schedule(&mut self, slot: u64, ev: ServerEvent) {
+    /// The bucket that files entries for `slot`, which must not precede
+    /// the slot just drained; `None` at or after the horizon.
+    fn bucket_for(&mut self, slot: u64) -> Option<&mut Bucket> {
         if slot >= self.horizon {
-            return;
+            return None;
         }
         let Some(ahead) = slot.checked_sub(self.cursor) else {
             debug_assert_eq!(slot + 1, self.cursor, "scheduled before the drained slot");
-            self.overdue.push(ev);
-            return;
+            return Some(&mut self.overdue);
         };
         while ahead >= self.ring.len() as u64 && self.ring.len() < self.window {
             self.grow();
         }
-        if ahead < self.ring.len() as u64 {
-            self.bucket(slot).push(ev);
+        Some(if ahead < self.ring.len() as u64 {
+            self.bucket(slot)
         } else {
-            self.overflow.entry(slot).or_default().push(ev);
+            self.overflow.entry(slot).or_default()
+        })
+    }
+
+    /// Files `ev` to fire at `slot`.
+    fn schedule(&mut self, slot: u64, ev: ServerEvent) {
+        if let Some(bucket) = self.bucket_for(slot) {
+            bucket.push_event(ev);
+        }
+    }
+
+    /// Files `departure` to end its activation at `slot`.
+    fn schedule_departure(&mut self, slot: u64, departure: Departure) {
+        if let Some(bucket) = self.bucket_for(slot) {
+            bucket.departs.push(departure);
         }
     }
 
@@ -151,7 +237,7 @@ impl SlotCalendar {
     /// wider ring, then the overflow the wider window reaches moves in.
     fn grow(&mut self) {
         let len = self.ring.len();
-        self.ring.resize_with(2 * len, Vec::new);
+        self.ring.resize_with(2 * len, Bucket::default);
         for i in 0..len {
             // The slot in [cursor, cursor + len) that bucket i holds.
             let slot = self.cursor + ((i as u64).wrapping_sub(self.cursor) & (len as u64 - 1));
@@ -170,15 +256,16 @@ impl SlotCalendar {
             if *entry.key() >= end {
                 break;
             }
-            let (slot, mut events) = entry.remove_entry();
-            self.bucket(slot).append(&mut events);
+            let (slot, mut bucket) = entry.remove_entry();
+            self.bucket(slot).append(&mut bucket);
         }
     }
 
-    /// Moves the events due at `slot`, the cursor, into `due` in drain
-    /// order and advances the cursor. The drained bucket keeps `due`'s
-    /// old buffer, so a steady state allocates nothing.
-    fn drain_into(&mut self, slot: u64, due: &mut Vec<ServerEvent>) {
+    /// Moves the entries due at `slot`, the cursor, into `due` and
+    /// advances the cursor; [`Bucket::runs`] walks them in drain order.
+    /// The drained bucket keeps `due`'s old buffers, so a steady state
+    /// allocates nothing.
+    fn drain_into(&mut self, slot: u64, due: &mut Bucket) {
         debug_assert_eq!(slot, self.cursor, "slots drain in order");
         due.clear();
         if self.overdue.is_empty() {
@@ -223,7 +310,7 @@ pub struct ServerEngine {
     offered: u64,
 
     // Per-slot scratch hoisted out of the loop.
-    due: Vec<ServerEvent>,
+    due: Bucket,
     grants: Vec<u64>,
     /// The contended slot's backlogs, permuted by the level search.
     levels: Vec<u64>,
@@ -237,7 +324,6 @@ pub struct ServerEngine {
     fault_events: Vec<ScheduledFault>,
     fault_cursor: usize,
     link_factor: f64,
-    next_act: u64,
     stall_streak: u64,
 
     /// Every live session has backlog 0 and no consecutive misses.
@@ -317,7 +403,7 @@ impl ServerEngine {
             calendar: SlotCalendar::new(slots, WINDOW_SLOTS),
             arena: SessionArena::with_capacity(1024),
             offered: 0,
-            due: Vec::new(),
+            due: Bucket::default(),
             grants: Vec::new(),
             levels: Vec::new(),
             tail: Vec::new(),
@@ -325,7 +411,6 @@ impl ServerEngine {
             fault_events: faults.map_or_else(Vec::new, |f| f.events().to_vec()),
             fault_cursor: 0,
             link_factor: 1.0,
-            next_act: 0,
             stall_streak: 0,
             settled: true,
             utility_memo: (full_bits, template.utility(full_bits)),
@@ -471,14 +556,15 @@ impl ServerEngine {
                         self.report.crashed += 1;
                         self.report.lost_to_fault_bits += self.arena.backlogs[hi];
                         if let Some(rec) = self.recovery {
-                            let remaining = self.arena.depart_slots[hi].saturating_sub(slot);
-                            if self.arena.attempts[hi] < rec.max_retries && remaining > 0 {
+                            let victim = self.arena.sessions[hi];
+                            let remaining = victim.depart_slot.saturating_sub(slot);
+                            if victim.attempts < rec.max_retries && remaining > 0 {
                                 self.report.retries += 1;
                                 self.calendar.schedule(
-                                    slot.saturating_add(rec.backoff_slots(self.arena.attempts[hi])),
+                                    slot.saturating_add(rec.backoff_slots(victim.attempts)),
                                     ServerEvent::Retry {
-                                        id: self.arena.ids[hi],
-                                        attempt: self.arena.attempts[hi],
+                                        id: victim.id,
+                                        attempt: victim.attempts,
                                         remaining,
                                     },
                                 );
@@ -493,87 +579,76 @@ impl ServerEngine {
             self.fault_cursor += 1;
         }
 
-        // 2. Drain due arrivals / departures / retries (FIFO within
-        //    the slot; retries were scheduled after arrivals, so
-        //    fresh offers keep their admission priority).
+        // 2. Drain due arrivals, retries and departures in scheduling
+        //    order (retries were scheduled after arrivals, so fresh
+        //    offers keep their admission priority).
         let mut due = std::mem::take(&mut self.due);
         self.calendar.drain_into(slot, &mut due);
-        for &ev in &due {
-            match ev {
-                ServerEvent::Arrive { id, duration } => {
-                    let admitted = if slot < self.warmup_slots {
-                        // Warm-up gate: the shard exists but is not
-                        // ready to serve; the rejection is recorded so
-                        // `admitted + rejected == offered` stays exact.
-                        self.admission.record_rejection();
-                        false
-                    } else {
-                        self.memo
-                            .decide(&mut self.admission, self.arena.live() as u64)
-                    };
-                    if let Some(v) = self.verdicts.as_mut() {
-                        v.push((id, admitted));
-                    }
-                    if admitted {
-                        let act = self.next_act;
-                        self.next_act += 1;
-                        // The duration may come from a peer: saturate
-                        // rather than overflow or wrap into the past.
-                        let depart_slot = slot.saturating_add(duration);
-                        let handle = self.arena.insert(id, act, depart_slot, 0);
-                        self.calendar
-                            .schedule(depart_slot, ServerEvent::Depart { handle, act });
-                    }
-                }
-                ServerEvent::Depart { handle, act } => {
-                    if self.arena.depart(handle, act) {
-                        // The slot's fields stay valid until recycled:
-                        // read the departed session's trace for the
-                        // bounded sink's per-session reservoir.
-                        if let Some(s) = sink.as_deref_mut() {
-                            let hi = handle as usize;
-                            s.record_departure(self.arena.ids[hi], self.arena.misses[hi]);
+        for (events, departs) in due.runs() {
+            for &ev in events {
+                match ev {
+                    ServerEvent::Arrive { id, duration } => {
+                        let admitted = if slot < self.warmup_slots {
+                            // Warm-up gate: the shard exists but is not
+                            // ready to serve; the rejection is recorded
+                            // so `admitted + rejected == offered` stays
+                            // exact.
+                            self.admission.record_rejection();
+                            false
+                        } else {
+                            self.memo
+                                .decide(&mut self.admission, self.arena.live() as u64)
+                        };
+                        if let Some(v) = self.verdicts.as_mut() {
+                            v.push((id, admitted));
+                        }
+                        if admitted {
+                            // The duration may come from a peer:
+                            // saturate rather than overflow or wrap
+                            // into the past.
+                            let depart_slot = slot.saturating_add(duration);
+                            let departure = self.arena.insert(id, depart_slot, 0);
+                            self.calendar.schedule_departure(depart_slot, departure);
                         }
                     }
-                }
-                ServerEvent::Retry {
-                    id,
-                    attempt,
-                    remaining,
-                } => {
-                    // Re-admissions preview the predicate without
-                    // recording: the `admitted + rejected == offered`
-                    // ledger counts each session's first offer once.
-                    if slot >= self.warmup_slots
-                        && self
-                            .memo
-                            .would_admit(&self.admission, self.arena.live() as u64)
-                    {
-                        self.report.readmitted += 1;
-                        let act = self.next_act;
-                        self.next_act += 1;
-                        let depart_slot = slot.saturating_add(remaining);
-                        let handle = self.arena.insert(id, act, depart_slot, attempt + 1);
-                        self.calendar
-                            .schedule(depart_slot, ServerEvent::Depart { handle, act });
-                    } else {
-                        self.report.retry_rejected += 1;
-                        if let Some(rec) = self.recovery {
-                            if attempt + 1 < rec.max_retries {
-                                self.report.retries += 1;
-                                self.calendar.schedule(
-                                    slot.saturating_add(rec.backoff_slots(attempt + 1)),
-                                    ServerEvent::Retry {
-                                        id,
-                                        attempt: attempt + 1,
-                                        remaining,
-                                    },
-                                );
+                    ServerEvent::Retry {
+                        id,
+                        attempt,
+                        remaining,
+                    } => {
+                        // Re-admissions preview the predicate without
+                        // recording: the `admitted + rejected ==
+                        // offered` ledger counts each session's first
+                        // offer once.
+                        if slot >= self.warmup_slots
+                            && self
+                                .memo
+                                .would_admit(&self.admission, self.arena.live() as u64)
+                        {
+                            self.report.readmitted += 1;
+                            let depart_slot = slot.saturating_add(remaining);
+                            let departure = self.arena.insert(id, depart_slot, attempt + 1);
+                            self.calendar.schedule_departure(depart_slot, departure);
+                        } else {
+                            self.report.retry_rejected += 1;
+                            if let Some(rec) = self.recovery {
+                                if attempt + 1 < rec.max_retries {
+                                    self.report.retries += 1;
+                                    self.calendar.schedule(
+                                        slot.saturating_add(rec.backoff_slots(attempt + 1)),
+                                        ServerEvent::Retry {
+                                            id,
+                                            attempt: attempt + 1,
+                                            remaining,
+                                        },
+                                    );
+                                }
                             }
                         }
                     }
                 }
             }
+            depart_all(&mut self.arena, departs, sink.as_deref_mut());
         }
         self.due = due;
 
@@ -681,7 +756,7 @@ impl ServerEngine {
                 water_fill(
                     &self.arena.order,
                     &self.arena.backlogs,
-                    &self.arena.ids,
+                    &self.arena.sessions,
                     capacity_now,
                     &mut self.grants,
                     &mut self.levels,
@@ -706,9 +781,9 @@ impl ServerEngine {
                     self.report.base.deadline_misses += 1;
                     self.report.base.purged_bits += self.arena.backlogs[hi] - self.miss_bits;
                     self.arena.backlogs[hi] = self.miss_bits;
-                    self.arena.misses[hi] += 1;
+                    self.arena.sessions[hi].misses += 1;
                 } else {
-                    self.arena.misses[hi] = 0;
+                    self.arena.sessions[hi].misses = 0;
                     self.report.base.utility_sum += memo_utility(
                         &mut self.utility_memo,
                         &template,
@@ -728,18 +803,19 @@ impl ServerEngine {
                 for r in 0..self.arena.order.len() {
                     let h = self.arena.order[r];
                     let hi = h as usize;
-                    if self.arena.misses[hi] >= rec.timeout_miss_slots {
+                    let session = self.arena.sessions[hi];
+                    if session.misses >= rec.timeout_miss_slots {
                         self.report.timed_out += 1;
                         backlog_after -= self.arena.backlogs[hi];
                         self.report.lost_to_fault_bits += self.arena.backlogs[hi];
-                        let remaining = self.arena.depart_slots[hi].saturating_sub(slot + 1);
-                        if self.arena.attempts[hi] < rec.max_retries && remaining > 0 {
+                        let remaining = session.depart_slot.saturating_sub(slot + 1);
+                        if session.attempts < rec.max_retries && remaining > 0 {
                             self.report.retries += 1;
                             self.calendar.schedule(
-                                slot.saturating_add(rec.backoff_slots(self.arena.attempts[hi])),
+                                slot.saturating_add(rec.backoff_slots(session.attempts)),
                                 ServerEvent::Retry {
-                                    id: self.arena.ids[hi],
-                                    attempt: self.arena.attempts[hi],
+                                    id: session.id,
+                                    attempt: session.attempts,
                                     remaining,
                                 },
                             );
@@ -829,6 +905,25 @@ impl ServerEngine {
     }
 }
 
+/// Ends the activations `departs` name, in order, where the arena's
+/// generation check lets them. A departed session's record stays valid
+/// until its slot is recycled, so the bounded sink reads its trace for
+/// the per-session reservoir.
+fn depart_all(
+    arena: &mut SessionArena,
+    departs: &[Departure],
+    mut sink: Option<&mut ServeMetricsSink>,
+) {
+    for &departure in departs {
+        if arena.depart(departure) {
+            if let Some(s) = sink.as_deref_mut() {
+                let session = &arena.sessions[departure.handle as usize];
+                s.record_departure(session.id, session.misses);
+            }
+        }
+    }
+}
+
 /// Bits of a `grant` lost in flight in a corruption-burst slot: they
 /// leave the buffer (the sender cannot tell) but never arrive.
 fn corrupted_bits(grant: u64, loss: f64) -> u64 {
@@ -877,7 +972,7 @@ fn memo_utility(memo: &mut (u64, f64), template: &SessionTemplate, bits: u64) ->
 fn water_fill(
     order: &[u32],
     backlogs: &[u64],
-    ids: &[u64],
+    sessions: &[Session],
     capacity: u64,
     grants: &mut [u64],
     levels: &mut Vec<u64>,
@@ -904,7 +999,9 @@ fn water_fill(
     }
     if r > 0 {
         let split = tail.len() - r;
-        tail.select_nth_unstable_by_key(split, |&h| (backlogs[h as usize], ids[h as usize]));
+        tail.select_nth_unstable_by_key(split, |&h| {
+            (backlogs[h as usize], sessions[h as usize].id)
+        });
         for &h in &tail[split..] {
             grants[h as usize] = q + 1;
         }
@@ -1194,27 +1291,66 @@ mod tests {
         }
     }
 
-    /// Events the calendar holds: every one below the horizon that has
+    /// Entries the calendar holds: every one below the horizon that has
     /// not drained yet.
     fn pending(cal: &SlotCalendar) -> usize {
-        cal.ring.iter().map(Vec::len).sum::<usize>()
-            + cal.overdue.len()
-            + cal.overflow.values().map(Vec::len).sum::<usize>()
+        let held = |b: &Bucket| b.events.len() + b.departs.len();
+        cal.ring.iter().map(held).sum::<usize>()
+            + held(&cal.overdue)
+            + cal.overflow.values().map(held).sum::<usize>()
+    }
+
+    /// Marks are minimal: strictly increasing in both indices, each
+    /// before an event, and each releasing at least one departure.
+    fn assert_marks_minimal(bucket: &Bucket, at: &str) {
+        let mut last = None;
+        for &(i, d) in &bucket.marks {
+            assert!(i < bucket.events.len(), "{at}: mark {i} past the events");
+            assert!(
+                d <= bucket.departs.len(),
+                "{at}: mark {d} past the departures"
+            );
+            if let Some((li, ld)) = last {
+                assert!(li < i && ld < d, "{at}: marks ({li}, {ld}) then ({i}, {d})");
+            } else {
+                assert!(d > 0, "{at}: a first mark releasing nothing");
+            }
+            last = Some((i, d));
+        }
+    }
+
+    /// What the calendar files: an offer, a retry or a departure.
+    #[derive(Debug, Clone, Copy)]
+    enum Kind {
+        Offer,
+        Retry,
+        Depart,
+    }
+
+    /// A calendar entry as the heap holds it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Entry {
+        Event(ServerEvent),
+        Depart(Departure),
     }
 
     /// One step of an engine-shaped calendar workload.
     #[derive(Debug, Clone)]
     enum CalOp {
-        /// An offer injected between slots, this far past the cursor.
-        Inject(u64),
-        /// An offer injected at `horizon - 2 + k`, or at the cursor if
+        /// An entry filed between slots, this far past the cursor.
+        Inject(Kind, u64),
+        /// An entry filed at `horizon - 2 + k`, or at the cursor if
         /// that is later.
-        NearHorizon(u64),
-        /// One slot's drain, then one schedule per offset from the
-        /// drained slot: 0 is the drained slot itself (a zero-duration
+        NearHorizon(Kind, u64),
+        /// One slot's drain, then one entry per offset from the drained
+        /// slot: 0 is the drained slot itself (a zero-duration
         /// departure), small offsets are backoffs, large ones pass the
         /// window or the horizon.
-        Drain(Vec<u64>),
+        Drain(Vec<(Kind, u64)>),
+    }
+
+    fn cal_kind() -> impl Strategy<Value = Kind> {
+        prop_oneof![Just(Kind::Offer), Just(Kind::Retry), Just(Kind::Depart)]
     }
 
     fn cal_offset() -> impl Strategy<Value = u64> {
@@ -1222,48 +1358,70 @@ mod tests {
     }
 
     fn cal_op() -> impl Strategy<Value = CalOp> {
+        let follow = || collection::vec((cal_kind(), cal_offset()), 0..4);
         prop_oneof![
-            cal_offset().prop_map(CalOp::Inject),
-            (0u64..4).prop_map(CalOp::NearHorizon),
-            collection::vec(cal_offset(), 0..4).prop_map(CalOp::Drain),
-            collection::vec(cal_offset(), 0..4).prop_map(CalOp::Drain),
+            (cal_kind(), cal_offset()).prop_map(|(k, off)| CalOp::Inject(k, off)),
+            (cal_kind(), 0u64..4).prop_map(|(k, off)| CalOp::NearHorizon(k, off)),
+            follow().prop_map(CalOp::Drain),
+            follow().prop_map(CalOp::Drain),
         ]
     }
 
     /// A calendar and the `(time, seq)` heap, fed the same schedules.
     struct CalendarOracle {
         cal: SlotCalendar,
-        heap: HeapEventQueue<ServerEvent>,
+        heap: HeapEventQueue<Entry>,
         next: u64,
-        /// Events scheduled below the horizon and not yet drained.
+        /// Entries scheduled below the horizon and not yet drained.
         live: usize,
     }
 
     impl CalendarOracle {
-        fn schedule(&mut self, slot: u64) {
-            let ev = ServerEvent::Depart {
-                handle: self.next as u32,
-                act: self.next,
-            };
+        fn schedule(&mut self, kind: Kind, slot: u64) {
+            let tag = self.next;
             self.next += 1;
             if slot < self.cal.horizon {
                 self.live += 1;
             }
-            self.cal.schedule(slot, ev);
-            self.heap.schedule(SimTime::from_ticks(slot), ev);
+            let entry = match kind {
+                Kind::Offer => Entry::Event(ServerEvent::Arrive {
+                    id: tag,
+                    duration: 1,
+                }),
+                Kind::Retry => Entry::Event(ServerEvent::Retry {
+                    id: tag,
+                    attempt: 0,
+                    remaining: 1,
+                }),
+                Kind::Depart => Entry::Depart(Departure {
+                    handle: tag as u32,
+                    gen: (tag >> 32) as u32,
+                }),
+            };
+            match entry {
+                Entry::Event(ev) => self.cal.schedule(slot, ev),
+                Entry::Depart(d) => self.cal.schedule_departure(slot, d),
+            }
+            self.heap.schedule(SimTime::from_ticks(slot), entry);
         }
 
         /// Drains the cursor's slot from both and checks they agree;
         /// returns the drained slot.
-        fn drain(&mut self, due: &mut Vec<ServerEvent>) -> u64 {
+        fn drain(&mut self, due: &mut Bucket) -> u64 {
             let slot = self.cal.cursor;
             self.cal.drain_into(slot, due);
+            assert_marks_minimal(due, &format!("slot {slot}"));
+            let mut got = Vec::new();
+            for (events, departs) in due.runs() {
+                got.extend(events.iter().map(|&ev| Entry::Event(ev)));
+                got.extend(departs.iter().map(|&d| Entry::Depart(d)));
+            }
             let at = SimTime::from_ticks(slot);
-            let want: Vec<ServerEvent> =
+            let want: Vec<Entry> =
                 std::iter::from_fn(|| self.heap.pop_at_or_before(at).map(|e| e.payload)).collect();
-            assert_eq!(*due, want, "slot {slot}: drain order");
-            self.live -= due.len();
-            assert_eq!(pending(&self.cal), self.live, "slot {slot}: held events");
+            assert_eq!(got, want, "slot {slot}: drain order");
+            self.live -= got.len();
+            assert_eq!(pending(&self.cal), self.live, "slot {slot}: held entries");
             assert!(self.cal.ring.len() <= self.cal.window);
             let end = self.cal.cursor + self.cal.ring.len() as u64;
             assert!(self.cal.overflow.keys().all(|&s| s >= end), "slot {slot}");
@@ -1272,12 +1430,14 @@ mod tests {
     }
 
     proptest! {
-        /// The calendar's order oracle: under injections between slots
-        /// (some past the window, some at or after the horizon), one
-        /// drain per slot, schedules made after a drain (for the
-        /// drained slot, one backoff ahead, past the window) and ring
-        /// growth mid-run, every slot below the horizon drains exactly
-        /// the events the heap pops for it, in the heap's order.
+        /// The calendar's order oracle: under a random mix of offers,
+        /// retries and departures filed between slots (some past the
+        /// window, some at or after the horizon), one drain per slot,
+        /// entries filed after a drain (for the drained slot, one
+        /// backoff ahead, past the window) and ring growth mid-run,
+        /// every slot below the horizon drains exactly the entries the
+        /// heap pops for it, in the heap's order, once its bucket's
+        /// events and departures are merged through its marks.
         #[test]
         fn calendar_drains_each_slot_in_heap_order(
             window in prop_oneof![Just(1usize), Just(2), Just(8), Just(32), Just(WINDOW_SLOTS)],
@@ -1290,19 +1450,21 @@ mod tests {
                 next: 0,
                 live: 0,
             };
-            let mut due = Vec::new();
+            let mut due = Bucket::default();
             for op in ops {
                 let cursor = o.cal.cursor;
                 match op {
-                    CalOp::Inject(ahead) => o.schedule(cursor.saturating_add(ahead)),
-                    CalOp::NearHorizon(k) => o.schedule((horizon + k).saturating_sub(2).max(cursor)),
+                    CalOp::Inject(kind, ahead) => o.schedule(kind, cursor.saturating_add(ahead)),
+                    CalOp::NearHorizon(kind, k) => {
+                        o.schedule(kind, (horizon + k).saturating_sub(2).max(cursor));
+                    }
                     CalOp::Drain(follow) => {
                         if cursor == horizon {
                             continue;
                         }
                         let slot = o.drain(&mut due);
-                        for off in follow {
-                            o.schedule(slot.saturating_add(off));
+                        for (kind, off) in follow {
+                            o.schedule(kind, slot.saturating_add(off));
                         }
                     }
                 }
@@ -1311,6 +1473,72 @@ mod tests {
                 o.drain(&mut due);
             }
         }
+    }
+
+    /// A twelve-session link whose predictor admits some of 40 offers
+    /// at slot 0, all departing at slot 5, and one more offer for slot
+    /// 5. A batch run files that offer before the departures and so
+    /// decides it with the frontier reached; injected once the engine
+    /// reached slot 5, it drains after them. Returns the late offer's
+    /// verdict and how many of the slot-0 offers were admitted.
+    fn late_offer_verdict(incremental: bool) -> (bool, u64) {
+        let template = SessionTemplate::streaming_default().expect("preset valid");
+        let cfg = ServerConfig {
+            capacity: CapacityModel {
+                link_bits_per_slot: 12 * template.full_bits(),
+                queue_frames: 64,
+                occupancy_bound: 8.0,
+            },
+            policy: AdmissionPolicy::QueuePredictor,
+            degrade: None,
+            buffer_slots: 4,
+            miss_slots: 2,
+        };
+        let mut engine = ServerEngine::new(&cfg, template, 10).expect("valid");
+        engine.record_verdicts(true);
+        for id in 0..40 {
+            engine.offer(SessionRequest {
+                id,
+                arrival_slot: 0,
+                duration_slots: 5,
+            });
+        }
+        let late = SessionRequest {
+            id: 40,
+            arrival_slot: 5,
+            duration_slots: 5,
+        };
+        if incremental {
+            while engine.slot() < late.arrival_slot {
+                engine.step_slot(None);
+            }
+        }
+        engine.offer(late);
+        engine.drain(None);
+        let mut verdicts = Vec::new();
+        engine.take_verdicts(&mut verdicts);
+        let first = verdicts.iter().filter(|&&(id, ok)| id < 40 && ok).count() as u64;
+        let last = verdicts
+            .iter()
+            .find(|&&(id, _)| id == 40)
+            .expect("decided")
+            .1;
+        (last, first)
+    }
+
+    /// Within-slot order, pinned both ways: a slot's departures free
+    /// the admission frontier only for offers filed after them.
+    #[test]
+    fn a_slots_departures_free_capacity_only_for_later_offers() {
+        let (batch, admitted) = late_offer_verdict(false);
+        assert!(
+            admitted > 0 && admitted < 40,
+            "the frontier binds at slot 0: {admitted} of 40 admitted"
+        );
+        assert!(!batch, "batch: the offer drains before the departures");
+        let (incremental, admitted_then) = late_offer_verdict(true);
+        assert_eq!(admitted_then, admitted);
+        assert!(incremental, "incremental: the departures drain first");
     }
 
     fn add_loop(sum: f64, u: f64, n: u64) -> f64 {
@@ -1537,12 +1765,19 @@ mod tests {
                 by_handle[h as usize] = b;
             }
             let ids: Vec<u64> = (0..slots as u64).map(|h| mix(h ^ salt.rotate_left(17))).collect();
+            let sessions: Vec<Session> = ids
+                .iter()
+                .map(|&id| Session {
+                    id,
+                    ..Session::default()
+                })
+                .collect();
 
             let mut want = vec![u64::MAX; slots];
             water_fill_sorted(order, &by_handle, &ids, capacity, &mut want);
             let mut got = vec![u64::MAX; slots];
             let (mut levels, mut tail) = (Vec::new(), Vec::new());
-            water_fill(order, &by_handle, &ids, capacity, &mut got, &mut levels, &mut tail);
+            water_fill(order, &by_handle, &sessions, capacity, &mut got, &mut levels, &mut tail);
             for &h in order {
                 let h = h as usize;
                 prop_assert_eq!(

@@ -444,7 +444,12 @@ impl Workload {
         template.validate()?;
         let master = SimRng::new(seed);
         let mut durations = master.substream("serve-durations", 0);
-        let mut sessions = Vec::new();
+        // Sized once: doubling a mega-scale trace costs more than
+        // generating it.
+        let total = counts
+            .iter()
+            .fold(0usize, |n, &c| n.saturating_add(c as usize));
+        let mut sessions = Vec::with_capacity(total);
         let mut id = 0u64;
         for (slot, &n) in counts.iter().enumerate() {
             for _ in 0..n {

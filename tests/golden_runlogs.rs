@@ -12,7 +12,7 @@
 //! git diff tests/golden/
 //! ```
 //!
-//! Seven snapshots, chosen for coverage-per-byte:
+//! Eight snapshots, chosen for coverage-per-byte:
 //!
 //! * `E10.json` — the steady-state experiment's full run-log, the
 //!   oldest table in the suite (analysis + simulation agreement);
@@ -41,16 +41,28 @@
 //! * `E17_diurnal_adaptive.json` — the E17 closed-loop fleet on the
 //!   diurnal regime, pinning the ambient-trace load generator, the
 //!   autoscaler's scale events, the Q16 PI/UCB controller state
-//!   series, and the per-slot shard-count series end to end.
+//!   series, and the per-slot shard-count series end to end;
+//! * `driver_soak.runlog` — the socket driver's text run-log of a
+//!   reduced loopback-soak trace, fed by direct injection: pins the
+//!   verdict and summary line format, which the soak's socket-vs-direct
+//!   comparison cannot see because both sides come from one build, and
+//!   the engine's within-slot order under offers injected one slot at
+//!   a time.
 
 use std::path::PathBuf;
 
+use dms_bench::net::{soak_driver, SOAK_LOAD, SOAK_SEED};
 use dms_bench::{
     e10_steady_state, run_log_for, E12Arm, E12Point, E12ServerLoad, E13Intensity, E13Point,
     E13Resilience, E14Point, E14ScaleOut, E16Arm, E16GeoTiered, E16Point, E17AdaptiveFleet, E17Arm,
     E17Point, E17Regime, Sweep,
 };
 use dms_cluster::BalancerPolicy;
+use dms_net::drive_direct;
+use dms_serve::{
+    rate_for_load, AdmissionPolicy, ArrivalProcess, CapacityModel, DegradeConfig, ServerConfig,
+    SessionTemplate, Workload,
+};
 use dms_sim::{RunLog, RunLogReader, RunLogWriter, RunRecord, TailState};
 
 fn golden_path(name: &str) -> PathBuf {
@@ -238,4 +250,41 @@ fn e17_diurnal_adaptive_point_matches_golden() {
             ),
     );
     assert_matches_golden(&log, "E17_diurnal_adaptive.json");
+}
+
+/// The loopback soak's config and trace scaled down to a 20-session
+/// link, 10-slot holding times and 150 slots, so the run-log stays a
+/// few hundred lines. Offers injected one slot at a time drain after
+/// the departures already due in their slot: the driver admits 240 of
+/// the 346 offers, where a batch run of the same trace admits 225.
+#[test]
+fn driver_run_log_matches_golden() {
+    let mut template = SessionTemplate::streaming_default().expect("preset valid");
+    template.mean_duration_slots = 10.0;
+    let capacity = CapacityModel {
+        link_bits_per_slot: 20 * template.full_bits(),
+        queue_frames: 64,
+        occupancy_bound: 8.0,
+    };
+    let rate = rate_for_load(SOAK_LOAD, &template, capacity.link_bits_per_slot);
+    let workload = Workload::generate(ArrivalProcess::Poisson { rate }, template, 150, SOAK_SEED)
+        .expect("valid workload");
+    let config = ServerConfig {
+        capacity,
+        policy: AdmissionPolicy::QueuePredictor,
+        degrade: Some(DegradeConfig::default()),
+        buffer_slots: 4,
+        miss_slots: 2,
+    };
+    let (log, report) = drive_direct(
+        soak_driver(&config, &workload),
+        SOAK_SEED,
+        &workload.sessions,
+    )
+    .expect("trace is protocol-clean");
+    assert!(
+        report.admitted > 0 && report.rejected > 0,
+        "both verdicts occur"
+    );
+    assert_bytes_match_golden(&log, "driver_soak.runlog");
 }
