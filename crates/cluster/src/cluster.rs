@@ -614,6 +614,40 @@ mod tests {
         }
     }
 
+    /// A hand-built workload out of slot order dispatches exactly like
+    /// its stable-sorted copy: same-slot offers keep workload order.
+    #[test]
+    fn unsorted_workload_dispatches_like_its_stable_sorted_copy() {
+        let wl = workload(1.2, 200, 120, 46);
+        let template = wl.template;
+        let mut unsorted = wl.clone();
+        // Reverse each run of seven offers: slots step backwards inside
+        // a run, and same-slot offers leave generation order.
+        for run in unsorted.sessions.chunks_mut(7) {
+            run.reverse();
+        }
+        let mut sorted = unsorted.clone();
+        sorted.sessions.sort_by_key(|s| s.arrival_slot);
+        assert!(!unsorted.sessions.is_sorted_by_key(|s| s.arrival_slot));
+        assert_ne!(sorted, wl, "the sort is stable over a new tie order");
+
+        let sim = cluster(
+            vec![shard_config(100, &template), shard_config(100, &template)],
+            BalancerPolicy::PowerOfTwoChoices,
+        );
+        let faults = vec![
+            ShardFault::default(),
+            ShardFault {
+                plan: FaultPlan::none(120),
+                down_from: Some(60),
+            },
+        ];
+        assert_eq!(
+            sim.dispatch(&unsorted, &faults).expect("dispatch runs"),
+            sim.dispatch(&sorted, &faults).expect("dispatch runs")
+        );
+    }
+
     #[test]
     fn dead_shard_gets_no_arrivals_after_its_death_slot() {
         let wl = workload(0.8, 200, 120, 44);

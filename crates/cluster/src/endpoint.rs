@@ -19,6 +19,8 @@
 //! `b`, the sessions in flight on it are re-offered to the survivors
 //! with their remaining duration, and its reservations are released.
 
+use std::borrow::Cow;
+
 use dms_serve::{RecoveryConfig, ServeError, SessionRequest, SessionTemplate, Workload};
 use dms_sim::{EventQueue, SimTime};
 
@@ -187,14 +189,16 @@ impl FleetEndpoint {
     }
 
     /// Offers every session of `workload` in arrival order.
-    /// `Workload::generate` emits arrivals in slot order; the stable
-    /// index sort covers hand-built workloads, preserving workload
-    /// order among same-slot offers — the endpoint's FIFO contract.
+    /// `Workload::generate` emits arrivals in slot order, and those are
+    /// offered in place; a hand-built workload out of order is offered
+    /// from a stable-sorted copy, preserving workload order among
+    /// same-slot offers — the endpoint's FIFO contract.
     pub(crate) fn offer_workload(&mut self, workload: &Workload) -> Result<(), ServeError> {
-        let mut order: Vec<usize> = (0..workload.sessions.len()).collect();
-        order.sort_by_key(|&i| workload.sessions[i].arrival_slot);
-        for &i in &order {
-            let s = workload.sessions[i];
+        let mut sessions = Cow::Borrowed(workload.sessions.as_slice());
+        if !sessions.is_sorted_by_key(|s| s.arrival_slot) {
+            sessions.to_mut().sort_by_key(|s| s.arrival_slot);
+        }
+        for s in sessions.iter() {
             self.offer(s.id, s.arrival_slot, s.duration_slots)?;
         }
         Ok(())

@@ -329,7 +329,10 @@ pub struct ServerEngine {
     /// Every live session has backlog 0 and no consecutive misses.
     /// Arrivals, readmissions, departures and crashes keep it true, and
     /// each slot recomputes it at its end. While it holds, an
-    /// uncontended slot steps the live set as one cohort.
+    /// uncontended slot steps the live set as one cohort, and the arena
+    /// keeps no admission order, backlogs or miss streaks: a slot that
+    /// ends settled drops them ([`SessionArena::settle`]), and the
+    /// first walk of the live set rebuilds them.
     settled: bool,
     /// The last `(bits, utility)` pair: `SessionTemplate::utility` is
     /// pure, and nearly every session in a slot gets the same grant.
@@ -521,7 +524,10 @@ impl ServerEngine {
     /// misses) instead takes the settled-cohort step: every session is
     /// granted exactly its demand, so the slot's ledger updates once
     /// for the whole cohort, in time proportional to the slot's events
-    /// rather than to the live set.
+    /// rather than to the live set. Settled, the arena is unordered and
+    /// a departure frees its slot at once; the per-session path, a
+    /// crash burst or a timeout first orders it, and a slot that ends
+    /// settled drops the order again.
     #[allow(clippy::too_many_lines)] // one slot loop, kept linear for auditability
     pub fn step_slot(&mut self, mut sink: Option<&mut ServeMetricsSink>) -> bool {
         if self.slot >= self.slots {
@@ -668,14 +674,12 @@ impl ServerEngine {
             (self.nominal_bits as f64 * self.link_factor).round() as u64
         };
 
-        // Settled, nothing is carried and the sweep of stale `order`
-        // entries can wait until they pile up. Otherwise one sweep
-        // pass drops entries killed by departures from the order walk
-        // (returning their slots to the free list) and sums the
-        // carried backlog; after it, `arena.order` is exactly the live
-        // set in admission order.
+        // Settled, nothing is carried. Otherwise one sweep pass drops
+        // entries killed by departures from the order walk (returning
+        // their slots to the free list) and sums the carried backlog;
+        // after it, `arena.order` is exactly the live set in admission
+        // order.
         let carried = if self.settled {
-            self.arena.sweep_if_crowded();
             0
         } else {
             self.arena.compact()
@@ -724,8 +728,8 @@ impl ServerEngine {
                 add_repeated(self.report.base.utility_sum, u, active_now);
         } else if active_now > 0 {
             if self.settled {
-                // The sweep was deferred; the walks below need `order`
-                // to be exactly the live set.
+                // A settled arena keeps no order; the walks below need
+                // `order` to be exactly the live set.
                 self.arena.compact();
             }
             // Enqueue this slot's demand into each playout buffer,
@@ -781,9 +785,9 @@ impl ServerEngine {
                     self.report.base.deadline_misses += 1;
                     self.report.base.purged_bits += self.arena.backlogs[hi] - self.miss_bits;
                     self.arena.backlogs[hi] = self.miss_bits;
-                    self.arena.sessions[hi].misses += 1;
+                    self.arena.misses[hi] += 1;
                 } else {
-                    self.arena.sessions[hi].misses = 0;
+                    self.arena.misses[hi] = 0;
                     self.report.base.utility_sum += memo_utility(
                         &mut self.utility_memo,
                         &template,
@@ -803,8 +807,8 @@ impl ServerEngine {
                 for r in 0..self.arena.order.len() {
                     let h = self.arena.order[r];
                     let hi = h as usize;
-                    let session = self.arena.sessions[hi];
-                    if session.misses >= rec.timeout_miss_slots {
+                    if self.arena.misses[hi] >= rec.timeout_miss_slots {
+                        let session = self.arena.sessions[hi];
                         self.report.timed_out += 1;
                         backlog_after -= self.arena.backlogs[hi];
                         self.report.lost_to_fault_bits += self.arena.backlogs[hi];
@@ -873,6 +877,9 @@ impl ServerEngine {
         // Settled again once the slot leaves no backlog and no miss:
         // every session that did not miss had its miss streak reset.
         self.settled = backlog_after == 0 && self.prev_misses == 0;
+        if self.settled {
+            self.arena.settle();
+        }
         self.slot += 1;
         true
     }
@@ -906,9 +913,9 @@ impl ServerEngine {
 }
 
 /// Ends the activations `departs` name, in order, where the arena's
-/// generation check lets them. A departed session's record stays valid
-/// until its slot is recycled, so the bounded sink reads its trace for
-/// the per-session reservoir.
+/// generation check lets them. A departed session's record and miss
+/// streak stay valid until its slot is reused, so the bounded sink
+/// reads its trace for the per-session reservoir.
 fn depart_all(
     arena: &mut SessionArena,
     departs: &[Departure],
@@ -917,8 +924,8 @@ fn depart_all(
     for &departure in departs {
         if arena.depart(departure) {
             if let Some(s) = sink.as_deref_mut() {
-                let session = &arena.sessions[departure.handle as usize];
-                s.record_departure(session.id, session.misses);
+                let id = arena.sessions[departure.handle as usize].id;
+                s.record_departure(id, arena.miss_streak(departure.handle));
             }
         }
     }
@@ -1120,7 +1127,7 @@ mod tests {
     use crate::session::ServerSim;
     use crate::workload::{rate_for_load, ArrivalProcess, Workload};
     use crate::{CapacityModel, DegradeConfig};
-    use dms_sim::{FaultSpec, HeapEventQueue, SimTime};
+    use dms_sim::{FaultSpec, HeapEventQueue, MetricsRegistry, SimTime};
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
@@ -1790,12 +1797,18 @@ mod tests {
         }
     }
 
-    /// The deferred sweep bounds the arena: over a long settled run it
-    /// never holds more slots than the live peak, the stale share the
-    /// sweep tolerates, and one slot's departures. This is what keeps
-    /// peak RSS where the every-slot sweep had it.
+    /// The arena holds only the live set. Settled, a departure frees
+    /// its slot at once; ordered, the sweep before the next walk frees
+    /// it, and a slot that ends settled frees what a crash's ordering
+    /// left stale. So the arena never holds more slots than the most
+    /// sessions it has held at once, at most the previous slot's live
+    /// count plus the slot's admissions. The first run never leaves the
+    /// settled state, so it never orders the arena and allocates none
+    /// of the ordered columns. The second crashes settled cohorts and
+    /// stalls the link, so the bound also covers the settle and reorder
+    /// transitions.
     #[test]
-    fn deferred_sweep_bounds_the_arena() {
+    fn arena_holds_only_the_live_set() {
         let mut template = SessionTemplate::streaming_default().expect("preset valid");
         template.mean_duration_slots = 40.0;
         let cfg = ServerConfig {
@@ -1813,45 +1826,88 @@ mod tests {
         let workload =
             Workload::generate(ArrivalProcess::Poisson { rate: 100.0 }, template, slots, 5)
                 .expect("valid");
-        let mut departing = vec![0usize; slots as usize];
-        for req in &workload.sessions {
-            if let Some(d) = departing.get_mut((req.arrival_slot + req.duration_slots) as usize) {
-                *d += 1;
+        let mut specs: Vec<FaultSpec> = (1..8)
+            .map(|k| FaultSpec::CrashBurst {
+                slot: 50 * k,
+                fraction: 0.05,
+            })
+            .collect();
+        specs.push(FaultSpec::SlotStalls {
+            start_slot: 120,
+            duration_slots: 10,
+        });
+        specs.push(FaultSpec::SlotStalls {
+            start_slot: 280,
+            duration_slots: 3,
+        });
+        let plan = FaultPlan::compile(&specs, slots, 3).expect("valid specs");
+        let recovery = RecoveryConfig::default();
+
+        for faulted in [false, true] {
+            let mut engine = if faulted {
+                ServerEngine::with_faults(&cfg, template, slots, Some(&plan), Some(&recovery))
+            } else {
+                ServerEngine::new(&cfg, template, slots)
+            }
+            .expect("valid");
+            for req in &workload.sessions {
+                engine.offer(*req);
+            }
+            let mut bound = 0usize;
+            loop {
+                let live_before = engine.arena.live();
+                let admitted_before = engine.admitted() + engine.report.readmitted;
+                if !engine.step_slot(None) {
+                    break;
+                }
+                let admissions = engine.admitted() + engine.report.readmitted - admitted_before;
+                bound = bound.max(live_before + admissions as usize);
+                assert!(
+                    engine.arena.capacity() <= bound,
+                    "faulted {faulted}, slot {}: arena holds {} slots, bound {bound}",
+                    engine.slot,
+                    engine.arena.capacity()
+                );
+                assert!(
+                    faulted || engine.settled,
+                    "slot {}: left the cohort",
+                    engine.slot
+                );
+            }
+            let report = engine.report;
+            if faulted {
+                assert!(report.crashed > 0 && report.readmitted > 0);
+                assert!(report.timed_out > 0, "the long stall times sessions out");
+                assert!(engine.settled, "the run settles again after the stalls");
+            } else {
+                assert!(bound > 3_000, "live peak {bound}: the cohort must be large");
+                assert!(
+                    workload.sessions.len() > 5 * bound,
+                    "enough turnover that an unswept arena would outgrow the bound"
+                );
+                let a = &engine.arena;
+                assert_eq!(
+                    (
+                        a.order.capacity(),
+                        a.backlogs.capacity(),
+                        a.misses.capacity()
+                    ),
+                    (0, 0, 0),
+                    "a settled run allocates no ordered state"
+                );
             }
         }
-        let most_departing = departing.iter().copied().max().unwrap_or(0);
-
-        let mut engine = ServerEngine::new(&cfg, workload.template, slots).expect("valid");
-        for req in &workload.sessions {
-            engine.offer(*req);
-        }
-        let mut peak = 0usize;
-        while engine.step_slot(None) {
-            assert!(engine.settled, "slot {}: left the cohort", engine.slot);
-            peak = peak.max(engine.arena.live());
-            // Stale entries may reach an eighth of the live set.
-            let bound = peak + peak / 8 + most_departing;
-            assert!(
-                engine.arena.capacity() <= bound,
-                "slot {}: arena holds {} slots, bound {bound}",
-                engine.slot,
-                engine.arena.capacity()
-            );
-        }
-        assert!(peak > 3_000, "live peak {peak}: the cohort must be large");
-        assert!(
-            workload.sessions.len() > 5 * peak,
-            "enough turnover that an unswept arena would outgrow the bound"
-        );
     }
 
-    /// Runs `workload` on one engine; with `per_session`, `settled` is
-    /// cleared before every slot, which forces the per-session path.
+    /// Runs `workload` on one engine into `sink`; with `per_session`,
+    /// `settled` is cleared before every slot, which forces the
+    /// per-session path.
     fn run_paths(
         cfg: &ServerConfig,
         workload: &Workload,
         plan: &FaultPlan,
         per_session: bool,
+        mut sink: ServeMetricsSink,
     ) -> (FaultReport, ServeMetricsSink) {
         let recovery = RecoveryConfig::default();
         let mut engine = ServerEngine::with_faults(
@@ -1865,7 +1921,6 @@ mod tests {
         for req in &workload.sessions {
             engine.offer(*req);
         }
-        let mut sink = ServeMetricsSink::with_capacity(workload.slots as usize);
         loop {
             if per_session {
                 engine.settled = false;
@@ -1880,7 +1935,8 @@ mod tests {
     /// `ReferenceServerSim` predates the PI shedding law and the
     /// warm-up gate, so for those the oracle of the settled-cohort
     /// step is the engine's own per-session path, at cohort scale and
-    /// under every fault kind.
+    /// under every fault kind, into a full-series sink and a bounded
+    /// one, which alone records each departure's miss streak.
     #[test]
     fn settled_cohort_step_matches_the_per_session_path() {
         let slots = 200u64;
@@ -1933,8 +1989,9 @@ mod tests {
                 let workload =
                     Workload::generate(ArrivalProcess::Poisson { rate }, template, slots, seed)
                         .expect("valid");
-                let (fast, fast_sink) = run_paths(&cfg, &workload, &plan, false);
-                let (slow, slow_sink) = run_paths(&cfg, &workload, &plan, true);
+                let full = || ServeMetricsSink::with_capacity(slots as usize);
+                let (fast, fast_sink) = run_paths(&cfg, &workload, &plan, false, full());
+                let (slow, slow_sink) = run_paths(&cfg, &workload, &plan, true, full());
                 let arm = format!("degrade {degrade:?}, load {load}");
                 assert_eq!(fast, slow, "{arm}");
                 assert_eq!(fast_sink.active(), slow_sink.active(), "{arm}");
@@ -1949,6 +2006,20 @@ mod tests {
                     s.utility().iter().map(|u| u.to_bits()).collect()
                 };
                 assert_eq!(bits(&fast_sink), bits(&slow_sink), "{arm}");
+
+                // Only the bounded sink records departures, with each
+                // departing session's miss streak.
+                let exported = |paths: (FaultReport, ServeMetricsSink)| {
+                    let mut registry = MetricsRegistry::new();
+                    paths.1.export(&mut registry, "server");
+                    registry.to_json().render()
+                };
+                let bounded = ServeMetricsSink::bounded;
+                assert_eq!(
+                    exported(run_paths(&cfg, &workload, &plan, false, bounded())),
+                    exported(run_paths(&cfg, &workload, &plan, true, bounded())),
+                    "{arm}"
+                );
             }
         }
     }

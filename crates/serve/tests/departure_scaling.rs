@@ -4,12 +4,12 @@
 //! The seed engine freed sessions with `Vec::retain`, an O(n) scan per
 //! departure — 10^5 sessions leaving in the same slot was ~10^10 probe
 //! operations, minutes of wall time even in release builds. The arena
-//! marks each departure dead in O(1) and sweeps `order` in one linear
-//! pass: before every per-session slot, and in settled-cohort slots
-//! once stale entries exceed an eighth of the live set. So the same
-//! burst is a single linear pass. The wall-time bound here
-//! is deliberately generous (debug builds, shared CI runners); the old
-//! quadratic path misses it by orders of magnitude.
+//! ends each departure in O(1): while the engine is settled it frees
+//! the slot at once, and otherwise the departure leaves a stale
+//! `order` entry that one linear pass sweeps before the next walk of
+//! the live set. So the same burst costs O(k + n). The wall-time bound
+//! here is deliberately generous (debug builds, shared CI runners);
+//! the old quadratic path misses it by orders of magnitude.
 
 use std::time::{Duration, Instant};
 

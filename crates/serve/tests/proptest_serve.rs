@@ -529,14 +529,14 @@ proptest! {
 
     /// The oracle at cohort scale. The two differential tests above
     /// run a 10-session link, so a settled cohort holds about ten
-    /// sessions and a deferred sweep never waits long. Here the link
-    /// carries 100–2000 sessions and sessions are short, so large
-    /// settled cohorts step in bulk for many slots while departures
-    /// pile up unswept, until a fault, a miss or a contended slot
-    /// sends them back to the per-session path. The reference predates
-    /// the PI shedding law (it runs the hysteresis law for any degrade
-    /// config), so the PI arm is checked in the engine's own tests,
-    /// against its per-session path.
+    /// sessions. Here the link carries 100–2000 sessions and sessions
+    /// are short, so large settled cohorts step in bulk for many slots
+    /// on an unordered arena, recycling each departure's slot at once,
+    /// until a fault, a miss or a contended slot sends them back to the
+    /// per-session path, which rebuilds the admission order from the
+    /// records. The reference predates the PI shedding law (it runs the
+    /// hysteresis law for any degrade config), so the PI arm is checked
+    /// in the engine's own tests, against its per-session path.
     #[test]
     fn arena_engine_matches_reference_at_cohort_scale(
         link_sessions in 100u64..2_001,
