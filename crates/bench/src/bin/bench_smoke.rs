@@ -255,14 +255,13 @@ fn main() {
         (secs, throughput, peak_rss, overhead)
     };
 
-    // Micro-kernels behind the E15 numbers: event scheduling, the
-    // per-slot multiplexer pass, memoised admission, recorded here so
-    // the JSON carries them.
+    // Micro-kernels behind the E15 numbers: the per-slot multiplexer
+    // pass and memoised admission, recorded here so the JSON carries
+    // them.
     println!("\nmicro-kernels:");
     let micro_timed: Vec<dms_bench::micro::MicroTiming> =
-        dms_bench::micro::event_queue_micro(1 << 20)
+        dms_bench::micro::multiplexer_micro(20_000)
             .into_iter()
-            .chain(dms_bench::micro::multiplexer_micro(20_000))
             .chain(dms_bench::micro::admission_micro(1 << 20))
             .collect();
     for t in &micro_timed {

@@ -2058,7 +2058,7 @@ impl Sweep for E15MegaScale {
     type Outcome = (E15Outcome, Option<ServeMetricsSink>);
     const ID: &'static str = "E15";
     const TITLE: &'static str =
-        "Mega-scale engine: timing-wheel + arena vs the seed engine (S2.2, S4)";
+        "Mega-scale engine: slot calendar + arena vs the seed engine (S2.2, S4)";
 
     /// The reduced point in all three arms.
     fn points() -> Vec<E15Point> {

@@ -1,12 +1,11 @@
-//! Micro-benchmarks for the three hot kernels of the million-session
-//! engine: event scheduling (timing wheel vs the seed binary heap),
+//! Micro-benchmarks for two hot kernels of the million-session engine:
 //! the per-slot multiplexer pass (arena engine vs the seed reference
-//! engine), and admission decisions (direct M/M/1/K evaluation vs the
+//! engine) and admission decisions (direct M/M/1/K evaluation vs the
 //! memo's admission frontier).
 //!
 //! Each function runs both sides of one comparison on identical
 //! seeded input and returns the wall-clock timings; `bench_smoke`
-//! prints all three comparisons and folds them into
+//! prints both comparisons and folds them into
 //! `BENCH_experiments.json`. The *outputs* of the timed kernels are
 //! deterministic — only the seconds vary run to run.
 
@@ -16,7 +15,6 @@ use dms_serve::{
     AdmissionController, AdmissionMemo, AdmissionPolicy, CapacityModel, ReferenceServerSim,
     ServerConfig, ServerSim, SessionRequest, SessionTemplate, Workload,
 };
-use dms_sim::{EventQueue, HeapEventQueue, SimRng, SimTime};
 
 /// One timed kernel run: a label, how many operations it performed,
 /// and how long they took.
@@ -24,8 +22,8 @@ use dms_sim::{EventQueue, HeapEventQueue, SimRng, SimTime};
 pub struct MicroTiming {
     /// Kernel label, stable across runs (keys the JSON output).
     pub name: &'static str,
-    /// Operations performed (events scheduled+popped, session-slots
-    /// multiplexed, admission decisions taken).
+    /// Operations performed (session-slots multiplexed, admission
+    /// decisions taken).
     pub ops: u64,
     /// Wall-clock seconds for all `ops`.
     pub seconds: f64,
@@ -58,82 +56,6 @@ fn timed(name: &'static str, ops: u64, f: impl FnOnce()) -> MicroTiming {
         ops,
         seconds: start.elapsed().as_secs_f64(),
     }
-}
-
-/// One schedule/pop regime of the event-queue comparison: `per_slot`
-/// events scheduled per slot advance, offsets 0..256 slots ahead, so
-/// the steady-state live set is ~`per_slot · 128` events.
-fn event_queue_regime(
-    names: (&'static str, &'static str),
-    events: u64,
-    per_slot: u64,
-) -> Vec<MicroTiming> {
-    let offsets: Vec<u64> = {
-        let mut rng = SimRng::new(42).substream("micro-eq", per_slot);
-        (0..events).map(|_| rng.below(256) as u64).collect()
-    };
-    // Interleave schedule and pop so both queues hold a steady live
-    // set, like the simulators do, instead of one giant bulk load.
-    let wheel = timed(names.0, events, || {
-        let mut queue: EventQueue<u32> = EventQueue::with_capacity(1024);
-        let mut now = 0u64;
-        let mut popped = 0u64;
-        for (i, &off) in offsets.iter().enumerate() {
-            queue.schedule(SimTime::from_ticks(now + off), i as u32);
-            if (i as u64 + 1).is_multiple_of(per_slot) {
-                now += 1;
-                while let Some(ev) = queue.pop_at_or_before(SimTime::from_ticks(now)) {
-                    popped = popped.wrapping_add(u64::from(ev.payload));
-                }
-            }
-        }
-        while let Some(ev) = queue.pop() {
-            popped = popped.wrapping_add(u64::from(ev.payload));
-        }
-        std::hint::black_box(popped);
-    });
-    let heap = timed(names.1, events, || {
-        let mut queue: HeapEventQueue<u32> = HeapEventQueue::with_capacity(1024);
-        let mut now = 0u64;
-        let mut popped = 0u64;
-        for (i, &off) in offsets.iter().enumerate() {
-            queue.schedule(SimTime::from_ticks(now + off), i as u32);
-            if (i as u64 + 1).is_multiple_of(per_slot) {
-                now += 1;
-                while let Some(ev) = queue.pop_at_or_before(SimTime::from_ticks(now)) {
-                    popped = popped.wrapping_add(u64::from(ev.payload));
-                }
-            }
-        }
-        while let Some(ev) = queue.pop() {
-            popped = popped.wrapping_add(u64::from(ev.payload));
-        }
-        std::hint::black_box(popped);
-    });
-    vec![wheel, heap]
-}
-
-/// Times `events` schedule+pop cycles through the timing-wheel
-/// [`EventQueue`] and the seed [`HeapEventQueue`] on identical
-/// arrival patterns in two regimes: a *small* live set (16 events per
-/// slot, ~2k live — E12-sized, where the heap fits in cache) and the
-/// *mega* live set (2048 per slot, ~256k live — E15-sized, where every
-/// heap sift walks cold memory). The serving engine keeps its events
-/// in a per-slot calendar instead; the wheel remains the general
-/// `dms_sim` queue. Both queues must drain the same number of events.
-#[must_use]
-pub fn event_queue_micro(events: u64) -> Vec<MicroTiming> {
-    let mut timings = event_queue_regime(
-        ("event_queue_small/wheel", "event_queue_small/heap"),
-        events,
-        16,
-    );
-    timings.extend(event_queue_regime(
-        ("event_queue_mega/wheel", "event_queue_mega/heap"),
-        events,
-        2_048,
-    ));
-    timings
 }
 
 /// The dense multiplexer workload: every session arrives at slot 0
@@ -278,25 +200,6 @@ pub fn admission_micro(decisions: u64) -> Vec<MicroTiming> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn event_queue_micro_times_both_regimes() {
-        let timings = event_queue_micro(4_096);
-        let names: Vec<&str> = timings.iter().map(|t| t.name).collect();
-        assert_eq!(
-            names,
-            [
-                "event_queue_small/wheel",
-                "event_queue_small/heap",
-                "event_queue_mega/wheel",
-                "event_queue_mega/heap",
-            ]
-        );
-        for t in &timings {
-            assert_eq!(t.ops, 4_096);
-            assert!(t.seconds >= 0.0 && t.ops_per_sec() > 0.0);
-        }
-    }
 
     #[test]
     fn multiplexer_micro_reports_session_slots() {

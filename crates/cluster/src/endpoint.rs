@@ -5,8 +5,8 @@
 //! and the adaptive [`AdaptiveSim::dispatch`](crate::AdaptiveSim::dispatch)
 //! feed it sorted workloads. Both produce bit-identical routing for
 //! the same offers because they *are* the same code path. Retries
-//! and re-offers flow through one timing wheel and one
-//! `(slot, arrival-order)` merge discipline: a dynamic offer strictly
+//! and re-offers wait in one FIFO per slot and merge by one
+//! `(slot, arrival-order)` discipline: a dynamic offer strictly
 //! earlier than the next injected offer routes first; ties go to the
 //! injected offer (initial offers precede dynamic ones at equal slots).
 //!
@@ -20,16 +20,16 @@
 //! with their remaining duration, and its reservations are released.
 
 use std::borrow::Cow;
+use std::collections::{BTreeMap, VecDeque};
 
 use dms_serve::{RecoveryConfig, ServeError, SessionRequest, SessionTemplate, Workload};
-use dms_sim::{EventQueue, SimTime};
 
 use crate::adaptive::Controller;
 use crate::balancer::{Balancer, Route, ShardState};
 use crate::cluster::{ClusterConfig, DispatchReport, ShardFault};
 
-/// One offer in the dispatch stream. Offers due at one slot route in
-/// push order: the wheel drains each slot FIFO.
+/// One offer in the dispatch stream. Dynamic offers due at one slot
+/// route in push order, out of that slot's FIFO.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Offer {
     slot: u64,
@@ -56,8 +56,9 @@ pub struct FleetEndpoint {
     /// the offer stream passes its slot.
     deaths: Vec<(u64, usize)>,
     next_death: usize,
-    /// Dynamic offers (retries, take-down re-offers) keyed by slot.
-    dynamic: EventQueue<Offer>,
+    /// Dynamic offers (retries, take-down re-offers) by slot, each
+    /// slot's first in first out. No slot is kept empty.
+    dynamic: BTreeMap<u64, VecDeque<Offer>>,
     sessions: Vec<Vec<SessionRequest>>,
     /// Per shard, `(arrival, depart, id)` of the sessions a take-down
     /// could strand. Recorded only where one can strike — a shard with
@@ -137,7 +138,7 @@ impl FleetEndpoint {
             controller: None,
             deaths,
             next_death: 0,
-            dynamic: EventQueue::with_capacity(64),
+            dynamic: BTreeMap::new(),
             sessions: (0..shard_count)
                 .map(|_| Vec::with_capacity(per_shard_hint))
                 .collect(),
@@ -244,12 +245,8 @@ impl FleetEndpoint {
     /// routes only while strictly earlier than the next injected one.
     fn advance(&mut self, upcoming: Option<u64>) {
         loop {
-            let next_slot = match (upcoming, self.dynamic.peek_time()) {
-                (Some(u), Some(t)) => Some(u.min(t.ticks())),
-                (Some(u), None) => Some(u),
-                (None, Some(t)) => Some(t.ticks()),
-                (None, None) => None,
-            };
+            let dynamic = self.dynamic.keys().next().copied();
+            let next_slot = upcoming.into_iter().chain(dynamic).min();
             let reached = |edge: u64| next_slot.is_none_or(|s| s >= edge);
             if let Some(&(death_slot, _)) = self.deaths.get(self.next_death) {
                 if reached(death_slot) {
@@ -268,15 +265,14 @@ impl FleetEndpoint {
                     continue;
                 }
             }
-            let due = match (upcoming, self.dynamic.peek_time()) {
-                (Some(u), Some(t)) => t.ticks() < u,
-                (None, Some(_)) => true,
-                (_, None) => false,
-            };
-            if !due {
+            if dynamic.is_none_or(|d| upcoming.is_some_and(|u| d >= u)) {
                 break;
             }
-            let offer = self.dynamic.pop().expect("peeked non-empty").payload;
+            let mut first = self.dynamic.first_entry().expect("peeked non-empty");
+            let offer = first.get_mut().pop_front().expect("no slot is kept empty");
+            if first.get().is_empty() {
+                first.remove();
+            }
             self.route_one(offer);
         }
     }
@@ -301,16 +297,13 @@ impl FleetEndpoint {
             // arrived before `b`, with playout left past it.
             if arrival < b && depart > b {
                 self.report.rerouted += 1;
-                let slot = b + self.recovery.backoff_slots(0);
-                self.dynamic.schedule(
-                    SimTime::from_ticks(slot),
-                    Offer {
-                        slot,
-                        id,
-                        duration_slots: depart - b,
-                        attempt: 1,
-                    },
-                );
+                let slot = b.saturating_add(self.recovery.backoff_slots(0));
+                self.dynamic.entry(slot).or_default().push_back(Offer {
+                    slot,
+                    id,
+                    duration_slots: depart - b,
+                    attempt: 1,
+                });
             }
         }
         self.in_flight[shard].clear();
@@ -361,15 +354,14 @@ impl FleetEndpoint {
             Route::Refused => {
                 if offer.attempt < self.recovery.max_retries {
                     self.report.retries += 1;
-                    let slot = offer.slot + self.recovery.backoff_slots(offer.attempt);
-                    self.dynamic.schedule(
-                        SimTime::from_ticks(slot),
-                        Offer {
-                            slot,
-                            attempt: offer.attempt + 1,
-                            ..offer
-                        },
-                    );
+                    let slot = offer
+                        .slot
+                        .saturating_add(self.recovery.backoff_slots(offer.attempt));
+                    self.dynamic.entry(slot).or_default().push_back(Offer {
+                        slot,
+                        attempt: offer.attempt + 1,
+                        ..offer
+                    });
                 } else {
                     self.report.balancer_rejected += 1;
                 }

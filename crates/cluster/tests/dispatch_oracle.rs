@@ -163,7 +163,9 @@ impl Oracle {
             None if offer.attempt < self.recovery.max_retries => {
                 self.report.retries += 1;
                 self.schedule(Offer {
-                    slot: offer.slot + self.recovery.backoff_slots(offer.attempt),
+                    slot: offer
+                        .slot
+                        .saturating_add(self.recovery.backoff_slots(offer.attempt)),
                     attempt: offer.attempt + 1,
                     ..offer
                 });
@@ -178,7 +180,7 @@ impl Oracle {
             if arrival < b && depart > b {
                 self.report.rerouted += 1;
                 self.schedule(Offer {
-                    slot: b + self.recovery.backoff_slots(0),
+                    slot: b.saturating_add(self.recovery.backoff_slots(0)),
                     id,
                     duration_slots: depart - b,
                     attempt: 1,
@@ -257,7 +259,10 @@ proptest! {
     /// The endpoint routes exactly as the naive oracle does: the same
     /// per-shard workloads and the same dispatch ledger, over fleets of
     /// 1–8 shards of unequal capacity, loads 0.3–1.8, every policy,
-    /// and zero or one shard death.
+    /// and zero or one shard death. A third of the cases back off by
+    /// `u64::MAX` slots, the largest base `RecoveryConfig` accepts:
+    /// every retry and re-offer then saturates past the horizon and
+    /// expires as a balancer rejection.
     #[test]
     fn endpoint_matches_the_naive_oracle(
         capacities in proptest::collection::vec(4u64..41, 1..9),
@@ -265,7 +270,7 @@ proptest! {
         load in 0.3f64..1.8,
         policy in 0usize..3,
         death in (proptest::bool::ANY, 0usize..8, 1u64..160),
-        recovery in (1u64..6, 1u64..3, 0u32..5),
+        recovery in (prop_oneof![1u64..6, 1u64..6, Just(u64::MAX)], 1u64..3, 0u32..5),
         slots in 80u64..160,
         duration in 10.0f64..40.0,
         seed in 0u64..1_000_000,

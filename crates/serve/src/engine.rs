@@ -1127,7 +1127,7 @@ mod tests {
     use crate::session::ServerSim;
     use crate::workload::{rate_for_load, ArrivalProcess, Workload};
     use crate::{CapacityModel, DegradeConfig};
-    use dms_sim::{FaultSpec, HeapEventQueue, MetricsRegistry, SimTime};
+    use dms_sim::{EventQueue, FaultSpec, MetricsRegistry, SimTime};
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
@@ -1377,7 +1377,7 @@ mod tests {
     /// A calendar and the `(time, seq)` heap, fed the same schedules.
     struct CalendarOracle {
         cal: SlotCalendar,
-        heap: HeapEventQueue<Entry>,
+        heap: EventQueue<Entry>,
         next: u64,
         /// Entries scheduled below the horizon and not yet drained.
         live: usize,
@@ -1453,7 +1453,7 @@ mod tests {
         ) {
             let mut o = CalendarOracle {
                 cal: SlotCalendar::new(horizon, window),
-                heap: HeapEventQueue::new(),
+                heap: EventQueue::new(),
                 next: 0,
                 live: 0,
             };

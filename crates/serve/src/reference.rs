@@ -4,8 +4,8 @@
 //! [`ReferenceServerSim`] is the seed `ServerSim` hot loop, verbatim:
 //! a `Vec<ActiveSession>` active set paying O(n) `retain` per
 //! departure, a per-offer admission-predictor call per arrival, and the
-//! retired binary-heap event queue ([`dms_sim::HeapEventQueue`]). It
-//! exists for two reasons:
+//! binary-heap event queue ([`dms_sim::EventQueue`]). It exists for two
+//! reasons:
 //!
 //! * **Correctness** — the arena-backed [`crate::ServerSim`] must
 //!   produce *byte-identical* reports (float accumulation order
@@ -19,7 +19,7 @@
 //! Keep this file boring: it should only change when the *semantics*
 //! of the server change, never for performance.
 
-use dms_sim::{FaultEvent, FaultPlan, HeapEventQueue, SimTime};
+use dms_sim::{EventQueue, FaultEvent, FaultPlan, SimTime};
 
 use crate::admission::AdmissionController;
 use crate::degrade::LayerController;
@@ -120,7 +120,7 @@ impl ReferenceServerSim {
         let mut admission = AdmissionController::new(cfg.capacity, cfg.policy, full_bits)?;
         let mut degrade = cfg.degrade.map(LayerController::new).transpose()?;
 
-        let mut queue = HeapEventQueue::with_capacity(workload.sessions.len() * 2);
+        let mut queue = EventQueue::with_capacity(workload.sessions.len() * 2);
         for (idx, s) in workload.sessions.iter().enumerate() {
             queue.schedule(SimTime::from_ticks(s.arrival_slot), RefEvent::Arrive(idx));
         }

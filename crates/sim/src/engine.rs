@@ -1,18 +1,13 @@
 //! The discrete-event engine: event queue, model trait and run loop.
 //!
-//! [`EventQueue`] is a hierarchical timing wheel: eight levels of 256
-//! buckets, where level `l` hashes an event by byte `l` of its absolute
-//! tick count. Together the levels cover the full `u64` time range, so
-//! any future timestamp inserts in O(1); popping advances a cursor
-//! through per-level occupancy bitmaps (four words per level) and
-//! cascades a higher-level bucket down only when the cursor crosses its
-//! window boundary, which amortises to O(1) per event. The previous
-//! binary-heap implementation survives as [`HeapEventQueue`], the
-//! differential oracle that pins the wheel's `(time, insertion-order)`
-//! pop order bit-exactly.
+//! [`EventQueue`] is a binary heap ordered by `(time, insertion
+//! order)`. The media and core discrete-event models and the reference
+//! server run on it. The serving engine keeps its events in a slot
+//! calendar of its own, and the fleet endpoint keeps its retries in
+//! per-slot FIFOs.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use crate::time::SimTime;
 
@@ -53,78 +48,12 @@ impl<E> Ord for ScheduledEvent<E> {
     }
 }
 
-/// Bits of the tick count consumed per wheel level.
-const LEVEL_BITS: u32 = 8;
-/// Buckets per level (one per value of the level's byte).
-const BUCKETS: usize = 1 << LEVEL_BITS;
-/// Mask selecting a level's byte from a tick count.
-const LEVEL_MASK: u64 = (BUCKETS - 1) as u64;
-/// Levels needed so the wheel spans all 64 bits of [`SimTime`].
-const MAX_LEVELS: usize = (u64::BITS / LEVEL_BITS) as usize;
-/// Occupancy-bitmap words per level.
-const OCC_WORDS: usize = BUCKETS / u64::BITS as usize;
-
-/// One wheel level: 256 buckets plus an occupancy bitmap so the cursor
-/// can jump to the next non-empty bucket in a handful of word scans.
-#[derive(Debug)]
-struct Level<E> {
-    buckets: Vec<Vec<ScheduledEvent<E>>>,
-    occupied: [u64; OCC_WORDS],
-}
-
-impl<E> Level<E> {
-    fn new() -> Self {
-        let mut buckets = Vec::with_capacity(BUCKETS);
-        buckets.resize_with(BUCKETS, Vec::new);
-        Level {
-            buckets,
-            occupied: [0; OCC_WORDS],
-        }
-    }
-
-    fn mark(&mut self, idx: usize) {
-        self.occupied[idx >> 6] |= 1u64 << (idx & 63);
-    }
-
-    fn unmark(&mut self, idx: usize) {
-        self.occupied[idx >> 6] &= !(1u64 << (idx & 63));
-    }
-
-    /// Lowest occupied bucket index `>= from`, if any.
-    fn next_occupied(&self, from: usize) -> Option<usize> {
-        if from >= BUCKETS {
-            return None;
-        }
-        let mut word = from >> 6;
-        let mut bits = self.occupied[word] & (!0u64 << (from & 63));
-        loop {
-            if bits != 0 {
-                return Some((word << 6) + bits.trailing_zeros() as usize);
-            }
-            word += 1;
-            if word == OCC_WORDS {
-                return None;
-            }
-            bits = self.occupied[word];
-        }
-    }
-
-    fn clear(&mut self) {
-        for bucket in &mut self.buckets {
-            bucket.clear();
-        }
-        self.occupied = [0; OCC_WORDS];
-    }
-}
-
 /// A pending-event set ordered by `(time, insertion order)`.
 ///
-/// Backed by a hierarchical timing wheel: `schedule` and `pop` are
-/// amortised O(1) regardless of the pending population, which is what
-/// lets slot-driven simulations carry 10^6 concurrent sessions. The
-/// pop order is bit-identical to the old binary-heap implementation
-/// (kept as [`HeapEventQueue`] and pinned by differential proptests):
-/// strictly non-decreasing time, FIFO within a time.
+/// A binary min-heap on `(time, seq)`: `schedule` and `pop` are
+/// O(log n) in the pending population. Pops come out in
+/// non-decreasing time, FIFO within a time, and any time may be
+/// scheduled at any point, including one before the last pop.
 ///
 /// # Examples
 ///
@@ -138,30 +67,7 @@ impl<E> Level<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Wheel levels, grown on demand up to [`MAX_LEVELS`]; level `l`
-    /// holds events whose highest byte differing from `cursor` is `l`.
-    levels: Vec<Level<E>>,
-    /// Lower bound on every event stored in the wheel; advances as
-    /// events pop. The *consumer's* clock can trail it (the cursor
-    /// parks on the next pending event after a drain), so later
-    /// schedules may land below it — those go to `backlog`.
-    cursor: u64,
-    /// Events currently being drained from the front bucket, reversed
-    /// so `Vec::pop` yields FIFO order in O(1).
-    drain: Vec<ScheduledEvent<E>>,
-    /// Events scheduled behind the cursor, ordered by `(time, seq)`.
-    /// Every entry is strictly below the cursor while the wheel and
-    /// drain buffer hold nothing below it, so the backlog always owns
-    /// the queue minimum when non-empty and pops first. Stays tiny in
-    /// practice (only near-past times land here), and the worst case is
-    /// the seed binary heap's O(log n) — never a wheel rebuild.
-    backlog: BinaryHeap<ScheduledEvent<E>>,
-    /// Tick count shared by everything in `drain`.
-    drain_time: u64,
-    /// Exact tick count of the earliest pending event (kept eagerly so
-    /// `peek_time` is O(1) and `&self`).
-    cached_min: Option<u64>,
-    len: usize,
+    heap: BinaryHeap<ScheduledEvent<E>>,
     next_seq: u64,
 }
 
@@ -175,301 +81,22 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     #[must_use]
     pub fn new() -> Self {
-        EventQueue {
-            levels: Vec::new(),
-            cursor: 0,
-            drain: Vec::new(),
-            drain_time: 0,
-            backlog: BinaryHeap::new(),
-            cached_min: None,
-            len: 0,
-            next_seq: 0,
-        }
+        Self::with_capacity(0)
     }
 
-    /// Creates an empty queue sized for a known event population.
-    ///
-    /// The wheel allocates per-bucket on demand, so unlike the old
-    /// binary heap there is no single backing array to pre-size; this
-    /// constructor eagerly builds the first wheel level (the hot one)
-    /// and pre-reserves the front-bucket drain buffer so steady-state
-    /// runs never allocate on the pop path.
+    /// Creates an empty queue with room for `capacity` pending events.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
-        let mut q = Self::new();
-        q.levels.push(Level::new());
-        // A single slot's burst is rarely more than a small fraction of
-        // the whole population; cap the eager reservation.
-        q.drain.reserve(capacity.min(1024));
-        q
-    }
-
-    /// Reserves room for at least `additional` more pending events.
-    ///
-    /// Kept for API compatibility with the heap-backed queue; the wheel
-    /// grows per-bucket, so this only pre-builds the first level.
-    pub fn reserve(&mut self, _additional: usize) {
-        if self.levels.is_empty() {
-            self.levels.push(Level::new());
+        EventQueue {
+            heap: BinaryHeap::with_capacity(capacity),
+            next_seq: 0,
         }
-    }
-
-    /// Wheel level for an event at tick `t` given the current cursor:
-    /// the highest byte in which they differ (0 when equal).
-    fn level_for(cursor: u64, t: u64) -> usize {
-        match cursor ^ t {
-            0 => 0,
-            x => ((63 - x.leading_zeros()) / LEVEL_BITS) as usize,
-        }
-    }
-
-    /// Appends `ev` to its bucket. `ev.time` must be `>= self.cursor`.
-    fn place(&mut self, ev: ScheduledEvent<E>) {
-        let t = ev.time.ticks();
-        debug_assert!(t >= self.cursor, "place() below the cursor");
-        let level = Self::level_for(self.cursor, t);
-        debug_assert!(level < MAX_LEVELS, "level_for out of range");
-        while self.levels.len() <= level {
-            self.levels.push(Level::new());
-        }
-        let idx = ((t >> (LEVEL_BITS * level as u32)) & LEVEL_MASK) as usize;
-        let lvl = &mut self.levels[level];
-        lvl.buckets[idx].push(ev);
-        lvl.mark(idx);
     }
 
     /// Schedules `payload` to fire at `time`.
     ///
     /// Events scheduled for the same time fire in the order they were
     /// scheduled.
-    pub fn schedule(&mut self, time: SimTime, payload: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.insert(ScheduledEvent { time, seq, payload });
-    }
-
-    fn insert(&mut self, ev: ScheduledEvent<E>) {
-        let t = ev.time.ticks();
-        if self.len == 0 {
-            // Empty wheel: park the cursor on the new event so even a
-            // "past" timestamp lands in the wheel directly.
-            self.cursor = t;
-            self.place(ev);
-        } else if t < self.cursor {
-            // Scheduling behind the search cursor — routine once the
-            // cursor has parked on the *next* pending event while the
-            // consumer's clock still trails it (e.g. an arrival due
-            // sooner than every pending departure). The ordered backlog
-            // absorbs it in O(log b); it pops before the wheel, so
-            // global (time, seq) order is preserved.
-            self.backlog.push(ev);
-        } else {
-            self.place(ev);
-        }
-        self.len += 1;
-        self.cached_min = Some(match self.cached_min {
-            Some(m) => m.min(t),
-            None => t,
-        });
-    }
-
-    /// Advances the cursor to the earliest pending event, cascading
-    /// higher-level buckets down as windows are crossed. Requires
-    /// `len > 0` and an empty drain buffer; returns the event's ticks
-    /// with the cursor parked exactly on it.
-    fn find_next(&mut self) -> Option<u64> {
-        if self.len == 0 {
-            return None;
-        }
-        debug_assert!(self.drain.is_empty());
-        loop {
-            // Fast path: a pending bucket in the current 256-tick window.
-            let idx0 = (self.cursor & LEVEL_MASK) as usize;
-            if let Some(idx) = self.levels.first().and_then(|l0| l0.next_occupied(idx0)) {
-                let t = (self.cursor & !LEVEL_MASK) | idx as u64;
-                self.cursor = t;
-                return Some(t);
-            }
-            // Climb: the lowest level with an occupied bucket past the
-            // cursor's byte holds the earliest window. Buckets at or
-            // below the cursor's own byte cannot be occupied (their
-            // events would have been hashed to a lower level).
-            let mut advanced = false;
-            for level in 1..self.levels.len() {
-                let shift = LEVEL_BITS * level as u32;
-                let here = ((self.cursor >> shift) & LEVEL_MASK) as usize;
-                if let Some(idx) = self.levels[level].next_occupied(here + 1) {
-                    let above = shift + LEVEL_BITS;
-                    let high = if above >= u64::BITS {
-                        0
-                    } else {
-                        (self.cursor >> above) << above
-                    };
-                    self.cursor = high | ((idx as u64) << shift);
-                    // Cascade the bucket down; every event re-hashes to
-                    // a strictly lower level, preserving bucket order
-                    // (and therefore seq order) as it goes.
-                    let mut moved = {
-                        let lvl = &mut self.levels[level];
-                        lvl.unmark(idx);
-                        std::mem::take(&mut lvl.buckets[idx])
-                    };
-                    for e in moved.drain(..) {
-                        self.place(e);
-                    }
-                    // Hand the allocation back for the next rotation.
-                    self.levels[level].buckets[idx] = moved;
-                    advanced = true;
-                    break;
-                }
-            }
-            if !advanced {
-                debug_assert!(false, "non-empty wheel with no occupied bucket");
-                return None;
-            }
-        }
-    }
-
-    /// Removes and returns the earliest event, or `None` if empty.
-    pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        if self.len == 0 {
-            return None;
-        }
-        // Backlog entries sit strictly below the cursor and the wheel
-        // holds nothing below it, so a non-empty backlog owns the
-        // minimum outright.
-        if let Some(ev) = self.backlog.pop() {
-            self.len -= 1;
-            self.cached_min = self.refreshed_min();
-            return Some(ev);
-        }
-        if self.drain.is_empty() {
-            let t = self.find_next()?;
-            let idx = (t & LEVEL_MASK) as usize;
-            let l0 = &mut self.levels[0];
-            std::mem::swap(&mut l0.buckets[idx], &mut self.drain);
-            l0.unmark(idx);
-            // Reverse once so each pop is O(1) off the tail; same-time
-            // events scheduled mid-drain append to the (now empty)
-            // bucket and are picked up after the drain buffer empties,
-            // preserving FIFO.
-            self.drain.reverse();
-            self.drain_time = t;
-        }
-        let ev = self.drain.pop().expect("drain buffer non-empty");
-        self.len -= 1;
-        self.cached_min = self.refreshed_min();
-        Some(ev)
-    }
-
-    /// Recomputes the exact minimum after a pop: backlog first (always
-    /// lowest when present), then the in-flight drain buffer, then the
-    /// wheel itself.
-    fn refreshed_min(&mut self) -> Option<u64> {
-        if let Some(b) = self.backlog.peek() {
-            return Some(b.time.ticks());
-        }
-        if self.len == 0 {
-            None
-        } else if !self.drain.is_empty() {
-            Some(self.drain_time)
-        } else {
-            self.find_next()
-        }
-    }
-
-    /// Removes and returns the earliest event if it fires at or before
-    /// `horizon` — an O(1) bound check against the cached minimum,
-    /// which is what [`Engine::run_until`] sits in for every event.
-    pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<ScheduledEvent<E>> {
-        if self.cached_min? > horizon.ticks() {
-            return None;
-        }
-        self.pop()
-    }
-
-    /// Returns a draining iterator over every event due at or before
-    /// `horizon`, in `(time, insertion-order)` order.
-    ///
-    /// Equal-time events come out in exactly the order they were
-    /// scheduled — the FIFO contract slotted multiplexers (one
-    /// `drain_ready` per slot boundary) rely on for determinism.
-    /// Events after `horizon` are left untouched; dropping the iterator
-    /// early leaves the remaining due events in the queue.
-    pub fn drain_ready(&mut self, horizon: SimTime) -> DrainReady<'_, E> {
-        DrainReady {
-            queue: self,
-            horizon,
-        }
-    }
-
-    /// Returns the time of the earliest pending event without removing it.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.cached_min.map(SimTime::from_ticks)
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no events are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Drops all pending events.
-    pub fn clear(&mut self) {
-        for level in &mut self.levels {
-            level.clear();
-        }
-        self.drain.clear();
-        self.backlog.clear();
-        self.cached_min = None;
-        self.len = 0;
-    }
-}
-
-/// The retired binary-heap event queue, kept as the differential
-/// oracle for the timing wheel (the same role the Hosking fGn sampler
-/// plays for the circulant-embedding one): proptests drive both with
-/// identical schedules and assert bit-identical pop order. Also the
-/// baseline arm of `dms-bench`'s event-queue micro-benchmark.
-#[derive(Debug)]
-pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<ScheduledEvent<E>>,
-    next_seq: u64,
-}
-
-impl<E> Default for HeapEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> HeapEventQueue<E> {
-    /// Creates an empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-        }
-    }
-
-    /// Creates an empty queue with room for `capacity` pending events.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::with_capacity(capacity),
-            next_seq: 0,
-        }
-    }
-
-    /// Schedules `payload` to fire at `time` (FIFO within a time).
     pub fn schedule(&mut self, time: SimTime, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -481,13 +108,14 @@ impl<E> HeapEventQueue<E> {
         self.heap.pop()
     }
 
-    /// Removes and returns the earliest event if due at or before `horizon`.
+    /// Removes and returns the earliest event if it fires at or before
+    /// `horizon`.
     pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<ScheduledEvent<E>> {
         let top = self.heap.peek_mut()?;
         if top.time > horizon {
             return None;
         }
-        Some(std::collections::binary_heap::PeekMut::pop(top))
+        Some(PeekMut::pop(top))
     }
 
     /// Returns the time of the earliest pending event without removing it.
@@ -506,22 +134,6 @@ impl<E> HeapEventQueue<E> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-}
-
-/// Draining iterator returned by [`EventQueue::drain_ready`]: yields
-/// events due at or before the horizon, earliest `(time, seq)` first.
-#[derive(Debug)]
-pub struct DrainReady<'a, E> {
-    queue: &'a mut EventQueue<E>,
-    horizon: SimTime,
-}
-
-impl<E> Iterator for DrainReady<'_, E> {
-    type Item = ScheduledEvent<E>;
-
-    fn next(&mut self) -> Option<ScheduledEvent<E>> {
-        self.queue.pop_at_or_before(self.horizon)
     }
 }
 
@@ -559,17 +171,6 @@ impl<M: Model> Engine<M> {
         Engine {
             model,
             queue: EventQueue::new(),
-            now: SimTime::ZERO,
-            processed: 0,
-        }
-    }
-
-    /// Like [`Engine::new`], but pre-sizes the event queue for
-    /// `capacity` pending events (see [`EventQueue::with_capacity`]).
-    pub fn with_capacity(model: M, capacity: usize) -> Self {
-        Engine {
-            model,
-            queue: EventQueue::with_capacity(capacity),
             now: SimTime::ZERO,
             processed: 0,
         }
@@ -770,18 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn with_capacity_behaves_like_new() {
-        let mut eng = Engine::with_capacity(Recorder { seen: vec![] }, 64);
-        eng.queue_mut().schedule(SimTime::from_ticks(2), 9);
-        eng.run_to_completion();
-        assert_eq!(eng.model().seen, vec![(2, 9)]);
-        let mut q: EventQueue<u32> = EventQueue::with_capacity(8);
-        q.reserve(100);
-        q.schedule(SimTime::ZERO, 1);
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
     fn pop_at_or_before_respects_horizon() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_ticks(3), "late");
@@ -792,56 +381,6 @@ mod tests {
         assert_eq!(ev.payload, "early");
         assert!(q.pop_at_or_before(SimTime::from_ticks(2)).is_none());
         assert_eq!(q.peek_time(), Some(SimTime::from_ticks(3)));
-    }
-
-    /// Pins the ordering contract `drain_ready` gives the session
-    /// multiplexer in `dms-serve`: events *at* the horizon drain in
-    /// scheduling (FIFO) order, interleaved correctly with earlier
-    /// events, and nothing past the horizon moves.
-    #[test]
-    fn drain_ready_pins_fifo_order_at_horizon_boundary() {
-        let mut q = EventQueue::new();
-        // Three events exactly at the horizon, scheduled out of order
-        // with respect to an earlier and a later event.
-        q.schedule(SimTime::from_ticks(10), "at-a");
-        q.schedule(SimTime::from_ticks(11), "late");
-        q.schedule(SimTime::from_ticks(10), "at-b");
-        q.schedule(SimTime::from_ticks(9), "early");
-        q.schedule(SimTime::from_ticks(10), "at-c");
-        let drained: Vec<&str> = q
-            .drain_ready(SimTime::from_ticks(10))
-            .map(|ev| ev.payload)
-            .collect();
-        // Earlier event first, then the horizon events in the exact
-        // order they were scheduled — not heap order.
-        assert_eq!(drained, vec!["early", "at-a", "at-b", "at-c"]);
-        // The post-horizon event is untouched.
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.peek_time(), Some(SimTime::from_ticks(11)));
-        // A fresh drain at a later horizon picks it up.
-        let rest: Vec<&str> = q.drain_ready(SimTime::MAX).map(|ev| ev.payload).collect();
-        assert_eq!(rest, vec!["late"]);
-        assert!(q.is_empty());
-    }
-
-    /// Dropping the iterator mid-drain must leave the queue coherent:
-    /// the remaining due events keep their FIFO order.
-    #[test]
-    fn drain_ready_partial_drain_preserves_remainder() {
-        let mut q = EventQueue::new();
-        for i in 0..6u32 {
-            q.schedule(SimTime::from_ticks(4), i);
-        }
-        {
-            let mut it = q.drain_ready(SimTime::from_ticks(4));
-            assert_eq!(it.next().expect("due").payload, 0);
-            assert_eq!(it.next().expect("due").payload, 1);
-        }
-        let rest: Vec<u32> = q
-            .drain_ready(SimTime::from_ticks(4))
-            .map(|ev| ev.payload)
-            .collect();
-        assert_eq!(rest, vec![2, 3, 4, 5]);
     }
 
     #[test]
@@ -873,11 +412,10 @@ mod tests {
         assert_eq!(eng.now(), SimTime::from_ticks(4));
     }
 
-    /// Far-apart timestamps exercise every wheel level and the cascade
-    /// path: events spread across the full u64 range still pop in
-    /// exact (time, seq) order.
+    /// Timestamps spread across the full u64 range, scheduled out of
+    /// order, pop in exact time order.
     #[test]
-    fn wheel_cascades_across_all_levels() {
+    fn full_range_times_pop_in_order() {
         let mut q = EventQueue::new();
         let times = [
             u64::MAX,
@@ -906,11 +444,10 @@ mod tests {
         assert_eq!(q.peek_time(), None);
     }
 
-    /// After the wheel drains, scheduling an *earlier* time than
-    /// anything seen before must work: the cursor parks on the new
-    /// event instead of forcing a rebuild.
+    /// After the queue drains, an *earlier* time than anything popped
+    /// before is scheduled and popped like any other.
     #[test]
-    fn empty_wheel_accepts_earlier_times() {
+    fn drained_queue_accepts_earlier_times() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_ticks(1000), "first");
         assert_eq!(q.pop().expect("due").payload, "first");
@@ -920,62 +457,17 @@ mod tests {
         assert_eq!((ev.time.ticks(), ev.payload), (3, "rewound"));
     }
 
-    /// Scheduling behind the cursor while events are pending routes
-    /// through the backlog and still yields global (time, seq) order.
+    /// Scheduling behind the last pop while later events are pending
+    /// still yields global (time, seq) order.
     #[test]
-    fn schedule_behind_cursor_stays_ordered() {
+    fn schedule_behind_last_pop_stays_ordered() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_ticks(100), "a");
         q.schedule(SimTime::from_ticks(500), "b");
-        assert_eq!(q.pop().expect("due").payload, "a"); // cursor now at 100
+        assert_eq!(q.pop().expect("due").payload, "a");
         q.schedule(SimTime::from_ticks(7), "past");
         q.schedule(SimTime::from_ticks(7), "past2");
         let order: Vec<&str> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
         assert_eq!(order, vec!["past", "past2", "b"]);
-    }
-
-    /// clear() empties the wheel but keeps it usable.
-    #[test]
-    fn clear_resets_pending_events() {
-        let mut q = EventQueue::new();
-        for t in [5u64, 1 << 20, 77] {
-            q.schedule(SimTime::from_ticks(t), t);
-        }
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-        q.schedule(SimTime::from_ticks(2), 2);
-        assert_eq!(q.pop().expect("due").payload, 2);
-    }
-
-    /// The heap oracle and the wheel agree on a dense interleaved
-    /// schedule (the proptest suite widens this to arbitrary ones).
-    #[test]
-    fn wheel_matches_heap_oracle_on_interleaved_schedule() {
-        let mut wheel = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
-        let times = [9u64, 3, 3, 1 << 17, 9, 0, 42, 42, 3, 1 << 9, 7, 7, 7];
-        for (i, &t) in times.iter().enumerate() {
-            wheel.schedule(SimTime::from_ticks(t), i);
-            heap.schedule(SimTime::from_ticks(t), i);
-        }
-        // Interleave pops with additional schedules.
-        for round in 0..4u64 {
-            let w = wheel.pop().expect("wheel due");
-            let h = heap.pop().expect("heap due");
-            assert_eq!((w.time, w.seq, w.payload), (h.time, h.seq, h.payload));
-            let t = SimTime::from_ticks(50 + round);
-            wheel.schedule(t, 100 + round as usize);
-            heap.schedule(t, 100 + round as usize);
-        }
-        loop {
-            match (wheel.pop(), heap.pop()) {
-                (None, None) => break,
-                (Some(w), Some(h)) => {
-                    assert_eq!((w.time, w.seq, w.payload), (h.time, h.seq, h.payload));
-                }
-                (w, h) => panic!("length mismatch: wheel={:?} heap={:?}", w, h),
-            }
-        }
     }
 }

@@ -14,8 +14,9 @@
 //! perturb it).
 //!
 //! Consumers either walk [`FaultPlan::events`] with a slot cursor (what
-//! the `dms-serve` multiplexer does) or splice the plan into an
-//! existing [`EventQueue`] via [`FaultPlan::schedule_onto`].
+//! the `dms-serve` multiplexer does) or ask
+//! [`FaultPlan::alive_components`] about one slot (the ambient sensor
+//! populations).
 //!
 //! ## Example
 //!
@@ -35,9 +36,7 @@
 //! assert!(matches!(plan.events()[0].event, FaultEvent::LinkRate { .. }));
 //! ```
 
-use crate::engine::EventQueue;
 use crate::rng::SimRng;
-use crate::time::SimTime;
 
 /// Error raised by fault-plan compilation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -384,18 +383,6 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// Splices the plan into an event queue: each scheduled fault is
-    /// mapped into the consumer's event type and scheduled at its slot.
-    pub fn schedule_onto<E>(
-        &self,
-        queue: &mut EventQueue<E>,
-        mut map: impl FnMut(FaultEvent) -> E,
-    ) {
-        for ev in &self.events {
-            queue.schedule(SimTime::from_ticks(ev.slot), map(ev.event));
-        }
-    }
-
     /// Number of components (of a population of `total`) still up at
     /// the *end* of `slot`, honouring `ComponentDown`/`ComponentUp`
     /// events in schedule order — the k-of-n availability primitive the
@@ -656,24 +643,6 @@ mod tests {
         assert_eq!(plan.alive_components(3, 2), 2);
         assert_eq!(plan.alive_components(3, 5), 1);
         assert_eq!(plan.alive_components(3, 6), 2);
-    }
-
-    #[test]
-    fn schedule_onto_maps_into_consumer_events() {
-        let plan = FaultPlan::compile(
-            &[FaultSpec::SlotStalls {
-                start_slot: 3,
-                duration_slots: 2,
-            }],
-            10,
-            1,
-        )
-        .expect("valid");
-        let mut queue: EventQueue<&'static str> = EventQueue::new();
-        plan.schedule_onto(&mut queue, |_| "stall");
-        assert_eq!(queue.len(), 2);
-        let first = queue.pop().expect("scheduled");
-        assert_eq!((first.time.ticks(), first.payload), (3, "stall"));
     }
 
     #[test]

@@ -4,12 +4,15 @@
 //! simulation (DES) kernel, seeded random-number utilities, online
 //! statistics and a deterministic parallel-replication runner.
 //!
-//! Every simulator in the workspace (NoC routers, wireless channels,
-//! MANET nodes, media pipelines) is driven by [`Engine`], which pops
-//! events off an [`EventQueue`] in `(time, insertion-order)` order and
-//! dispatches them to a user-supplied [`Model`]. Because ties are broken
-//! by insertion order and all randomness flows through [`SimRng`]
-//! sub-streams, a simulation with a fixed seed is bit-reproducible.
+//! The media models (packetised stream, MPEG-2 decoder) and the
+//! `dms-core` task-graph executor are driven by [`Engine`], which pops
+//! events off an [`EventQueue`] (a binary heap) in
+//! `(time, insertion-order)` order and dispatches them to a
+//! user-supplied [`Model`]. The serving engine and the NoC, wireless
+//! and MANET simulators step their own slots and share the RNG and
+//! statistics. Because ties are broken by insertion order and all
+//! randomness flows through [`SimRng`] sub-streams, a simulation with
+//! a fixed seed is bit-reproducible.
 //!
 //! Each individual simulation run is single-threaded; *independent*
 //! seeded runs (replications, sweep points, mapping candidates) fan out
@@ -56,9 +59,8 @@ pub mod runlog;
 pub mod sketch;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
-pub use engine::{DrainReady, Engine, EventQueue, HeapEventQueue, Model, ScheduledEvent};
+pub use engine::{Engine, EventQueue, Model, ScheduledEvent};
 pub use faults::{FaultError, FaultEvent, FaultPlan, FaultSpec, ScheduledFault};
 pub use metrics::{JsonValue, Metric, MetricsRegistry, RunLog, RunRecord, ScopedMetrics};
 pub use par::ParRunner;
@@ -69,4 +71,3 @@ pub use runlog::{
 pub use sketch::{QuantileSketch, Reservoir, ReservoirEntry};
 pub use stats::{Autocorrelation, ConfidenceInterval, Histogram, OnlineStats, TimeWeighted};
 pub use time::{SimTime, TickClock};
-pub use trace::{Trace, TraceSample};

@@ -1,14 +1,13 @@
 //! Property-based tests for the DES kernel and statistics.
 
 use dms_sim::{
-    Autocorrelation, Engine, EventQueue, HeapEventQueue, Histogram, Model, OnlineStats, ParRunner,
-    SimRng, SimTime,
+    Autocorrelation, Engine, EventQueue, Histogram, Model, OnlineStats, ParRunner, SimRng, SimTime,
 };
 use proptest::prelude::*;
 
-/// One step of an arbitrary schedule driven against both queue
-/// implementations: schedule at a (possibly huge) time, pop the
-/// earliest event, or pop bounded by a horizon.
+/// One step of an arbitrary schedule driven against the queue and its
+/// model: schedule at a (possibly huge) time, pop the earliest event,
+/// or pop bounded by a horizon.
 #[derive(Debug, Clone)]
 enum QueueOp {
     Schedule(u64),
@@ -17,8 +16,8 @@ enum QueueOp {
 }
 
 /// Times mixing dense small values (lots of FIFO ties) with sparse
-/// huge ones (every wheel level and cascade path). Repeated entries
-/// stand in for weights, which the vendored `prop_oneof` lacks.
+/// huge ones across the full u64 range. Repeated entries stand in for
+/// weights, which the vendored `prop_oneof` lacks.
 fn queue_time() -> impl Strategy<Value = u64> {
     prop_oneof![0u64..64, 0u64..64, 0u64..100_000, 0u64..=u64::MAX]
 }
@@ -166,79 +165,51 @@ proptest! {
         }
     }
 
-    /// Differential oracle for the timing-wheel event queue: driven by
-    /// an arbitrary interleaving of schedules and pops (including
-    /// full-range u64 times and pops bounded by horizons), the wheel
-    /// yields bit-identical `(time, seq, payload)` streams to the
-    /// retired binary-heap implementation.
+    /// The event queue against a sorted-`Vec` model of
+    /// `(time, seq, payload)`: driven by an arbitrary interleaving of
+    /// schedules and pops (dense ties, full-range u64 times and pops
+    /// bounded by horizons), the queue pops exactly the model's front
+    /// entry every time, and agrees on its length and earliest time.
     #[test]
-    fn wheel_pop_order_matches_heap_oracle(
+    fn queue_pop_order_matches_sorted_model(
         ops in proptest::collection::vec(queue_op(), 1..300),
     ) {
-        let mut wheel = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
-        let mut payload = 0u32;
+        let mut queue = EventQueue::new();
+        // Kept sorted by `(time, seq)`; the front is the next pop.
+        let mut model: Vec<(SimTime, u64, u32)> = Vec::new();
+        let mut next_seq = 0u64;
         for op in ops {
-            match op {
+            let (popped, expected) = match op {
                 QueueOp::Schedule(t) => {
-                    wheel.schedule(SimTime::from_ticks(t), payload);
-                    heap.schedule(SimTime::from_ticks(t), payload);
-                    payload += 1;
+                    let entry = (SimTime::from_ticks(t), next_seq, next_seq as u32);
+                    queue.schedule(entry.0, entry.2);
+                    let at = model.partition_point(|e| (e.0, e.1) < (entry.0, entry.1));
+                    model.insert(at, entry);
+                    next_seq += 1;
+                    (None, None)
                 }
                 QueueOp::Pop => {
-                    let w = wheel.pop();
-                    let h = heap.pop();
-                    match (w, h) {
-                        (None, None) => {}
-                        (Some(w), Some(h)) => {
-                            prop_assert_eq!(
-                                (w.time, w.seq, w.payload),
-                                (h.time, h.seq, h.payload)
-                            );
-                        }
-                        (w, h) => {
-                            prop_assert!(false, "pop disagreement: wheel={:?} heap={:?}", w, h);
-                        }
-                    }
+                    let expected = (!model.is_empty()).then(|| model.remove(0));
+                    (queue.pop(), expected)
                 }
                 QueueOp::PopAtOrBefore(horizon) => {
                     let horizon = SimTime::from_ticks(horizon);
-                    let w = wheel.pop_at_or_before(horizon);
-                    let h = heap.pop_at_or_before(horizon);
-                    match (w, h) {
-                        (None, None) => {}
-                        (Some(w), Some(h)) => {
-                            prop_assert_eq!(
-                                (w.time, w.seq, w.payload),
-                                (h.time, h.seq, h.payload)
-                            );
-                        }
-                        (w, h) => {
-                            prop_assert!(
-                                false,
-                                "bounded-pop disagreement: wheel={:?} heap={:?}",
-                                w,
-                                h
-                            );
-                        }
-                    }
+                    let due = model.first().is_some_and(|e| e.0 <= horizon);
+                    let expected = due.then(|| model.remove(0));
+                    (queue.pop_at_or_before(horizon), expected)
                 }
-            }
-            prop_assert_eq!(wheel.len(), heap.len());
-            prop_assert_eq!(wheel.peek_time(), heap.peek_time());
+            };
+            prop_assert_eq!(popped.map(|e| (e.time, e.seq, e.payload)), expected);
+            prop_assert_eq!(queue.len(), model.len());
+            prop_assert_eq!(queue.is_empty(), model.is_empty());
+            prop_assert_eq!(queue.peek_time(), model.first().map(|e| e.0));
         }
-        // Drain both to the end: the tails must agree too.
-        loop {
-            match (wheel.pop(), heap.pop()) {
-                (None, None) => break,
-                (Some(w), Some(h)) => {
-                    prop_assert_eq!((w.time, w.seq, w.payload), (h.time, h.seq, h.payload));
-                }
-                (w, h) => {
-                    prop_assert!(false, "tail disagreement: wheel={:?} heap={:?}", w, h);
-                }
-            }
+        // Drain to the end: the tail must agree too.
+        for entry in model {
+            let ev = queue.pop().expect("model entry pending");
+            prop_assert_eq!((ev.time, ev.seq, ev.payload), entry);
         }
+        prop_assert!(queue.pop().is_none());
     }
 
     /// The determinism contract of the parallel layer: for any job count
