@@ -1,11 +1,12 @@
 //! The session load generator: replays the E12-style soak trace
 //! against a `netserve` endpoint over a real socket — or, with
-//! `--direct`, through the same driver with no socket at all, writing
-//! the reference run-log the socket arm is byte-compared against.
+//! `--direct`, through the same driver with no socket at all, where
+//! `--runlog DIR` streams the reference run-log directory the socket
+//! arm's is compared against with `diff -r` or `logq diff`.
 //!
 //! ```text
 //! loadgen --connect unix:/tmp/dms.sock [--seed N] [--slot-us MICROS]
-//! loadgen --direct [--seed N] [--runlog FILE]
+//! loadgen --direct [--seed N] [--runlog DIR]
 //! ```
 //!
 //! `--slot-us` paces offers in wall-clock time with a
@@ -13,6 +14,7 @@
 //! default the trace replays at full speed. Pacing never changes the
 //! server's run-log — slots travel in the frames, not in the clock.
 
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -25,7 +27,7 @@ struct Args {
     direct: bool,
     seed: u64,
     slot_us: u64,
-    runlog: Option<String>,
+    runlog: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -50,7 +52,7 @@ fn parse_args() -> Result<Args, String> {
                 let v = args.next().ok_or("--slot-us needs a value")?;
                 slot_us = v.parse().map_err(|_| format!("bad slot-us: {v}"))?;
             }
-            "--runlog" => runlog = Some(args.next().ok_or("--runlog needs a path")?),
+            "--runlog" => runlog = Some(args.next().ok_or("--runlog needs a directory")?.into()),
             other => return Err(format!("unknown argument: {other}")),
         }
     }
@@ -67,33 +69,27 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    match parse_args().and_then(|args| run(&args)) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("loadgen: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
+    }
+}
 
+fn run(args: &Args) -> Result<(), String> {
     if args.direct {
-        let (log, report) = soak_direct(args.seed);
+        let report = soak_direct(args.seed, args.runlog.as_deref())
+            .map_err(|e| format!("direct run failed: {e}"))?;
         eprintln!(
             "loadgen (direct): offered {} admitted {} rejected {}",
             report.offered, report.admitted, report.rejected
         );
-        match &args.runlog {
-            Some(path) => {
-                if let Err(e) = std::fs::write(path, &log) {
-                    eprintln!("loadgen: writing {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            None => print!("{log}"),
-        }
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
 
-    let addr = args.connect.expect("checked in parse_args");
+    let addr = args.connect.as_ref().expect("checked in parse_args");
     let (_, workload) = soak_setup(args.seed);
     eprintln!(
         "loadgen: replaying {} sessions over {} slots to {:?}",
@@ -101,37 +97,21 @@ fn main() -> ExitCode {
         workload.slots,
         addr
     );
-    let mut conn = match connect_with_backoff(&addr, &ReconnectPolicy::default()) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("loadgen: connect failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let clock;
-    let pace = if args.slot_us > 0 {
-        clock = TickClock::new(Duration::from_micros(args.slot_us));
-        Some(&clock)
-    } else {
-        None
-    };
-    match run_loadgen(
+    let mut conn = connect_with_backoff(addr, &ReconnectPolicy::default())
+        .map_err(|e| format!("connect failed: {e}"))?;
+    let clock = TickClock::new(Duration::from_micros(args.slot_us));
+    let pace = (args.slot_us > 0).then_some(&clock);
+    let report = run_loadgen(
         &mut conn,
         args.seed,
         workload.slots,
         &workload.sessions,
         pace,
-    ) {
-        Ok(report) => {
-            eprintln!(
-                "loadgen: offered {} admitted {} rejected {} heartbeats {}",
-                report.offered, report.admitted, report.rejected, report.heartbeats
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("loadgen: session failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    )
+    .map_err(|e| format!("session failed: {e}"))?;
+    eprintln!(
+        "loadgen: offered {} admitted {} rejected {} heartbeats {}",
+        report.offered, report.admitted, report.rejected, report.heartbeats
+    );
+    Ok(())
 }

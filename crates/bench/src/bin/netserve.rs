@@ -1,16 +1,20 @@
 //! The socket-facing streaming server: binds a TCP or Unix endpoint,
 //! accepts one `loadgen` session, drives the slotted engine in
-//! lockstep with the offer stream, and writes the byte-deterministic
-//! run-log.
+//! lockstep with the offer stream, and, with `--runlog DIR`, streams
+//! the byte-deterministic run-log directory (`dms-runlog/1`, read by
+//! `logq`) as it steps.
 //!
 //! ```text
-//! netserve --listen unix:/tmp/dms.sock [--seed N] [--runlog FILE]
-//! netserve --listen tcp:127.0.0.1:4070 [--seed N] [--runlog FILE]
+//! netserve --listen unix:/tmp/dms.sock [--seed N] [--runlog DIR]
+//! netserve --listen tcp:127.0.0.1:4070 [--seed N] [--runlog DIR]
 //! ```
 //!
-//! The run-log written here must byte-match `loadgen --direct
-//! --seed N` for the same seed — that comparison is the CI soak.
+//! The run-log written here must match `loadgen --direct --seed N
+//! --runlog DIR` for the same seed under `diff -r` — that comparison
+//! is the CI soak. A session that fails leaves the directory without
+//! its manifest, which `logq summary` reports.
 
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 use dms_bench::net::{soak_driver, soak_setup, SOAK_SEED};
@@ -19,7 +23,7 @@ use dms_net::{serve_connection, EndpointAddr, Listener};
 struct Args {
     listen: EndpointAddr,
     seed: u64,
-    runlog: Option<String>,
+    runlog: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -37,7 +41,7 @@ fn parse_args() -> Result<Args, String> {
                 let v = args.next().ok_or("--seed needs a value")?;
                 seed = v.parse().map_err(|_| format!("bad seed: {v}"))?;
             }
-            "--runlog" => runlog = Some(args.next().ok_or("--runlog needs a path")?),
+            "--runlog" => runlog = Some(args.next().ok_or("--runlog needs a directory")?.into()),
             other => return Err(format!("unknown argument: {other}")),
         }
     }
@@ -49,41 +53,30 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    match parse_args().and_then(|args| serve(&args)) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("netserve: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
+    }
+}
 
+fn serve(args: &Args) -> Result<(), String> {
     let (config, workload) = soak_setup(args.seed);
-    let mut driver = soak_driver(&config, &workload);
+    let mut driver = soak_driver(&config, &workload, args.runlog.as_deref())
+        .map_err(|e| format!("creating the run-log directory: {e}"))?;
     eprintln!(
         "netserve: {} sessions over {} slots, listening on {:?}",
         workload.sessions.len(),
         workload.slots,
         args.listen
     );
-
-    let listener = match Listener::bind(&args.listen) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("netserve: bind failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut conn = match listener.accept() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("netserve: accept failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = serve_connection(&mut conn, &mut driver) {
-        eprintln!("netserve: session failed: {e}");
-        return ExitCode::FAILURE;
-    }
+    let listener = Listener::bind(&args.listen).map_err(|e| format!("bind failed: {e}"))?;
+    let mut conn = listener
+        .accept()
+        .map_err(|e| format!("accept failed: {e}"))?;
+    serve_connection(&mut conn, &mut driver).map_err(|e| format!("session failed: {e}"))?;
 
     let engine = driver.engine();
     eprintln!(
@@ -93,15 +86,5 @@ fn main() -> ExitCode {
         engine.rejected(),
         engine.delivered_bits()
     );
-    let log = driver.into_run_log();
-    match &args.runlog {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &log) {
-                eprintln!("netserve: writing {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        None => print!("{log}"),
-    }
-    ExitCode::SUCCESS
+    Ok(())
 }

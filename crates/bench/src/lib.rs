@@ -3179,7 +3179,6 @@ mod tests {
         assert_eq!(log.meta("experiment"), Some(exp.id));
         assert_eq!(log.meta("title"), Some(exp.title));
         assert_eq!(log.records().len(), exp.rows.len());
-        let json = log.to_json_string();
         for row in &exp.rows {
             assert!(
                 log.records().iter().any(|r| r
@@ -3191,10 +3190,10 @@ mod tests {
                 row.metric
             );
         }
-        assert!(json.contains("\"records\""));
-        // Building the same log twice yields identical bytes — the
-        // property the CI `DMS_THREADS` diff leans on.
-        assert_eq!(json, run_log_for(&exp).to_json_string());
+        // Building the same log twice yields an equal log, which
+        // streams to identical bytes — the property the CI
+        // `DMS_THREADS` diff leans on.
+        assert_eq!(log, run_log_for(&exp));
     }
 
     /// Times each toy point ran; only `run_sweep_runs_each_point_once`

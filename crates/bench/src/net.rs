@@ -4,20 +4,23 @@
 //! One builder ([`soak_setup`]) produces the exact same server config
 //! and E12-style Poisson workload for every consumer — the socket
 //! server, the socket client, and the direct-injection arm — so the
-//! only thing that can differ between their run-logs is the transport.
-//! At the default load the trace carries ≥10⁴ sessions over 700
-//! slots, the acceptance bar of the soak.
+//! only thing that can differ between their run-log directories is the
+//! transport. At the default load the trace carries ≥10⁴ sessions over
+//! 700 slots, the acceptance bar of the soak.
 
+use std::io;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use dms_net::{
     drive_direct, run_loadgen, serve_connection, DriverConfig, LoadgenReport, NetConnection,
-    SessionDriver,
+    NetError, SessionDriver,
 };
 use dms_serve::{
     rate_for_load, AdmissionPolicy, ArrivalProcess, CapacityModel, DegradeConfig, ServerConfig,
     SessionTemplate, Workload,
 };
+use dms_sim::{RunLogReader, RunLogScan, RunLogWriter};
 
 /// Slots the soak simulates (the E12 horizon).
 pub const SOAK_SLOTS: u64 = 700;
@@ -55,25 +58,55 @@ pub fn soak_setup(seed: u64) -> (ServerConfig, Workload) {
     (config, workload)
 }
 
-/// A fresh driver over the soak config.
-#[must_use]
-pub fn soak_driver(config: &ServerConfig, workload: &Workload) -> SessionDriver {
-    SessionDriver::new(
+/// A fresh driver over the soak config, streaming its run-log into
+/// the directory `runlog` when one is given.
+///
+/// # Errors
+///
+/// Any I/O error creating the run-log directory.
+pub fn soak_driver(
+    config: &ServerConfig,
+    workload: &Workload,
+    runlog: Option<&Path>,
+) -> io::Result<SessionDriver> {
+    let mut driver = SessionDriver::new(
         config,
         workload.template,
         workload.slots,
         DriverConfig::default(),
     )
-    .expect("valid soak config")
+    .expect("valid soak config");
+    if let Some(dir) = runlog {
+        driver.attach_run_log(RunLogWriter::create(dir)?);
+    }
+    Ok(driver)
 }
 
-/// The direct-injection arm: same trace, no socket. Returns the
-/// run-log the socket arms must byte-match.
-#[must_use]
-pub fn soak_direct(seed: u64) -> (String, LoadgenReport) {
+/// The direct-injection arm: same trace, no socket. Its run-log, when
+/// `runlog` names a directory, is the one the socket arms must match
+/// under `diff -r`.
+///
+/// # Errors
+///
+/// Run-log I/O errors; the soak trace itself is protocol-clean.
+pub fn soak_direct(seed: u64, runlog: Option<&Path>) -> Result<LoadgenReport, NetError> {
     let (config, workload) = soak_setup(seed);
-    let driver = soak_driver(&config, &workload);
-    drive_direct(driver, seed, &workload.sessions).expect("soak trace is protocol-clean")
+    let driver = soak_driver(&config, &workload, runlog)?;
+    drive_direct(driver, seed, &workload.sessions)
+}
+
+/// A per-process temp directory for one soak run-log.
+fn temp_log_dir(tag: &str, seed: u64) -> PathBuf {
+    std::env::temp_dir().join(format!("dms-soak-{tag}-{seed}-{}", std::process::id()))
+}
+
+/// Reads a run-log directory back whole, then removes it.
+fn take_log(dir: &Path) -> RunLogScan {
+    let scan = RunLogReader::open(dir)
+        .and_then(|r| r.read_all())
+        .expect("soak run-log reads back");
+    std::fs::remove_dir_all(dir).expect("remove soak run-log");
+    scan
 }
 
 /// Timing of one in-process loopback soak.
@@ -92,20 +125,23 @@ pub struct NetLoopbackTiming {
 
 /// Runs the full soak over an in-process socketpair and times it:
 /// `netserve` ⇄ `loadgen` without processes, the number `bench_smoke`
-/// records as `net_loopback_perf`. Panics if the socket run-log
-/// diverges from the direct arm — a perf number for a wrong answer is
-/// worse than no number.
+/// records as `net_loopback_perf`. Both arms stream their run-logs
+/// into temp directories; panics if the socket run-log diverges from
+/// the direct arm — a perf number for a wrong answer is worse than no
+/// number.
 #[must_use]
 pub fn net_loopback_perf(seed: u64) -> NetLoopbackTiming {
     let (config, workload) = soak_setup(seed);
-    let (direct_log, _) = soak_direct(seed);
+    let direct_dir = temp_log_dir("direct", seed);
+    soak_direct(seed, Some(&direct_dir)).expect("soak trace is protocol-clean");
+    let direct_log = take_log(&direct_dir);
 
-    let mut driver = soak_driver(&config, &workload);
+    let socket_dir = temp_log_dir("socket", seed);
+    let mut driver = soak_driver(&config, &workload, Some(&socket_dir)).expect("run-log dir");
     let (mut server_conn, mut client_conn) = NetConnection::pair().expect("socketpair");
     let start = Instant::now();
     let server = std::thread::spawn(move || {
         serve_connection(&mut server_conn, &mut driver).expect("serves");
-        driver.into_run_log()
     });
     let report = run_loadgen(
         &mut client_conn,
@@ -115,11 +151,12 @@ pub fn net_loopback_perf(seed: u64) -> NetLoopbackTiming {
         None,
     )
     .expect("loadgen runs");
-    let socket_log = server.join().expect("server thread");
+    server.join().expect("server thread");
     let seconds = start.elapsed().as_secs_f64();
 
     assert_eq!(
-        socket_log, direct_log,
+        take_log(&socket_dir),
+        direct_log,
         "loopback run-log diverged from direct injection"
     );
     // client→server: hello + offers + shutdown; server→client: hello
@@ -150,8 +187,12 @@ mod tests {
 
     #[test]
     fn direct_arm_is_reproducible() {
-        let (a, _) = soak_direct(7);
-        let (b, _) = soak_direct(7);
+        let [a, b] = ["a", "b"].map(|tag| {
+            let dir = temp_log_dir(tag, 7);
+            soak_direct(7, Some(&dir)).expect("soak trace is protocol-clean");
+            take_log(&dir)
+        });
+        assert!(a.clean_close && a.records.len() > 10_000);
         assert_eq!(a, b);
     }
 }

@@ -217,6 +217,11 @@ impl ShardState {
         self.departures[i] += bits;
     }
 
+    /// Aggregate full-quality demand currently reserved, bits per slot.
+    pub(crate) fn reserved_bits(&self) -> u64 {
+        self.reserved_bits
+    }
+
     /// Sets the reserved bits and the JSQ fraction with them.
     fn set_reserved(&mut self, bits: u64) {
         self.reserved_bits = bits;

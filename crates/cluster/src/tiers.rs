@@ -13,7 +13,8 @@
 //!   hot set goes cold and the edge caches re-fill through the origin.
 //! * **Edge caching** is plain LRU per region; a miss must *fetch
 //!   through the shared origin*, whose uplink is guarded by the same
-//!   M/M/1/K [`AdmissionController`] predictor the servers use — an
+//!   M/M/1/K [`dms_serve::AdmissionController`] predictor the servers
+//!   use, with the fleet balancer's per-shard ledger and memo — an
 //!   over-subscribed origin rejects fetches outright (the flash-crowd
 //!   failure mode of a flat fleet).
 //! * **Arrivals** are the [`ArrivalProcess::FlashCrowd`] process:
@@ -40,20 +41,15 @@
 //! fans out per shard the same way), so a [`TieredReport`] is
 //! byte-identical at any `DMS_THREADS`.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use dms_manet::{routing, Manet, Protocol, RadioParams};
 use dms_media::ImageModel;
 use dms_serve::workload::SessionRequest;
-use dms_serve::{
-    AdmissionController, AdmissionPolicy, ArrivalProcess, CapacityModel, ServeError,
-    SessionTemplate, Workload,
-};
+use dms_serve::{ArrivalProcess, CapacityModel, ServeError, SessionTemplate, Workload};
 use dms_sim::{MetricsRegistry, ParRunner, SimRng};
 use dms_wireless::jscc::CodecEnergy;
 use dms_wireless::{AdaptivePolicy, JsccOptimizer, Modulation, Transceiver};
 
+use crate::balancer::ShardState;
 use crate::cluster::{ClusterConfig, ClusterReport, ClusterSim};
 
 /// Number of device classes ([`DeviceClass::ALL`]).
@@ -804,14 +800,9 @@ impl TieredSim {
         let template = &self.config.template;
         let full_bits = template.full_bits();
         // The origin admission mirror: a cache miss reserves the
-        // session's full demand on the uplink for its holding time.
-        let origin = AdmissionController::new(
-            self.config.origin,
-            AdmissionPolicy::QueuePredictor,
-            full_bits,
-        )?;
-        let mut origin_active_bits = 0u64;
-        let mut departures: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+        // session's full demand on the uplink for its holding time, in
+        // the same ledger a fleet balancer keeps per shard.
+        let mut origin = ShardState::new(self.config.origin, full_bits, None, self.config.slots)?;
         let mut origin_series = Vec::with_capacity(self.config.slots as usize);
 
         let mut caches: Vec<LruCache> = regions
@@ -832,13 +823,8 @@ impl TieredSim {
         // in index order within a slot — the deterministic dispatch
         // discipline (the parallel fleet phase comes after).
         for slot in 0..self.config.slots {
-            while let Some(&Reverse((when, bits))) = departures.peek() {
-                if when > slot {
-                    break;
-                }
-                departures.pop();
-                origin_active_bits -= bits;
-            }
+            // Fetches departing at `slot` free the uplink first.
+            origin.release_until(slot + 1);
             for r in 0..n {
                 let sessions = &workloads[r].sessions;
                 while cursors[r] < sessions.len() && sessions[cursors[r]].arrival_slot == slot {
@@ -850,11 +836,11 @@ impl TieredSim {
                     let to_fleet = if cached {
                         edge_hits[r] += 1;
                         true
-                    } else if origin.would_admit(origin_active_bits, full_bits) {
+                    } else if origin.would_admit(full_bits) {
                         origin_fetches[r] += 1;
-                        origin_active_bits += full_bits;
-                        departures.push(Reverse((slot + session.duration_slots, full_bits)));
-                        fetched_bits[r] += full_bits * session.duration_slots;
+                        origin.reserve(slot.saturating_add(session.duration_slots), full_bits);
+                        fetched_bits[r] = fetched_bits[r]
+                            .saturating_add(full_bits.saturating_mul(session.duration_slots));
                         caches[r].insert(cid);
                         true
                     } else {
@@ -864,12 +850,13 @@ impl TieredSim {
                     if to_fleet {
                         let c = draw.class.index();
                         class_sessions[r][c] += 1;
-                        class_slots[r][c] += session.duration_slots;
+                        class_slots[r][c] =
+                            class_slots[r][c].saturating_add(session.duration_slots);
                         edge_sessions[r].push(session);
                     }
                 }
             }
-            origin_series.push(origin_active_bits as f64);
+            origin_series.push(origin.reserved_bits() as f64);
         }
 
         // Parallel fleet phase: each region's cluster runs on the
@@ -897,7 +884,9 @@ impl TieredSim {
             } else {
                 fleet.delivered_bits() as f64 / served_slots as f64
             };
-            let offered_class_slots: u64 = class_slots[r].iter().sum();
+            let offered_class_slots = class_slots[r]
+                .iter()
+                .fold(0u64, |a, b| a.saturating_add(*b));
             let j_per_bit = if regions[r].proximate {
                 &self.config.energy.edge_j_per_bit
             } else {
@@ -1007,7 +996,7 @@ pub fn merge_regions(
 mod tests {
     use super::*;
     use crate::balancer::BalancerPolicy;
-    use dms_serve::{RecoveryConfig, ServerConfig};
+    use dms_serve::{AdmissionPolicy, RecoveryConfig, ServerConfig};
 
     fn template() -> SessionTemplate {
         SessionTemplate::streaming_default().expect("preset valid")
@@ -1183,6 +1172,33 @@ mod tests {
                 region.origin_rejected
             );
         }
+    }
+
+    /// A caller's workload may carry any `duration_slots`, `u64::MAX`
+    /// included. The origin ledger saturates rather than overflowing,
+    /// so such a fetch holds the shared uplink to the end of the run,
+    /// exactly as one lasting the whole horizon does.
+    #[test]
+    fn endless_sessions_hold_the_origin_like_horizon_long_ones() {
+        let sim = TieredSim::new(small_config(0, 40)).expect("valid");
+        let (workloads, draws) = sim.generate().expect("valid workloads");
+        let with_region0_durations = |duration_slots: u64| {
+            let mut workloads = workloads.clone();
+            for session in &mut workloads[0].sessions {
+                session.duration_slots = duration_slots;
+            }
+            sim.run_on(&workloads, &draws).expect("runs")
+        };
+        let endless = with_region0_durations(u64::MAX);
+        let horizon_long = with_region0_durations(sim.config().slots);
+        for (e, h) in endless.regions.iter().zip(&horizon_long.regions) {
+            assert!(e.conserved() && h.conserved());
+            assert_eq!(
+                (e.origin_fetches, e.origin_rejected),
+                (h.origin_fetches, h.origin_rejected)
+            );
+        }
+        assert!(endless.origin_rejected() > 0, "the held uplink refuses");
     }
 
     #[test]

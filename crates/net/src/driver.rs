@@ -11,8 +11,8 @@
 //!
 //! 1. A socket-fed run is a deterministic function of the offer
 //!    trace: same `(id, arrival_slot, duration_slots)` sequence in,
-//!    byte-identical run-log out, regardless of scheduling jitter,
-//!    socket fragmentation, or `DMS_THREADS`.
+//!    byte-identical run-log directory out, regardless of scheduling
+//!    jitter, socket fragmentation, or `DMS_THREADS`.
 //! 2. Direct injection is the degenerate transport: [`drive_direct`]
 //!    feeds the *same frames* through the *same* [`SessionDriver`]
 //!    without a socket, which is what the loopback differential test
@@ -30,12 +30,16 @@
 //! handed to the engine and of `Admit` and `Reject` frames sent against
 //! the engine's ledger; a mismatch is a [`NetError::Ledger`], never a
 //! panic.
+//!
+//! A driver records only into a [`RunLogWriter`] attached with
+//! [`SessionDriver::attach_run_log`], streamed as the engine steps, so
+//! a long-running server holds one bounded write buffer, not its
+//! history.
 
-use std::fmt::Write as _;
 use std::io::{Read, Write};
 
 use dms_serve::{ServeError, ServerConfig, ServerEngine, SessionRequest, SessionTemplate};
-use dms_sim::TickClock;
+use dms_sim::{MetricsRegistry, RunLogWriter, RunRecord, TickClock};
 
 use crate::endpoint::NetConnection;
 use crate::error::NetError;
@@ -83,14 +87,14 @@ impl LoadgenReport {
 /// Maps a frame stream onto one [`ServerEngine`]: the server half of
 /// a `dms-net` session. Feed it decoded frames via
 /// [`SessionDriver::on_frame`]; it steps the engine in lockstep,
-/// pushes reply frames into the caller's buffer, and accumulates the
-/// byte-deterministic run-log.
+/// pushes reply frames into the caller's buffer, and streams the
+/// byte-deterministic run-log into an attached writer.
 #[derive(Debug)]
 pub struct SessionDriver {
     engine: ServerEngine,
     cfg: DriverConfig,
     verdict_buf: Vec<(u64, bool)>,
-    log: String,
+    log: Option<RunLogWriter>,
     hello_seen: bool,
     done: bool,
     last_offer_slot: u64,
@@ -116,14 +120,11 @@ impl SessionDriver {
     ) -> Result<Self, ServeError> {
         let mut engine = ServerEngine::new(config, template, slots)?;
         engine.record_verdicts(true);
-        let mut log = String::new();
-        let _ = writeln!(log, "dms-net run-log v1");
-        let _ = writeln!(log, "horizon={slots}");
         Ok(SessionDriver {
             engine,
             cfg,
             verdict_buf: Vec::new(),
-            log,
+            log: None,
             hello_seen: false,
             done: false,
             last_offer_slot: 0,
@@ -146,12 +147,26 @@ impl SessionDriver {
         self.engine.horizon()
     }
 
-    /// Consumes the driver, returning the final run-log. Identical for
-    /// socket-fed and direct-injected runs of the same offer trace —
-    /// the log records slots and verdicts, never the transport.
-    #[must_use]
-    pub fn into_run_log(self) -> String {
-        self.log
+    /// Streams the run-log into `writer` (a `dms-runlog/1` directory)
+    /// from the next stepped slot on; attach before the first frame
+    /// for a whole log. Meta `source` and `horizon`, one `verdict`
+    /// record per verdict frame (`slot`, `id`, `admitted`), and at
+    /// [`Frame::Shutdown`] one `summary` record of the closing counts,
+    /// after which the log is finished; a driver dropped before then
+    /// leaves no manifest, which [`dms_sim::RunLogReader`] reads as
+    /// [`dms_sim::TailState::MissingManifest`]. Identical for
+    /// socket-fed and direct-injected runs of one offer trace: it
+    /// records slots and verdicts, never the transport. Write errors
+    /// surface from [`SessionDriver::on_frame`] as [`NetError::Io`].
+    ///
+    /// # Panics
+    ///
+    /// If `writer` has already written a record (its metadata is
+    /// frozen).
+    pub fn attach_run_log(&mut self, mut writer: RunLogWriter) {
+        writer.set_meta("source", "dms-net driver");
+        writer.set_meta("horizon", self.engine.horizon().to_string());
+        self.log = Some(writer);
     }
 
     /// The engine, for report inspection after the session ends.
@@ -168,7 +183,8 @@ impl SessionDriver {
     /// [`NetError::Protocol`] on out-of-order frames (offer before
     /// hello, slot going backwards, frames after shutdown, verdict
     /// frames sent *to* the server), [`NetError::Ledger`] if at
-    /// shutdown the driver's counts disagree with the engine's.
+    /// shutdown the driver's counts disagree with the engine's,
+    /// [`NetError::Io`] if the attached run-log fails to write.
     pub fn on_frame(&mut self, frame: Frame, out: &mut Vec<Frame>) -> Result<(), NetError> {
         if self.done {
             return Err(NetError::Protocol("frame after shutdown"));
@@ -208,7 +224,7 @@ impl SessionDriver {
                     return Err(NetError::Protocol("offer slot went backwards"));
                 }
                 self.last_offer_slot = arrival_slot;
-                self.advance_to(arrival_slot, out);
+                self.advance_to(arrival_slot, out)?;
                 self.engine.offer(SessionRequest {
                     id,
                     arrival_slot,
@@ -221,8 +237,7 @@ impl SessionDriver {
                 if !self.hello_seen {
                     return Err(NetError::Protocol("heartbeat before hello"));
                 }
-                self.advance_to(slot, out);
-                Ok(())
+                self.advance_to(slot, out)
             }
             Frame::Shutdown { reason } => {
                 if !self.hello_seen {
@@ -231,7 +246,7 @@ impl SessionDriver {
                 // Graceful drain: step every remaining slot so
                 // admitted sessions play out and queued offers get
                 // their verdicts.
-                self.advance_to(self.engine.horizon(), out);
+                self.advance_to(self.engine.horizon(), out)?;
                 let offered = self.engine.offered();
                 let admitted = self.engine.admitted();
                 let rejected = self.engine.rejected();
@@ -251,14 +266,18 @@ impl SessionDriver {
                         });
                     }
                 }
-                let drained = self.engine.undecided();
-                let _ = writeln!(
-                    self.log,
-                    "summary offered={offered} admitted={admitted} rejected={rejected} \
-                     drained={drained} delivered_bits={} slots={}",
-                    self.engine.delivered_bits(),
-                    self.engine.slot(),
-                );
+                if let Some(mut log) = self.log.take() {
+                    log.record(
+                        &RunRecord::new("summary")
+                            .with("offered", offered)
+                            .with("admitted", admitted)
+                            .with("rejected", rejected)
+                            .with("drained", self.engine.undecided())
+                            .with("delivered_bits", self.engine.delivered_bits())
+                            .with("slots", self.engine.slot()),
+                    )?;
+                    log.finish(&MetricsRegistry::new())?;
+                }
                 out.push(Frame::Shutdown { reason });
                 self.done = true;
                 Ok(())
@@ -271,24 +290,23 @@ impl SessionDriver {
     }
 
     /// Steps the engine up to (not beyond) `target`, clamped to the
-    /// horizon, emitting verdict frames and run-log lines for every
+    /// horizon, emitting verdict frames and run-log records for every
     /// slot stepped.
-    fn advance_to(&mut self, target: u64, out: &mut Vec<Frame>) {
+    fn advance_to(&mut self, target: u64, out: &mut Vec<Frame>) -> Result<(), NetError> {
         let target = target.min(self.engine.horizon());
         while self.engine.slot() < target {
             let stepping = self.engine.slot();
             self.engine.step_slot(None);
             self.engine.take_verdicts(&mut self.verdict_buf);
             for &(id, admitted) in &self.verdict_buf {
-                // One line per verdict on the server's critical path:
-                // `verdict slot={stepping} id={id} {word}`, built
-                // without `core::fmt`.
-                self.log.push_str("verdict slot=");
-                push_decimal(&mut self.log, stepping);
-                self.log.push_str(" id=");
-                push_decimal(&mut self.log, id);
-                self.log
-                    .push_str(if admitted { " admit\n" } else { " reject\n" });
+                if let Some(log) = &mut self.log {
+                    log.record(
+                        &RunRecord::new("verdict")
+                            .at(stepping)
+                            .with("id", id)
+                            .with("admitted", admitted),
+                    )?;
+                }
                 out.push(if admitted {
                     self.admits_sent += 1;
                     Frame::Admit { id, slot: stepping }
@@ -314,22 +332,8 @@ impl SessionDriver {
                 });
             }
         }
+        Ok(())
     }
-}
-
-/// Appends `v` in decimal: the bytes `format!("{v}")` gives.
-fn push_decimal(out: &mut String, mut v: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 /// Runs a [`SessionDriver`] over a connection: decode frames, apply,
@@ -475,45 +479,44 @@ fn read_until_shutdown(mut conn: NetConnection) -> Result<LoadgenReport, NetErro
 
 /// The transportless differential arm: pushes the exact frame
 /// sequence [`run_loadgen`] would send through the same
-/// [`SessionDriver`], no socket involved. Returns the final run-log
-/// and the verdict counts a loadgen would have seen — byte- and
-/// count-identical to the socket path for the same offer trace.
+/// [`SessionDriver`], no socket involved. Returns the verdict counts a
+/// loadgen would have seen, and the driver's run-log (if one is
+/// attached) is byte-identical to the socket path's for the same offer
+/// trace. Replies are counted and dropped frame by frame, so memory
+/// does not grow with the trace.
 ///
 /// # Errors
 ///
-/// The same driver protocol errors a socket-fed run can hit.
+/// The same driver protocol and run-log errors a socket-fed run can
+/// hit.
 pub fn drive_direct(
     mut driver: SessionDriver,
     client_id: u64,
     offers: &[SessionRequest],
-) -> Result<(String, LoadgenReport), NetError> {
-    let slots = driver.horizon();
+) -> Result<LoadgenReport, NetError> {
+    let hello = Frame::Hello {
+        version: PROTOCOL_VERSION,
+        client_id,
+        slots: driver.horizon(),
+    };
+    let frames = offers.iter().map(|req| Frame::Offer {
+        id: req.id,
+        arrival_slot: req.arrival_slot,
+        duration_slots: req.duration_slots,
+    });
     let mut out: Vec<Frame> = Vec::new();
     let mut report = LoadgenReport::default();
-    driver.on_frame(
-        Frame::Hello {
-            version: PROTOCOL_VERSION,
-            client_id,
-            slots,
-        },
-        &mut out,
-    )?;
-    for req in offers {
-        driver.on_frame(
-            Frame::Offer {
-                id: req.id,
-                arrival_slot: req.arrival_slot,
-                duration_slots: req.duration_slots,
-            },
-            &mut out,
-        )?;
-    }
-    driver.on_frame(Frame::Shutdown { reason: 0 }, &mut out)?;
-    for f in &out {
-        report.absorb(f);
+    for frame in std::iter::once(hello)
+        .chain(frames)
+        .chain([Frame::Shutdown { reason: 0 }])
+    {
+        driver.on_frame(frame, &mut out)?;
+        for f in out.drain(..) {
+            report.absorb(&f);
+        }
     }
     report.offered = offers.len() as u64;
-    Ok((driver.into_run_log(), report))
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -522,33 +525,41 @@ mod tests {
     use dms_serve::{
         rate_for_load, AdmissionPolicy, ArrivalProcess, CapacityModel, SessionTemplate, Workload,
     };
-    use proptest::prelude::*;
+    use dms_sim::{JsonValue, RunLogReader, RunLogScan, TailState};
+    use std::path::{Path, PathBuf};
 
-    /// `v` appended to a line already started, as the run-log does.
-    fn decimal(v: u64) -> String {
-        let mut out = String::from("id=");
-        push_decimal(&mut out, v);
-        out
+    fn temp_dir(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("dms-net-driver-{tag}-{}", std::process::id()))
     }
 
-    #[test]
-    fn push_decimal_keeps_the_fixed_cases() {
-        for v in [0, 9, 10, 99, 100, u64::MAX] {
-            assert_eq!(decimal(v), format!("id={v}"));
+    /// Reads a run-log directory back, then removes it.
+    fn read_log(dir: &Path) -> RunLogScan {
+        let scan = RunLogReader::open(dir)
+            .and_then(|r| r.read_all())
+            .expect("run-log reads back");
+        std::fs::remove_dir_all(dir).expect("cleanup");
+        scan
+    }
+
+    /// A count field of the log's closing `summary` record.
+    fn summary_count(scan: &RunLogScan, field: &str) -> u64 {
+        let summary = scan.records.last().expect("has records");
+        assert_eq!(
+            summary.get("kind").and_then(JsonValue::as_str),
+            Some("summary")
+        );
+        let value = summary.get("fields").and_then(|f| f.get(field));
+        match value {
+            Some(&JsonValue::Uint(n)) => n,
+            other => panic!("summary field {field}: {other:?}"),
         }
     }
 
-    proptest! {
-        #[test]
-        fn push_decimal_matches_format(
-            v in prop_oneof![
-                0u64..u64::MAX,
-                0u64..1_000,
-                (0u32..64).prop_map(|k| 1u64 << k),
-                (1u32..20).prop_map(|k| 10u64.pow(k) - 1),
-            ],
-        ) {
-            prop_assert_eq!(decimal(v), format!("id={v}"));
+    fn hello(slots: u64) -> Frame {
+        Frame::Hello {
+            version: PROTOCOL_VERSION,
+            client_id: 1,
+            slots,
         }
     }
 
@@ -660,37 +671,39 @@ mod tests {
             .run(&workload)
             .expect("runs");
 
-        let driver = driver_for(&cfg, &workload);
-        let (log, report) = drive_direct(driver, 99, &workload.sessions).expect("drives");
+        let dir = temp_dir("direct");
+        let mut driver = driver_for(&cfg, &workload);
+        driver.attach_run_log(RunLogWriter::create(&dir).expect("create"));
+        let report = drive_direct(driver, 99, &workload.sessions).expect("drives");
 
         assert_eq!(report.offered, batch.offered);
         assert_eq!(report.admitted, batch.admitted);
         assert_eq!(report.rejected, batch.rejected);
         assert_eq!(report.admitted + report.rejected, report.offered);
-        assert!(log.starts_with("dms-net run-log v1\nhorizon=300\n"));
-        let summary = log.lines().last().expect("has summary");
-        assert!(summary.starts_with("summary offered="), "got: {summary}");
-        assert_eq!(
-            log.matches("verdict ").count() as u64,
-            report.admitted + report.rejected
-        );
+        let scan = read_log(&dir);
+        assert_eq!(scan.tail, TailState::Clean);
+        assert_eq!(scan.meta.get("horizon").map(String::as_str), Some("300"));
+        assert_eq!(summary_count(&scan, "offered"), report.offered);
+        assert_eq!(summary_count(&scan, "admitted"), report.admitted);
+        let verdicts = &scan.records[..scan.records.len() - 1];
+        assert_eq!(verdicts.len() as u64, report.admitted + report.rejected);
+        let admitted = verdicts
+            .iter()
+            .filter(|r| {
+                r.get("fields").and_then(|f| f.get("admitted")) == Some(&JsonValue::Bool(true))
+            })
+            .count();
+        assert_eq!(admitted as u64, report.admitted);
     }
 
     #[test]
     fn drained_offers_balance_the_shutdown_ledger() {
         let (cfg, workload) = setup(1.0, 50, 3);
+        let dir = temp_dir("drained");
         let mut driver = driver_for(&cfg, &workload);
+        driver.attach_run_log(RunLogWriter::create(&dir).expect("create"));
         let mut out = Vec::new();
-        driver
-            .on_frame(
-                Frame::Hello {
-                    version: PROTOCOL_VERSION,
-                    client_id: 1,
-                    slots: 50,
-                },
-                &mut out,
-            )
-            .unwrap();
+        driver.on_frame(hello(50), &mut out).unwrap();
         // An offer stamped beyond the horizon can never be decided:
         // it must show up as drained, not vanish.
         driver
@@ -706,12 +719,66 @@ mod tests {
         driver
             .on_frame(Frame::Shutdown { reason: 0 }, &mut out)
             .unwrap();
-        let log = driver.into_run_log();
-        let summary = log.lines().last().unwrap();
-        assert!(
-            summary.contains("offered=1 admitted=0 rejected=0 drained=1"),
-            "got: {summary}"
-        );
+        let scan = read_log(&dir);
+        let counts =
+            ["offered", "admitted", "rejected", "drained"].map(|f| summary_count(&scan, f));
+        assert_eq!(counts, [1, 0, 0, 1]);
+    }
+
+    /// A driver dropped mid-session, as when the peer closes before
+    /// `Shutdown`, leaves a log that reads as a crash, not a clean
+    /// close.
+    #[test]
+    fn a_driver_dropped_before_shutdown_leaves_no_manifest() {
+        let (cfg, workload) = setup(1.2, 100, 5);
+        let dir = temp_dir("dropped");
+        let mut driver = driver_for(&cfg, &workload);
+        driver.attach_run_log(RunLogWriter::create(&dir).expect("create"));
+        let mut out = Vec::new();
+        driver.on_frame(hello(100), &mut out).unwrap();
+        for req in &workload.sessions {
+            let offer = Frame::Offer {
+                id: req.id,
+                arrival_slot: req.arrival_slot,
+                duration_slots: req.duration_slots,
+            };
+            driver.on_frame(offer, &mut out).unwrap();
+        }
+        assert!(out.len() > 1, "verdicts were sent before the drop");
+        drop(driver);
+        let scan = read_log(&dir);
+        assert_eq!(scan.tail, TailState::MissingManifest);
+        assert!(!scan.clean_close);
+    }
+
+    /// The run-log only observes: a driver with a log attached sends
+    /// the same reply frames as one without.
+    #[test]
+    fn an_attached_log_leaves_the_reply_frames_unchanged() {
+        let (cfg, workload) = setup(1.3, 200, 11);
+        let dir = temp_dir("observe");
+        let frames: Vec<Frame> = std::iter::once(hello(200))
+            .chain(workload.sessions.iter().map(|req| Frame::Offer {
+                id: req.id,
+                arrival_slot: req.arrival_slot,
+                duration_slots: req.duration_slots,
+            }))
+            .chain([Frame::Shutdown { reason: 0 }])
+            .collect();
+        let replies = |driver: &mut SessionDriver| {
+            let mut out = Vec::new();
+            for &frame in &frames {
+                driver.on_frame(frame, &mut out).expect("protocol-clean");
+            }
+            out
+        };
+        let mut logged = driver_for(&cfg, &workload);
+        logged.attach_run_log(RunLogWriter::create(&dir).expect("create"));
+        let with_log = replies(&mut logged);
+        let without_log = replies(&mut driver_for(&cfg, &workload));
+        assert!(with_log.len() > 2, "verdicts flowed");
+        assert_eq!(with_log, without_log);
+        assert_eq!(read_log(&dir).tail, TailState::Clean);
     }
 
     /// A driver whose counts disagree with the engine's at shutdown
@@ -721,16 +788,7 @@ mod tests {
         let (cfg, workload) = setup(1.0, 50, 3);
         let mut driver = driver_for(&cfg, &workload);
         let mut out = Vec::new();
-        driver
-            .on_frame(
-                Frame::Hello {
-                    version: PROTOCOL_VERSION,
-                    client_id: 1,
-                    slots: 50,
-                },
-                &mut out,
-            )
-            .unwrap();
+        driver.on_frame(hello(50), &mut out).unwrap();
         for req in workload.sessions.iter().take(20) {
             driver
                 .on_frame(

@@ -29,8 +29,9 @@
 //!
 //! The `dms-bench` crate ships `netserve` and `loadgen` binaries that
 //! put an E12-style Poisson workload over a real loopback socket; the
-//! CI soak compares the resulting server run-log byte-for-byte against
-//! the direct-injection path.
+//! CI soak compares the server's run-log directory (`dms-runlog/1`,
+//! streamed by the driver) against the direct-injection path's with
+//! `diff -r`.
 
 pub mod driver;
 pub mod endpoint;

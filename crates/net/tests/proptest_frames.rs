@@ -10,6 +10,7 @@ use dms_net::{
 use dms_serve::{
     AdmissionPolicy, CapacityModel, DegradeConfig, ServerConfig, SessionRequest, SessionTemplate,
 };
+use dms_sim::{JsonValue, RunLogReader, RunLogWriter};
 use proptest::prelude::*;
 
 fn any_u64() -> std::ops::RangeInclusive<u64> {
@@ -175,15 +176,21 @@ proptest! {
                 SessionRequest { id, arrival_slot, duration_slots }
             })
             .collect();
-        let driver = SessionDriver::new(&cfg, template, horizon, DriverConfig::default())
+        let mut driver = SessionDriver::new(&cfg, template, horizon, DriverConfig::default())
             .expect("valid driver");
-        let (log, report) = drive_direct(driver, 1, &offers).expect("drives");
-        let summary = log.lines().last().expect("summary line");
+        let dir = std::env::temp_dir().join(format!("dms-net-ledger-{}", std::process::id()));
+        driver.attach_run_log(RunLogWriter::create(&dir).expect("create run-log dir"));
+        let report = drive_direct(driver, 1, &offers).expect("drives");
+        let scan = RunLogReader::open(&dir).and_then(|r| r.read_all()).expect("reads back");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+        prop_assert!(scan.clean_close);
+        let summary = scan.records.last().expect("summary record");
+        prop_assert_eq!(summary.get("kind").and_then(JsonValue::as_str), Some("summary"));
         let field = |key: &str| -> u64 {
-            summary
-                .split_whitespace()
-                .find_map(|kv| kv.strip_prefix(key)?.strip_prefix('=')?.parse().ok())
-                .expect("summary field")
+            match summary.get("fields").and_then(|f| f.get(key)) {
+                Some(&JsonValue::Uint(n)) => n,
+                other => panic!("summary field {key}: {other:?}"),
+            }
         };
         let offered = field("offered");
         prop_assert_eq!(offered, offers.len() as u64);

@@ -13,9 +13,10 @@
 //!   addressed as `scope/name`, with merge semantics designed so that
 //!   shards merged in job order reproduce a sequential run bit for bit
 //!   (the [`crate::ParRunner`] contract extended to metrics);
-//! * [`RunLog`] — a structured log of one simulation run: string
-//!   metadata, typed [`RunRecord`]s and an embedded registry, dumped as
-//!   deterministic JSON.
+//! * [`RunLog`] — a structured log of one simulation run staged in
+//!   memory: string metadata, typed [`RunRecord`]s and an embedded
+//!   registry. [`crate::stream_run_log`] writes it as a
+//!   [`crate::runlog`] directory, the one on-disk run-log format.
 //!
 //! The workspace is offline and vendors no serialisation crate, so
 //! JSON is rendered by the built-in [`JsonValue`] tree. Rendering is
@@ -41,8 +42,8 @@
 //! log.set_meta("experiment", "demo");
 //! log.push(RunRecord::new("row").at(0).with("value", 1.25));
 //! *log.registry_mut() = reg;
-//! let json = log.to_json_string();
-//! assert!(json.contains("\"server/admitted\""));
+//! let line = log.records()[0].to_json().render_compact();
+//! assert_eq!(line, r#"{"kind":"row","slot":0,"fields":{"value":1.25}}"#);
 //! ```
 
 use std::collections::BTreeMap;
@@ -1033,8 +1034,7 @@ impl RunRecord {
     }
 
     /// The record as a JSON object `{kind, slot?, fields}` — the shape
-    /// both [`RunLog::to_json`] embeds and [`crate::RunLogWriter`]
-    /// streams as one JSONL line.
+    /// [`crate::RunLogWriter`] streams as one JSONL line.
     #[must_use]
     pub fn to_json(&self) -> JsonValue {
         let mut obj = vec![("kind".to_string(), JsonValue::from(self.kind.as_str()))];
@@ -1046,12 +1046,13 @@ impl RunRecord {
     }
 }
 
-/// A structured, serialisable log of one simulation run.
+/// A structured log of one simulation run, staged in memory.
 ///
 /// Holds string metadata (sorted), an embedded [`MetricsRegistry`] and
-/// an ordered list of [`RunRecord`]s. [`RunLog::to_json_string`] is
-/// deterministic — byte-identical for byte-identical content — which is
-/// what lets CI diff run-logs across `DMS_THREADS` settings.
+/// an ordered list of [`RunRecord`]s. [`crate::stream_run_log`] is its
+/// one renderer: equal content streams to byte-identical run-log
+/// directories, which is what lets CI diff run-logs across
+/// `DMS_THREADS` settings.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunLog {
     meta: BTreeMap<String, String>,
@@ -1102,35 +1103,6 @@ impl RunLog {
     #[must_use]
     pub fn records(&self) -> &[RunRecord] {
         &self.records
-    }
-
-    /// The run-log as a JSON object `{meta, metrics, records}`.
-    #[must_use]
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            (
-                "meta".to_string(),
-                JsonValue::Object(
-                    self.meta
-                        .iter()
-                        .map(|(k, v)| (k.clone(), JsonValue::from(v.as_str())))
-                        .collect(),
-                ),
-            ),
-            ("metrics".to_string(), self.registry.to_json()),
-            (
-                "records".to_string(),
-                JsonValue::Array(self.records.iter().map(RunRecord::to_json).collect()),
-            ),
-        ])
-    }
-
-    /// The run-log rendered as pretty JSON with a trailing newline.
-    #[must_use]
-    pub fn to_json_string(&self) -> String {
-        let mut out = self.to_json().render();
-        out.push('\n');
-        out
     }
 }
 
@@ -1266,21 +1238,12 @@ mod tests {
         assert_eq!(log.meta("id"), Some("E12b"));
         assert_eq!(log.records().len(), 1);
         assert_eq!(log.records()[0].slot(), Some(3));
-        let json = log.to_json_string();
-        assert!(json.starts_with('{'));
-        assert!(json.ends_with("}\n"));
-        for needle in [
-            "\"meta\"",
-            "\"metrics\"",
-            "\"records\"",
-            "\"E12b\"",
-            "\"server/admitted\"",
-            "\"kind\": \"row\"",
-            "\"slot\": 3",
-            "\"value\": 0.25",
-        ] {
-            assert!(json.contains(needle), "missing {needle} in:\n{json}");
-        }
+        assert_eq!(log.meta_entries().collect::<Vec<_>>(), [("id", "E12b")]);
+        assert_eq!(log.registry().counter("server/admitted"), 4);
+        assert_eq!(
+            log.records()[0].to_json().render_compact(),
+            r#"{"kind":"row","slot":3,"fields":{"metric":"miss rate","value":0.25}}"#
+        );
     }
 
     #[test]
@@ -1483,18 +1446,5 @@ mod tests {
                 JsonValue::Str("A".into()),
             ]))
         );
-    }
-
-    #[test]
-    fn run_log_json_is_deterministic() {
-        let build = || {
-            let mut log = RunLog::new();
-            log.set_meta("b", "2");
-            log.set_meta("a", "1");
-            log.registry_mut().series_extend("s", [1.0, 2.5, 3.25]);
-            log.push(RunRecord::new("r").with("x", 1.0f64 / 3.0));
-            log.to_json_string()
-        };
-        assert_eq!(build(), build());
     }
 }

@@ -1,13 +1,13 @@
 //! Streaming run-logs: an append-only, JSONL-chunked on-disk format
-//! with bounded writer memory.
+//! with bounded writer memory, and the workspace's one run-log format.
 //!
-//! [`crate::RunLog`] renders one monolithic JSON tree — fine for the
-//! 10^4-session experiments it was built for, an OOM hazard once the
-//! million-session engine made runs five orders of magnitude longer
-//! than the summary anyone reads. [`RunLogWriter`] replaces the
-//! accumulate-then-render pattern with streaming: records leave the
-//! process as canonical single-line JSON the moment a bounded buffer
-//! fills, so writer memory is O(buffer), not O(run).
+//! Every run-log leaves the process as a `dms-runlog/1` directory: the
+//! experiments' `--metrics-dir` logs (staged in a [`crate::RunLog`],
+//! whose one renderer is [`stream_run_log`]), the socket driver's log
+//! (streamed record by record as its engine steps), the benchmark's,
+//! and the golden snapshots. [`RunLogWriter`] streams: records leave
+//! the process as canonical single-line JSON the moment a bounded
+//! buffer fills, so writer memory is O(buffer), not O(run).
 //!
 //! # On-disk layout
 //!
@@ -288,9 +288,9 @@ impl RunLogWriter {
 }
 
 /// Streams an in-memory [`RunLog`] into the chunked on-disk format:
-/// meta, then every record, then the registry. The bridge the
-/// experiments driver uses while individual experiments still build
-/// their logs in memory; code on the E15 scale writes through
+/// meta, then every record, then the registry. A `RunLog`'s one
+/// renderer, used by the experiments driver, whose logs are bounded by
+/// their grids; code that records as it runs writes through
 /// [`RunLogWriter`] directly.
 ///
 /// # Errors

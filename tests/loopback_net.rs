@@ -1,26 +1,42 @@
 //! The loopback soak, test-suite edition: the full ≥10⁴-session
 //! E12-style trace replayed over an in-process socketpair into the
-//! lockstep server driver, byte-compared against direct injection —
-//! under both `DMS_THREADS` settings.
+//! lockstep server driver, its run-log directory compared against
+//! direct injection's — under both `DMS_THREADS` settings.
 //!
 //! A single-server session has no `ParRunner` inside it, so the
 //! thread knob *shouldn't* matter; this test is what turns "shouldn't"
 //! into a regression guard. (CI additionally runs the comparison as
-//! real `netserve` / `loadgen` processes over a Unix socket.)
+//! real `netserve` / `loadgen` processes over a Unix socket, with
+//! `diff -r` over the two directories.)
 
+use std::path::{Path, PathBuf};
 use std::thread;
 
 use dms_bench::net::{net_loopback_perf, soak_direct, soak_driver, soak_setup, SOAK_SEED};
 use dms_net::{run_loadgen, serve_connection, NetConnection};
+use dms_sim::{RunLogReader, RunLogScan};
+
+fn log_dir(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("dms-loopback-net-{tag}-{}", std::process::id()))
+}
+
+/// Reads a run-log directory back whole, then removes it.
+fn take_log(dir: &Path) -> RunLogScan {
+    let scan = RunLogReader::open(dir)
+        .and_then(|r| r.read_all())
+        .expect("run-log reads back");
+    std::fs::remove_dir_all(dir).expect("cleanup");
+    scan
+}
 
 /// One full socket soak; returns the server-side run-log.
-fn socket_soak(seed: u64) -> String {
+fn socket_soak(seed: u64, tag: &str) -> RunLogScan {
     let (config, workload) = soak_setup(seed);
-    let mut driver = soak_driver(&config, &workload);
+    let dir = log_dir(tag);
+    let mut driver = soak_driver(&config, &workload, Some(&dir)).expect("run-log dir");
     let (mut server_conn, mut client_conn) = NetConnection::pair().expect("socketpair");
     let server = thread::spawn(move || {
         serve_connection(&mut server_conn, &mut driver).expect("serves");
-        driver.into_run_log()
     });
     run_loadgen(
         &mut client_conn,
@@ -30,7 +46,8 @@ fn socket_soak(seed: u64) -> String {
         None,
     )
     .expect("loadgen runs");
-    server.join().expect("server thread")
+    server.join().expect("server thread");
+    take_log(&dir)
 }
 
 #[test]
@@ -42,7 +59,10 @@ fn ten_thousand_sessions_over_sockets_match_direct_injection() {
         workload.sessions.len()
     );
 
-    let (direct_log, direct_report) = soak_direct(SOAK_SEED);
+    let dir = log_dir("direct");
+    let direct_report = soak_direct(SOAK_SEED, Some(&dir)).expect("protocol-clean");
+    let direct_log = take_log(&dir);
+    assert!(direct_log.clean_close, "direct run-log closed cleanly");
     // Both verdicts must actually occur, or the comparison is hollow.
     assert!(direct_report.admitted > 0 && direct_report.rejected > 0);
 
@@ -51,7 +71,7 @@ fn ten_thousand_sessions_over_sockets_match_direct_injection() {
     // parallel #[test]s racing the environment.
     for threads in ["1", "4"] {
         std::env::set_var("DMS_THREADS", threads);
-        let socket_log = socket_soak(SOAK_SEED);
+        let socket_log = socket_soak(SOAK_SEED, &format!("socket-t{threads}"));
         assert_eq!(
             socket_log, direct_log,
             "socket run-log diverged from direct injection at DMS_THREADS={threads}"
