@@ -10,8 +10,7 @@
 //!   demands, analysed through `dms-analysis` for their stationary
 //!   behaviour;
 //! * [`faults`] — sensor populations with exponential failures and
-//!   k-of-n service redundancy \[33\], with and without a repair crew
-//!   (the repairable case is a CTMC over the alive-sensor count);
+//!   k-of-n service redundancy \[33\];
 //! * [`smartspace`] — the combined stochastic QoS evaluation: expected
 //!   delivered utility = Σ over user states of π(state) × availability
 //!   of the services that state needs.
@@ -35,6 +34,6 @@ pub mod smartspace;
 pub mod user;
 
 pub use error::AmbientError;
-pub use faults::{RepairableSensorPopulation, SensorPopulation};
+pub use faults::SensorPopulation;
 pub use smartspace::{SmartSpace, SmartSpaceReport};
 pub use user::UserBehaviorModel;

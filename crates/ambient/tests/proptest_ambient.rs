@@ -50,16 +50,4 @@ proptest! {
         prop_assert!(later.expected_utility <= now.expected_utility + 1e-12);
         prop_assert!((0.0..=1.0 + 1e-9).contains(&now.degradation()));
     }
-
-    /// lifetime_to_availability is consistent with availability itself.
-    #[test]
-    fn lifetime_inverse_is_consistent(n in 2usize..12, rate in 0.02f64..0.5, target in 0.5f64..0.99) {
-        let pop = SensorPopulation::new(n, rate).expect("valid");
-        let k = n / 2 + 1;
-        let t = pop.lifetime_to_availability(k, target);
-        if t > 0.0 {
-            prop_assert!(pop.availability(k, t * 0.99) >= target - 1e-6);
-            prop_assert!(pop.availability(k, t * 1.01 + 1e-6) <= target + 1e-6);
-        }
-    }
 }

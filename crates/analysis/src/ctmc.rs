@@ -96,28 +96,6 @@ impl ContinuousMarkovChain {
         ContinuousMarkovChain::new(q)
     }
 
-    /// Number of states.
-    #[must_use]
-    pub fn state_count(&self) -> usize {
-        self.q.len()
-    }
-
-    /// The generator matrix.
-    #[must_use]
-    pub fn generator(&self) -> &[Vec<f64>] {
-        &self.q
-    }
-
-    /// Mean holding (sojourn) time of state `i`, `1/|q_ii|`
-    /// (∞ for absorbing states).
-    #[must_use]
-    pub fn mean_holding_time(&self, i: usize) -> f64 {
-        match self.q.get(i) {
-            Some(row) if row[i] < 0.0 => -1.0 / row[i],
-            _ => f64::INFINITY,
-        }
-    }
-
     /// The uniformised DTMC `P = I + Q/Λ`.
     ///
     /// # Errors
@@ -241,18 +219,6 @@ mod tests {
                 queue.prob_n(n as u32)
             );
         }
-    }
-
-    #[test]
-    fn holding_times() {
-        let chain = ContinuousMarkovChain::birth_death(3, 2.0, 5.0).expect("valid");
-        assert!((chain.mean_holding_time(0) - 0.5).abs() < 1e-12); // only λ=2 exits
-        assert!((chain.mean_holding_time(1) - 1.0 / 7.0).abs() < 1e-12); // λ+μ
-        assert!((chain.mean_holding_time(3) - 0.2).abs() < 1e-12); // only μ=5 exits
-                                                                   // Absorbing chain.
-        let absorbing =
-            ContinuousMarkovChain::new(vec![vec![-1.0, 1.0], vec![0.0, 0.0]]).expect("valid");
-        assert!(absorbing.mean_holding_time(1).is_infinite());
     }
 
     #[test]

@@ -42,20 +42,6 @@ pub fn fft_in_place(data: &mut [Complex]) {
     transform(data, -1.0);
 }
 
-/// In-place inverse DFT, `x_j = (1/n) Σ_k X_k e^{+2πi jk/n}`.
-///
-/// # Panics
-///
-/// Panics if `data.len()` is not a power of two.
-pub fn ifft_in_place(data: &mut [Complex]) {
-    transform(data, 1.0);
-    let inv = 1.0 / data.len() as f64;
-    for z in data.iter_mut() {
-        z.re *= inv;
-        z.im *= inv;
-    }
-}
-
 fn transform(data: &mut [Complex], sign: f64) {
     let n = data.len();
     assert!(n.is_power_of_two(), "FFT length {n} must be a power of two");
@@ -135,19 +121,6 @@ mod tests {
             } else {
                 assert!(mag < 1e-9, "bin {k}: {mag}");
             }
-        }
-    }
-
-    #[test]
-    fn round_trip_recovers_input() {
-        let original: Vec<Complex> = (0..128)
-            .map(|i| Complex::new((i as f64 * 0.37).sin(), (i as f64 * 0.11).cos()))
-            .collect();
-        let mut data = original.clone();
-        fft_in_place(&mut data);
-        ifft_in_place(&mut data);
-        for (a, b) in data.iter().zip(&original) {
-            assert_close(*a, *b, 1e-10);
         }
     }
 

@@ -12,8 +12,8 @@
 //! * [`ctmc`] — continuous-time Markov chains with uniformisation-based
 //!   stationary and transient solutions (the tractable core of §2.2's
 //!   timed formalisms);
-//! * [`queue`] — closed-form M/M/1 and M/M/1/K results used to
-//!   cross-check the simulators;
+//! * [`queue`] — closed-form M/M/1/K results used to cross-check the
+//!   simulators;
 //! * [`prodcons`] — the Producer–Consumer buffer chain of §2.1 as a
 //!   birth–death DTMC, with throughput/loss/occupancy derived from π;
 //! * [`selfsim`] — self-similar (long-range dependent) traffic
@@ -54,5 +54,5 @@ pub use error::AnalysisError;
 pub use hurst::{aggregate_variance_hurst, periodogram_hurst, rescaled_range_hurst};
 pub use markov::DiscreteMarkovChain;
 pub use prodcons::ProducerConsumerChain;
-pub use queue::{MM1KQueue, MM1Queue};
+pub use queue::MM1KQueue;
 pub use selfsim::{FractionalGaussianNoise, OnOffAggregate, PoissonArrivals};

@@ -65,12 +65,6 @@ impl DiscreteMarkovChain {
         Ok(DiscreteMarkovChain { p })
     }
 
-    /// Number of states.
-    #[must_use]
-    pub fn state_count(&self) -> usize {
-        self.p.len()
-    }
-
     /// The transition matrix.
     #[must_use]
     pub fn transition_matrix(&self) -> &[Vec<f64>] {
@@ -188,42 +182,6 @@ impl DiscreteMarkovChain {
         assert_eq!(reward.len(), self.p.len(), "reward dimension mismatch");
         pi.iter().zip(reward).map(|(p, r)| p * r).sum()
     }
-
-    /// Builds a birth–death chain on `0..=k`: up-probability `p_up`,
-    /// down-probability `p_down` per step (clamped at the boundaries).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalysisError::InvalidProbability`] if the probabilities
-    /// are outside `[0, 1]` or sum above one.
-    pub fn birth_death(k: usize, p_up: f64, p_down: f64) -> Result<Self, AnalysisError> {
-        if !(0.0..=1.0).contains(&p_up) {
-            return Err(AnalysisError::InvalidProbability("p_up", p_up));
-        }
-        if !(0.0..=1.0).contains(&p_down) {
-            return Err(AnalysisError::InvalidProbability("p_down", p_down));
-        }
-        if p_up + p_down > 1.0 + 1e-12 {
-            return Err(AnalysisError::InvalidProbability(
-                "p_up + p_down",
-                p_up + p_down,
-            ));
-        }
-        let n = k + 1;
-        let mut p = vec![vec![0.0; n]; n];
-        for s in 0..n {
-            let up = if s < k { p_up } else { 0.0 };
-            let down = if s > 0 { p_down } else { 0.0 };
-            if s < k {
-                p[s][s + 1] = up;
-            }
-            if s > 0 {
-                p[s][s - 1] = down;
-            }
-            p[s][s] = 1.0 - up - down;
-        }
-        DiscreteMarkovChain::new(p)
-    }
 }
 
 #[cfg(test)]
@@ -300,37 +258,6 @@ mod tests {
         let pi = chain.stationary_power_iteration().expect("converges");
         let throughput = chain.expected_reward(&pi, &[0.0, 10.0]);
         assert!((throughput - 6.0).abs() < 1e-8);
-    }
-
-    #[test]
-    fn birth_death_structure() {
-        let chain = DiscreteMarkovChain::birth_death(3, 0.3, 0.5).expect("valid");
-        assert_eq!(chain.state_count(), 4);
-        let p = chain.transition_matrix();
-        assert_eq!(p[0][1], 0.3);
-        assert!((p[0][0] - 0.7).abs() < 1e-12); // no down-transition at 0
-        assert_eq!(p[3][2], 0.5);
-        assert!((p[3][3] - 0.5).abs() < 1e-12); // no up-transition at k
-    }
-
-    #[test]
-    fn birth_death_stationary_is_geometric() {
-        // π_s ∝ (p/q)^s for a birth–death chain.
-        let (p_up, p_down) = (0.2, 0.4);
-        let chain = DiscreteMarkovChain::birth_death(5, p_up, p_down).expect("valid");
-        let pi = chain.stationary_gauss_seidel().expect("converges");
-        let rho = p_up / p_down;
-        for s in 1..pi.len() {
-            let ratio = pi[s] / pi[s - 1];
-            assert!((ratio - rho).abs() < 1e-6, "state {s}: ratio {ratio}");
-        }
-    }
-
-    #[test]
-    fn birth_death_rejects_bad_probabilities() {
-        assert!(DiscreteMarkovChain::birth_death(3, 1.2, 0.1).is_err());
-        assert!(DiscreteMarkovChain::birth_death(3, 0.6, 0.6).is_err());
-        assert!(DiscreteMarkovChain::birth_death(3, -0.1, 0.5).is_err());
     }
 
     #[test]

@@ -105,18 +105,6 @@ impl ProducerConsumerChain {
         })
     }
 
-    /// Buffer capacity in tokens.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.k
-    }
-
-    /// The underlying Markov chain (state = occupancy).
-    #[must_use]
-    pub fn chain(&self) -> &DiscreteMarkovChain {
-        &self.chain
-    }
-
     /// Stationary occupancy distribution `π_0..π_k`.
     ///
     /// # Errors

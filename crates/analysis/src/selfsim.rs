@@ -74,12 +74,6 @@ impl FractionalGaussianNoise {
         Ok(FractionalGaussianNoise { hurst })
     }
 
-    /// The Hurst parameter.
-    #[must_use]
-    pub fn hurst(&self) -> f64 {
-        self.hurst
-    }
-
     /// Theoretical autocovariance at lag `k` (variance 1 at lag 0).
     #[must_use]
     pub fn autocovariance(&self, k: usize) -> f64 {
@@ -280,13 +274,6 @@ impl OnOffAggregate {
         })
     }
 
-    /// Theoretical Hurst parameter of the aggregate,
-    /// `H = (3 − min(α_on, α_off))/2`.
-    #[must_use]
-    pub fn theoretical_hurst(&self) -> f64 {
-        (3.0 - self.alpha_on.min(self.alpha_off)) / 2.0
-    }
-
     /// Expected long-run fraction of time each source is ON.
     #[must_use]
     pub fn duty_cycle(&self) -> f64 {
@@ -343,12 +330,6 @@ impl PoissonArrivals {
         Ok(PoissonArrivals { rate })
     }
 
-    /// Mean arrivals per slot.
-    #[must_use]
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
     /// Generates `n` slots of Poisson counts (Knuth's algorithm).
     ///
     /// Knuth's product-of-uniforms needs `exp(-rate) > 0`, which fails
@@ -396,7 +377,22 @@ impl PoissonArrivals {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dms_sim::Autocorrelation;
+
+    /// Sample autocorrelation of `series` at `lag` (1-based, biased
+    /// estimator; 0 for a constant series).
+    fn acf(series: &[f64], lag: usize) -> f64 {
+        let n = series.len();
+        let mean = series.iter().sum::<f64>() / n as f64;
+        let var = series.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
+        if var <= f64::EPSILON || lag >= n {
+            return 0.0;
+        }
+        let cov = (0..n - lag)
+            .map(|i| (series[i] - mean) * (series[i + lag] - mean))
+            .sum::<f64>()
+            / n as f64;
+        cov / var
+    }
 
     #[test]
     fn fgn_rejects_bad_hurst() {
@@ -444,10 +440,8 @@ mod tests {
         let wn = FractionalGaussianNoise::new(0.5)
             .expect("valid")
             .generate(4096, &mut rng);
-        let acf_lrd = Autocorrelation::of(&lrd, 20);
-        let acf_wn = Autocorrelation::of(&wn, 20);
-        let tail_lrd: f64 = (10..=20).filter_map(|k| acf_lrd.at(k)).sum();
-        let tail_wn: f64 = (10..=20).filter_map(|k| acf_wn.at(k)).sum();
+        let tail_lrd: f64 = (10..=20).map(|k| acf(&lrd, k)).sum();
+        let tail_wn: f64 = (10..=20).map(|k| acf(&wn, k)).sum();
         assert!(
             tail_lrd > tail_wn + 0.1,
             "LRD tail {tail_lrd} should exceed white-noise tail {tail_wn}"
@@ -586,14 +580,6 @@ mod tests {
     }
 
     #[test]
-    fn onoff_theoretical_hurst() {
-        let agg = OnOffAggregate::new(16, 1.2, 1.6).expect("valid");
-        assert!((agg.theoretical_hurst() - 0.9).abs() < 1e-12);
-        let sym = OnOffAggregate::new(16, 2.0, 2.0).expect("valid");
-        assert!((sym.theoretical_hurst() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn onoff_duty_cycle_symmetric_is_half() {
         let agg = OnOffAggregate::new(4, 1.5, 1.5).expect("valid");
         assert!((agg.duty_cycle() - 0.5).abs() < 1e-12);
@@ -647,9 +633,8 @@ mod tests {
     fn poisson_acf_is_flat() {
         let gen = PoissonArrivals::new(5.0).expect("valid");
         let counts = gen.generate(8192, &mut SimRng::new(41));
-        let acf = Autocorrelation::of(&counts, 10);
         for k in 1..=10 {
-            assert!(acf.at(k).expect("computed").abs() < 0.05, "lag {k}");
+            assert!(acf(&counts, k).abs() < 0.05, "lag {k}");
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for the analytical machinery.
 
-use dms_analysis::{DiscreteMarkovChain, MM1KQueue, MM1Queue, ProducerConsumerChain};
+use dms_analysis::{DiscreteMarkovChain, MM1KQueue, ProducerConsumerChain};
 use proptest::prelude::*;
 
 /// Strategy: a random row-stochastic matrix with strictly positive
@@ -41,26 +41,13 @@ proptest! {
         }
     }
 
-    /// M/M/1: L = ρ/(1−ρ) and Little's law tie together.
-    #[test]
-    fn mm1_littles_law(lambda in 0.01f64..0.99, mu_margin in 1.01f64..10.0) {
-        let mu = lambda * mu_margin;
-        let q = MM1Queue::new(lambda, mu).expect("stable");
-        let l = q.mean_queue_length();
-        let w = q.mean_response_time();
-        prop_assert!((l - lambda * w).abs() < 1e-9, "L = λW violated");
-        prop_assert!(l >= 0.0);
-    }
-
-    /// M/M/1/K: probabilities form a distribution; blocking decreases
-    /// with capacity; throughput never exceeds either λ or μ.
+    /// M/M/1/K: probabilities form a distribution, and blocking
+    /// decreases with capacity.
     #[test]
     fn mm1k_sanity(lambda in 0.05f64..5.0, mu in 0.05f64..5.0, k in 1u32..30) {
         let q = MM1KQueue::new(lambda, mu, k).expect("valid");
         let total: f64 = (0..=k).map(|n| q.prob_n(n)).sum();
         prop_assert!((total - 1.0).abs() < 1e-8);
-        prop_assert!(q.throughput() <= lambda + 1e-9);
-        prop_assert!(q.throughput() <= mu + 1e-9);
         if k > 1 {
             let bigger = MM1KQueue::new(lambda, mu, k + 1).expect("valid");
             prop_assert!(bigger.blocking_probability() <= q.blocking_probability() + 1e-12);
@@ -84,18 +71,4 @@ proptest! {
         prop_assert!(perf_big.loss_rate <= perf.loss_rate + 1e-9);
     }
 
-    /// Birth–death stationary distribution is geometric with ratio
-    /// p_up/p_down.
-    #[test]
-    fn birth_death_geometric(p_up in 0.01f64..0.45, p_down in 0.01f64..0.45, k in 1usize..16) {
-        let chain = DiscreteMarkovChain::birth_death(k, p_up, p_down).expect("valid");
-        let pi = chain.stationary_gauss_seidel().expect("converges");
-        let rho = p_up / p_down;
-        for s in 1..pi.len() {
-            if pi[s - 1] > 1e-9 {
-                let ratio = pi[s] / pi[s - 1];
-                prop_assert!((ratio / rho - 1.0).abs() < 1e-4, "ratio {ratio}, rho {rho}");
-            }
-        }
-    }
 }

@@ -81,21 +81,6 @@ impl DesignFlow {
         }
     }
 
-    /// The constraints in force.
-    #[must_use]
-    pub fn constraints(&self) -> &FlowConstraints {
-        &self.constraints
-    }
-
-    /// Runs the flow on `program` with zeroed initial memory.
-    ///
-    /// # Errors
-    ///
-    /// Propagates ISS and rewriting failures.
-    pub fn run(&self, program: &Program) -> Result<FlowReport, AsipError> {
-        self.run_with_memory(program, Vec::new())
-    }
-
     /// Runs the flow on `program` with the given initial memory image.
     ///
     /// Steps: profile on the plain base core; identify candidate
@@ -227,11 +212,13 @@ mod tests {
     fn tighter_gate_budget_means_fewer_extensions() {
         let p = workloads::dot_product(128).expect("valid");
         let loose = DesignFlow::new(FlowConstraints::default())
-            .run(&p)
+            .run_with_memory(&p, Vec::new())
             .expect("runs");
         let mut tight_c = FlowConstraints::default();
         tight_c.gate_budget = 150_000;
-        let tight = DesignFlow::new(tight_c).run(&p).expect("runs");
+        let tight = DesignFlow::new(tight_c)
+            .run_with_memory(&p, Vec::new())
+            .expect("runs");
         assert!(tight.total_gates <= 150_000);
         assert!(tight.custom_instructions <= loose.custom_instructions);
         assert!(tight.speedup <= loose.speedup + 1e-9);
@@ -244,7 +231,9 @@ mod tests {
         c.max_custom_instructions = 0;
         c.mac_block = false;
         c.zol_block = false;
-        let r = DesignFlow::new(c).run(&p).expect("runs");
+        let r = DesignFlow::new(c)
+            .run_with_memory(&p, Vec::new())
+            .expect("runs");
         assert_eq!(r.custom_instructions, 0);
         // Cache configuration differs from the profiling run, so cycles
         // may differ slightly, but without blocks/extensions there is no

@@ -14,9 +14,6 @@ pub const REG_COUNT: u8 = 32;
 pub struct Reg(pub u8);
 
 impl Reg {
-    /// The hard-wired zero register.
-    pub const ZERO: Reg = Reg(0);
-
     /// Whether the register index is within the register file.
     #[must_use]
     pub fn is_valid(self) -> bool {
@@ -27,10 +24,6 @@ impl Reg {
 /// Branch comparison conditions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Cond {
-    /// Equal.
-    Eq,
-    /// Not equal.
-    Ne,
     /// Signed less-than.
     Lt,
     /// Signed greater-or-equal.
@@ -51,14 +44,8 @@ pub enum Instr {
     Mul(Reg, Reg, Reg),
     /// `dst = a + imm`
     Addi(Reg, Reg, i64),
-    /// `dst = a << imm` (imm masked to 0..64)
-    Shli(Reg, Reg, u8),
     /// `dst = a >> imm` arithmetic (imm masked to 0..64)
     Shri(Reg, Reg, u8),
-    /// `dst = a & b`
-    And(Reg, Reg, Reg),
-    /// `dst = a | b`
-    Or(Reg, Reg, Reg),
     /// `dst = a ^ b`
     Xor(Reg, Reg, Reg),
     /// `dst = imm`
@@ -69,8 +56,6 @@ pub enum Instr {
     St(Reg, Reg, i64),
     /// Branch to `target` if `cond(a, b)`.
     Branch(Cond, Reg, Reg, usize),
-    /// Unconditional jump.
-    Jmp(usize),
     /// A custom (fused) instruction, by catalog index.
     Custom(usize),
     /// Stop execution.
@@ -98,10 +83,7 @@ impl Instr {
     /// no control flow and no further nesting of custom ops.
     #[must_use]
     pub fn is_fusible(&self) -> bool {
-        !matches!(
-            self,
-            Instr::Branch(..) | Instr::Jmp(_) | Instr::Custom(_) | Instr::Halt
-        )
+        !matches!(self, Instr::Branch(..) | Instr::Custom(_) | Instr::Halt)
     }
 
     /// Registers written by the instruction (`r0` writes are discarded
@@ -113,10 +95,7 @@ impl Instr {
             | Instr::Sub(d, ..)
             | Instr::Mul(d, ..)
             | Instr::Addi(d, ..)
-            | Instr::Shli(d, ..)
             | Instr::Shri(d, ..)
-            | Instr::And(d, ..)
-            | Instr::Or(d, ..)
             | Instr::Xor(d, ..)
             | Instr::Li(d, _)
             | Instr::Ld(d, ..) => vec![d],
@@ -131,10 +110,8 @@ impl Instr {
             Instr::Add(_, a, b)
             | Instr::Sub(_, a, b)
             | Instr::Mul(_, a, b)
-            | Instr::And(_, a, b)
-            | Instr::Or(_, a, b)
             | Instr::Xor(_, a, b) => vec![a, b],
-            Instr::Addi(_, a, _) | Instr::Shli(_, a, _) | Instr::Shri(_, a, _) => vec![a],
+            Instr::Addi(_, a, _) | Instr::Shri(_, a, _) => vec![a],
             Instr::Ld(_, base, _) => vec![base],
             Instr::St(src, base, _) => vec![src, base],
             Instr::Branch(_, a, b, _) => vec![a, b],
@@ -165,7 +142,6 @@ mod tests {
         assert!(Reg(0).is_valid());
         assert!(Reg(31).is_valid());
         assert!(!Reg(32).is_valid());
-        assert_eq!(Reg::ZERO, Reg(0));
     }
 
     #[test]
@@ -179,8 +155,7 @@ mod tests {
     fn fusibility() {
         assert!(Instr::Add(Reg(1), Reg(2), Reg(3)).is_fusible());
         assert!(Instr::Ld(Reg(1), Reg(2), 0).is_fusible());
-        assert!(!Instr::Branch(Cond::Eq, Reg(1), Reg(2), 0).is_fusible());
-        assert!(!Instr::Jmp(0).is_fusible());
+        assert!(!Instr::Branch(Cond::Lt, Reg(1), Reg(2), 0).is_fusible());
         assert!(!Instr::Custom(0).is_fusible());
         assert!(!Instr::Halt.is_fusible());
     }

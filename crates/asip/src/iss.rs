@@ -69,14 +69,6 @@ pub struct ExecReport {
     pub cache_misses: u64,
 }
 
-impl ExecReport {
-    /// Convenience: the value of register `r` at halt.
-    #[must_use]
-    pub fn reg(&self, r: Reg) -> i64 {
-        self.regs.get(r.0 as usize).copied().unwrap_or(0)
-    }
-}
-
 /// Words per cache line.
 const LINE_WORDS: usize = 4;
 
@@ -121,27 +113,6 @@ impl Iss {
     #[must_use]
     pub fn new(config: IssConfig, catalog: ExtensionCatalog) -> Self {
         Iss { config, catalog }
-    }
-
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> &IssConfig {
-        &self.config
-    }
-
-    /// The extension catalog ("retargeted" ISSs carry the custom ops).
-    #[must_use]
-    pub fn catalog(&self) -> &ExtensionCatalog {
-        &self.catalog
-    }
-
-    /// Runs `program` on zeroed memory.
-    ///
-    /// # Errors
-    ///
-    /// See [`Iss::run_with_memory`].
-    pub fn run(&self, program: &Program) -> Result<ExecReport, AsipError> {
-        self.run_with_memory(program, vec![0; self.config.mem_words])
     }
 
     /// Runs `program` on the given initial memory (resized to the
@@ -219,8 +190,6 @@ impl Iss {
                     let av = regs[a.0 as usize];
                     let bv = regs[b.0 as usize];
                     let taken = match cond {
-                        Cond::Eq => av == bv,
-                        Cond::Ne => av != bv,
                         Cond::Lt => av < bv,
                         Cond::Ge => av >= bv,
                     };
@@ -232,14 +201,6 @@ impl Iss {
                         }
                         next_pc = target;
                     }
-                }
-                Instr::Jmp(target) => {
-                    cost = if self.config.zero_overhead_loops && target <= pc {
-                        1
-                    } else {
-                        2
-                    };
-                    next_pc = target;
                 }
                 other => {
                     cost = if other.is_multiply() && self.config.mac_block {
@@ -316,10 +277,7 @@ impl Iss {
             Instr::Sub(d, a, b) => set(d, get(a, regs).wrapping_sub(get(b, regs)), regs),
             Instr::Mul(d, a, b) => set(d, get(a, regs).wrapping_mul(get(b, regs)), regs),
             Instr::Addi(d, a, imm) => set(d, get(a, regs).wrapping_add(imm), regs),
-            Instr::Shli(d, a, imm) => set(d, get(a, regs) << (imm & 63), regs),
             Instr::Shri(d, a, imm) => set(d, get(a, regs) >> (imm & 63), regs),
-            Instr::And(d, a, b) => set(d, get(a, regs) & get(b, regs), regs),
-            Instr::Or(d, a, b) => set(d, get(a, regs) | get(b, regs), regs),
             Instr::Xor(d, a, b) => set(d, get(a, regs) ^ get(b, regs), regs),
             Instr::Li(d, imm) => set(d, imm, regs),
             Instr::Ld(d, base, offset) => {
@@ -352,7 +310,7 @@ impl Iss {
                 memory[addr] = get(src, regs);
             }
             // Control flow is handled by the main loop; Custom never nests.
-            Instr::Branch(..) | Instr::Jmp(_) | Instr::Custom(_) | Instr::Halt => {}
+            Instr::Branch(..) | Instr::Custom(_) | Instr::Halt => {}
         }
         Ok(mem_extra)
     }
@@ -374,15 +332,17 @@ mod tests {
         b.li(Reg(2), 7);
         b.mul(Reg(3), Reg(1), Reg(2));
         b.addi(Reg(3), Reg(3), -2);
-        b.shli(Reg(4), Reg(3), 1);
+        b.add(Reg(4), Reg(3), Reg(3));
         b.shri(Reg(5), Reg(4), 2);
         b.xor(Reg(6), Reg(4), Reg(5));
         b.halt();
-        let r = iss().run(&b.build().expect("valid")).expect("runs");
-        assert_eq!(r.reg(Reg(3)), 40);
-        assert_eq!(r.reg(Reg(4)), 80);
-        assert_eq!(r.reg(Reg(5)), 20);
-        assert_eq!(r.reg(Reg(6)), 80 ^ 20);
+        let r = iss()
+            .run_with_memory(&b.build().expect("valid"), Vec::new())
+            .expect("runs");
+        assert_eq!(r.regs[3], 40);
+        assert_eq!(r.regs[4], 80);
+        assert_eq!(r.regs[5], 20);
+        assert_eq!(r.regs[6], 80 ^ 20);
     }
 
     #[test]
@@ -391,9 +351,11 @@ mod tests {
         b.li(Reg(0), 42);
         b.add(Reg(1), Reg(0), Reg(0));
         b.halt();
-        let r = iss().run(&b.build().expect("valid")).expect("runs");
-        assert_eq!(r.reg(Reg(0)), 0);
-        assert_eq!(r.reg(Reg(1)), 0);
+        let r = iss()
+            .run_with_memory(&b.build().expect("valid"), Vec::new())
+            .expect("runs");
+        assert_eq!(r.regs[0], 0);
+        assert_eq!(r.regs[1], 0);
     }
 
     #[test]
@@ -403,14 +365,18 @@ mod tests {
         b.st(Reg(1), Reg(0), 10);
         b.ld(Reg(2), Reg(0), 10);
         b.halt();
-        let r = iss().run(&b.build().expect("valid")).expect("runs");
-        assert_eq!(r.reg(Reg(2)), 123);
+        let r = iss()
+            .run_with_memory(&b.build().expect("valid"), Vec::new())
+            .expect("runs");
+        assert_eq!(r.regs[2], 123);
         assert_eq!(r.memory[10], 123);
 
         let mut b = ProgramBuilder::new();
         b.ld(Reg(1), Reg(0), -5);
         b.halt();
-        let err = iss().run(&b.build().expect("valid")).expect_err("fault");
+        let err = iss()
+            .run_with_memory(&b.build().expect("valid"), Vec::new())
+            .expect_err("fault");
         assert_eq!(err, AsipError::MemoryFault { address: -5 });
     }
 
@@ -422,8 +388,10 @@ mod tests {
         b.addi(Reg(1), Reg(1), 1);
         b.branch(Cond::Lt, Reg(1), Reg(2), top);
         b.halt();
-        let r = iss().run(&b.build().expect("valid")).expect("runs");
-        assert_eq!(r.reg(Reg(1)), 10);
+        let r = iss()
+            .run_with_memory(&b.build().expect("valid"), Vec::new())
+            .expect("runs");
+        assert_eq!(r.regs[1], 10);
         assert_eq!(r.pc_execs[1], 10);
         assert_eq!(r.pc_execs[2], 10);
     }
@@ -432,13 +400,13 @@ mod tests {
     fn fuel_guards_infinite_loops() {
         let mut b = ProgramBuilder::new();
         let top = b.place_label();
-        b.jmp(top);
+        b.branch(Cond::Ge, Reg(0), Reg(0), top);
         b.halt();
         let mut cfg = IssConfig::default();
         cfg.fuel = 1000;
         let iss = Iss::new(cfg, ExtensionCatalog::new());
         assert!(matches!(
-            iss.run(&b.build().expect("valid")),
+            iss.run_with_memory(&b.build().expect("valid"), Vec::new()),
             Err(AsipError::OutOfFuel { .. })
         ));
     }
@@ -447,7 +415,9 @@ mod tests {
     fn missing_halt_detected() {
         let mut b = ProgramBuilder::new();
         b.addi(Reg(1), Reg(1), 1);
-        let err = iss().run(&b.build().expect("valid")).expect_err("no halt");
+        let err = iss()
+            .run_with_memory(&b.build().expect("valid"), Vec::new())
+            .expect_err("no halt");
         assert_eq!(err, AsipError::MissingHalt);
     }
 
@@ -459,11 +429,11 @@ mod tests {
         }
         b.halt();
         let p = b.build().expect("valid");
-        let plain = iss().run(&p).expect("runs");
+        let plain = iss().run_with_memory(&p, Vec::new()).expect("runs");
         let mut cfg = IssConfig::default();
         cfg.mac_block = true;
         let fast = Iss::new(cfg, ExtensionCatalog::new())
-            .run(&p)
+            .run_with_memory(&p, Vec::new())
             .expect("runs");
         assert_eq!(plain.cycles - fast.cycles, 200); // 100 muls × (3−1)
     }
@@ -477,11 +447,11 @@ mod tests {
         b.branch(Cond::Lt, Reg(1), Reg(2), top);
         b.halt();
         let p = b.build().expect("valid");
-        let plain = iss().run(&p).expect("runs");
+        let plain = iss().run_with_memory(&p, Vec::new()).expect("runs");
         let mut cfg = IssConfig::default();
         cfg.zero_overhead_loops = true;
         let zol = Iss::new(cfg, ExtensionCatalog::new())
-            .run(&p)
+            .run_with_memory(&p, Vec::new())
             .expect("runs");
         // 999 taken backward branches × 1 bubble each.
         assert_eq!(plain.cycles - zol.cycles, 999);
@@ -499,21 +469,21 @@ mod tests {
         b.branch(Cond::Lt, Reg(1), Reg(2), top);
         b.halt();
         let p = b.build().expect("valid");
-        let r = iss().run(&p).expect("runs");
+        let r = iss().run_with_memory(&p, Vec::new()).expect("runs");
         assert_eq!(r.cache_misses, 256); // 1024 / 4 words per line
         assert_eq!(r.cache_hits, 768);
         // A larger cache does not help a pure streaming pattern…
         let mut big = IssConfig::default();
         big.cache_words = 4096;
         let rb = Iss::new(big, ExtensionCatalog::new())
-            .run(&p)
+            .run_with_memory(&p, Vec::new())
             .expect("runs");
         assert_eq!(rb.cache_misses, 256);
         // …but disabling the cache makes every access miss.
         let mut none = IssConfig::default();
         none.cache_words = 0;
         let rn = Iss::new(none, ExtensionCatalog::new())
-            .run(&p)
+            .run_with_memory(&p, Vec::new())
             .expect("runs");
         assert_eq!(rn.cache_misses, 1024);
         assert!(rn.cycles > r.cycles);
@@ -536,7 +506,9 @@ mod tests {
         base.add(Reg(3), Reg(1), Reg(2));
         base.mul(Reg(3), Reg(3), Reg(1));
         base.halt();
-        let base_r = iss().run(&base.build().expect("valid")).expect("runs");
+        let base_r = iss()
+            .run_with_memory(&base.build().expect("valid"), Vec::new())
+            .expect("runs");
 
         let custom = Program::new(vec![
             Instr::Li(Reg(1), 5),
@@ -546,10 +518,10 @@ mod tests {
         ])
         .expect("valid");
         let custom_r = Iss::new(IssConfig::default(), cat)
-            .run(&custom)
+            .run_with_memory(&custom, Vec::new())
             .expect("runs");
-        assert_eq!(base_r.reg(Reg(3)), custom_r.reg(Reg(3)));
-        assert_eq!(custom_r.reg(Reg(3)), (5 + 9) * 5);
+        assert_eq!(base_r.regs[3], custom_r.regs[3]);
+        assert_eq!(custom_r.regs[3], (5 + 9) * 5);
         assert!(custom_r.cycles < base_r.cycles);
     }
 
@@ -557,7 +529,9 @@ mod tests {
     fn unknown_custom_op_is_reported() {
         let p = Program::new(vec![Instr::Custom(7), Instr::Halt]).expect("valid");
         assert_eq!(
-            iss().run(&p).expect_err("no catalog"),
+            iss()
+                .run_with_memory(&p, Vec::new())
+                .expect_err("no catalog"),
             AsipError::UnknownCustomOp(7)
         );
     }

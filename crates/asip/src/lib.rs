@@ -15,8 +15,8 @@
 //!   builder with label resolution;
 //! * [`iss`] — a cycle-accurate instruction-set simulator with a
 //!   direct-mapped cache model and optional predefined blocks;
-//! * [`profile`] — per-PC cycle attribution and hot-block discovery
-//!   (the "Profiling" box of Fig. 2);
+//! * [`profile`] — per-PC execution counts from an ISS run (the
+//!   "Profiling" box of Fig. 2);
 //! * [`extend`] — dataflow-window custom-instruction identification and
 //!   selection under instruction-count and gate budgets ("Identify");
 //! * [`retarget`] — the retargetable compiler: rewrites programs to use
@@ -27,10 +27,8 @@
 //! * [`flow`] — the end-to-end Fig. 2 loop, producing a report with
 //!   speed-up, gate count and the chosen extensions;
 //! * [`workloads`] — the §3.1 voice-recognition system (Goertzel filter
-//!   bank, log-energy feature extraction, DTW template matching) plus
-//!   FIR/dot-product kernels, written in the ISA;
-//! * [`asm`] — a two-pass text assembler/disassembler so workloads can
-//!   be written as readable assembly.
+//!   bank, log-energy feature extraction, DTW template matching),
+//!   written in the ISA.
 //!
 //! ## Example
 //!
@@ -43,14 +41,13 @@
 //! # fn main() -> Result<(), dms_asip::AsipError> {
 //! let program = workloads::voice_recognition(64, 4, 8)?;
 //! let flow = DesignFlow::new(FlowConstraints::default());
-//! let report = flow.run(&program)?;
+//! let report = flow.run_with_memory(&program, Vec::new())?;
 //! assert!(report.speedup > 1.0);
 //! assert!(report.custom_instructions <= 10);
 //! # Ok(())
 //! # }
 //! ```
 
-pub mod asm;
 pub mod error;
 pub mod extend;
 pub mod flow;
@@ -62,7 +59,6 @@ pub mod program;
 pub mod retarget;
 pub mod workloads;
 
-pub use asm::{assemble, disassemble, AsmError};
 pub use error::AsipError;
 pub use extend::{CustomOp, ExtensionCatalog, Identifier};
 pub use flow::{DesignFlow, FlowConstraints, FlowReport};

@@ -32,7 +32,7 @@ impl Program {
                 }
             }
             match instr {
-                Instr::Branch(_, _, _, t) | Instr::Jmp(t) if *t >= len => {
+                Instr::Branch(_, _, _, t) if *t >= len => {
                     return Err(AsipError::UnresolvedLabel(*t));
                 }
                 _ => {}
@@ -54,6 +54,9 @@ impl Program {
     }
 
     /// Whether the program is empty.
+    ///
+    /// Kept beside the used `len`: clippy's `len_without_is_empty`
+    /// requires it.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.instrs.is_empty()
@@ -66,7 +69,7 @@ impl Program {
             .instrs
             .iter()
             .filter_map(|i| match i {
-                Instr::Branch(_, _, _, t) | Instr::Jmp(t) => Some(*t),
+                Instr::Branch(_, _, _, t) => Some(*t),
                 _ => None,
             })
             .collect();
@@ -159,27 +162,9 @@ impl ProgramBuilder {
         self
     }
 
-    /// `dst = a << imm`
-    pub fn shli(&mut self, dst: Reg, a: Reg, imm: u8) -> &mut Self {
-        self.instrs.push(Instr::Shli(dst, a, imm));
-        self
-    }
-
     /// `dst = a >> imm` (arithmetic)
     pub fn shri(&mut self, dst: Reg, a: Reg, imm: u8) -> &mut Self {
         self.instrs.push(Instr::Shri(dst, a, imm));
-        self
-    }
-
-    /// `dst = a & b`
-    pub fn and(&mut self, dst: Reg, a: Reg, b: Reg) -> &mut Self {
-        self.instrs.push(Instr::And(dst, a, b));
-        self
-    }
-
-    /// `dst = a | b`
-    pub fn or(&mut self, dst: Reg, a: Reg, b: Reg) -> &mut Self {
-        self.instrs.push(Instr::Or(dst, a, b));
         self
     }
 
@@ -214,13 +199,6 @@ impl ProgramBuilder {
         self
     }
 
-    /// Unconditional jump to `label`.
-    pub fn jmp(&mut self, label: Label) -> &mut Self {
-        self.patches.push((self.instrs.len(), label.0));
-        self.instrs.push(Instr::Jmp(usize::MAX));
-        self
-    }
-
     /// Stop.
     pub fn halt(&mut self) -> &mut Self {
         self.instrs.push(Instr::Halt);
@@ -239,7 +217,7 @@ impl ProgramBuilder {
         for (at, label) in &self.patches {
             let target = self.labels[*label].ok_or(AsipError::UnresolvedLabel(*label))?;
             match &mut self.instrs[*at] {
-                Instr::Branch(_, _, _, t) | Instr::Jmp(t) => *t = target,
+                Instr::Branch(_, _, _, t) => *t = target,
                 other => unreachable!("patch points at non-branch {other:?}"),
             }
         }
@@ -258,7 +236,7 @@ mod tests {
         let top = b.place_label();
         b.addi(Reg(1), Reg(1), 1);
         b.branch(Cond::Ge, Reg(1), Reg(2), end);
-        b.jmp(top);
+        b.branch(Cond::Ge, Reg(0), Reg(0), top);
         b.place(end);
         b.halt();
         let p = b.build().expect("labels placed");
@@ -267,8 +245,8 @@ mod tests {
             ref other => panic!("expected branch, got {other:?}"),
         }
         match p.instructions()[2] {
-            Instr::Jmp(t) => assert_eq!(t, 0),
-            ref other => panic!("expected jmp, got {other:?}"),
+            Instr::Branch(_, _, _, t) => assert_eq!(t, 0),
+            ref other => panic!("expected branch, got {other:?}"),
         }
     }
 
@@ -276,7 +254,7 @@ mod tests {
     fn unplaced_label_fails() {
         let mut b = ProgramBuilder::new();
         let ghost = b.label();
-        b.jmp(ghost);
+        b.branch(Cond::Ge, Reg(0), Reg(0), ghost);
         assert!(matches!(b.build(), Err(AsipError::UnresolvedLabel(_))));
     }
 
@@ -288,7 +266,10 @@ mod tests {
 
     #[test]
     fn out_of_range_target_fails() {
-        let p = Program::new(vec![Instr::Jmp(5), Instr::Halt]);
+        let p = Program::new(vec![
+            Instr::Branch(Cond::Ge, Reg(0), Reg(0), 5),
+            Instr::Halt,
+        ]);
         assert!(matches!(p, Err(AsipError::UnresolvedLabel(5))));
     }
 

@@ -82,9 +82,8 @@ pub fn retarget(
     index_map[instrs.len()] = new_instrs.len();
     // Remap branch targets.
     for instr in &mut new_instrs {
-        match instr {
-            Instr::Branch(_, _, _, t) | Instr::Jmp(t) => *t = index_map[*t],
-            _ => {}
+        if let Instr::Branch(_, _, _, t) = instr {
+            *t = index_map[*t];
         }
     }
     Ok((Program::new(new_instrs)?, catalog))
@@ -118,7 +117,8 @@ mod tests {
 
     fn identify(program: &Program) -> Vec<Candidate> {
         let iss = Iss::new(IssConfig::default(), ExtensionCatalog::new());
-        let profile = Profile::from_report(&iss.run(program).expect("runs"));
+        let profile =
+            Profile::from_report(&iss.run_with_memory(program, Vec::new()).expect("runs"));
         Identifier::default().candidates(program, &profile)
     }
 

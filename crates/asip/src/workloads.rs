@@ -6,8 +6,8 @@
 //! 200k gates. [`voice_recognition`] assembles that system from its
 //! classic stages: a Goertzel tone-detection filter bank, log-energy
 //! feature extraction and dynamic-time-warping template matching.
-//! Smaller kernels ([`dot_product`], [`fir_filter`]) serve as unit
-//! workloads.
+//! Two smaller kernels, a dot product and a FIR filter, are unit-test
+//! fixtures.
 //!
 //! ## Memory map of `voice_recognition`
 //!
@@ -37,84 +37,6 @@ pub const DTW_BASE: i64 = 16384;
 pub const RESULT_DISTANCE: i64 = 20000;
 /// Address of the best template index.
 pub const RESULT_INDEX: i64 = 20001;
-
-/// Dot product of two `n`-element vectors at `mem[0..n]` and
-/// `mem[1000..1000+n]`, result stored at `mem\[2000\]`.
-///
-/// The loop body is unrolled ×2, giving the identifier a wide fusible
-/// window (the classic MAC pattern).
-///
-/// # Errors
-///
-/// Returns [`AsipError::InvalidParameter`] if `n == 0` or `n` is odd
-/// (the unrolled loop needs an even count).
-pub fn dot_product(n: i64) -> Result<Program, AsipError> {
-    if n <= 0 || n % 2 != 0 {
-        return Err(AsipError::InvalidParameter("n"));
-    }
-    let mut b = ProgramBuilder::new();
-    let (i, nr, acc, x, c, t) = (Reg(1), Reg(2), Reg(3), Reg(4), Reg(5), Reg(6));
-    b.li(nr, n);
-    let top = b.place_label();
-    // Iteration 1.
-    b.ld(x, i, 0);
-    b.ld(c, i, 1000);
-    b.mul(t, x, c);
-    b.add(acc, acc, t);
-    // Iteration 2 (unrolled).
-    b.ld(x, i, 1);
-    b.ld(c, i, 1001);
-    b.mul(t, x, c);
-    b.add(acc, acc, t);
-    b.addi(i, i, 2);
-    b.branch(Cond::Lt, i, nr, top);
-    b.st(acc, Reg(0), 2000);
-    b.halt();
-    b.build()
-}
-
-/// `taps`-tap FIR filter over `n` samples: input at `mem[0..n]`,
-/// coefficients at `mem[1000..]`, output at `mem[2000..]`.
-///
-/// # Errors
-///
-/// Returns [`AsipError::InvalidParameter`] for non-positive sizes or
-/// `taps > n`.
-pub fn fir_filter(n: i64, taps: i64) -> Result<Program, AsipError> {
-    if n <= 0 || taps <= 0 || taps > n {
-        return Err(AsipError::InvalidParameter("fir dimensions"));
-    }
-    let mut b = ProgramBuilder::new();
-    let (i, j, nr, tr, acc, x, c, t, addr) = (
-        Reg(1),
-        Reg(2),
-        Reg(3),
-        Reg(4),
-        Reg(5),
-        Reg(6),
-        Reg(7),
-        Reg(8),
-        Reg(9),
-    );
-    b.li(nr, n - taps + 1);
-    b.li(tr, taps);
-    let outer = b.place_label();
-    b.li(acc, 0);
-    b.li(j, 0);
-    let inner = b.place_label();
-    b.add(addr, i, j);
-    b.ld(x, addr, 0);
-    b.ld(c, j, 1000);
-    b.mul(t, x, c);
-    b.add(acc, acc, t);
-    b.addi(j, j, 1);
-    b.branch(Cond::Lt, j, tr, inner);
-    b.st(acc, i, 2000);
-    b.addi(i, i, 1);
-    b.branch(Cond::Lt, i, nr, outer);
-    b.halt();
-    b.build()
-}
 
 /// Appends one Goertzel filter pass for tone `tone` over `n` samples.
 ///
@@ -273,6 +195,86 @@ pub fn voice_test_memory(n_samples: i64, tones: i64, templates: i64, mem_words: 
         }
     }
     mem
+}
+
+/// Dot product of two `n`-element vectors at `mem[0..n]` and
+/// `mem[1000..1000+n]`, result stored at `mem\[2000\]`.
+///
+/// The loop body is unrolled ×2, giving the identifier a wide fusible
+/// window (the classic MAC pattern).
+///
+/// # Errors
+///
+/// Returns [`AsipError::InvalidParameter`] if `n == 0` or `n` is odd
+/// (the unrolled loop needs an even count).
+#[cfg(test)]
+pub fn dot_product(n: i64) -> Result<Program, AsipError> {
+    if n <= 0 || n % 2 != 0 {
+        return Err(AsipError::InvalidParameter("n"));
+    }
+    let mut b = ProgramBuilder::new();
+    let (i, nr, acc, x, c, t) = (Reg(1), Reg(2), Reg(3), Reg(4), Reg(5), Reg(6));
+    b.li(nr, n);
+    let top = b.place_label();
+    // Iteration 1.
+    b.ld(x, i, 0);
+    b.ld(c, i, 1000);
+    b.mul(t, x, c);
+    b.add(acc, acc, t);
+    // Iteration 2 (unrolled).
+    b.ld(x, i, 1);
+    b.ld(c, i, 1001);
+    b.mul(t, x, c);
+    b.add(acc, acc, t);
+    b.addi(i, i, 2);
+    b.branch(Cond::Lt, i, nr, top);
+    b.st(acc, Reg(0), 2000);
+    b.halt();
+    b.build()
+}
+
+/// `taps`-tap FIR filter over `n` samples: input at `mem[0..n]`,
+/// coefficients at `mem[1000..]`, output at `mem[2000..]`.
+///
+/// # Errors
+///
+/// Returns [`AsipError::InvalidParameter`] for non-positive sizes or
+/// `taps > n`.
+#[cfg(test)]
+pub fn fir_filter(n: i64, taps: i64) -> Result<Program, AsipError> {
+    if n <= 0 || taps <= 0 || taps > n {
+        return Err(AsipError::InvalidParameter("fir dimensions"));
+    }
+    let mut b = ProgramBuilder::new();
+    let (i, j, nr, tr, acc, x, c, t, addr) = (
+        Reg(1),
+        Reg(2),
+        Reg(3),
+        Reg(4),
+        Reg(5),
+        Reg(6),
+        Reg(7),
+        Reg(8),
+        Reg(9),
+    );
+    b.li(nr, n - taps + 1);
+    b.li(tr, taps);
+    let outer = b.place_label();
+    b.li(acc, 0);
+    b.li(j, 0);
+    let inner = b.place_label();
+    b.add(addr, i, j);
+    b.ld(x, addr, 0);
+    b.ld(c, j, 1000);
+    b.mul(t, x, c);
+    b.add(acc, acc, t);
+    b.addi(j, j, 1);
+    b.branch(Cond::Lt, j, tr, inner);
+    b.st(acc, i, 2000);
+    b.addi(i, i, 1);
+    b.branch(Cond::Lt, i, nr, outer);
+    b.halt();
+    b.build()
 }
 
 #[cfg(test)]

@@ -22,11 +22,8 @@ fn alu_instr() -> impl Strategy<Value = Instr> {
         (reg(), reg(), reg()).prop_map(|(d, a, b)| Instr::Sub(d, a, b)),
         (reg(), reg(), reg()).prop_map(|(d, a, b)| Instr::Mul(d, a, b)),
         (reg(), reg(), -100i64..100).prop_map(|(d, a, i)| Instr::Addi(d, a, i)),
-        (reg(), reg(), 0u8..8).prop_map(|(d, a, s)| Instr::Shli(d, a, s)),
         (reg(), reg(), 0u8..8).prop_map(|(d, a, s)| Instr::Shri(d, a, s)),
         (reg(), reg(), reg()).prop_map(|(d, a, b)| Instr::Xor(d, a, b)),
-        (reg(), reg(), reg()).prop_map(|(d, a, b)| Instr::And(d, a, b)),
-        (reg(), reg(), reg()).prop_map(|(d, a, b)| Instr::Or(d, a, b)),
     ]
 }
 
@@ -49,11 +46,8 @@ fn looped_program(body: &[Instr], trips: i64) -> Program {
             Instr::Sub(d, a, c) => b.sub(d, a, c),
             Instr::Mul(d, a, c) => b.mul(d, a, c),
             Instr::Addi(d, a, imm) => b.addi(d, a, imm),
-            Instr::Shli(d, a, s) => b.shli(d, a, s),
             Instr::Shri(d, a, s) => b.shri(d, a, s),
             Instr::Xor(d, a, c) => b.xor(d, a, c),
-            Instr::And(d, a, c) => b.and(d, a, c),
-            Instr::Or(d, a, c) => b.or(d, a, c),
             Instr::St(src, base, off) => b.st(src, base, off),
             other => unreachable!("strategy produced {other:?}"),
         };
@@ -76,12 +70,12 @@ proptest! {
     ) {
         let program = looped_program(&body, trips);
         let base_iss = Iss::new(IssConfig::default(), ExtensionCatalog::new());
-        let base = base_iss.run(&program).expect("generated program halts");
+        let base = base_iss.run_with_memory(&program, Vec::new()).expect("generated program halts");
         let profile = Profile::from_report(&base);
         let candidates = Identifier::default().candidates(&program, &profile);
         let (rewritten, catalog) = retarget(&program, &candidates).expect("rewrites");
         let fast = Iss::new(IssConfig::default(), catalog)
-            .run(&rewritten)
+            .run_with_memory(&rewritten, Vec::new())
             .expect("rewritten program halts");
         prop_assert_eq!(&base.regs, &fast.regs, "register state diverged");
         prop_assert_eq!(&base.memory, &fast.memory, "memory state diverged");
@@ -113,8 +107,8 @@ proptest! {
     ) {
         let program = looped_program(&body, trips);
         let iss = Iss::new(IssConfig::default(), ExtensionCatalog::new());
-        let a = iss.run(&program).expect("halts");
-        let b = iss.run(&program).expect("halts");
+        let a = iss.run_with_memory(&program, Vec::new()).expect("halts");
+        let b = iss.run_with_memory(&program, Vec::new()).expect("halts");
         prop_assert_eq!(a, b);
     }
 
@@ -127,12 +121,12 @@ proptest! {
     ) {
         let program = looped_program(&body, trips);
         let plain = Iss::new(IssConfig::default(), ExtensionCatalog::new())
-            .run(&program)
+            .run_with_memory(&program, Vec::new())
             .expect("halts");
         let mut cfg = IssConfig::default();
         cfg.mac_block = true;
         cfg.zero_overhead_loops = true;
-        let blocks = Iss::new(cfg, ExtensionCatalog::new()).run(&program).expect("halts");
+        let blocks = Iss::new(cfg, ExtensionCatalog::new()).run_with_memory(&program, Vec::new()).expect("halts");
         prop_assert_eq!(&plain.regs, &blocks.regs);
         prop_assert_eq!(&plain.memory, &blocks.memory);
         prop_assert!(blocks.cycles <= plain.cycles);

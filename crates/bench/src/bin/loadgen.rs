@@ -13,6 +13,9 @@
 //! [`dms_sim::TickClock`] (one slot = that many microseconds); by
 //! default the trace replays at full speed. Pacing never changes the
 //! server's run-log — slots travel in the frames, not in the clock.
+//! Each flag belongs to one mode: `--slot-us` with `--direct`, or
+//! `--runlog` with `--connect`, is an error (the socket arm's log is
+//! `netserve --runlog`'s).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -34,7 +37,7 @@ fn parse_args() -> Result<Args, String> {
     let mut connect = None;
     let mut direct = false;
     let mut seed = SOAK_SEED;
-    let mut slot_us = 0;
+    let mut slot_us = None;
     let mut runlog = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -50,7 +53,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--slot-us" => {
                 let v = args.next().ok_or("--slot-us needs a value")?;
-                slot_us = v.parse().map_err(|_| format!("bad slot-us: {v}"))?;
+                slot_us = Some(v.parse().map_err(|_| format!("bad slot-us: {v}"))?);
             }
             "--runlog" => runlog = Some(args.next().ok_or("--runlog needs a directory")?.into()),
             other => return Err(format!("unknown argument: {other}")),
@@ -59,11 +62,20 @@ fn parse_args() -> Result<Args, String> {
     if direct == connect.is_some() {
         return Err("pass exactly one of --connect ADDR or --direct".into());
     }
+    if direct && slot_us.is_some() {
+        return Err("--slot-us paces a --connect run; --direct has no clock".into());
+    }
+    if connect.is_some() && runlog.is_some() {
+        return Err(
+            "--runlog writes the --direct run's log; netserve --runlog writes a socket run's"
+                .into(),
+        );
+    }
     Ok(Args {
         connect,
         direct,
         seed,
-        slot_us,
+        slot_us: slot_us.unwrap_or(0),
         runlog,
     })
 }

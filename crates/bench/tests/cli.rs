@@ -1,5 +1,6 @@
-//! Command-line contracts of the `experiments` and `bench_guard`
-//! binaries: what they run, and which exit codes CI relies on.
+//! Command-line contracts of the `experiments`, `bench_guard` and
+//! `loadgen` binaries: what they run, and which exit codes CI relies
+//! on.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -68,4 +69,44 @@ fn bench_guard_fails_when_a_baseline_experiment_is_missing() {
         stderr.contains("1 baseline experiments missing"),
         "{stderr}"
     );
+}
+
+/// Runs `loadgen` with `args` plus `--runlog <a fresh temp path>`, and
+/// reports whether that run-log directory exists afterwards.
+fn loadgen_with_runlog(tag: &str, args: &[&str]) -> (std::process::Output, bool) {
+    let dir = std::env::temp_dir().join(format!("dms_loadgen_{tag}_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let out = Command::new(env!("CARGO_BIN_EXE_loadgen"))
+        .args(args)
+        .arg("--runlog")
+        .arg(&dir)
+        .output()
+        .expect("run loadgen");
+    let wrote = dir.exists();
+    std::fs::remove_dir_all(&dir).ok();
+    (out, wrote)
+}
+
+/// `--runlog` only names the `--direct` run's log; with `--connect` it
+/// used to be accepted, ignored, and the run exited 0 with no log.
+/// The flag is refused before any connection is attempted.
+#[test]
+fn loadgen_refuses_runlog_with_connect() {
+    let (out, wrote) = loadgen_with_runlog("connect", &["--connect", "unix:/nonexistent/dms.sock"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--runlog"), "{stderr}");
+    assert!(!stderr.contains("connect failed"), "{stderr}");
+    assert!(!wrote, "a refused run wrote a run-log directory");
+}
+
+/// `--slot-us` paces a socket run; with `--direct` it used to be
+/// accepted and ignored. The flag is refused before the run starts.
+#[test]
+fn loadgen_refuses_slot_us_with_direct() {
+    let (out, wrote) = loadgen_with_runlog("direct", &["--direct", "--slot-us", "100"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--slot-us"), "{stderr}");
+    assert!(!wrote, "a refused run wrote a run-log directory");
 }

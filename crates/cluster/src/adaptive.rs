@@ -114,19 +114,6 @@ impl Default for AutoscaleConfig {
 }
 
 impl AutoscaleConfig {
-    /// Pins the autoscaler at exactly `shards` shards (the
-    /// differential-test configuration: no scale events can occur).
-    #[must_use]
-    pub fn pinned(shards: usize, control_period_slots: u64) -> Self {
-        AutoscaleConfig {
-            min_shards: shards,
-            max_shards: shards,
-            control_period_slots,
-            warmup_slots: 0,
-            ..AutoscaleConfig::default()
-        }
-    }
-
     /// Validates bounds and thresholds.
     ///
     /// # Errors
@@ -584,12 +571,6 @@ impl AdaptiveSim {
     pub fn new(config: AdaptiveConfig) -> Result<Self, ServeError> {
         config.validate()?;
         Ok(AdaptiveSim { config })
-    }
-
-    /// The validated configuration.
-    #[must_use]
-    pub fn config(&self) -> &AdaptiveConfig {
-        &self.config
     }
 
     /// The static fleet over `shards` that the adaptive one dispatches

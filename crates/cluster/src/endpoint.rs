@@ -73,20 +73,6 @@ pub struct FleetEndpoint {
 }
 
 impl FleetEndpoint {
-    /// Builds a fault-free endpoint over `config`'s fleet for `slots`
-    /// slots of simulated time.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ClusterConfig::validate`] and template validation.
-    pub fn new(
-        config: &ClusterConfig,
-        template: SessionTemplate,
-        slots: u64,
-    ) -> Result<Self, ServeError> {
-        Self::with_faults(config, template, slots, &[], 64)
-    }
-
     /// Builds an endpoint whose balancer routes around the shard
     /// deaths in `faults` (empty, or one entry per shard).
     /// `per_shard_hint` pre-sizes the per-shard session lists.
@@ -465,7 +451,7 @@ mod tests {
             vec![shard_config(100, &template)],
             BalancerPolicy::RoundRobin,
         );
-        let mut ep = FleetEndpoint::new(&cfg, template, 100).expect("valid");
+        let mut ep = FleetEndpoint::with_faults(&cfg, template, 100, &[], 64).expect("valid");
         ep.offer(1, 10, 5).expect("in order");
         assert_eq!(
             ep.offer(2, 9, 5).unwrap_err(),
@@ -483,7 +469,7 @@ mod tests {
             vec![shard_config(100, &template), shard_config(100, &template)],
             BalancerPolicy::JoinShortestQueue,
         );
-        let mut ep = FleetEndpoint::new(&cfg, template, 100).expect("valid");
+        let mut ep = FleetEndpoint::with_faults(&cfg, template, 100, &[], 64).expect("valid");
         ep.offer(1, 5, u64::MAX).expect("in order");
         ep.offer(2, 6, 10).expect("in order");
         let (_, report) = ep.finish();
@@ -501,7 +487,7 @@ mod tests {
             vec![shard_config(40, &template), shard_config(40, &template)],
             BalancerPolicy::JoinShortestQueue,
         );
-        let mut ep = FleetEndpoint::new(&cfg, template, wl.slots).expect("valid");
+        let mut ep = FleetEndpoint::with_faults(&cfg, template, wl.slots, &[], 64).expect("valid");
         ep.offer_workload(&wl).expect("sorted offers");
         ep.advance(None);
         assert!(ep.report.retries > 0, "a 1.5x-load fleet saturates");

@@ -55,7 +55,13 @@ fn workload(load: f64, capacity_sessions: u64, slots: u64, seed: u64) -> Workloa
 fn pinned(shard: ServerConfig, shards: usize, policy: BalancerPolicy, seed: u64) -> AdaptiveConfig {
     AdaptiveConfig {
         shard,
-        autoscale: AutoscaleConfig::pinned(shards, 20),
+        autoscale: AutoscaleConfig {
+            min_shards: shards,
+            max_shards: shards,
+            control_period_slots: 20,
+            warmup_slots: 0,
+            ..AutoscaleConfig::default()
+        },
         arms: ArmSelection::Fixed(policy),
         recovery: RecoveryConfig::default(),
         seed,

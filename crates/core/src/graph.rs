@@ -69,8 +69,8 @@ pub struct Channel {
 /// let vld = g.add_process("VLD", 120);
 /// let idct = g.add_process("IDCT", 300);
 /// let b3 = g.connect(vld, idct, 16, 64)?;
-/// assert_eq!(g.channel(b3)?.capacity, 16);
-/// assert_eq!(g.successors(vld).count(), 1);
+/// let (id, channel) = g.successors(vld).next().expect("one successor");
+/// assert_eq!((id, channel.capacity), (b3, 16));
 /// # Ok(())
 /// # }
 /// ```
@@ -137,12 +137,6 @@ impl ProcessGraph {
         Ok(id)
     }
 
-    /// Number of processes.
-    #[must_use]
-    pub fn process_count(&self) -> usize {
-        self.processes.len()
-    }
-
     /// Number of channels.
     #[must_use]
     pub fn channel_count(&self) -> usize {
@@ -158,17 +152,6 @@ impl ProcessGraph {
         self.processes
             .get(id.0)
             .ok_or(CoreError::UnknownProcess(id.0))
-    }
-
-    /// Looks up a channel.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::UnknownChannel`] for a stale or foreign id.
-    pub fn channel(&self, id: ChannelId) -> Result<&Channel, CoreError> {
-        self.channels
-            .get(id.0)
-            .ok_or(CoreError::UnknownChannel(id.0))
     }
 
     /// Iterates over `(id, process)` pairs.
@@ -217,13 +200,6 @@ impl ProcessGraph {
             .collect()
     }
 
-    /// Total communication volume in bytes if every channel transfers
-    /// `tokens` tokens.
-    #[must_use]
-    pub fn traffic_bytes(&self, tokens: u64) -> u64 {
-        self.channels.iter().map(|c| c.token_bytes * tokens).sum()
-    }
-
     fn check_process(&self, id: ProcessId) -> Result<(), CoreError> {
         if id.0 < self.processes.len() {
             Ok(())
@@ -253,7 +229,6 @@ mod tests {
     #[test]
     fn build_and_query() {
         let (g, [a, b, _, d]) = diamond();
-        assert_eq!(g.process_count(), 4);
         assert_eq!(g.channel_count(), 4);
         assert_eq!(g.process(a).expect("exists").name, "a");
         assert_eq!(g.successors(a).count(), 2);
@@ -292,17 +267,9 @@ mod tests {
     }
 
     #[test]
-    fn traffic_volume() {
-        let (g, _) = diamond();
-        assert_eq!(g.traffic_bytes(1), 100);
-        assert_eq!(g.traffic_bytes(10), 1000);
-    }
-
-    #[test]
     fn unknown_lookups_error() {
         let (g, _) = diamond();
         assert!(g.process(ProcessId(99)).is_err());
-        assert!(g.channel(ChannelId(99)).is_err());
     }
 
     #[test]
@@ -311,7 +278,8 @@ mod tests {
         let mut g = ProcessGraph::new("fb");
         let a = g.add_process("a", 1);
         let ch = g.connect(a, a, 2, 8).expect("self loop ok");
-        assert_eq!(g.channel(ch).expect("exists").src, a);
+        let (id, channel) = g.successors(a).next().expect("the loop leaves a");
+        assert_eq!((id, channel.dst), (ch, a));
         assert!(g.sources().is_empty());
         assert!(g.sinks().is_empty());
     }

@@ -75,18 +75,6 @@ impl Mapping {
         out
     }
 
-    /// Number of mapped processes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.assignment.len()
-    }
-
-    /// Whether nothing is mapped yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.assignment.is_empty()
-    }
-
     /// Checks that every process of `graph` is mapped to a PE that exists
     /// in `platform`.
     ///
@@ -114,14 +102,6 @@ impl Mapping {
             (Some(x), Some(y)) => x == y,
             _ => false,
         }
-    }
-
-    /// Iterates over `(process, pe)` pairs in process-id order.
-    pub fn iter(&self) -> impl Iterator<Item = (ProcessId, PeId)> + '_ {
-        let mut pairs: Vec<(ProcessId, PeId)> =
-            self.assignment.iter().map(|(&p, &e)| (p, e)).collect();
-        pairs.sort_unstable_by_key(|&(p, _)| p);
-        pairs.into_iter()
     }
 }
 
@@ -190,7 +170,6 @@ mod tests {
         assert_eq!(m.assign(ps[0], pes[0]), None);
         assert_eq!(m.assign(ps[0], pes[1]), Some(pes[0]));
         assert_eq!(m.pe_of(ps[0]), Some(pes[1]));
-        assert_eq!(m.len(), 1);
     }
 
     #[test]
@@ -213,15 +192,5 @@ mod tests {
         m.assign(ps[0], pes[0]);
         assert_eq!(m.processes_on(pes[0]), vec![ps[0], ps[2]]);
         assert!(m.processes_on(pes[1]).is_empty());
-    }
-
-    #[test]
-    fn iter_is_ordered() {
-        let (_, _, ps, pes) = setup();
-        let mut m = Mapping::new();
-        m.assign(ps[1], pes[1]);
-        m.assign(ps[0], pes[0]);
-        let pairs: Vec<_> = m.iter().collect();
-        assert_eq!(pairs, vec![(ps[0], pes[0]), (ps[1], pes[1])]);
     }
 }

@@ -4,8 +4,8 @@
 //! Communication between multimedia processes "happens through dedicated
 //! buffers that behave like finite-length queues"; the average length of
 //! those buffers "is very important as it reflects their utilization over
-//! time". [`FiniteQueue`] therefore tracks occupancy statistics and drop
-//! counts alongside the payload itself.
+//! time". [`FiniteQueue`] therefore tracks occupancy statistics alongside
+//! the payload itself, and hands a rejected item back to the caller.
 
 use std::collections::VecDeque;
 
@@ -24,14 +24,11 @@ use dms_sim::{SimTime, TimeWeighted};
 /// assert!(q.push(SimTime::ZERO, 2).is_ok());
 /// assert!(q.push(SimTime::ZERO, 3).is_err()); // full: dropped
 /// assert_eq!(q.pop(SimTime::from_ticks(5)), Some(1));
-/// assert_eq!(q.dropped(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct FiniteQueue<T> {
     items: VecDeque<T>,
     capacity: usize,
-    dropped: u64,
-    accepted: u64,
     occupancy: TimeWeighted,
 }
 
@@ -61,8 +58,6 @@ impl<T> FiniteQueue<T> {
         FiniteQueue {
             items: VecDeque::with_capacity(capacity),
             capacity,
-            dropped: 0,
-            accepted: 0,
             occupancy: TimeWeighted::new(SimTime::ZERO, 0.0),
         }
     }
@@ -96,14 +91,12 @@ impl<T> FiniteQueue<T> {
     /// # Errors
     ///
     /// Returns [`QueueFullError`] (handing the item back) if the queue is
-    /// full; the drop is counted towards [`FiniteQueue::dropped`].
+    /// full.
     pub fn push(&mut self, now: SimTime, item: T) -> Result<(), QueueFullError<T>> {
         if self.is_full() {
-            self.dropped += 1;
             return Err(QueueFullError(item));
         }
         self.items.push_back(item);
-        self.accepted += 1;
         self.occupancy.update(now, self.items.len() as f64);
         Ok(())
     }
@@ -117,35 +110,6 @@ impl<T> FiniteQueue<T> {
         item
     }
 
-    /// Peeks at the oldest item without removing it.
-    #[must_use]
-    pub fn front(&self) -> Option<&T> {
-        self.items.front()
-    }
-
-    /// Number of items rejected because the queue was full.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Number of items successfully enqueued.
-    #[must_use]
-    pub fn accepted(&self) -> u64 {
-        self.accepted
-    }
-
-    /// Loss rate: dropped / offered (0 if nothing was offered).
-    #[must_use]
-    pub fn loss_rate(&self) -> f64 {
-        let offered = self.accepted + self.dropped;
-        if offered == 0 {
-            0.0
-        } else {
-            self.dropped as f64 / offered as f64
-        }
-    }
-
     /// Time-averaged queue length over `[0, now]` — the "average length
     /// of these buffers" metric of §2.1.
     #[must_use]
@@ -157,11 +121,6 @@ impl<T> FiniteQueue<T> {
     #[must_use]
     pub fn peak_occupancy(&self) -> f64 {
         self.occupancy.peak()
-    }
-
-    /// Iterates over queued items front-to-back.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.items.iter()
     }
 }
 
@@ -180,14 +139,12 @@ mod tests {
     }
 
     #[test]
-    fn full_queue_rejects_and_counts() {
+    fn full_queue_rejects_and_hands_the_item_back() {
         let mut q = FiniteQueue::new(1);
         q.push(SimTime::ZERO, 1).expect("not full");
         let err = q.push(SimTime::ZERO, 2).expect_err("full");
         assert_eq!(err.0, 2); // rejected item handed back
-        assert_eq!(q.dropped(), 1);
-        assert_eq!(q.accepted(), 1);
-        assert!((q.loss_rate() - 0.5).abs() < 1e-12);
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
@@ -204,20 +161,5 @@ mod tests {
         q.pop(SimTime::from_ticks(10));
         assert!((q.average_occupancy(SimTime::from_ticks(20)) - 0.5).abs() < 1e-12);
         assert_eq!(q.peak_occupancy(), 1.0);
-    }
-
-    #[test]
-    fn loss_rate_empty_is_zero() {
-        let q: FiniteQueue<u8> = FiniteQueue::new(1);
-        assert_eq!(q.loss_rate(), 0.0);
-    }
-
-    #[test]
-    fn front_and_iter() {
-        let mut q = FiniteQueue::new(3);
-        q.push(SimTime::ZERO, 10).expect("ok");
-        q.push(SimTime::ZERO, 20).expect("ok");
-        assert_eq!(q.front(), Some(&10));
-        assert_eq!(q.iter().copied().collect::<Vec<_>>(), vec![10, 20]);
     }
 }

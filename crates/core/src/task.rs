@@ -88,12 +88,6 @@ impl TaskGraph {
         }
     }
 
-    /// The graph's name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Adds a task and returns its id.
     pub fn add_task(&mut self, name: impl Into<String>, cycles: u64, deadline_s: f64) -> TaskId {
         let id = TaskId(self.tasks.len());
@@ -155,11 +149,6 @@ impl TaskGraph {
         self.deps.iter().filter(move |d| d.to == t)
     }
 
-    /// Direct successors of `t`.
-    pub fn successors(&self, t: TaskId) -> impl Iterator<Item = &Dependency> {
-        self.deps.iter().filter(move |d| d.from == t)
-    }
-
     /// Kahn topological sort.
     ///
     /// # Errors
@@ -191,38 +180,6 @@ impl TaskGraph {
         } else {
             Err(CoreError::CyclicTaskGraph)
         }
-    }
-
-    /// Length of the critical (longest) path in cycles, ignoring
-    /// communication delays.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::CyclicTaskGraph`] if the graph has a cycle.
-    pub fn critical_path_cycles(&self) -> Result<u64, CoreError> {
-        let order = self.topological_order()?;
-        let mut finish = vec![0u64; self.tasks.len()];
-        for t in order {
-            let start = self
-                .predecessors(t)
-                .map(|d| finish[d.from.0])
-                .max()
-                .unwrap_or(0);
-            finish[t.0] = start + self.tasks[t.0].cycles;
-        }
-        Ok(finish.into_iter().max().unwrap_or(0))
-    }
-
-    /// Sum of all task demands in cycles.
-    #[must_use]
-    pub fn total_cycles(&self) -> u64 {
-        self.tasks.iter().map(|t| t.cycles).sum()
-    }
-
-    /// Sum of all communication payloads in bytes.
-    #[must_use]
-    pub fn total_comm_bytes(&self) -> u64 {
-        self.deps.iter().map(|d| d.bytes).sum()
     }
 
     fn check(&self, id: TaskId) -> Result<(), CoreError> {
@@ -268,34 +225,6 @@ mod tests {
         let (mut g, [a, _, c]) = chain();
         g.add_dependency(c, a, 1).expect("endpoints valid");
         assert_eq!(g.topological_order(), Err(CoreError::CyclicTaskGraph));
-        assert_eq!(g.critical_path_cycles(), Err(CoreError::CyclicTaskGraph));
-    }
-
-    #[test]
-    fn critical_path_of_chain_is_sum() {
-        let (g, _) = chain();
-        assert_eq!(g.critical_path_cycles().expect("acyclic"), 60);
-    }
-
-    #[test]
-    fn critical_path_of_diamond_takes_longer_branch() {
-        let mut g = TaskGraph::new("diamond");
-        let a = g.add_task("a", 10, 1.0);
-        let fast = g.add_task("fast", 5, 1.0);
-        let slow = g.add_task("slow", 50, 1.0);
-        let d = g.add_task("d", 10, 1.0);
-        g.add_dependency(a, fast, 1).expect("valid");
-        g.add_dependency(a, slow, 1).expect("valid");
-        g.add_dependency(fast, d, 1).expect("valid");
-        g.add_dependency(slow, d, 1).expect("valid");
-        assert_eq!(g.critical_path_cycles().expect("acyclic"), 70);
-    }
-
-    #[test]
-    fn totals() {
-        let (g, _) = chain();
-        assert_eq!(g.total_cycles(), 60);
-        assert_eq!(g.total_comm_bytes(), 300);
     }
 
     #[test]
@@ -312,6 +241,5 @@ mod tests {
     fn empty_graph() {
         let g = TaskGraph::new("empty");
         assert!(g.topological_order().expect("trivially acyclic").is_empty());
-        assert_eq!(g.critical_path_cycles().expect("acyclic"), 0);
     }
 }

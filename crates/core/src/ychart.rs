@@ -99,9 +99,14 @@ impl DesignPoint {
 /// use dms_core::ychart::{DesignPoint, ParetoFront};
 ///
 /// fn point(label: &str, energy: f64, latency: f64) -> DesignPoint {
-///     let mut qos = QosReport::ideal();
-///     qos.energy_j = energy;
-///     qos.mean_latency_s = latency;
+///     let qos = QosReport {
+///         mean_latency_s: latency,
+///         jitter_s: 0.0,
+///         loss_rate: 0.0,
+///         throughput_per_s: f64::INFINITY,
+///         energy_j: energy,
+///         deadline_miss_ratio: 0.0,
+///     };
 ///     DesignPoint { label: label.into(), qos, gates: 0, unit_cost: 0.0 }
 /// }
 ///
@@ -161,28 +166,6 @@ impl ParetoFront {
         });
         pts
     }
-
-    /// The lowest-energy point, if any.
-    #[must_use]
-    pub fn min_energy(&self) -> Option<&DesignPoint> {
-        self.points.iter().min_by(|a, b| {
-            a.qos
-                .energy_j
-                .partial_cmp(&b.qos.energy_j)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
-    }
-
-    /// The lowest-latency point, if any.
-    #[must_use]
-    pub fn min_latency(&self) -> Option<&DesignPoint> {
-        self.points.iter().min_by(|a, b| {
-            a.qos
-                .mean_latency_s
-                .partial_cmp(&b.qos.mean_latency_s)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -190,9 +173,14 @@ mod tests {
     use super::*;
 
     fn point(label: &str, energy: f64, latency: f64) -> DesignPoint {
-        let mut qos = QosReport::ideal();
-        qos.energy_j = energy;
-        qos.mean_latency_s = latency;
+        let qos = QosReport {
+            mean_latency_s: latency,
+            jitter_s: 0.0,
+            loss_rate: 0.0,
+            throughput_per_s: f64::INFINITY,
+            energy_j: energy,
+            deadline_miss_ratio: 0.0,
+        };
         DesignPoint {
             label: label.into(),
             qos,
@@ -229,8 +217,6 @@ mod tests {
         front.offer(point("low-latency", 10.0, 1.0));
         front.offer(point("middle", 5.0, 5.0));
         assert_eq!(front.len(), 3);
-        assert_eq!(front.min_energy().expect("non-empty").label, "low-energy");
-        assert_eq!(front.min_latency().expect("non-empty").label, "low-latency");
         // points() sorted by energy
         let labels: Vec<&str> = front.points().iter().map(|p| p.label.as_str()).collect();
         assert_eq!(labels, vec!["low-energy", "middle", "low-latency"]);
@@ -251,7 +237,7 @@ mod tests {
     #[test]
     fn constraints_combine_qos_and_cost() {
         let mut c = DesignConstraints::new();
-        c.qos = QosRequirement::new().max_energy_j(0.5);
+        c.qos.max_energy_j = Some(0.5);
         c.max_gates = Some(50);
         let p = point("p", 1.0, 1.0);
         let problems = c.check(&p).expect_err("qos + area");

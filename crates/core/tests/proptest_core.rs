@@ -7,8 +7,8 @@ use dms_sim::SimTime;
 use proptest::prelude::*;
 
 proptest! {
-    /// Queue conservation: accepted = popped + still queued; dropped
-    /// accounts for everything that was offered but rejected.
+    /// Queue conservation: accepted = popped + still queued, and the
+    /// queue never holds more than its capacity.
     #[test]
     fn finite_queue_conserves_items(
         capacity in 1usize..16,
@@ -16,22 +16,24 @@ proptest! {
     ) {
         let mut q: FiniteQueue<u32> = FiniteQueue::new(capacity);
         let mut offered = 0u64;
+        let mut accepted = 0u64;
         let mut popped = 0u64;
         let mut t = 0u64;
         for (i, &push) in ops.iter().enumerate() {
             t += 1;
             if push {
                 offered += 1;
-                let _ = q.push(SimTime::from_ticks(t), i as u32);
+                if q.push(SimTime::from_ticks(t), i as u32).is_ok() {
+                    accepted += 1;
+                }
             } else if q.pop(SimTime::from_ticks(t)).is_some() {
                 popped += 1;
             }
         }
-        prop_assert_eq!(q.accepted() + q.dropped(), offered);
-        prop_assert_eq!(q.accepted(), popped + q.len() as u64);
+        prop_assert!(accepted <= offered);
+        prop_assert_eq!(accepted, popped + q.len() as u64);
         prop_assert!(q.len() <= capacity);
         prop_assert!(q.peak_occupancy() <= capacity as f64);
-        prop_assert!((0.0..=1.0).contains(&q.loss_rate()));
     }
 
     /// FIFO: items come out in the order they went in.
@@ -68,34 +70,6 @@ proptest! {
             order.iter().enumerate().map(|(pos, &t)| (t, pos)).collect();
         for dep in g.dependencies() {
             prop_assert!(position[&dep.from] < position[&dep.to]);
-        }
-    }
-
-    /// The critical path is at least the heaviest single task and at
-    /// most the total work.
-    #[test]
-    fn critical_path_bounds(
-        cycles in proptest::collection::vec(1u64..10_000, 1..30),
-        chain in proptest::bool::ANY,
-    ) {
-        let mut g = TaskGraph::new("bounds");
-        let ids: Vec<_> = cycles
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| g.add_task(format!("t{i}"), c, 1.0))
-            .collect();
-        if chain {
-            for w in ids.windows(2) {
-                g.add_dependency(w[0], w[1], 1).expect("valid endpoints");
-            }
-        }
-        let cp = g.critical_path_cycles().expect("acyclic");
-        let max_single = cycles.iter().copied().max().expect("non-empty");
-        let total: u64 = cycles.iter().sum();
-        prop_assert!(cp >= max_single);
-        prop_assert!(cp <= total);
-        if chain {
-            prop_assert_eq!(cp, total);
         }
     }
 

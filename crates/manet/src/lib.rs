@@ -27,7 +27,12 @@
 //! use dms_manet::routing::Protocol;
 //!
 //! # fn main() -> Result<(), dms_manet::ManetError> {
-//! let cfg = LifetimeConfig::small();
+//! let cfg = LifetimeConfig {
+//!     nodes: 20,
+//!     side_m: 600.0,
+//!     battery_j: 1.0,
+//!     ..LifetimeConfig::reference()
+//! };
 //! let mpr = run_lifetime(&cfg, Protocol::MinimumPower, 1)?;
 //! let lpr = run_lifetime(&cfg, Protocol::LifetimePrediction, 1)?;
 //! assert!(lpr.lifetime_rounds >= mpr.lifetime_rounds);

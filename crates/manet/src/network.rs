@@ -82,11 +82,6 @@ impl Manet {
         self.nodes.get_mut(id).ok_or(ManetError::UnknownNode(id))
     }
 
-    /// Iterates over all nodes.
-    pub fn nodes(&self) -> impl Iterator<Item = &Node> {
-        self.nodes.iter()
-    }
-
     /// Fraction of nodes that have exhausted their battery.
     #[must_use]
     pub fn dead_fraction(&self) -> f64 {
@@ -143,12 +138,6 @@ impl Manet {
         count == alive.len()
     }
 
-    /// Total residual energy across the network, joules.
-    #[must_use]
-    pub fn total_residual_j(&self) -> f64 {
-        self.nodes.iter().map(|n| n.battery_j).sum()
-    }
-
     /// Moves node `id` by `(dx, dy)` metres, clamping to the
     /// `[0, side] × [0, side]` deployment area — one step of the
     /// Brownian mobility model used by the lifetime experiments (the
@@ -168,6 +157,16 @@ impl Manet {
         node.x = (node.x + dx).clamp(0.0, side_m);
         node.y = (node.y + dy).clamp(0.0, side_m);
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl Manet {
+    /// Total residual energy across the network, joules: a unit-test
+    /// fixture.
+    #[must_use]
+    pub fn total_residual_j(&self) -> f64 {
+        self.nodes.iter().map(|n| n.battery_j).sum()
     }
 }
 
@@ -193,7 +192,10 @@ mod tests {
         let net = Manet::random_deployment(50, 1000.0, 5.0, RadioParams::default(), &mut rng)
             .expect("valid");
         assert_eq!(net.node_count(), 50);
-        assert!(net.nodes().all(|n| n.x >= 0.0 && n.x <= 1000.0));
+        assert!((0..50).all(|i| {
+            let x = net.node(i).expect("in range").x;
+            (0.0..=1000.0).contains(&x)
+        }));
     }
 
     #[test]

@@ -101,16 +101,6 @@ impl Node {
         self.battery_j > 0.0
     }
 
-    /// Remaining battery as a fraction of the initial charge.
-    #[must_use]
-    pub fn residual_fraction(&self) -> f64 {
-        if self.initial_battery_j <= 0.0 {
-            0.0
-        } else {
-            (self.battery_j / self.initial_battery_j).max(0.0)
-        }
-    }
-
     /// Euclidean distance to another node, metres.
     #[must_use]
     pub fn distance_to(&self, other: &Node) -> f64 {
@@ -185,11 +175,10 @@ mod tests {
         let mut n = Node::new(0.0, 0.0, 1.0);
         n.consume(0.6);
         assert!(n.is_alive());
-        assert!((n.residual_fraction() - 0.4).abs() < 1e-12);
+        assert!((n.battery_j - 0.4).abs() < 1e-12);
         n.consume(5.0);
         assert!(!n.is_alive());
         assert_eq!(n.battery_j, 0.0);
-        assert_eq!(n.residual_fraction(), 0.0);
     }
 
     #[test]

@@ -73,12 +73,15 @@ proptest! {
     fn charging_conserves_energy(nodes in 5usize..30, seed in 0u64..100, bits in 100u64..100_000) {
         let mut net = random_network(nodes, 700.0, seed);
         if let Some(path) = route(&net, Protocol::MinimumPower, 0, nodes - 1, bits) {
-            let before = net.total_residual_j();
+            let residual = |net: &Manet| -> f64 {
+                (0..net.node_count()).map(|i| net.node(i).expect("in range").battery_j).sum()
+            };
+            let before = residual(&net);
             let spent = charge_route(&mut net, &path, bits);
             prop_assert!(spent >= 0.0);
-            prop_assert!((before - net.total_residual_j() - spent).abs() < 1e-9);
-            for node in net.nodes() {
-                prop_assert!(node.battery_j >= 0.0);
+            prop_assert!((before - residual(&net) - spent).abs() < 1e-9);
+            for i in 0..net.node_count() {
+                prop_assert!(net.node(i).expect("in range").battery_j >= 0.0);
             }
         }
     }

@@ -70,12 +70,6 @@ impl FgsFrame {
         }
         (sent, psnr)
     }
-
-    /// PSNR when everything is received.
-    #[must_use]
-    pub fn max_psnr_db(&self) -> f64 {
-        self.base_psnr_db + self.plane_psnr_db.iter().sum::<f64>()
-    }
 }
 
 /// Layers a video trace into FGS frames.
@@ -239,7 +233,8 @@ mod tests {
         let f = frame();
         let (sent, psnr) = f.truncate_to(u64::MAX);
         assert_eq!(sent, f.total_bits());
-        assert!((psnr - f.max_psnr_db()).abs() < 1e-9);
+        let all_planes = f.base_psnr_db + f.plane_psnr_db.iter().sum::<f64>();
+        assert!((psnr - all_planes).abs() < 1e-9);
     }
 
     #[test]

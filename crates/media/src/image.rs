@@ -43,7 +43,7 @@ impl QuantizerChoice {
 /// let img = ImageModel::new(256, 256, 2500.0)?;
 /// let q = QuantizerChoice::new(2.0)?;
 /// assert_eq!(img.encoded_bits(q), 256 * 256 * 2);
-/// assert!(img.psnr_db(q) > 20.0);
+/// assert!(img.psnr_with_errors_db(q, 0.0) > 20.0);
 /// # Ok(())
 /// # }
 /// ```
@@ -81,12 +81,6 @@ impl ImageModel {
         u64::from(self.width) * u64::from(self.height)
     }
 
-    /// Pixel variance σ².
-    #[must_use]
-    pub fn variance(&self) -> f64 {
-        self.variance
-    }
-
     /// Total encoded size for a quantiser choice, in bits.
     #[must_use]
     pub fn encoded_bits(&self, q: QuantizerChoice) -> u64 {
@@ -98,13 +92,6 @@ impl ImageModel {
     #[must_use]
     pub fn quantization_mse(&self, q: QuantizerChoice) -> f64 {
         self.variance * 2.0f64.powf(-2.0 * q.bits_per_pixel)
-    }
-
-    /// PSNR (dB) against a 255-peak signal for the *quantisation* error
-    /// alone (a perfect channel).
-    #[must_use]
-    pub fn psnr_db(&self, q: QuantizerChoice) -> f64 {
-        mse_to_psnr_db(self.quantization_mse(q))
     }
 
     /// PSNR (dB) when, additionally, a fraction `residual_ber` of the
@@ -160,7 +147,7 @@ mod tests {
         let img = img();
         let mut last = 0.0;
         for bpp in [0.5, 1.0, 2.0, 4.0, 8.0] {
-            let p = img.psnr_db(QuantizerChoice::new(bpp).expect("valid"));
+            let p = img.psnr_with_errors_db(QuantizerChoice::new(bpp).expect("valid"), 0.0);
             assert!(p > last, "PSNR must rise with rate");
             last = p;
         }
@@ -169,8 +156,8 @@ mod tests {
     #[test]
     fn each_extra_bit_adds_about_six_db() {
         let img = img();
-        let p2 = img.psnr_db(QuantizerChoice::new(2.0).expect("valid"));
-        let p3 = img.psnr_db(QuantizerChoice::new(3.0).expect("valid"));
+        let p2 = img.psnr_with_errors_db(QuantizerChoice::new(2.0).expect("valid"), 0.0);
+        let p3 = img.psnr_with_errors_db(QuantizerChoice::new(3.0).expect("valid"), 0.0);
         assert!((p3 - p2 - 6.02).abs() < 0.1, "got {}", p3 - p2);
     }
 
@@ -181,7 +168,7 @@ mod tests {
         let clean = img.psnr_with_errors_db(q, 0.0);
         let noisy = img.psnr_with_errors_db(q, 1e-3);
         let very_noisy = img.psnr_with_errors_db(q, 1e-1);
-        assert!((clean - img.psnr_db(q)).abs() < 1e-12);
+        assert!((clean - mse_to_psnr_db(img.quantization_mse(q))).abs() < 1e-12);
         assert!(noisy < clean);
         assert!(very_noisy < noisy);
     }
@@ -192,7 +179,7 @@ mod tests {
         let q = QuantizerChoice::new(8.0).expect("valid");
         // Even a catastrophic BER can't make MSE exceed σ² + D_q.
         let floor = img.psnr_with_errors_db(q, 1.0);
-        let expected = mse_to_psnr_db(img.quantization_mse(q) + img.variance());
+        let expected = mse_to_psnr_db(img.quantization_mse(q) + 2500.0);
         assert!((floor - expected).abs() < 1e-9);
     }
 

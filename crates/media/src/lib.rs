@@ -51,7 +51,7 @@ pub mod trace_gen;
 pub use error::MediaError;
 pub use fgs::{FgsEncoder, FgsFrame};
 pub use image::{ImageModel, QuantizerChoice};
-pub use mpeg2::{DecoderPipelineReport, DecoderPipelineSim, SchedulerPolicy};
+pub use mpeg2::{DecoderPipelineReport, DecoderPipelineSim};
 pub use stream::{ChannelModel, StreamConfig, StreamReport, StreamSim};
 pub use sync::{LipSyncScenario, MediaPath, SyncReport};
 pub use trace_gen::{Frame, FrameKind, VideoTraceGenerator};

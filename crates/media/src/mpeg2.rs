@@ -28,7 +28,7 @@ use crate::error::MediaError;
 ///
 /// ```
 /// let (graph, [_, vld, ..]) = dms_media::mpeg2::decoder_graph();
-/// assert_eq!(graph.process_count(), 5);
+/// assert_eq!(graph.processes().count(), 5);
 /// assert_eq!(graph.successors(vld).count(), 2); // B3 to IDCT, B4 to MV
 /// ```
 #[must_use]
@@ -46,19 +46,6 @@ pub fn decoder_graph() -> (ProcessGraph, [ProcessId; 5]) {
     g.connect(idct, display, 8, 1024).expect("endpoints valid");
     g.connect(mv, display, 8, 256).expect("endpoints valid");
     (g, [receive, vld, idct, mv, display])
-}
-
-/// How the shared CPU arbitrates among the decoder processes — the
-/// §2.1 "choosing the appropriate scheduling technique" knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum SchedulerPolicy {
-    /// Fair rotation among VLD, IDCT and MV.
-    #[default]
-    RoundRobin,
-    /// Drain downstream stages first (IDCT > MV > VLD): keeps B3/B4
-    /// short at the cost of B2 pressure.
-    DrainFirst,
 }
 
 /// Configuration of the decoder-pipeline simulation.
@@ -84,8 +71,6 @@ pub struct DecoderConfig {
     /// Blocks (macroblock rows) one packet decodes into: each VLD
     /// activation emits this many tokens into B3 and B4.
     pub blocks_per_packet: usize,
-    /// CPU arbitration policy.
-    pub scheduler: SchedulerPolicy,
 }
 
 impl Default for DecoderConfig {
@@ -100,7 +85,6 @@ impl Default for DecoderConfig {
             b3_capacity: 16,
             b4_capacity: 16,
             blocks_per_packet: 4,
-            scheduler: SchedulerPolicy::RoundRobin,
         }
     }
 }
@@ -260,19 +244,15 @@ impl DecoderPipelineSim {
         })
     }
 
-    /// The scheduler process of §2.1: pick the next ready stage per the
-    /// configured policy and start it.
+    /// The scheduler process of §2.1: pick the next ready stage in
+    /// round-robin order among VLD, IDCT and MV and start it.
     fn dispatch(&mut self, now: SimTime, q: &mut EventQueue<DecoderEvent>) {
         if self.cpu_busy {
             return;
         }
         const RR_ORDER: [Stage; 3] = [Stage::Vld, Stage::Idct, Stage::Mv];
-        const DRAIN_ORDER: [Stage; 3] = [Stage::Idct, Stage::Mv, Stage::Vld];
         for k in 0..3 {
-            let stage = match self.config.scheduler {
-                SchedulerPolicy::RoundRobin => RR_ORDER[(self.rr_next + k) % 3],
-                SchedulerPolicy::DrainFirst => DRAIN_ORDER[k],
-            };
+            let stage = RR_ORDER[(self.rr_next + k) % 3];
             let token = match stage {
                 // Blocking-write semantics (§2.1 finite queues): VLD only
                 // fires when B3 and B4 can absorb a whole packet's blocks.
@@ -443,25 +423,6 @@ mod tests {
         let a = DecoderPipelineSim::run(c, 3).expect("valid");
         let b = DecoderPipelineSim::run(c, 3).expect("valid");
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn drain_first_keeps_internal_buffers_shorter() {
-        let mut rr = DecoderConfig::default();
-        rr.packet_count = 10_000;
-        let mut df = rr;
-        df.scheduler = SchedulerPolicy::DrainFirst;
-        let r_rr = DecoderPipelineSim::run(rr, 13).expect("valid");
-        let r_df = DecoderPipelineSim::run(df, 13).expect("valid");
-        // Draining downstream first keeps B3/B4 shorter…
-        assert!(
-            r_df.b3_avg + r_df.b4_avg < r_rr.b3_avg + r_rr.b4_avg,
-            "drain-first B3+B4 {:.2} vs round-robin {:.2}",
-            r_df.b3_avg + r_df.b4_avg,
-            r_rr.b3_avg + r_rr.b4_avg
-        );
-        // …without sacrificing delivery in a stable pipeline.
-        assert_eq!(r_df.displayed, r_rr.displayed);
     }
 
     #[test]

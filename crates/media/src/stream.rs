@@ -41,18 +41,6 @@ pub struct ChannelModel {
 }
 
 impl ChannelModel {
-    /// A lossless channel with the given delay.
-    #[must_use]
-    pub fn lossless(delay_ticks: u64) -> Self {
-        ChannelModel {
-            p_good_to_bad: 0.0,
-            p_bad_to_good: 1.0,
-            loss_good: 0.0,
-            loss_bad: 0.0,
-            delay_ticks,
-        }
-    }
-
     /// A bursty wireless-like channel: mostly good with occasional deep
     /// fades (Bad state losing 50% of packets).
     #[must_use]
@@ -205,30 +193,6 @@ impl StreamReport {
             0.0
         } else {
             self.delivered as f64 / total as f64
-        }
-    }
-
-    /// Fraction of emitted packets dropped at either finite buffer
-    /// (Tx or Rx overflow); `0.0` for a zero-packet run.
-    #[must_use]
-    pub fn buffer_drop_rate(&self) -> f64 {
-        let total = self.accounted();
-        if total == 0 {
-            0.0
-        } else {
-            (self.dropped_tx + self.dropped_rx) as f64 / total as f64
-        }
-    }
-
-    /// Mean retransmission attempts per emitted packet; `0.0` for a
-    /// zero-packet run.
-    #[must_use]
-    pub fn retransmission_rate(&self) -> f64 {
-        let total = self.accounted();
-        if total == 0 {
-            0.0
-        } else {
-            self.retransmissions as f64 / total as f64
         }
     }
 }
@@ -465,7 +429,13 @@ mod tests {
             rx_capacity: 16,
             sink_interval: 10,
             channel_service: 5,
-            channel: ChannelModel::lossless(3),
+            channel: ChannelModel {
+                p_good_to_bad: 0.0,
+                p_bad_to_good: 1.0,
+                loss_good: 0.0,
+                loss_bad: 0.0,
+                delay_ticks: 3,
+            },
             max_retransmissions: 0,
         }
     }
@@ -566,7 +536,7 @@ mod tests {
         let b = ch.bad_state_fraction();
         assert!((b - 0.01 / 0.11).abs() < 1e-12);
         assert!(ch.average_loss() > 0.0 && ch.average_loss() < 0.1);
-        assert_eq!(ChannelModel::lossless(1).average_loss(), 0.0);
+        assert_eq!(base_config().channel.average_loss(), 0.0);
     }
 
     #[test]
@@ -596,8 +566,6 @@ mod tests {
         for (name, rate) in [
             ("loss_rate", r.loss_rate()),
             ("delivery_rate", r.delivery_rate()),
-            ("buffer_drop_rate", r.buffer_drop_rate()),
-            ("retransmission_rate", r.retransmission_rate()),
         ] {
             assert!(rate == 0.0, "{name} must be 0.0 on empty runs, got {rate}");
         }
@@ -614,8 +582,6 @@ mod tests {
             (r.delivery_rate() + r.loss_rate() - 1.0).abs() < 1e-12,
             "delivery and loss must partition"
         );
-        assert!(r.buffer_drop_rate() <= r.loss_rate() + 1e-12);
-        assert!(r.retransmission_rate() >= 0.0);
     }
 
     #[test]

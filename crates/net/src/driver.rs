@@ -282,10 +282,9 @@ impl SessionDriver {
                 self.done = true;
                 Ok(())
             }
-            Frame::Admit { .. }
-            | Frame::Reject { .. }
-            | Frame::Data { .. }
-            | Frame::Shed { .. } => Err(NetError::Protocol("verdict frame sent to server")),
+            Frame::Admit { .. } | Frame::Reject { .. } | Frame::Data { .. } => {
+                Err(NetError::Protocol("verdict frame sent to server"))
+            }
         }
     }
 

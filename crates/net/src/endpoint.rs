@@ -76,6 +76,9 @@ impl Listener {
     /// The address actually bound — lets `tcp:127.0.0.1:0` callers
     /// discover the kernel-assigned port.
     ///
+    /// Test access: `tcp_loopback_matches_direct_injection` learns its
+    /// ephemeral port through it.
+    ///
     /// # Errors
     ///
     /// [`NetError::Io`] if the socket cannot report its address.
@@ -223,12 +226,6 @@ impl Reconnector {
         Reconnector { policy, attempt: 0 }
     }
 
-    /// Attempts consumed so far.
-    #[must_use]
-    pub fn attempts(&self) -> u32 {
-        self.attempt
-    }
-
     /// The delay to sleep before the *next* retry, or `None` once the
     /// retry budget (`max_retries`) is exhausted.
     pub fn next_delay(&mut self) -> Option<Duration> {
@@ -300,7 +297,7 @@ mod tests {
         assert_eq!(r.next_delay(), Some(Duration::from_millis(80)));
         assert_eq!(r.next_delay(), Some(Duration::from_millis(160)));
         assert_eq!(r.next_delay(), None);
-        assert_eq!(r.attempts(), 3);
+        assert_eq!(r.next_delay(), None, "an exhausted budget stays exhausted");
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! optimisations in this crate charge energy through this model, so
 //! their *relative* results are insensitive to the absolute constants.
 
-use crate::error::NocError;
 use crate::topology::{Mesh2d, TileId};
 
 /// Per-bit energy parameters of routers and links.
@@ -36,22 +35,6 @@ impl Default for BitEnergyModel {
 }
 
 impl BitEnergyModel {
-    /// Creates a model with explicit constants.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NocError::InvalidParameter`] for negative or non-finite
-    /// energies.
-    pub fn new(router_pj: f64, link_pj: f64) -> Result<Self, NocError> {
-        if !(router_pj.is_finite() && router_pj >= 0.0) {
-            return Err(NocError::InvalidParameter("router_pj"));
-        }
-        if !(link_pj.is_finite() && link_pj >= 0.0) {
-            return Err(NocError::InvalidParameter("link_pj"));
-        }
-        Ok(BitEnergyModel { router_pj, link_pj })
-    }
-
     /// Energy for one bit over an `hops`-hop route, in picojoules.
     #[must_use]
     pub fn bit_energy_pj(&self, hops: usize) -> f64 {
@@ -73,13 +56,6 @@ impl BitEnergyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn validation() {
-        assert!(BitEnergyModel::new(-1.0, 0.1).is_err());
-        assert!(BitEnergyModel::new(0.1, f64::NAN).is_err());
-        assert!(BitEnergyModel::new(0.0, 0.0).is_ok());
-    }
 
     #[test]
     fn zero_hops_costs_one_router() {

@@ -42,12 +42,6 @@ impl CoreGraph {
         }
     }
 
-    /// The graph's name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Number of cores.
     #[must_use]
     pub fn core_count(&self) -> usize {
@@ -136,22 +130,6 @@ impl CoreGraph {
         }
         g
     }
-
-    /// A random communication graph: each ordered pair communicates with
-    /// probability `density`, with volume uniform in `[1, 100]` MB/s.
-    #[must_use]
-    pub fn random(cores: usize, density: f64, rng: &mut SimRng) -> Self {
-        let mut g = CoreGraph::new("random", cores);
-        for i in 0..cores {
-            for j in 0..cores {
-                if i != j && rng.chance(density) {
-                    let mb = 1.0 + 99.0 * rng.uniform();
-                    g.set_volume(i, j, mb * 1e6).expect("indices in range");
-                }
-            }
-        }
-        g
-    }
 }
 
 /// A placement of cores onto tiles: `tiles[core] = tile`.
@@ -171,12 +149,6 @@ impl TileMapping {
     #[must_use]
     pub fn tile_of(&self, core: usize) -> Option<TileId> {
         self.tiles.get(core).copied()
-    }
-
-    /// Core → tile assignments in core order.
-    #[must_use]
-    pub fn as_slice(&self) -> &[TileId] {
-        &self.tiles
     }
 
     /// Checks the mapping is complete and injective over `mesh`.
@@ -229,13 +201,6 @@ impl Mapper {
             mesh: *mesh,
             energy: BitEnergyModel::default(),
         })
-    }
-
-    /// Replaces the energy model.
-    #[must_use]
-    pub fn with_energy(mut self, energy: BitEnergyModel) -> Self {
-        self.energy = energy;
-        self
     }
 
     /// Communication energy of a mapping, in picojoules per second of
@@ -520,6 +485,9 @@ impl Mapper {
     ///
     /// Returns [`NocError::InvalidParameter`] for graphs with more than
     /// 10 cores (the search space explodes beyond that).
+    ///
+    /// Test oracle: `branch_and_bound_is_optimal_on_small_instance`
+    /// checks every mapping heuristic against it.
     pub fn branch_and_bound(&self) -> Result<TileMapping, NocError> {
         let n = self.graph.core_count();
         if n > 10 {
@@ -622,6 +590,26 @@ impl Mapper {
             assignment[core] = None;
             used[tile_idx] = false;
         }
+    }
+}
+
+#[cfg(test)]
+impl CoreGraph {
+    /// A random communication graph: each ordered pair communicates with
+    /// probability `density`, with volume uniform in `[1, 100]` MB/s.
+    /// A unit-test fixture.
+    #[must_use]
+    pub fn random(cores: usize, density: f64, rng: &mut SimRng) -> Self {
+        let mut g = CoreGraph::new("random", cores);
+        for i in 0..cores {
+            for j in 0..cores {
+                if i != j && rng.chance(density) {
+                    let mb = 1.0 + 99.0 * rng.uniform();
+                    g.set_volume(i, j, mb * 1e6).expect("indices in range");
+                }
+            }
+        }
+        g
     }
 }
 

@@ -10,8 +10,6 @@
 //! capacity, and compare loss and occupancy tails across input types at
 //! identical utilisation.
 
-use dms_sim::Histogram;
-
 use crate::error::NocError;
 
 /// A single finite buffer served at a fixed rate in discrete slots.
@@ -36,8 +34,6 @@ pub struct SlottedQueueReport {
     pub peak_occupancy: f64,
     /// Fraction of slots with occupancy above 90% of capacity.
     pub high_watermark_fraction: f64,
-    /// Per-slot occupancy histogram (bins over `[0, capacity]`).
-    pub occupancy_histogram: Histogram,
 }
 
 impl SlottedQueueReport {
@@ -83,7 +79,6 @@ impl SlottedQueueSim {
         let mut occupancy_sum = 0.0;
         let mut peak = 0.0f64;
         let mut high = 0usize;
-        let mut hist = Histogram::new(0.0, cap + 1.0, self.capacity + 1);
         for &a in arrivals {
             let a = a.max(0.0);
             offered += a;
@@ -97,7 +92,6 @@ impl SlottedQueueSim {
             if q > 0.9 * cap {
                 high += 1;
             }
-            hist.record(q);
             q = (q - self.service_per_slot).max(0.0);
         }
         let slots = arrivals.len().max(1) as f64;
@@ -107,7 +101,6 @@ impl SlottedQueueSim {
             mean_occupancy: occupancy_sum / slots,
             peak_occupancy: peak,
             high_watermark_fraction: high as f64 / slots,
-            occupancy_histogram: hist,
         }
     }
 }
@@ -185,13 +178,5 @@ mod tests {
             rp.loss_rate()
         );
         assert!(rl.high_watermark_fraction > rp.high_watermark_fraction);
-    }
-
-    #[test]
-    fn histogram_covers_all_slots() {
-        let q = SlottedQueueSim::new(8, 1.0).expect("valid");
-        let arrivals = vec![1.5; 500];
-        let r = q.run(&arrivals);
-        assert_eq!(r.occupancy_histogram.total(), 500);
     }
 }

@@ -30,8 +30,6 @@ pub enum TrafficPattern {
     /// Tile `(x, y)` sends to `(y, x)` (requires a square mesh; falls
     /// back to uniform on non-square meshes).
     Transpose,
-    /// Send to a random mesh neighbour — pipeline-local traffic.
-    NearestNeighbor,
 }
 
 impl TrafficPattern {
@@ -68,13 +66,6 @@ impl TrafficPattern {
                 } else {
                     uniform_excluding(mesh, src, rng)
                 }
-            }
-            TrafficPattern::NearestNeighbor => {
-                let neighbors: Vec<TileId> = crate::topology::Direction::ALL
-                    .iter()
-                    .filter_map(|&d| mesh.neighbor(src, d))
-                    .collect();
-                neighbors[rng.below(neighbors.len())]
             }
         }
     }
@@ -114,16 +105,6 @@ pub enum InjectionProcess {
 }
 
 impl InjectionProcess {
-    /// Offered load (expected injections per cycle).
-    #[must_use]
-    pub fn offered_load(&self) -> f64 {
-        match self {
-            InjectionProcess::Bernoulli { p } => *p,
-            // Symmetric ON/OFF sojourns: duty cycle 1/2.
-            InjectionProcess::ParetoOnOff { p_on, .. } => p_on / 2.0,
-        }
-    }
-
     /// Generates the injection schedule for `cycles` cycles: `true`
     /// where a packet is created.
     #[must_use]
@@ -281,16 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn nearest_neighbor_stays_adjacent() {
-        let m = mesh();
-        let mut rng = SimRng::new(4);
-        for _ in 0..200 {
-            let dst = TrafficPattern::NearestNeighbor.pick_destination(&m, TileId(5), &mut rng);
-            assert_eq!(m.hop_distance(TileId(5), dst), 1);
-        }
-    }
-
-    #[test]
     fn single_tile_mesh_returns_src() {
         let m = Mesh2d::new(1, 1).expect("valid");
         let mut rng = SimRng::new(5);
@@ -316,9 +287,9 @@ mod tests {
             alpha: 1.3,
             min_period: 10.0,
         };
-        let bern = InjectionProcess::Bernoulli {
-            p: onoff.offered_load(),
-        };
+        // Symmetric ON/OFF sojourns: duty cycle 1/2, so the same
+        // offered load as Bernoulli at p_on / 2.
+        let bern = InjectionProcess::Bernoulli { p: 0.3 };
         let s1 = onoff.schedule(30_000, &mut rng);
         let s2 = bern.schedule(30_000, &mut rng);
         // Compare variance of 100-cycle aggregated counts.
@@ -366,16 +337,5 @@ mod tests {
         let m = Mesh2d::new(2, 2).expect("valid");
         let mapping = TileMapping::new(m.tiles().collect());
         assert!(MappedTraffic::from_mapping(&graph, &mapping, &m, 0.1).is_none());
-    }
-
-    #[test]
-    fn offered_load_accounting() {
-        assert_eq!(InjectionProcess::Bernoulli { p: 0.4 }.offered_load(), 0.4);
-        let onoff = InjectionProcess::ParetoOnOff {
-            p_on: 0.4,
-            alpha: 1.5,
-            min_period: 5.0,
-        };
-        assert_eq!(onoff.offered_load(), 0.2);
     }
 }

@@ -36,7 +36,10 @@ proptest! {
     /// constants) and linear.
     #[test]
     fn bit_energy_monotone_linear(router in 0.01f64..5.0, link in 0.01f64..5.0, hops in 0usize..20) {
-        let m = BitEnergyModel::new(router, link).expect("valid");
+        let m = BitEnergyModel {
+            router_pj: router,
+            link_pj: link,
+        };
         let e0 = m.bit_energy_pj(hops);
         let e1 = m.bit_energy_pj(hops + 1);
         prop_assert!(e1 > e0);
@@ -75,7 +78,15 @@ proptest! {
     #[test]
     fn mapping_outputs_are_valid(cores in 2usize..10, density in 0.1f64..0.9, seed in 0u64..100) {
         let mut rng = SimRng::new(seed);
-        let graph = CoreGraph::random(cores, density, &mut rng);
+        let mut graph = CoreGraph::new("random", cores);
+        for i in 0..cores {
+            for j in 0..cores {
+                if i != j && rng.chance(density) {
+                    let mb = 1.0 + 99.0 * rng.uniform();
+                    graph.set_volume(i, j, mb * 1e6).expect("indices in range");
+                }
+            }
+        }
         let mesh = Mesh2d::new(4, 4).expect("valid");
         let mapper = Mapper::new(&graph, &mesh).expect("fits");
         for candidate in [mapper.ad_hoc(), mapper.random(seed), mapper.greedy()] {

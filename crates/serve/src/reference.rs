@@ -67,9 +67,20 @@ impl ReferenceServerSim {
     ///
     /// # Errors
     ///
-    /// Propagates [`ServerConfig::validate`] failures.
+    /// Propagates [`ServerConfig::validate`] failures, and returns
+    /// [`ServeError::InvalidParameter`] for a degrade configuration the
+    /// seed loop does not model: the PI shedding law (`pi`) or a
+    /// warm-up gate (`warmup_slots`). It runs the hysteresis law only.
     pub fn new(config: ServerConfig) -> Result<Self, ServeError> {
         config.validate()?;
+        if let Some(degrade) = config.degrade {
+            if degrade.pi.is_some() {
+                return Err(ServeError::InvalidParameter("pi"));
+            }
+            if degrade.warmup_slots != 0 {
+                return Err(ServeError::InvalidParameter("warmup_slots"));
+            }
+        }
         Ok(ReferenceServerSim { config })
     }
 
@@ -83,6 +94,11 @@ impl ReferenceServerSim {
     }
 
     /// Seed equivalent of [`crate::ServerSim::run_faulted`].
+    ///
+    /// Test oracle: the differential proptests in
+    /// `tests/proptest_serve.rs` (such as
+    /// `arena_engine_matches_reference_faulted`) compare the engine's
+    /// faulted runs against it.
     ///
     /// # Errors
     ///
@@ -404,5 +420,50 @@ impl ReferenceServerSim {
             report.base.mean_layers /= report.base.slots as f64;
         }
         Ok(report)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::admission::{AdmissionPolicy, CapacityModel};
+    use crate::degrade::{DegradeConfig, PiConfig};
+
+    fn config(degrade: DegradeConfig) -> ServerConfig {
+        ServerConfig {
+            capacity: CapacityModel {
+                link_bits_per_slot: 1 << 20,
+                queue_frames: 64,
+                occupancy_bound: 8.0,
+            },
+            policy: AdmissionPolicy::QueuePredictor,
+            degrade: Some(degrade),
+            buffer_slots: 4,
+            miss_slots: 2,
+        }
+    }
+
+    /// The seed loop runs only the hysteresis law and has no warm-up
+    /// gate, so a configuration asking for either is refused rather
+    /// than run under a law it does not ask for.
+    #[test]
+    fn unmodelled_degrade_laws_are_typed_errors() {
+        let pi = DegradeConfig {
+            pi: Some(PiConfig::default()),
+            ..DegradeConfig::default()
+        };
+        assert_eq!(
+            ReferenceServerSim::new(config(pi)).err(),
+            Some(ServeError::InvalidParameter("pi"))
+        );
+        let warmup = DegradeConfig {
+            warmup_slots: 10,
+            ..DegradeConfig::default()
+        };
+        assert_eq!(
+            ReferenceServerSim::new(config(warmup)).err(),
+            Some(ServeError::InvalidParameter("warmup_slots"))
+        );
+        assert!(ReferenceServerSim::new(config(DegradeConfig::default())).is_ok());
     }
 }

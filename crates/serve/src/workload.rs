@@ -107,27 +107,6 @@ fn flash_envelope(
 }
 
 impl ArrivalProcess {
-    /// Mean arrivals per slot. For [`ArrivalProcess::FlashCrowd`] this
-    /// is the *envelope-weighted* mean: the diurnal sinusoid averages
-    /// to one over whole cycles, so only the spike duty cycle inflates
-    /// the base rate.
-    #[must_use]
-    pub fn rate(&self) -> f64 {
-        match *self {
-            ArrivalProcess::Poisson { rate } | ArrivalProcess::SelfSimilar { rate, .. } => rate,
-            ArrivalProcess::FlashCrowd {
-                rate,
-                spike_factor,
-                spike_period_slots,
-                spike_slots,
-                ..
-            } => {
-                let duty = spike_slots as f64 / spike_period_slots.max(1) as f64;
-                rate * (1.0 + (spike_factor - 1.0) * duty)
-            }
-        }
-    }
-
     /// Integer arrival counts for `slots` slots.
     ///
     /// The fGn series is real-valued; it is carried to integers with a
@@ -471,14 +450,6 @@ impl Workload {
             slots: counts.len() as u64,
         })
     }
-
-    /// Offered load: mean full-quality demand of concurrently held
-    /// sessions over the link capacity (`λ · E[D] · full_bits / C`).
-    #[must_use]
-    pub fn offered_load(&self, rate_per_slot: f64, link_bits_per_slot: u64) -> f64 {
-        rate_per_slot * self.template.mean_duration_slots * self.template.full_bits() as f64
-            / link_bits_per_slot as f64
-    }
 }
 
 /// Arrival rate (sessions per slot) that offers `load` times the link
@@ -669,10 +640,9 @@ mod tests {
     fn flash_crowd_mean_tracks_envelope_weighted_rate() {
         let p = flash_crowd(2.0);
         // Spike duty cycle 30/300 at 2.5x → envelope mean 1.15.
-        assert!((p.rate() - 2.3).abs() < 1e-12, "rate {}", p.rate());
         let counts = p.counts(30_000, &mut SimRng::new(9)).expect("valid");
         let mean = counts.iter().map(|&c| f64::from(c)).sum::<f64>() / counts.len() as f64;
-        assert!((mean - p.rate()).abs() < 0.25, "mean {mean}");
+        assert!((mean - 2.3).abs() < 0.25, "mean {mean}");
     }
 
     #[test]
@@ -856,8 +826,8 @@ mod tests {
         let t = template();
         let capacity = 50 * t.full_bits();
         let rate = rate_for_load(1.2, &t, capacity);
-        let w = Workload::generate(ArrivalProcess::Poisson { rate }, t, 100, 1).expect("valid");
-        let load = w.offered_load(rate, capacity);
+        // λ · E[D] · full_bits / C
+        let load = rate * t.mean_duration_slots * t.full_bits() as f64 / capacity as f64;
         assert!((load - 1.2).abs() < 1e-9, "load {load}");
     }
 }

@@ -117,24 +117,6 @@ impl<E> EventQueue<E> {
         }
         Some(PeekMut::pop(top))
     }
-
-    /// Returns the time of the earliest pending event without removing it.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 /// A simulation model: owns the system state and reacts to events.
@@ -176,33 +158,10 @@ impl<M: Model> Engine<M> {
         }
     }
 
-    /// Schedules `payload` at the current simulated time: it fires this
-    /// instant, after any already-pending events with the same
-    /// timestamp (FIFO tie-breaking).
-    pub fn schedule_now(&mut self, payload: M::Event) {
-        self.queue.schedule(self.now, payload);
-    }
-
     /// Current simulated time (the timestamp of the last processed event).
     #[must_use]
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of events processed so far.
-    #[must_use]
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// Immutable access to the model.
-    pub fn model(&self) -> &M {
-        &self.model
-    }
-
-    /// Mutable access to the model.
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
     }
 
     /// Mutable access to the event queue (e.g. to seed initial events).
@@ -234,39 +193,10 @@ impl<M: Model> Engine<M> {
         }
     }
 
-    /// Runs until the queue drains or the next event would fire after
-    /// `horizon`. Events *at* the horizon are processed.
-    ///
-    /// Returns the number of events processed by this call.
-    pub fn run_until(&mut self, horizon: SimTime) -> u64 {
-        let start = self.processed;
-        while let Some(ev) = self.queue.pop_at_or_before(horizon) {
-            debug_assert!(
-                ev.time >= self.now,
-                "event queue released an event from the past"
-            );
-            self.now = ev.time;
-            self.processed += 1;
-            self.model.handle(self.now, ev.payload, &mut self.queue);
-        }
-        self.processed - start
-    }
-
-    /// Runs until the queue drains or `max_events` have been processed
-    /// by this call, whichever comes first.
-    ///
-    /// Returns the number of events processed by this call.
-    pub fn run_events(&mut self, max_events: u64) -> u64 {
-        let start = self.processed;
-        while self.processed - start < max_events && self.step() {}
-        self.processed - start
-    }
-
     /// Runs until the queue is fully drained.
     ///
     /// Returns the number of events processed by this call. Use with
-    /// models that are guaranteed to quiesce; otherwise prefer
-    /// [`Engine::run_until`].
+    /// models that are guaranteed to quiesce.
     pub fn run_to_completion(&mut self) -> u64 {
         let start = self.processed;
         while self.step() {}
@@ -296,7 +226,7 @@ mod tests {
         eng.queue_mut().schedule(SimTime::from_ticks(10), 1);
         eng.queue_mut().schedule(SimTime::from_ticks(20), 2);
         eng.run_to_completion();
-        assert_eq!(eng.model().seen, vec![(10, 1), (20, 2), (30, 3)]);
+        assert_eq!(eng.into_model().seen, vec![(10, 1), (20, 2), (30, 3)]);
     }
 
     #[test]
@@ -306,30 +236,8 @@ mod tests {
             eng.queue_mut().schedule(SimTime::from_ticks(7), i);
         }
         eng.run_to_completion();
-        let values: Vec<u32> = eng.model().seen.iter().map(|&(_, v)| v).collect();
+        let values: Vec<u32> = eng.into_model().seen.iter().map(|&(_, v)| v).collect();
         assert_eq!(values, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn run_until_is_inclusive_of_horizon() {
-        let mut eng = Engine::new(Recorder { seen: vec![] });
-        eng.queue_mut().schedule(SimTime::from_ticks(5), 1);
-        eng.queue_mut().schedule(SimTime::from_ticks(6), 2);
-        let n = eng.run_until(SimTime::from_ticks(5));
-        assert_eq!(n, 1);
-        assert_eq!(eng.model().seen, vec![(5, 1)]);
-        assert_eq!(eng.queue_mut().len(), 1);
-    }
-
-    #[test]
-    fn run_events_caps_processing() {
-        let mut eng = Engine::new(Recorder { seen: vec![] });
-        for i in 0..10 {
-            eng.queue_mut().schedule(SimTime::from_ticks(i), i as u32);
-        }
-        assert_eq!(eng.run_events(4), 4);
-        assert_eq!(eng.processed(), 4);
-        assert_eq!(eng.run_events(100), 6);
     }
 
     #[test]
@@ -367,7 +275,7 @@ mod tests {
     fn empty_queue_reports_idle() {
         let mut eng = Engine::new(Recorder { seen: vec![] });
         assert!(!eng.step());
-        assert_eq!(eng.run_until(SimTime::MAX), 0);
+        assert_eq!(eng.run_to_completion(), 0);
     }
 
     #[test]
@@ -376,15 +284,17 @@ mod tests {
         q.schedule(SimTime::from_ticks(3), "late");
         q.schedule(SimTime::from_ticks(1), "early");
         assert!(q.pop_at_or_before(SimTime::ZERO).is_none());
-        assert_eq!(q.len(), 2, "a rejected peek must not disturb the queue");
         let ev = q.pop_at_or_before(SimTime::from_ticks(1)).expect("due");
         assert_eq!(ev.payload, "early");
         assert!(q.pop_at_or_before(SimTime::from_ticks(2)).is_none());
-        assert_eq!(q.peek_time(), Some(SimTime::from_ticks(3)));
+        // A rejected peek leaves the queue undisturbed.
+        let ev = q.pop().expect("still pending");
+        assert_eq!((ev.time, ev.payload), (SimTime::from_ticks(3), "late"));
+        assert!(q.pop().is_none());
     }
 
     #[test]
-    fn schedule_now_fires_at_current_time_in_fifo_order() {
+    fn zero_delay_followups_fire_in_fifo_order() {
         struct Chainer {
             fired: Vec<u32>,
         }
@@ -403,13 +313,8 @@ mod tests {
         eng.queue_mut().schedule(SimTime::from_ticks(4), 1);
         eng.queue_mut().schedule(SimTime::from_ticks(4), 2);
         eng.run_to_completion();
-        assert_eq!(eng.model().fired, vec![1, 2, 3]);
         assert_eq!(eng.now(), SimTime::from_ticks(4));
-        // Engine-level schedule_now at the post-run clock.
-        eng.schedule_now(7);
-        eng.run_to_completion();
-        assert_eq!(eng.model().fired, vec![1, 2, 3, 7]);
-        assert_eq!(eng.now(), SimTime::from_ticks(4));
+        assert_eq!(eng.into_model().fired, vec![1, 2, 3]);
     }
 
     /// Timestamps spread across the full u64 range, scheduled out of
@@ -440,8 +345,6 @@ mod tests {
             popped.push(ev.time.ticks());
         }
         assert_eq!(popped, sorted);
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
     }
 
     /// After the queue drains, an *earlier* time than anything popped
@@ -452,7 +355,6 @@ mod tests {
         q.schedule(SimTime::from_ticks(1000), "first");
         assert_eq!(q.pop().expect("due").payload, "first");
         q.schedule(SimTime::from_ticks(3), "rewound");
-        assert_eq!(q.peek_time(), Some(SimTime::from_ticks(3)));
         let ev = q.pop().expect("due");
         assert_eq!((ev.time.ticks(), ev.payload), (3, "rewound"));
     }

@@ -146,7 +146,9 @@ pub enum FaultSpec {
     /// Permanent component failures with exponential lifetimes (rate
     /// `failure_rate` per slot): each component draws one lifetime and
     /// emits [`FaultEvent::ComponentDown`] when it expires inside the
-    /// horizon — the E11 sensor-failure schedule.
+    /// horizon. Kept for `SensorPopulation::availability_mc`, the test
+    /// oracle of E11's closed-form availability
+    /// (`analysis_matches_monte_carlo`).
     ComponentFailures {
         /// Population size.
         components: u32,
@@ -365,28 +367,11 @@ impl FaultPlan {
         &self.events
     }
 
-    /// Horizon the plan was compiled for.
-    #[must_use]
-    pub fn horizon_slots(&self) -> u64 {
-        self.horizon_slots
-    }
-
-    /// Number of scheduled events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the plan schedules no events.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Number of components (of a population of `total`) still up at
     /// the *end* of `slot`, honouring `ComponentDown`/`ComponentUp`
-    /// events in schedule order — the k-of-n availability primitive the
-    /// E11 sensor populations sample.
+    /// events in schedule order. Kept for
+    /// `SensorPopulation::availability_mc`, the test oracle of E11's
+    /// closed-form availability (`analysis_matches_monte_carlo`).
     #[must_use]
     pub fn alive_components(&self, total: u32, slot: u64) -> u32 {
         let mut down: Vec<u32> = Vec::new();
@@ -521,7 +506,7 @@ mod tests {
         assert!(plan.events().iter().all(|e| e.slot < 100));
         // The degrade fires, its restore falls past the horizon, and
         // only the in-horizon stalls survive.
-        assert_eq!(plan.len(), 1 + 2);
+        assert_eq!(plan.events().len(), 1 + 2);
     }
 
     #[test]
@@ -569,7 +554,7 @@ mod tests {
         )
         .expect("valid");
         // Slot 0 is Good (lossless, no event); every later slot is Bad.
-        assert_eq!(plan.len(), 9);
+        assert_eq!(plan.events().len(), 9);
         assert!(plan
             .events()
             .iter()
@@ -588,7 +573,7 @@ mod tests {
             7,
         )
         .expect("valid");
-        assert!(clean.is_empty());
+        assert!(clean.events().is_empty());
     }
 
     #[test]
@@ -648,8 +633,7 @@ mod tests {
     #[test]
     fn empty_plan_is_empty() {
         let plan = FaultPlan::none(50);
-        assert!(plan.is_empty());
-        assert_eq!(plan.horizon_slots(), 50);
+        assert!(plan.events().is_empty());
         assert_eq!(plan.alive_components(4, 49), 4);
         let compiled = FaultPlan::compile(&[], 50, 1).expect("valid");
         assert_eq!(compiled.events(), plan.events());

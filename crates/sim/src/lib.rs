@@ -45,9 +45,10 @@
 //!
 //! let mut engine = Engine::new(PingPong::default());
 //! engine.queue_mut().schedule(SimTime::ZERO, Msg::Ping);
-//! engine.run_until(SimTime::from_ticks(10));
-//! assert_eq!(engine.model().pings, 1);
-//! assert_eq!(engine.model().pongs, 1);
+//! engine.run_to_completion();
+//! let model = engine.into_model();
+//! assert_eq!(model.pings, 1);
+//! assert_eq!(model.pongs, 1);
 //! ```
 
 pub mod engine;
@@ -69,5 +70,5 @@ pub use runlog::{
     stream_run_log, RunLogReader, RunLogScan, RunLogSummary, RunLogWriter, TailState,
 };
 pub use sketch::{QuantileSketch, Reservoir, ReservoirEntry};
-pub use stats::{Autocorrelation, ConfidenceInterval, Histogram, OnlineStats, TimeWeighted};
+pub use stats::{OnlineStats, TimeWeighted};
 pub use time::{SimTime, TickClock};

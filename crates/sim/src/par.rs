@@ -69,18 +69,15 @@ impl ParRunner {
     /// Creates a runner with an explicit thread cap (`0` is treated as
     /// `1`). `DMS_THREADS` still applies as a further cap, so a user can
     /// always force sequential runs.
+    ///
+    /// Test access: `par_runner_output_is_thread_count_invariant` pins
+    /// the thread count through it.
     #[must_use]
     pub fn with_threads(threads: usize) -> Self {
         let cap = env_thread_cap().unwrap_or(usize::MAX);
         ParRunner {
             max_threads: threads.max(1).min(cap),
         }
-    }
-
-    /// The maximum number of worker threads this runner will spawn.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.max_threads
     }
 
     /// Runs `jobs` invocations of `f(job_id)` and returns the results
@@ -198,7 +195,8 @@ mod tests {
 
     #[test]
     fn with_threads_clamps_zero() {
-        assert_eq!(ParRunner::with_threads(0).threads(), 1);
+        // Zero workers would run nothing; the clamp to one runs every job.
+        assert_eq!(ParRunner::with_threads(0).run(3, |job| job), vec![0, 1, 2]);
     }
 
     #[test]

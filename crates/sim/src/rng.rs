@@ -37,12 +37,6 @@ impl SimRng {
         }
     }
 
-    /// The master seed this generator (or its parent) was created with.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Derives an independent sub-stream identified by `(label, index)`.
     ///
     /// The derivation mixes the master seed with a hash of the label and

@@ -168,6 +168,9 @@ impl RunLogWriter {
     }
 
     /// Sets the flush threshold in buffered bytes.
+    ///
+    /// Test access: the `runlog_io` tests flush every record through it
+    /// to tear a run-log at any byte.
     #[must_use]
     pub fn with_buffer_bytes(mut self, bytes: usize) -> Self {
         self.buffer_bytes = bytes.max(1);
@@ -655,12 +658,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "frozen")]
     fn meta_after_first_record_panics() {
         let dir = temp_dir("frozen");
-        let mut w = RunLogWriter::create(&dir).expect("create");
-        w.record(&RunRecord::new("row")).expect("record");
-        w.set_meta("too", "late");
+        let result = std::panic::catch_unwind(|| {
+            let mut w = RunLogWriter::create(&dir).expect("create");
+            w.record(&RunRecord::new("row")).expect("record");
+            w.set_meta("too", "late");
+        });
+        // Remove the directory before asserting, so neither outcome
+        // leaves it behind.
+        std::fs::remove_dir_all(&dir).ok();
+        let payload = result.expect_err("set_meta after a record must panic");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(message.contains("frozen"), "panic message: {message:?}");
     }
 
     #[test]

@@ -45,12 +45,6 @@ impl SimTime {
         self.0
     }
 
-    /// Interprets the tick count as nanoseconds and converts to seconds.
-    #[must_use]
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 * 1e-9
-    }
-
     /// Creates a time from seconds, interpreting ticks as nanoseconds.
     ///
     /// Negative or non-finite inputs saturate to [`SimTime::ZERO`].
@@ -60,12 +54,6 @@ impl SimTime {
             return SimTime::ZERO;
         }
         SimTime((secs * 1e9).round().min(u64::MAX as f64) as u64)
-    }
-
-    /// Saturating addition of a tick delta.
-    #[must_use]
-    pub const fn saturating_add(self, delta: u64) -> Self {
-        SimTime(self.0.saturating_add(delta))
     }
 
     /// Returns the elapsed ticks since `earlier`, or zero if `earlier`
@@ -124,10 +112,9 @@ impl From<SimTime> for u64 {
 /// tick↔slot contract `dms-net`'s real-time pacing mode is built on.
 ///
 /// A `TickClock` anchors slot 0 at its creation instant; slot `n`
-/// begins exactly `n * slot_duration` later. The arithmetic lives in
-/// [`TickClock::slots_elapsed`], a pure function of two durations, so
-/// the mapping is unit-testable without sleeping. Note the simulation
-/// core never consults a clock: drivers stamp offers with slot numbers
+/// begins exactly `n * slot_duration` later
+/// ([`TickClock::deadline_for`]). Note the simulation core never
+/// consults a clock: drivers stamp offers with slot numbers
 /// and the engine replays the stamps, which is what keeps socket-fed
 /// runs byte-deterministic (the clock only *paces*, it never decides).
 #[derive(Debug, Clone, Copy)]
@@ -145,28 +132,6 @@ impl TickClock {
             start: std::time::Instant::now(),
             slot: slot_duration.max(std::time::Duration::from_nanos(1)),
         }
-    }
-
-    /// The configured slot duration.
-    #[must_use]
-    pub fn slot_duration(&self) -> std::time::Duration {
-        self.slot
-    }
-
-    /// Slots fully elapsed after `elapsed` wall time — the pure core
-    /// of the mapping: `floor(elapsed / slot)`, saturating at
-    /// `u64::MAX`.
-    #[must_use]
-    pub fn slots_elapsed(elapsed: std::time::Duration, slot: std::time::Duration) -> u64 {
-        let slot = slot.max(std::time::Duration::from_nanos(1));
-        let ratio = elapsed.as_nanos() / slot.as_nanos();
-        u64::try_from(ratio).unwrap_or(u64::MAX)
-    }
-
-    /// The slot the wall clock is currently inside.
-    #[must_use]
-    pub fn now_slot(&self) -> u64 {
-        Self::slots_elapsed(self.start.elapsed(), self.slot)
     }
 
     /// The instant slot `slot` begins.
@@ -204,7 +169,6 @@ mod tests {
     fn addition_saturates() {
         let t = SimTime::MAX + SimTime::from_ticks(10);
         assert_eq!(t, SimTime::MAX);
-        assert_eq!(SimTime::MAX.saturating_add(1), SimTime::MAX);
     }
 
     #[test]
@@ -222,10 +186,9 @@ mod tests {
     }
 
     #[test]
-    fn seconds_round_trip() {
+    fn seconds_convert_to_nanosecond_ticks() {
         let t = SimTime::from_secs_f64(1.5);
         assert_eq!(t.ticks(), 1_500_000_000);
-        assert!((t.as_secs_f64() - 1.5).abs() < 1e-12);
     }
 
     #[test]
@@ -241,25 +204,9 @@ mod tests {
     }
 
     #[test]
-    fn tick_clock_slot_mapping_is_pure_floor_division() {
-        use std::time::Duration;
-        let slot = Duration::from_millis(10);
-        assert_eq!(TickClock::slots_elapsed(Duration::ZERO, slot), 0);
-        assert_eq!(TickClock::slots_elapsed(Duration::from_millis(9), slot), 0);
-        assert_eq!(TickClock::slots_elapsed(Duration::from_millis(10), slot), 1);
-        assert_eq!(TickClock::slots_elapsed(Duration::from_millis(25), slot), 2);
-        // Degenerate slot durations clamp instead of dividing by zero.
-        assert_eq!(
-            TickClock::slots_elapsed(Duration::from_nanos(7), Duration::ZERO),
-            7
-        );
-    }
-
-    #[test]
     fn tick_clock_deadlines_are_monotone() {
         let clock = TickClock::new(std::time::Duration::from_millis(1));
         assert!(clock.deadline_for(1) < clock.deadline_for(2));
-        assert!(clock.now_slot() < u64::MAX);
         clock.sleep_until_slot(0); // already past: returns immediately
     }
 }

@@ -119,28 +119,37 @@ proptest! {
         prop_assert_eq!(forward, rotated);
     }
 
-    /// The full-registry version of the split property, mixing the new
-    /// streaming metrics with the existing kinds.
+    /// The full-registry version of the split property, mixing the
+    /// streaming metrics with a counter. Each shard exports the way
+    /// producers do: a local sketch and reservoir merged into its
+    /// registry.
     #[test]
     fn registry_with_streams_merges_like_sequential(
         values in proptest::collection::vec(-50.0f64..50.0, 0..200),
         shards in proptest::collection::vec(0usize..3, 0..200),
     ) {
         let n = values.len().min(shards.len());
-        let record = |reg: &mut MetricsRegistry, i: usize, x: f64| {
-            reg.counter_add("events", 1);
-            reg.sketch_record("dist", x, 0.01);
-            reg.reservoir_offer("sample", i as u64, x, 5, 7);
+        let export = |reg: &mut MetricsRegistry, items: &[(usize, f64)]| {
+            let mut dist = QuantileSketch::new(0.01);
+            let mut sample = Reservoir::new(5, 7);
+            for &(i, x) in items {
+                reg.counter_add("events", 1);
+                dist.record(x);
+                sample.offer(i as u64, x);
+            }
+            reg.sketch_merge("dist", &dist);
+            reg.reservoir_merge("sample", &sample);
         };
+        let all: Vec<(usize, f64)> = (0..n).map(|i| (i, values[i])).collect();
         let mut sequential = MetricsRegistry::new();
-        let mut parts = vec![MetricsRegistry::new(); 3];
-        for i in 0..n {
-            record(&mut sequential, i, values[i]);
-            record(&mut parts[shards[i]], i, values[i]);
-        }
+        export(&mut sequential, &all);
         let mut merged = MetricsRegistry::new();
-        for part in &parts {
-            merged.merge(part);
+        for shard in 0..3 {
+            let mine: Vec<(usize, f64)> =
+                all.iter().copied().filter(|&(i, _)| shards[i] == shard).collect();
+            let mut part = MetricsRegistry::new();
+            export(&mut part, &mine);
+            merged.merge(&part);
         }
         prop_assert_eq!(&merged, &sequential);
         prop_assert_eq!(

@@ -1,39 +1,13 @@
-//! Wireless channel models: path loss and slow fading.
+//! Wireless channel model: slow fading.
 //!
 //! Substitutes for the measured indoor channels of \[27\] and the
-//! time-varying links of \[26\]: a log-distance path-loss law plus an
-//! AR(1) shadow-fading process in dB, which produces the slowly varying
-//! SNR traces the adaptive transceiver policies react to.
+//! time-varying links of \[26\]: an AR(1) shadow-fading process in dB
+//! around a mean SNR, which produces the slowly varying SNR traces the
+//! adaptive transceiver policies react to.
 
 use dms_sim::SimRng;
 
 use crate::error::WirelessError;
-
-/// Log-distance path loss: `PL(d) = PL₀ + 10·n·log₁₀(d/d₀)` dB.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PathLoss {
-    /// Reference loss at `d₀ = 1 m`, in dB.
-    pub pl0_db: f64,
-    /// Path-loss exponent (2 free space, 3–4 indoor).
-    pub exponent: f64,
-}
-
-impl Default for PathLoss {
-    fn default() -> Self {
-        PathLoss {
-            pl0_db: 40.0,
-            exponent: 3.3,
-        }
-    }
-}
-
-impl PathLoss {
-    /// Loss in dB at distance `d` metres (clamped below at 1 m).
-    #[must_use]
-    pub fn loss_db(&self, d: f64) -> f64 {
-        self.pl0_db + 10.0 * self.exponent * d.max(1.0).log10()
-    }
-}
 
 /// A slow-fading channel producing per-slot SNR values (dB):
 /// `snr[t] = mean + shadow[t]` with `shadow` an AR(1) process.
@@ -109,15 +83,6 @@ impl FadingChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn path_loss_grows_with_distance() {
-        let pl = PathLoss::default();
-        assert!(pl.loss_db(10.0) > pl.loss_db(2.0));
-        assert_eq!(pl.loss_db(0.5), pl.loss_db(1.0)); // clamped
-                                                      // 10× distance adds 10·n dB.
-        assert!((pl.loss_db(10.0) - pl.loss_db(1.0) - 33.0).abs() < 1e-9);
-    }
 
     #[test]
     fn channel_validation() {

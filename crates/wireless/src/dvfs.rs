@@ -91,6 +91,9 @@ impl DvfsCpu {
     }
 
     /// The operating points, slowest first.
+    ///
+    /// Test access: `slowest_feasible_is_tight` enumerates the preset's
+    /// points through it.
     #[must_use]
     pub fn points(&self) -> &[DvfsPoint] {
         &self.points
@@ -108,12 +111,6 @@ impl DvfsCpu {
         self.capacitance_f * point.voltage * point.voltage
     }
 
-    /// Power at `point`, in watts (`C·V²·f`).
-    #[must_use]
-    pub fn power_w(&self, point: DvfsPoint) -> f64 {
-        self.energy_per_cycle_j(point) * point.frequency_hz
-    }
-
     /// The slowest point that still delivers `cycles` within
     /// `deadline_s` seconds, or `None` if even the fastest cannot.
     #[must_use]
@@ -126,12 +123,6 @@ impl DvfsCpu {
             .iter()
             .copied()
             .find(|p| p.frequency_hz >= required_hz)
-    }
-
-    /// Energy to execute `cycles` at `point`, joules.
-    #[must_use]
-    pub fn execution_energy_j(&self, cycles: u64, point: DvfsPoint) -> f64 {
-        cycles as f64 * self.energy_per_cycle_j(point)
     }
 }
 
@@ -202,14 +193,5 @@ mod tests {
         // Impossible deadline.
         assert!(c.slowest_feasible(1_000_000_000, 0.5).is_none());
         assert!(c.slowest_feasible(1, 0.0).is_none());
-    }
-
-    #[test]
-    fn running_slower_saves_energy_for_same_work() {
-        let c = cpu();
-        let cycles = 100_000_000;
-        let slow = c.execution_energy_j(cycles, c.points()[0]);
-        let fast = c.execution_energy_j(cycles, c.max_point());
-        assert!(slow < fast * 0.3, "slow {slow}, fast {fast}");
     }
 }

@@ -8,8 +8,7 @@
 //! * [`modulation`] — BPSK/QPSK/16-QAM/64-QAM with closed-form
 //!   BER-vs-SNR curves ("different modulation schemes result in
 //!   different BER vs. received SNR characteristics");
-//! * [`channel`] — log-distance path loss and a slow-fading SNR trace
-//!   generator;
+//! * [`channel`] — a slow-fading SNR trace generator;
 //! * [`arq`] — retransmission energetics and optimal packet sizing
 //!   (§2.1's "how much retransmission can be afforded");
 //! * [`fec`] — a convolutional-code-style model trading coding gain
@@ -52,7 +51,7 @@ pub mod modulation;
 pub mod transceiver;
 
 pub use arq::ArqLink;
-pub use channel::{FadingChannel, PathLoss};
+pub use channel::FadingChannel;
 pub use dvfs::DvfsCpu;
 pub use error::WirelessError;
 pub use fec::FecScheme;

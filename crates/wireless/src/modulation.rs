@@ -148,12 +148,6 @@ pub fn db_to_linear(db: f64) -> f64 {
     10.0f64.powf(db / 10.0)
 }
 
-/// Converts a linear ratio to decibels.
-#[must_use]
-pub fn linear_to_db(x: f64) -> f64 {
-    10.0 * x.log10()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,9 +237,9 @@ mod tests {
     }
 
     #[test]
-    fn db_round_trip() {
-        for db in [-10.0, 0.0, 3.0, 20.0] {
-            assert!((linear_to_db(db_to_linear(db)) - db).abs() < 1e-9);
+    fn db_to_linear_known_values() {
+        for (db, linear) in [(-10.0, 0.1), (0.0, 1.0), (20.0, 100.0)] {
+            assert!((db_to_linear(db) - linear).abs() < 1e-12);
         }
     }
 }

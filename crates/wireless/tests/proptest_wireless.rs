@@ -68,7 +68,8 @@ proptest! {
         prop_assert!(sent <= frame.total_bits());
         prop_assert!(sent <= budget.max(frame.base_bits));
         prop_assert!(psnr >= frame.base_psnr_db - 1e-12);
-        prop_assert!(psnr <= frame.max_psnr_db() + 1e-12);
+        let all_planes = frame.base_psnr_db + frame.plane_psnr_db.iter().sum::<f64>();
+        prop_assert!(psnr <= all_planes + 1e-12);
         // Monotonicity against a larger budget.
         let (sent2, psnr2) = frame.truncate_to(budget.saturating_add(5_000));
         prop_assert!(sent2 >= sent);
