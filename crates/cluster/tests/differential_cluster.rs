@@ -83,12 +83,7 @@ fn single_shard_cluster_matches_bare_server_bit_for_bit() {
         assert_eq!(report.shards[0].base, bare, "load {load}");
         assert_eq!(report.shards[0].crashed, 0);
         assert_eq!(sinks.len(), 1);
-        assert_eq!(sinks[0].admitted(), bare_sink.admitted());
-        assert_eq!(sinks[0].active(), bare_sink.active());
-        assert_eq!(sinks[0].backlog_bits(), bare_sink.backlog_bits());
-        assert_eq!(sinks[0].deadline_misses(), bare_sink.deadline_misses());
-        assert_eq!(sinks[0].utility(), bare_sink.utility());
-        assert_eq!(sinks[0].enqueued_bits(), bare_sink.enqueued_bits());
+        assert_eq!(sinks[0], bare_sink, "load {load}");
         // Aggregates collapse to the single shard's numbers.
         assert_eq!(report.offered(), bare.offered);
         assert_eq!(report.admitted(), bare.admitted);

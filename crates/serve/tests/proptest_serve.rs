@@ -5,7 +5,7 @@ use dms_serve::{
     CapacityModel, DegradeConfig, RecoveryConfig, ReferenceServerSim, ServeMetricsSink,
     ServerConfig, ServerSim, SessionTemplate, Workload,
 };
-use dms_sim::{FaultPlan, FaultSpec};
+use dms_sim::{FaultPlan, FaultSpec, Metric, MetricsRegistry};
 use proptest::prelude::*;
 
 /// Float slack for occupancy comparisons. The predictor computes
@@ -17,6 +17,17 @@ use proptest::prelude::*;
 /// enough to catch any real off-by-a-frame error.
 fn occupancy_slack(bound: f64) -> f64 {
     512.0 * f64::EPSILON * bound.abs().max(1.0)
+}
+
+/// The per-slot series `name` of a full-mode sink, read back through
+/// its registry export.
+fn exported_series(sink: &ServeMetricsSink, name: &str) -> Vec<f64> {
+    let mut registry = MetricsRegistry::new();
+    sink.export(&mut registry, "server");
+    match registry.get(&format!("server/{name}")) {
+        Some(Metric::Series(values)) => values.clone(),
+        other => panic!("{name} is not an exported series: {other:?}"),
+    }
 }
 
 /// Strategy: one valid fault spec anywhere inside a 120-slot horizon.
@@ -285,13 +296,11 @@ proptest! {
             sink.enqueued_bits()
         );
         // The sink's per-slot series are consistent with the report.
-        prop_assert_eq!(sink.slots() as u64, report.slots);
-        prop_assert_eq!(sink.admitted().iter().sum::<u64>(), report.admitted);
-        prop_assert_eq!(sink.active().iter().sum::<u64>(), report.session_slots);
-        prop_assert_eq!(
-            sink.deadline_misses().iter().sum::<u64>(),
-            report.deadline_misses
-        );
+        let total = |name: &str| exported_series(&sink, name).iter().sum::<f64>();
+        prop_assert_eq!(sink.utility().len() as u64, report.slots);
+        prop_assert_eq!(total("admitted"), report.admitted as f64);
+        prop_assert_eq!(total("active"), report.session_slots as f64);
+        prop_assert_eq!(total("deadline_misses"), report.deadline_misses as f64);
     }
 
     /// Fault injection never breaks the conservation ledgers: whatever
@@ -412,14 +421,16 @@ proptest! {
         prop_assert_eq!(report.readmitted, report.retries);
         prop_assert_eq!(report.retry_rejected, 0);
         let recovered_from = (crash_slot + recovery.backoff_horizon_slots()) as usize;
+        let faulted_active = exported_series(&faulted_sink, "active");
+        let nominal_active = exported_series(&nominal_sink, "active");
         for slot in recovered_from..120 {
             prop_assert!(
-                faulted_sink.active()[slot] + report.timed_out >= nominal_sink.active()[slot],
+                faulted_active[slot] + report.timed_out as f64 >= nominal_active[slot],
                 "slot {}: faulted active {} (+{} timed out) below nominal {}",
                 slot,
-                faulted_sink.active()[slot],
+                faulted_active[slot],
                 report.timed_out,
-                nominal_sink.active()[slot]
+                nominal_active[slot]
             );
         }
     }
@@ -517,9 +528,9 @@ proptest! {
             .run_faulted(&workload, &plan, recovery.as_ref(), Some(&mut oracle_sink))
             .expect("runs");
         prop_assert_eq!(fast, oracle);
-        prop_assert_eq!(fast_sink.admitted(), oracle_sink.admitted());
-        prop_assert_eq!(fast_sink.active(), oracle_sink.active());
-        prop_assert_eq!(fast_sink.deadline_misses(), oracle_sink.deadline_misses());
+        for name in ["admitted", "active", "deadline_misses"] {
+            prop_assert_eq!(exported_series(&fast_sink, name), exported_series(&oracle_sink, name));
+        }
         prop_assert_eq!(fast_sink.enqueued_bits(), oracle_sink.enqueued_bits());
     }
 }
@@ -589,9 +600,9 @@ proptest! {
             .run_faulted(&workload, &plan, recovery.as_ref(), Some(&mut oracle_sink))
             .expect("runs");
         prop_assert_eq!(fast, oracle);
-        prop_assert_eq!(fast_sink.admitted(), oracle_sink.admitted());
-        prop_assert_eq!(fast_sink.active(), oracle_sink.active());
-        prop_assert_eq!(fast_sink.deadline_misses(), oracle_sink.deadline_misses());
+        for name in ["admitted", "active", "deadline_misses"] {
+            prop_assert_eq!(exported_series(&fast_sink, name), exported_series(&oracle_sink, name));
+        }
         prop_assert_eq!(fast_sink.enqueued_bits(), oracle_sink.enqueued_bits());
     }
 }
