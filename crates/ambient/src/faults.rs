@@ -5,25 +5,10 @@
 //! [`SensorPopulation`] holds `n` sensors with exponential lifetimes; a
 //! service backed by the population is up while at least `k` sensors
 //! are alive (k-of-n redundancy). E11 reads the closed-form
-//! availability; a Monte-Carlo estimate is kept as its test oracle
-//! (§2.2's simulation-vs-analysis duality).
-//!
-//! The Monte-Carlo estimator samples sensor-failure schedules from the
-//! workspace-wide fault engine, [`dms_sim::FaultPlan`]
-//! ([`dms_sim::FaultSpec::ComponentFailures`] +
-//! [`dms_sim::FaultPlan::alive_components`]) — the same vocabulary that
-//! injects link/session faults into `dms-serve`, so there is exactly
-//! one fault-event model across the workspace.
-
-use dms_sim::{FaultPlan, FaultSpec, SimRng};
+//! availability; the tests check it against a Monte-Carlo census of
+//! sampled lifetimes (§2.2's simulation-vs-analysis duality).
 
 use crate::error::AmbientError;
-
-/// Fault-plan slots per unit of population model time. The plan's
-/// schedule is integer-slotted; at 1024 slots per unit time the
-/// discretisation shifts the evaluation time by at most `1/2048` of a
-/// unit — far below Monte-Carlo noise at any feasible trial count.
-const SLOTS_PER_UNIT_TIME: u64 = 1024;
 
 /// A population of identical sensors with exponential failures.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,38 +62,6 @@ impl SensorPopulation {
         let p = self.sensor_survival(t);
         (k..=n).map(|i| binomial_pmf(n, i, p)).sum()
     }
-
-    /// Monte-Carlo estimate of the k-of-n availability at time `t` over
-    /// `trials` populations.
-    ///
-    /// Each trial compiles one [`FaultPlan`] sensor-failure schedule
-    /// ([`FaultSpec::ComponentFailures`], exponential lifetimes drawn
-    /// at compile time from `rng`) and takes the census at the slot
-    /// nearest `t`. The plan clips events past its horizon, so the
-    /// census slot sits *inside* the horizon by construction.
-    ///
-    /// Test oracle: only `analysis_matches_monte_carlo` calls it, to
-    /// check [`SensorPopulation::availability`].
-    #[must_use]
-    pub fn availability_mc(&self, k: usize, t: f64, trials: usize, rng: &mut SimRng) -> f64 {
-        if trials == 0 {
-            return 0.0;
-        }
-        let eval_slot = (t.max(0.0) * SLOTS_PER_UNIT_TIME as f64).round() as u64;
-        let spec = FaultSpec::ComponentFailures {
-            components: self.sensors as u32,
-            failure_rate: self.failure_rate / SLOTS_PER_UNIT_TIME as f64,
-        };
-        let mut up = 0usize;
-        for _ in 0..trials {
-            let plan = FaultPlan::compile_with(&[spec], eval_slot + 1, rng)
-                .expect("a validated population always compiles");
-            if plan.alive_components(self.sensors as u32, eval_slot) as usize >= k {
-                up += 1;
-            }
-        }
-        up as f64 / trials as f64
-    }
 }
 
 /// Binomial probability mass `C(n, i) p^i (1−p)^(n−i)`, computed in log
@@ -131,6 +84,39 @@ fn ln_factorial(n: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dms_sim::SimRng;
+
+    /// Census slots per unit of population model time. At 1024 slots
+    /// per unit the discretisation shifts the evaluation time by at
+    /// most `1/2048` of a unit — far below Monte-Carlo noise at any
+    /// feasible trial count.
+    const SLOTS_PER_UNIT_TIME: u64 = 1024;
+
+    /// Monte-Carlo estimate of the k-of-n availability at time `t` over
+    /// `trials` populations: each sensor draws one exponential lifetime
+    /// in slots from `rng`, in sensor order, and is down at the end of
+    /// the census slot nearest `t` once the lifetime's ceiling reaches
+    /// that slot (`ceil` keeps the integer-slot survival exact:
+    /// `P(ceil(L) > s) = P(L > s)` at integer `s`).
+    fn availability_mc(
+        pop: &SensorPopulation,
+        k: usize,
+        t: f64,
+        trials: usize,
+        rng: &mut SimRng,
+    ) -> f64 {
+        let eval_slot = (t.max(0.0) * SLOTS_PER_UNIT_TIME as f64).round() as u64;
+        let mean_lifetime = SLOTS_PER_UNIT_TIME as f64 / pop.failure_rate;
+        let up = (0..trials)
+            .filter(|_| {
+                let alive = (0..pop.sensors)
+                    .filter(|_| rng.exponential(mean_lifetime).ceil() > eval_slot as f64)
+                    .count();
+                alive >= k
+            })
+            .count();
+        up as f64 / trials as f64
+    }
 
     #[test]
     fn validation() {
@@ -171,7 +157,7 @@ mod tests {
         let mut rng = SimRng::new(17);
         for &(k, t) in &[(2usize, 1.0f64), (5, 2.0), (8, 0.5)] {
             let exact = pop.availability(k, t);
-            let mc = pop.availability_mc(k, t, 40_000, &mut rng);
+            let mc = availability_mc(&pop, k, t, 40_000, &mut rng);
             assert!(
                 (exact - mc).abs() < 0.01,
                 "k={k} t={t}: exact {exact}, MC {mc}"

@@ -831,9 +831,9 @@ impl TieredSim {
                     let to_fleet = if cached {
                         edge_hits[r] += 1;
                         true
-                    } else if origin.would_admit(full_bits) {
+                    } else if origin.would_admit() {
                         origin_fetches[r] += 1;
-                        origin.reserve(slot.saturating_add(session.duration_slots), full_bits);
+                        origin.reserve(slot.saturating_add(session.duration_slots));
                         fetched_bits[r] = fetched_bits[r]
                             .saturating_add(full_bits.saturating_mul(session.duration_slots));
                         caches[r].insert(cid);

@@ -1,21 +1,26 @@
 //! The fleet dispatcher against a naive oracle.
 //!
-//! `FleetEndpoint` releases reservations once per slot, caches each
-//! shard's JSQ fraction, rebuilds its live-shard list once per slot and
-//! answers its mirror predicates from an admission frontier. The batch
-//! `ClusterSim::dispatch` runs that same code, so comparing the two
-//! cannot catch a change to it. The oracle here shares none of it:
-//! before every offer it drops departed reservations from a plain list,
-//! recomputes every fraction, rebuilds the live list and asks
-//! `AdmissionController` directly. Retries and death re-offers merge
-//! into the offer stream by the documented rule: an offer routes in
-//! `(slot, arrival order)` order, injected offers before dynamic ones
-//! at equal slots, and a shard death at slot `b` fires once no offer
-//! before `b` remains.
+//! `FleetEndpoint` releases reservations once per slot, counts them in
+//! sessions, caches each shard's JSQ fraction, rebuilds its live-shard
+//! list once per slot, answers its mirror predicates from an admission
+//! frontier, files retries in a slot-indexed calendar (counting one due
+//! past the horizon as rejected when it is filed) and merges edges once
+//! per distinct offer slot. The batch `ClusterSim::dispatch` runs that
+//! same code, so comparing the two cannot catch a change to it. The
+//! oracle here shares none of it: before every offer it drops departed
+//! reservations from a plain `(depart, bits)` list, recomputes every
+//! fraction, rebuilds the live list and asks `AdmissionController`
+//! directly. Retries and death re-offers wait in a map by slot, expire
+//! when they come up, and merge into the offer stream by the documented
+//! rule: an offer routes in `(slot, arrival order)` order, injected
+//! offers before dynamic ones at equal slots, and a shard death at slot
+//! `b` fires once no offer before `b` remains.
 
 use std::collections::{BTreeMap, VecDeque};
 
-use dms_cluster::{BalancerPolicy, ClusterConfig, ClusterSim, DispatchReport, ShardFault};
+use dms_cluster::{
+    BalancerPolicy, ClusterConfig, ClusterSim, DispatchReport, FleetEndpoint, ShardFault,
+};
 use dms_serve::{
     rate_for_load, AdmissionController, AdmissionPolicy, ArrivalProcess, CapacityModel,
     RecoveryConfig, ServerConfig, SessionRequest, SessionTemplate, Workload,
@@ -254,22 +259,26 @@ const POLICIES: [BalancerPolicy; 3] = [
 ];
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The endpoint routes exactly as the naive oracle does: the same
     /// per-shard workloads and the same dispatch ledger, over fleets of
     /// 1–8 shards of unequal capacity, loads 0.3–1.8, every policy,
-    /// and zero or one shard death. A third of the cases back off by
-    /// `u64::MAX` slots, the largest base `RecoveryConfig` accepts:
-    /// every retry and re-offer then saturates past the horizon and
-    /// expires as a balancer rejection.
+    /// and up to three shard deaths at independent slots: slot 0, any
+    /// slot of the run (where take-down re-offers land before retries
+    /// already waiting), or at and past the horizon. A third of the
+    /// cases back off by `u64::MAX` slots, the largest base
+    /// `RecoveryConfig` accepts: every retry and re-offer then
+    /// saturates past the horizon and expires as a balancer rejection.
+    /// Both the batch `ClusterSim::dispatch` and a `FleetEndpoint`
+    /// offered one session per call must match.
     #[test]
     fn endpoint_matches_the_naive_oracle(
         capacities in proptest::collection::vec(4u64..41, 1..9),
         bound in 1.0f64..16.0,
         load in 0.3f64..1.8,
         policy in 0usize..3,
-        death in (proptest::bool::ANY, 0usize..8, 1u64..160),
+        deaths in proptest::collection::vec((0usize..8, 0u8..3, 0u64..160), 0..=3),
         recovery in (prop_oneof![1u64..6, 1u64..6, Just(u64::MAX)], 1u64..3, 0u32..5),
         slots in 80u64..160,
         duration in 10.0f64..40.0,
@@ -307,9 +316,15 @@ proptest! {
             seed,
         };
         let mut faults = Vec::new();
-        if death.0 {
+        if !deaths.is_empty() {
             faults = vec![ShardFault::default(); capacities.len()];
-            faults[death.1 % capacities.len()].down_from = Some(death.2 % slots);
+            for &(shard, at, x) in &deaths {
+                faults[shard % capacities.len()].down_from = Some(match at {
+                    0 => 0,
+                    1 => x % slots,
+                    _ => slots + x % 40,
+                });
+            }
         }
 
         let (workloads, report) = ClusterSim::new(config.clone())
@@ -322,6 +337,21 @@ proptest! {
         prop_assert_eq!(workloads.len(), sessions.len());
         for (shard, (w, s)) in workloads.iter().zip(&sessions).enumerate() {
             prop_assert_eq!(&w.sessions, s, "shard {}", shard);
+        }
+
+        let mut endpoint = FleetEndpoint::with_faults(&config, template, slots, &faults, 0)
+            .expect("valid config");
+        let mut offers = workload.sessions.clone();
+        offers.sort_by_key(|s| s.arrival_slot);
+        for s in &offers {
+            endpoint
+                .offer(s.id, s.arrival_slot, s.duration_slots)
+                .expect("offers in slot order");
+        }
+        let (workloads, report) = endpoint.finish();
+        prop_assert_eq!(&report, &oracle);
+        for (shard, (w, s)) in workloads.iter().zip(&sessions).enumerate() {
+            prop_assert_eq!(&w.sessions, s, "shard {} per call", shard);
         }
     }
 }

@@ -578,9 +578,6 @@ impl ServerEngine {
                         }
                     }
                 }
-                // Component faults belong to population consumers
-                // (the E11 sensor census); the server has none.
-                FaultEvent::ComponentDown { .. } | FaultEvent::ComponentUp { .. } => {}
             }
             self.fault_cursor += 1;
         }

@@ -199,7 +199,6 @@ impl ReferenceServerSim {
                             }
                         }
                     }
-                    FaultEvent::ComponentDown { .. } | FaultEvent::ComponentUp { .. } => {}
                 }
                 fault_cursor += 1;
             }

@@ -3,20 +3,17 @@
 //!
 //! The paper's §5 thesis is that a multimedia system must stay
 //! *gracefully usable* while parts of it fail — channels fade, server
-//! slots stall, sessions crash, sensors die. [`FaultPlan`] is the
-//! single fault engine every crate shares: callers describe *what*
-//! should go wrong declaratively ([`FaultSpec`]), and `compile` turns
-//! the description into a sorted schedule of [`FaultEvent`]s. All
-//! randomness (Gilbert–Elliott corruption states, exponential component
-//! lifetimes) is drawn **at compile time** from a seeded [`SimRng`], so
-//! a compiled plan replays byte-identically no matter how the runs that
-//! consume it are sharded across threads (`DMS_THREADS` has no way to
-//! perturb it).
+//! slots stall, sessions crash. [`FaultPlan`] is the single fault
+//! engine every crate shares: callers describe *what* should go wrong
+//! declaratively ([`FaultSpec`]), and `compile` turns the description
+//! into a sorted schedule of [`FaultEvent`]s. All randomness (the
+//! Gilbert–Elliott corruption states) is drawn **at compile time** from
+//! a seeded [`SimRng`], so a compiled plan replays byte-identically no
+//! matter how the runs that consume it are sharded across threads
+//! (`DMS_THREADS` has no way to perturb it).
 //!
-//! Consumers either walk [`FaultPlan::events`] with a slot cursor (what
-//! the `dms-serve` multiplexer does) or ask
-//! [`FaultPlan::alive_components`] about one slot (the ambient sensor
-//! populations).
+//! Consumers walk [`FaultPlan::events`] with a slot cursor, as the
+//! `dms-serve` multiplexer does.
 //!
 //! ## Example
 //!
@@ -56,7 +53,7 @@ impl std::fmt::Display for FaultError {
 impl std::error::Error for FaultError {}
 
 /// One concrete fault occurrence — the fault-event vocabulary shared by
-/// every crate (`dms-serve` sessions/links, `dms-ambient` sensors).
+/// every crate that injects link and session faults.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultEvent {
     /// The shared link drops to `factor` (in `[0, 1]`) of its nominal
@@ -82,17 +79,6 @@ pub enum FaultEvent {
     Corrupt {
         /// Fraction of transmitted bits lost to corruption, in `[0, 1]`.
         loss: f64,
-    },
-    /// Component `id` (a sensor, a node) fails permanently — the E11
-    /// sensor-failure vocabulary.
-    ComponentDown {
-        /// Component index within its population.
-        id: u32,
-    },
-    /// Component `id` is repaired and comes back up.
-    ComponentUp {
-        /// Component index within its population.
-        id: u32,
     },
 }
 
@@ -142,18 +128,6 @@ pub enum FaultSpec {
         loss_good: f64,
         /// Fraction of bits lost per slot while Bad.
         loss_bad: f64,
-    },
-    /// Permanent component failures with exponential lifetimes (rate
-    /// `failure_rate` per slot): each component draws one lifetime and
-    /// emits [`FaultEvent::ComponentDown`] when it expires inside the
-    /// horizon. Kept for `SensorPopulation::availability_mc`, the test
-    /// oracle of E11's closed-form availability
-    /// (`analysis_matches_monte_carlo`).
-    ComponentFailures {
-        /// Population size.
-        components: u32,
-        /// Failure rate λ per component per slot (> 0, finite).
-        failure_rate: f64,
     },
 }
 
@@ -212,18 +186,6 @@ impl FaultSpec {
                 probability("loss_good", loss_good)?;
                 probability("loss_bad", loss_bad)
             }
-            FaultSpec::ComponentFailures {
-                components,
-                failure_rate,
-            } => {
-                if components == 0 {
-                    return Err(FaultError::InvalidParameter("components"));
-                }
-                if !(failure_rate.is_finite() && failure_rate > 0.0) {
-                    return Err(FaultError::InvalidParameter("failure_rate"));
-                }
-                Ok(())
-            }
         }
     }
 }
@@ -265,25 +227,7 @@ impl FaultPlan {
     ///
     /// Propagates [`FaultSpec::validate`] failures.
     pub fn compile(specs: &[FaultSpec], horizon_slots: u64, seed: u64) -> Result<Self, FaultError> {
-        Self::compile_with(
-            specs,
-            horizon_slots,
-            &mut SimRng::new(seed).substream("fault-plan", 0),
-        )
-    }
-
-    /// [`FaultPlan::compile`] drawing from a caller-owned generator —
-    /// for callers that compile many plans from one stream (e.g. the
-    /// per-trial sensor schedules of the E11 Monte-Carlo estimator).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FaultSpec::validate`] failures.
-    pub fn compile_with(
-        specs: &[FaultSpec],
-        horizon_slots: u64,
-        rng: &mut SimRng,
-    ) -> Result<Self, FaultError> {
+        let mut rng = SimRng::new(seed).substream("fault-plan", 0);
         for spec in specs {
             spec.validate()?;
         }
@@ -340,18 +284,6 @@ impl FaultPlan {
                         }
                     }
                 }
-                FaultSpec::ComponentFailures {
-                    components,
-                    failure_rate,
-                } => {
-                    for id in 0..components {
-                        let lifetime = rng.exponential(1.0 / failure_rate);
-                        // `ceil` keeps the integer-slot survival exact:
-                        // P(ceil(L) > s) = P(L > s) at integer s.
-                        let slot = lifetime.ceil().min(horizon_slots as f64 + 1.0) as u64;
-                        push(slot, FaultEvent::ComponentDown { id });
-                    }
-                }
             }
         }
         events.sort_by_key(|e| e.slot); // stable: spec order kept within a slot
@@ -365,27 +297,6 @@ impl FaultPlan {
     #[must_use]
     pub fn events(&self) -> &[ScheduledFault] {
         &self.events
-    }
-
-    /// Number of components (of a population of `total`) still up at
-    /// the *end* of `slot`, honouring `ComponentDown`/`ComponentUp`
-    /// events in schedule order. Kept for
-    /// `SensorPopulation::availability_mc`, the test oracle of E11's
-    /// closed-form availability (`analysis_matches_monte_carlo`).
-    #[must_use]
-    pub fn alive_components(&self, total: u32, slot: u64) -> u32 {
-        let mut down: Vec<u32> = Vec::new();
-        for ev in &self.events {
-            if ev.slot > slot {
-                break;
-            }
-            match ev.event {
-                FaultEvent::ComponentDown { id } if !down.contains(&id) => down.push(id),
-                FaultEvent::ComponentUp { id } => down.retain(|&d| d != id),
-                _ => {}
-            }
-        }
-        total.saturating_sub(down.len() as u32)
     }
 }
 
@@ -428,18 +339,6 @@ mod tests {
             p_bad_to_good: 0.5,
             loss_good: 0.0,
             loss_bad: 0.5
-        }
-        .validate()
-        .is_err());
-        assert!(FaultSpec::ComponentFailures {
-            components: 0,
-            failure_rate: 0.1
-        }
-        .validate()
-        .is_err());
-        assert!(FaultSpec::ComponentFailures {
-            components: 4,
-            failure_rate: f64::NAN
         }
         .validate()
         .is_err());
@@ -524,10 +423,6 @@ mod tests {
                 start_slot: 20,
                 duration_slots: 5,
             },
-            FaultSpec::ComponentFailures {
-                components: 8,
-                failure_rate: 0.05,
-            },
         ];
         let a = FaultPlan::compile(&specs, 200, 42).expect("valid");
         let b = FaultPlan::compile(&specs, 200, 42).expect("valid");
@@ -577,64 +472,9 @@ mod tests {
     }
 
     #[test]
-    fn component_failures_census_matches_exponential_survival() {
-        // With λ per slot, P(alive after slot s) = e^{-λ s}; the census
-        // over many trials must agree.
-        let lambda = 0.01;
-        let slot = 50u64;
-        let trials = 20_000;
-        let mut rng = SimRng::new(9);
-        let mut alive = 0u64;
-        for _ in 0..trials {
-            let plan = FaultPlan::compile_with(
-                &[FaultSpec::ComponentFailures {
-                    components: 1,
-                    failure_rate: lambda,
-                }],
-                1_000,
-                &mut rng,
-            )
-            .expect("valid");
-            alive += u64::from(plan.alive_components(1, slot));
-        }
-        let measured = alive as f64 / trials as f64;
-        let exact = (-lambda * slot as f64).exp();
-        assert!(
-            (measured - exact).abs() < 0.01,
-            "measured {measured}, exact {exact}"
-        );
-    }
-
-    #[test]
-    fn alive_components_honours_repair_order() {
-        let plan = FaultPlan {
-            events: vec![
-                ScheduledFault {
-                    slot: 2,
-                    event: FaultEvent::ComponentDown { id: 0 },
-                },
-                ScheduledFault {
-                    slot: 4,
-                    event: FaultEvent::ComponentDown { id: 1 },
-                },
-                ScheduledFault {
-                    slot: 6,
-                    event: FaultEvent::ComponentUp { id: 0 },
-                },
-            ],
-            horizon_slots: 10,
-        };
-        assert_eq!(plan.alive_components(3, 0), 3);
-        assert_eq!(plan.alive_components(3, 2), 2);
-        assert_eq!(plan.alive_components(3, 5), 1);
-        assert_eq!(plan.alive_components(3, 6), 2);
-    }
-
-    #[test]
     fn empty_plan_is_empty() {
         let plan = FaultPlan::none(50);
         assert!(plan.events().is_empty());
-        assert_eq!(plan.alive_components(4, 49), 4);
         let compiled = FaultPlan::compile(&[], 50, 1).expect("valid");
         assert_eq!(compiled.events(), plan.events());
     }

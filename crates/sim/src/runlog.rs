@@ -245,7 +245,7 @@ impl RunLogWriter {
             self.file = None;
             self.records_in_chunk = 0;
         }
-        record.to_json().render_compact_into(&mut self.buf);
+        record.render_compact_into(&mut self.buf);
         self.buf.push('\n');
         self.records_in_chunk += 1;
         self.records += 1;
