@@ -236,19 +236,10 @@ impl SessionArena {
     /// and miss streaks are all 0.
     pub fn compact(&mut self) -> u64 {
         if !self.ordered {
-            let sessions = &self.sessions;
-            self.order.clear();
-            self.order.extend(
-                (0u32..)
-                    .zip(sessions)
-                    .filter(|(_, s)| s.gen % 2 == 1)
-                    .map(|(h, _)| h),
-            );
-            self.order
-                .sort_unstable_by_key(|&h| sessions[h as usize].seq);
+            self.order_by_seq();
             for column in [&mut self.backlogs, &mut self.misses] {
                 column.clear();
-                column.resize(sessions.len(), 0);
+                column.resize(self.sessions.len(), 0);
             }
             self.ordered = true;
             return 0;
@@ -295,6 +286,41 @@ impl SessionArena {
         }
         self.order.clear();
         self.ordered = false;
+    }
+
+    /// Sets `order` to the live handles sorted by `seq`. While the live
+    /// seqs span less than 2^32 it sorts packed keys,
+    /// `(seq - min) << 32 | handle`, built in the `backlogs` column,
+    /// which the caller zeroes next: a key compares without reading a
+    /// record. A wider span sorts the handles by their records' `seq`.
+    /// Seqs are distinct, so both give the same order.
+    fn order_by_seq(&mut self) {
+        let sessions = &self.sessions;
+        let (mut min, mut max) = (u64::MAX, 0);
+        self.order.clear();
+        for (h, s) in (0u32..).zip(sessions) {
+            if s.gen % 2 == 1 {
+                self.order.push(h);
+                min = min.min(s.seq);
+                max = max.max(s.seq);
+            }
+        }
+        if max.saturating_sub(min) <= u64::from(u32::MAX) {
+            let keys = &mut self.backlogs;
+            keys.clear();
+            keys.extend(
+                self.order
+                    .iter()
+                    .map(|&h| (sessions[h as usize].seq - min) << 32 | u64::from(h)),
+            );
+            keys.sort_unstable();
+            for (h, &key) in self.order.iter_mut().zip(keys.iter()) {
+                *h = key as u32;
+            }
+        } else {
+            self.order
+                .sort_unstable_by_key(|&h| sessions[h as usize].seq);
+        }
     }
 
     fn is_live(&self, handle: u32) -> bool {
@@ -412,6 +438,49 @@ mod tests {
         assert!(a.order.is_empty());
         assert!(a.depart(d1));
         assert_eq!(a.insert(13, 8, 0).handle, d1.handle);
+    }
+
+    /// Ordering an unordered arena gives the indirect sort's order by
+    /// `seq`, both with packed keys and, once the live seqs span 2^32
+    /// or more, with the indirect sort itself.
+    #[test]
+    fn ordering_matches_the_indirect_sort_in_both_branches() {
+        for wide in [false, true] {
+            let mut a = SessionArena::with_capacity(4);
+            let mut departures: Vec<Departure> = (0..40).map(|i| a.insert(i, 9, 0)).collect();
+            if wide {
+                // Past 2^32, where a packed key would wrap the new seqs
+                // in among the old ones.
+                a.next_seq = (1 << 32) + 5;
+            }
+            // Departures free slots the next admissions reuse, so
+            // handle order is no longer admission order.
+            for i in (0..40).step_by(3) {
+                assert!(a.depart(departures[i]));
+            }
+            departures.extend((40..60).map(|i| a.insert(i, 9, 0)));
+            let seqs = |a: &SessionArena| -> Vec<u64> {
+                a.order
+                    .iter()
+                    .map(|&h| a.sessions[h as usize].seq)
+                    .collect()
+            };
+            let mut want: Vec<u32> = (0u32..)
+                .zip(&a.sessions)
+                .filter(|(_, s)| s.gen % 2 == 1)
+                .map(|(h, _)| h)
+                .collect();
+            want.sort_unstable_by_key(|&h| a.sessions[h as usize].seq);
+            assert_eq!(a.compact(), 0);
+            assert_eq!(a.order, want, "wide {wide}");
+            let spread = seqs(&a).last().unwrap() - seqs(&a)[0];
+            assert_eq!(spread >= 1 << 32, wide, "spread {spread}");
+            assert!(
+                a.backlogs.iter().all(|&b| b == 0),
+                "the key scratch is zeroed"
+            );
+            assert_eq!(a.backlogs.len(), a.capacity());
+        }
     }
 
     #[test]

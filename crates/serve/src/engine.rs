@@ -22,6 +22,17 @@
 //! `incremental_injection_matches_batch_run` pins one seed where they
 //! agree.
 //!
+//! First offers that keep that order by construction skip the slot
+//! calendar. An offer joins the arrival queue, 16 bytes in slot order,
+//! when its slot is not behind the queue's last slot and the calendar
+//! has never filed anything at or after it; every entry the calendar
+//! files for that slot is then scheduled later. A slot drains the
+//! entries filed for the previous slot after its drain, then the
+//! queue's run for the slot, then the slot's calendar bucket, which is
+//! scheduling order. Every batch run takes the queue. An offer injected
+//! after departures were filed at or after its slot, or one whose slot
+//! goes backwards, is filed in the calendar as an `Arrive` event.
+//!
 //! The engine advances one slot per [`ServerEngine::step_slot`] call
 //! and never looks at a wall clock: whoever drives it (a `for` loop or
 //! a network driver pacing real time through `dms_sim::TickClock`)
@@ -29,7 +40,7 @@
 //! socket-fed runs byte-deterministic — the simulation only ever sees
 //! the slot numbers stamped on the offers.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use dms_sim::{FaultEvent, FaultPlan, ScheduledFault};
 
@@ -48,7 +59,7 @@ use crate::workload::{SessionRequest, SessionTemplate};
 /// events: a bucket files them apart, as 8-byte [`Departure`]s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ServerEvent {
-    /// A first offer.
+    /// A first offer the arrival queue could not take.
     Arrive {
         /// Session id.
         id: u64,
@@ -80,8 +91,9 @@ const WINDOW_SLOTS: usize = 4096;
 /// A mark `(i, d)` says that `departs[..d]` drain before `events[i]`;
 /// departures past the last mark drain after the last event. Filing an
 /// event adds a mark only if departures were filed since the previous
-/// one, so a bucket whose events all came before its departures (every
-/// bucket of a batch run without retries) has none.
+/// one, so a bucket whose events all came before its departures has
+/// none. A batch run's offers take the arrival queue, so only its
+/// retries can mark a bucket.
 #[derive(Debug, Default)]
 struct Bucket {
     events: Vec<ServerEvent>,
@@ -112,29 +124,6 @@ impl Bucket {
         self.marks.clear();
     }
 
-    /// Moves `other`'s entries after this bucket's, emptying it. Its
-    /// marks shift by this bucket's lengths; if this bucket ends in
-    /// departures, they must drain before `other`'s first event, which
-    /// takes a mark at the seam unless `other`'s own first mark is
-    /// there.
-    fn append(&mut self, other: &mut Bucket) {
-        let (events, departs) = (self.events.len(), self.departs.len());
-        if departs > self.released()
-            && !other.events.is_empty()
-            && other.marks.first().is_none_or(|&(i, _)| i > 0)
-        {
-            self.marks.push((events, departs));
-        }
-        self.marks.extend(
-            other
-                .marks
-                .drain(..)
-                .map(|(i, d)| (i + events, d + departs)),
-        );
-        self.events.append(&mut other.events);
-        self.departs.append(&mut other.departs);
-    }
-
     /// The bucket in drain order, as runs: each item's events drain,
     /// then its departures.
     fn runs(&self) -> impl Iterator<Item = (&[ServerEvent], &[Departure])> + '_ {
@@ -162,8 +151,10 @@ impl Bucket {
 /// slot's entries in scheduling order: overflow entries move in when
 /// the window reaches their slot, before anything can be filed there
 /// directly. Entries filed for the slot just drained (a zero-duration
-/// departure) wait in `overdue` and drain first at the next slot, ahead
-/// of everything due there, as their earlier time orders them.
+/// departure) wait in `overdue`, which a slot drains before its own
+/// bucket, as their earlier time orders them. The engine drains the
+/// arrival queue's run for the slot between the two; `filed_end` tells
+/// it which offers may take the queue.
 #[derive(Debug)]
 struct SlotCalendar {
     /// Power-of-two ring covering slots `[cursor, cursor + len)`; slot
@@ -179,6 +170,8 @@ struct SlotCalendar {
     overflow: BTreeMap<u64, Bucket>,
     /// Entries at or after this slot never drain, so they are dropped.
     horizon: u64,
+    /// Every entry ever filed was filed for a slot before this one.
+    filed_end: u64,
 }
 
 impl SlotCalendar {
@@ -191,6 +184,7 @@ impl SlotCalendar {
             overdue: Bucket::default(),
             overflow: BTreeMap::new(),
             horizon,
+            filed_end: 0,
         }
     }
 
@@ -205,6 +199,7 @@ impl SlotCalendar {
         if slot >= self.horizon {
             return None;
         }
+        self.filed_end = self.filed_end.max(slot + 1);
         let Some(ahead) = slot.checked_sub(self.cursor) else {
             debug_assert_eq!(slot + 1, self.cursor, "scheduled before the drained slot");
             return Some(&mut self.overdue);
@@ -256,26 +251,76 @@ impl SlotCalendar {
             if *entry.key() >= end {
                 break;
             }
-            let (slot, mut bucket) = entry.remove_entry();
-            self.bucket(slot).append(&mut bucket);
+            let (slot, bucket) = entry.remove_entry();
+            let target = self.bucket(slot);
+            debug_assert!(
+                target.is_empty(),
+                "slot {slot} in the ring and the overflow"
+            );
+            *target = bucket;
         }
+    }
+
+    /// Moves the entries filed for the slot before the cursor after it
+    /// drained into `due`; they drain ahead of the cursor's slot.
+    fn drain_overdue(&mut self, due: &mut Bucket) {
+        due.clear();
+        std::mem::swap(&mut self.overdue, due);
     }
 
     /// Moves the entries due at `slot`, the cursor, into `due` and
     /// advances the cursor; [`Bucket::runs`] walks them in drain order.
     /// The drained bucket keeps `due`'s old buffers, so a steady state
     /// allocates nothing.
-    fn drain_into(&mut self, slot: u64, due: &mut Bucket) {
+    fn drain_slot(&mut self, slot: u64, due: &mut Bucket) {
         debug_assert_eq!(slot, self.cursor, "slots drain in order");
         due.clear();
-        if self.overdue.is_empty() {
-            std::mem::swap(self.bucket(slot), due);
-        } else {
-            due.append(&mut self.overdue);
-            due.append(self.bucket(slot));
-        }
+        std::mem::swap(self.bucket(slot), due);
         self.cursor += 1;
         self.refill();
+    }
+}
+
+/// First offers in slot order, as 16-byte `(id, duration)` entries,
+/// and the slot each run of them arrives at. The engine files an offer
+/// here only when the queue's run for its slot drains where a
+/// `(time, insertion)` queue would pop it (see the module doc). Entries
+/// leave as their slot drains, so the queue holds only undrained offers.
+#[derive(Debug, Default)]
+struct ArrivalQueue {
+    /// `(id, duration)` per offer, oldest first.
+    offers: VecDeque<(u64, u64)>,
+    /// `(slot, n)`: the `n` offers after the earlier runs' arrive at
+    /// `slot`. Slots strictly increase.
+    runs: VecDeque<(u64, usize)>,
+}
+
+impl ArrivalQueue {
+    /// Whether an offer for `slot` keeps the queue in slot order.
+    fn in_order(&self, slot: u64) -> bool {
+        self.runs.back().is_none_or(|&(last, _)| slot >= last)
+    }
+
+    fn push(&mut self, slot: u64, id: u64, duration: u64) {
+        match self.runs.back_mut() {
+            Some((last, n)) if *last == slot => *n += 1,
+            _ => self.runs.push_back((slot, 1)),
+        }
+        self.offers.push_back((id, duration));
+    }
+
+    /// Removes and yields the offers arriving at `slot`, which must not
+    /// be past the first run's slot.
+    fn drain_run(&mut self, slot: u64) -> std::collections::vec_deque::Drain<'_, (u64, u64)> {
+        let n = match self.runs.front() {
+            Some(&(first, n)) if first == slot => {
+                self.runs.pop_front();
+                n
+            }
+            _ => 0,
+        };
+        debug_assert!(self.runs.front().is_none_or(|&(first, _)| first > slot));
+        self.offers.drain(..n)
     }
 }
 
@@ -305,11 +350,14 @@ pub struct ServerEngine {
     degrade: Option<LayerController>,
     memo: AdmissionMemo,
     calendar: SlotCalendar,
+    arrivals: ArrivalQueue,
     arena: SessionArena,
     /// Offers injected so far.
     offered: u64,
 
-    // Per-slot scratch hoisted out of the loop.
+    // Per-slot scratch hoisted out of the loop: the calendar's overdue
+    // entries and the slot's bucket, taken before either drains.
+    overdue: Bucket,
     due: Bucket,
     grants: Vec<u64>,
     /// The contended slot's backlogs, permuted by the level search.
@@ -404,8 +452,10 @@ impl ServerEngine {
             degrade,
             memo: AdmissionMemo::new(),
             calendar: SlotCalendar::new(slots, WINDOW_SLOTS),
+            arrivals: ArrivalQueue::default(),
             arena: SessionArena::with_capacity(1024),
             offered: 0,
+            overdue: Bucket::default(),
             due: Bucket::default(),
             grants: Vec::new(),
             levels: Vec::new(),
@@ -427,25 +477,34 @@ impl ServerEngine {
     }
 
     /// Does nothing, and is kept for callers that size an engine before
-    /// injecting. Offers live only in their `Arrive` events, and the
-    /// calendar grows with the events it holds, so there is nothing to
-    /// pre-size.
+    /// injecting. Offers live only in the arrival queue or their
+    /// `Arrive` events, and both grow with what they hold, so there is
+    /// nothing to pre-size.
     pub fn reserve(&mut self, _additional: usize) {}
 
     /// Injects one offer. An offer stamped for a slot already stepped
     /// arrives at the next unstepped slot — the socket driver's
     /// "late frame lands now" rule; pre-injected workloads never hit
     /// it. Offers within one slot keep injection order (FIFO), exactly
-    /// like `Workload` arrivals keep generation order.
+    /// like `Workload` arrivals keep generation order. An offer at or
+    /// past the horizon is counted and never decided.
     pub fn offer(&mut self, request: SessionRequest) {
         self.offered += 1;
-        self.calendar.schedule(
-            request.arrival_slot.max(self.slot),
-            ServerEvent::Arrive {
-                id: request.id,
-                duration: request.duration_slots,
-            },
-        );
+        let slot = request.arrival_slot.max(self.slot);
+        if slot >= self.slots {
+            return;
+        }
+        if slot >= self.calendar.filed_end && self.arrivals.in_order(slot) {
+            self.arrivals.push(slot, request.id, request.duration_slots);
+        } else {
+            self.calendar.schedule(
+                slot,
+                ServerEvent::Arrive {
+                    id: request.id,
+                    duration: request.duration_slots,
+                },
+            );
+        }
     }
 
     /// Next slot [`ServerEngine::step_slot`] will simulate (slots
@@ -583,76 +642,24 @@ impl ServerEngine {
         }
 
         // 2. Drain due arrivals, retries and departures in scheduling
-        //    order (retries were scheduled after arrivals, so fresh
-        //    offers keep their admission priority).
+        //    order: the entries filed for the previous slot after its
+        //    drain, the queued first offers, then the slot's bucket
+        //    (retries were scheduled after arrivals, so fresh offers
+        //    keep their admission priority). Both buckets leave the
+        //    calendar first, so an entry filed for this slot while it
+        //    drains waits in `overdue` for the next.
+        let mut overdue = std::mem::take(&mut self.overdue);
         let mut due = std::mem::take(&mut self.due);
-        self.calendar.drain_into(slot, &mut due);
-        for (events, departs) in due.runs() {
-            for &ev in events {
-                match ev {
-                    ServerEvent::Arrive { id, duration } => {
-                        let admitted = if slot < self.warmup_slots {
-                            // Warm-up gate: the shard exists but is not
-                            // ready to serve; the rejection is recorded
-                            // so `admitted + rejected == offered` stays
-                            // exact.
-                            self.admission.record_rejection();
-                            false
-                        } else {
-                            self.memo
-                                .decide(&mut self.admission, self.arena.live() as u64)
-                        };
-                        if let Some(v) = self.verdicts.as_mut() {
-                            v.push((id, admitted));
-                        }
-                        if admitted {
-                            // The duration may come from a peer:
-                            // saturate rather than overflow or wrap
-                            // into the past.
-                            let depart_slot = slot.saturating_add(duration);
-                            let departure = self.arena.insert(id, depart_slot, 0);
-                            self.calendar.schedule_departure(depart_slot, departure);
-                        }
-                    }
-                    ServerEvent::Retry {
-                        id,
-                        attempt,
-                        remaining,
-                    } => {
-                        // Re-admissions preview the predicate without
-                        // recording: the `admitted + rejected ==
-                        // offered` ledger counts each session's first
-                        // offer once.
-                        if slot >= self.warmup_slots
-                            && self
-                                .memo
-                                .would_admit(&self.admission, self.arena.live() as u64)
-                        {
-                            self.report.readmitted += 1;
-                            let depart_slot = slot.saturating_add(remaining);
-                            let departure = self.arena.insert(id, depart_slot, attempt + 1);
-                            self.calendar.schedule_departure(depart_slot, departure);
-                        } else {
-                            self.report.retry_rejected += 1;
-                            if let Some(rec) = self.recovery {
-                                if attempt + 1 < rec.max_retries {
-                                    self.report.retries += 1;
-                                    self.calendar.schedule(
-                                        slot.saturating_add(rec.backoff_slots(attempt + 1)),
-                                        ServerEvent::Retry {
-                                            id,
-                                            attempt: attempt + 1,
-                                            remaining,
-                                        },
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            depart_all(&mut self.arena, departs, sink.as_deref_mut());
+        self.calendar.drain_overdue(&mut overdue);
+        self.calendar.drain_slot(slot, &mut due);
+        self.drain_bucket(slot, &overdue, sink.as_deref_mut());
+        let mut arrivals = std::mem::take(&mut self.arrivals);
+        for (id, duration) in arrivals.drain_run(slot) {
+            self.arrive(slot, id, duration);
         }
+        self.arrivals = arrivals;
+        self.drain_bucket(slot, &due, sink.as_deref_mut());
+        self.overdue = overdue;
         self.due = due;
 
         let full_demand = self.arena.live() as u64 * full_bits;
@@ -879,6 +886,86 @@ impl ServerEngine {
         }
         self.slot += 1;
         true
+    }
+
+    /// Decides a first offer at `slot` and admits it, or records the
+    /// rejection.
+    fn arrive(&mut self, slot: u64, id: u64, duration: u64) {
+        let admitted = if slot < self.warmup_slots {
+            // Warm-up gate: the shard exists but is not ready to serve;
+            // the rejection is recorded so `admitted + rejected ==
+            // offered` stays exact.
+            self.admission.record_rejection();
+            false
+        } else {
+            self.memo
+                .decide(&mut self.admission, self.arena.live() as u64)
+        };
+        if let Some(v) = self.verdicts.as_mut() {
+            v.push((id, admitted));
+        }
+        if admitted {
+            // The duration may come from a peer: saturate rather than
+            // overflow or wrap into the past.
+            let depart_slot = slot.saturating_add(duration);
+            let departure = self.arena.insert(id, depart_slot, 0);
+            self.calendar.schedule_departure(depart_slot, departure);
+        }
+    }
+
+    /// Processes `bucket`'s events and departures in drain order.
+    fn drain_bucket(
+        &mut self,
+        slot: u64,
+        bucket: &Bucket,
+        mut sink: Option<&mut ServeMetricsSink>,
+    ) {
+        for (events, departs) in bucket.runs() {
+            for &ev in events {
+                match ev {
+                    ServerEvent::Arrive { id, duration } => self.arrive(slot, id, duration),
+                    ServerEvent::Retry {
+                        id,
+                        attempt,
+                        remaining,
+                    } => self.retry(slot, id, attempt, remaining),
+                }
+            }
+            depart_all(&mut self.arena, departs, sink.as_deref_mut());
+        }
+    }
+
+    /// Re-offers a crashed or timed-out session at `slot`: readmits it,
+    /// or files its next retry while attempts remain.
+    fn retry(&mut self, slot: u64, id: u64, attempt: u32, remaining: u64) {
+        // Re-admissions preview the predicate without recording: the
+        // `admitted + rejected == offered` ledger counts each session's
+        // first offer once.
+        if slot >= self.warmup_slots
+            && self
+                .memo
+                .would_admit(&self.admission, self.arena.live() as u64)
+        {
+            self.report.readmitted += 1;
+            let depart_slot = slot.saturating_add(remaining);
+            let departure = self.arena.insert(id, depart_slot, attempt + 1);
+            self.calendar.schedule_departure(depart_slot, departure);
+        } else {
+            self.report.retry_rejected += 1;
+            if let Some(rec) = self.recovery {
+                if attempt + 1 < rec.max_retries {
+                    self.report.retries += 1;
+                    self.calendar.schedule(
+                        slot.saturating_add(rec.backoff_slots(attempt + 1)),
+                        ServerEvent::Retry {
+                            id,
+                            attempt: attempt + 1,
+                            remaining,
+                        },
+                    );
+                }
+            }
+        }
     }
 
     /// Finalises the run and returns the report. Mean fields are
@@ -1404,14 +1491,17 @@ mod tests {
 
         /// Drains the cursor's slot from both and checks they agree;
         /// returns the drained slot.
-        fn drain(&mut self, due: &mut Bucket) -> u64 {
+        fn drain(&mut self, overdue: &mut Bucket, due: &mut Bucket) -> u64 {
             let slot = self.cal.cursor;
-            self.cal.drain_into(slot, due);
-            assert_marks_minimal(due, &format!("slot {slot}"));
+            self.cal.drain_overdue(overdue);
+            self.cal.drain_slot(slot, due);
             let mut got = Vec::new();
-            for (events, departs) in due.runs() {
-                got.extend(events.iter().map(|&ev| Entry::Event(ev)));
-                got.extend(departs.iter().map(|&d| Entry::Depart(d)));
+            for bucket in [&*overdue, &*due] {
+                assert_marks_minimal(bucket, &format!("slot {slot}"));
+                for (events, departs) in bucket.runs() {
+                    got.extend(events.iter().map(|&ev| Entry::Event(ev)));
+                    got.extend(departs.iter().map(|&d| Entry::Depart(d)));
+                }
             }
             let at = SimTime::from_ticks(slot);
             let want: Vec<Entry> =
@@ -1433,8 +1523,8 @@ mod tests {
         /// entries filed after a drain (for the drained slot, one
         /// backoff ahead, past the window) and ring growth mid-run,
         /// every slot below the horizon drains exactly the entries the
-        /// heap pops for it, in the heap's order, once its bucket's
-        /// events and departures are merged through its marks.
+        /// heap pops for it, in the heap's order: the overdue bucket,
+        /// then the slot's, each walked through its marks.
         #[test]
         fn calendar_drains_each_slot_in_heap_order(
             window in prop_oneof![Just(1usize), Just(2), Just(8), Just(32), Just(WINDOW_SLOTS)],
@@ -1447,7 +1537,7 @@ mod tests {
                 next: 0,
                 live: 0,
             };
-            let mut due = Bucket::default();
+            let (mut overdue, mut due) = (Bucket::default(), Bucket::default());
             for op in ops {
                 let cursor = o.cal.cursor;
                 match op {
@@ -1459,7 +1549,7 @@ mod tests {
                         if cursor == horizon {
                             continue;
                         }
-                        let slot = o.drain(&mut due);
+                        let slot = o.drain(&mut overdue, &mut due);
                         for (kind, off) in follow {
                             o.schedule(kind, slot.saturating_add(off));
                         }
@@ -1467,7 +1557,7 @@ mod tests {
                 }
             }
             while o.cal.cursor < horizon {
-                o.drain(&mut due);
+                o.drain(&mut overdue, &mut due);
             }
         }
     }
@@ -1536,6 +1626,253 @@ mod tests {
         let (incremental, admitted_then) = late_offer_verdict(true);
         assert_eq!(admitted_then, admitted);
         assert!(incremental, "incremental: the departures drain first");
+    }
+
+    /// [`ServerEngine::offer`] without the arrival queue: every offer
+    /// filed as a calendar `Arrive` event. The queue's order oracle.
+    fn offer_through_calendar(engine: &mut ServerEngine, request: SessionRequest) {
+        engine.offered += 1;
+        engine.calendar.schedule(
+            request.arrival_slot.max(engine.slot),
+            ServerEvent::Arrive {
+                id: request.id,
+                duration: request.duration_slots,
+            },
+        );
+    }
+
+    /// A six-session link under the queue predictor, so the frontier
+    /// binds and a verdict depends on what drained before it.
+    fn tight_config(warmup_slots: u64) -> (ServerConfig, SessionTemplate) {
+        let template = SessionTemplate::streaming_default().expect("preset valid");
+        let cfg = ServerConfig {
+            capacity: CapacityModel {
+                link_bits_per_slot: 6 * template.full_bits(),
+                queue_frames: 64,
+                occupancy_bound: 8.0,
+            },
+            policy: AdmissionPolicy::QueuePredictor,
+            degrade: Some(DegradeConfig {
+                warmup_slots,
+                ..DegradeConfig::default()
+            }),
+            buffer_slots: 4,
+            miss_slots: 2,
+        };
+        (cfg, template)
+    }
+
+    /// One step of an interleaved drive.
+    #[derive(Debug, Clone, Copy)]
+    enum DriveOp {
+        /// An offer this many slots after the last offer's stamp (0 is
+        /// the same slot), with this duration.
+        Ahead(u64, u64),
+        /// An offer this many slots before the last offer's stamp.
+        Behind(u64, u64),
+        /// An offer stamped this many slots before the engine's slot.
+        Late(u64, u64),
+        /// An offer this far past the horizon (0 is at it).
+        PastHorizon(u64, u64),
+        /// Steps this many slots.
+        Step(u64),
+    }
+
+    fn drive_op() -> impl Strategy<Value = DriveOp> {
+        let duration = || prop_oneof![Just(0u64), Just(u64::MAX), 1u64..12];
+        let ahead = || (prop_oneof![Just(0u64), 0u64..4], duration());
+        let step = || (1u64..4).prop_map(DriveOp::Step);
+        prop_oneof![
+            ahead().prop_map(|(k, d)| DriveOp::Ahead(k, d)),
+            ahead().prop_map(|(k, d)| DriveOp::Ahead(k, d)),
+            ahead().prop_map(|(k, d)| DriveOp::Ahead(k, d)),
+            (1u64..6, duration()).prop_map(|(k, d)| DriveOp::Behind(k, d)),
+            (1u64..4, duration()).prop_map(|(k, d)| DriveOp::Late(k, d)),
+            (prop_oneof![Just(0u64), Just(1), Just(u64::MAX)], duration())
+                .prop_map(|(k, d)| DriveOp::PastHorizon(k, d)),
+            step(),
+            step(),
+        ]
+    }
+
+    proptest! {
+        /// The arrival queue moves no verdict: through random
+        /// interleavings of offers and steps (offers at the same slot,
+        /// ascending, backwards, late, at and past the horizon, with
+        /// durations 0 and `u64::MAX`), under crashes, stalls, retries,
+        /// timeouts and a warm-up gate, the verdict stream slot by slot
+        /// and the final report equal an engine's that files every
+        /// offer in the calendar.
+        #[test]
+        fn arrival_queue_matches_the_calendar_path(
+            horizon in 1u64..40,
+            warmup in 0u64..3,
+            ops in collection::vec(drive_op(), 0..120),
+        ) {
+            let (cfg, template) = tight_config(warmup);
+            let specs = [
+                FaultSpec::CrashBurst { slot: 4, fraction: 0.5 },
+                FaultSpec::SlotStalls { start_slot: 9, duration_slots: 3 },
+            ];
+            let plan = FaultPlan::compile(&specs, horizon, 7).expect("valid specs");
+            let recovery = RecoveryConfig {
+                backoff_base_slots: 1,
+                timeout_miss_slots: 2,
+                ..RecoveryConfig::default()
+            };
+            let build = || {
+                let mut e = ServerEngine::with_faults(
+                    &cfg, template, horizon, Some(&plan), Some(&recovery),
+                )
+                .expect("valid");
+                e.record_verdicts(true);
+                e
+            };
+            let (mut queued, mut filed) = (build(), build());
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let mut last = 0u64;
+            for (id, op) in (0u64..).zip(ops) {
+                let (arrival_slot, duration_slots) = match op {
+                    DriveOp::Ahead(k, d) => (last.saturating_add(k), d),
+                    DriveOp::Behind(k, d) => (last.saturating_sub(k), d),
+                    DriveOp::Late(k, d) => (queued.slot().saturating_sub(k), d),
+                    DriveOp::PastHorizon(k, d) => (horizon.saturating_add(k), d),
+                    DriveOp::Step(n) => {
+                        for _ in 0..n {
+                            prop_assert_eq!(queued.step_slot(None), filed.step_slot(None));
+                            queued.take_verdicts(&mut got);
+                            filed.take_verdicts(&mut want);
+                            prop_assert_eq!(&got, &want, "after slot {}", queued.slot());
+                        }
+                        continue;
+                    }
+                };
+                last = arrival_slot;
+                let request = SessionRequest { id, arrival_slot, duration_slots };
+                queued.offer(request);
+                offer_through_calendar(&mut filed, request);
+            }
+            while queued.step_slot(None) {
+                prop_assert!(filed.step_slot(None));
+            }
+            prop_assert!(!filed.step_slot(None));
+            queued.take_verdicts(&mut got);
+            filed.take_verdicts(&mut want);
+            prop_assert_eq!(got, want);
+            prop_assert!(queued.arrivals.offers.is_empty() && queued.arrivals.runs.is_empty());
+            prop_assert_eq!(queued.finish(), filed.finish());
+        }
+    }
+
+    /// An offer whose slot is behind the queue's last slot is filed in
+    /// the calendar, and drains after the queue's offers for its slot,
+    /// which were scheduled before it.
+    #[test]
+    fn a_backwards_offer_drains_after_the_queued_run() {
+        let (cfg, template) = tight_config(0);
+        let mut engine = ServerEngine::new(&cfg, template, 10).expect("valid");
+        engine.record_verdicts(true);
+        for (id, arrival_slot) in [(1, 2), (2, 5), (3, 2), (4, 5)] {
+            engine.offer(SessionRequest {
+                id,
+                arrival_slot,
+                duration_slots: 3,
+            });
+        }
+        assert_eq!(engine.arrivals.offers, [(1, 3), (2, 3), (4, 3)]);
+        assert_eq!(pending(&engine.calendar), 1, "offer 3 went backwards");
+        let mut verdicts = Vec::new();
+        while engine.slot() <= 2 {
+            engine.step_slot(None);
+        }
+        engine.take_verdicts(&mut verdicts);
+        let order: Vec<u64> = verdicts.iter().map(|&(id, _)| id).collect();
+        assert_eq!(
+            order,
+            [1, 3],
+            "slot 2: the queued offer, then the filed one"
+        );
+        while engine.step_slot(None) {}
+        engine.take_verdicts(&mut verdicts);
+        let order: Vec<u64> = verdicts.iter().map(|&(id, _)| id).collect();
+        assert_eq!(order, [1, 3, 2, 4]);
+    }
+
+    /// The calendar's high-water mark is the queue's boundary. Once a
+    /// departure is filed for slot 2, an offer for slot 2 is filed in
+    /// the calendar and drains after it, so the departure frees the
+    /// frontier first; an offer for slot 3 still takes the queue.
+    #[test]
+    fn an_offer_filed_after_a_departure_at_its_slot_drains_after_it() {
+        let (cfg, template) = tight_config(0);
+        let mut engine = ServerEngine::new(&cfg, template, 10).expect("valid");
+        engine.record_verdicts(true);
+        for id in 0..20 {
+            engine.offer(SessionRequest {
+                id,
+                arrival_slot: 0,
+                duration_slots: 2,
+            });
+        }
+        engine.step_slot(None);
+        let mut verdicts = Vec::new();
+        engine.take_verdicts(&mut verdicts);
+        let admitted = verdicts.iter().filter(|&&(_, ok)| ok).count();
+        assert!(
+            admitted > 0 && admitted < 20,
+            "the frontier binds: {admitted} of 20 admitted"
+        );
+        assert_eq!(engine.calendar.filed_end, 3, "departures filed at slot 2");
+
+        for (id, arrival_slot) in [(20, 2), (21, 3)] {
+            engine.offer(SessionRequest {
+                id,
+                arrival_slot,
+                duration_slots: 2,
+            });
+        }
+        assert_eq!(engine.arrivals.offers, [(21, 2)], "slot 3 takes the queue");
+        engine.step_slot(None);
+        engine.step_slot(None);
+        verdicts.clear();
+        engine.take_verdicts(&mut verdicts);
+        assert_eq!(verdicts, [(20, true)], "the departures drained first");
+    }
+
+    /// An engine that admits nothing files nothing in the calendar, so
+    /// every offer takes the queue. Fed one slot at a time, the queue
+    /// empties every slot and its capacity stays at the largest
+    /// one-slot batch over ten times as many slots.
+    #[test]
+    fn an_engine_fed_slot_by_slot_keeps_the_queue_at_one_batch() {
+        let slots = 1_100u64;
+        let (cfg, template) = tight_config(slots);
+        let mut engine = ServerEngine::new(&cfg, template, slots).expect("valid");
+        let (mut id, mut largest, mut capacity) = (0u64, 0usize, 0usize);
+        for slot in 0..slots {
+            // Batches of 1 to 64 offers; the largest comes early.
+            let batch = 1 + (slot * 37 % 64) as usize;
+            for _ in 0..batch {
+                engine.offer(SessionRequest {
+                    id,
+                    arrival_slot: slot,
+                    duration_slots: 5,
+                });
+                id += 1;
+            }
+            largest = largest.max(batch);
+            assert_eq!(engine.arrivals.offers.len(), batch, "slot {slot}");
+            assert!(engine.step_slot(None));
+            assert!(engine.arrivals.offers.is_empty() && engine.arrivals.runs.is_empty());
+            if slot == slots / 11 {
+                capacity = engine.arrivals.offers.capacity();
+                assert_eq!(largest, 64);
+                assert!(capacity >= largest && capacity < 2 * largest);
+            }
+        }
+        assert_eq!(engine.arrivals.offers.capacity(), capacity);
+        assert_eq!(pending(&engine.calendar), 0);
+        assert_eq!(engine.rejected(), id, "the warm-up gate refused all");
     }
 
     fn add_loop(sum: f64, u: f64, n: u64) -> f64 {

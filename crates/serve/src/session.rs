@@ -2,8 +2,9 @@
 //! over one shared link.
 //!
 //! [`ServerSim`] runs an open-loop [`Workload`] through
-//! a slotted server: every slot it drains the slot's arrival, departure
-//! and retry events from a per-slot calendar (in scheduling order),
+//! a slotted server: every slot it drains the slot's arrivals from a
+//! slot-ordered arrival queue, then its departures and retries from a
+//! per-slot calendar (together, scheduling order),
 //! asks the [`crate::AdmissionController`] about each
 //! arrival, lets the [`crate::LayerController`] pick
 //! the slot's FGS layer cap, and then divides the link capacity over
@@ -175,7 +176,8 @@ impl ServerSim {
 
     /// Runs `workload` to its horizon and reports what happened.
     ///
-    /// Arrivals are pre-scheduled in generation order, so same-slot
+    /// Arrivals are pre-scheduled in generation order, before any
+    /// departure, so they all take the engine's arrival queue: same-slot
     /// arrivals drain FIFO by session id and always ahead of same-slot
     /// departures (departures are scheduled later, at admission time) —
     /// admission is thus deliberately conservative at the slot edge.
