@@ -23,7 +23,10 @@
 //! [`NetError::Protocol`] violation, not a reorder. An offer whose
 //! slot the wall clock has already passed simply lands on the next
 //! unstepped slot — [`dms_serve::ServerEngine::offer`]'s late-frame
-//! rule.
+//! rule. An offer that would land at or past the horizon could never
+//! be decided, so it is a [`NetError::Protocol`] violation too, and
+//! the engine never sees it; a heartbeat past the horizon is clamped
+//! to it.
 //!
 //! On [`Frame::Shutdown`] the driver drains every remaining slot so
 //! in-flight sessions play out, then checks its own counts of offers
@@ -182,7 +185,9 @@ impl SessionDriver {
     /// [`NetError::Version`] on a handshake mismatch,
     /// [`NetError::Protocol`] on out-of-order frames (offer before
     /// hello, slot going backwards, frames after shutdown, verdict
-    /// frames sent *to* the server), [`NetError::Ledger`] if at
+    /// frames sent *to* the server) and on an offer that would land at
+    /// or past the horizon, which is refused before the engine steps
+    /// or counts it; [`NetError::Ledger`] if at
     /// shutdown the driver's counts disagree with the engine's,
     /// [`NetError::Io`] if the attached run-log fails to write.
     pub fn on_frame(&mut self, frame: Frame, out: &mut Vec<Frame>) -> Result<(), NetError> {
@@ -222,6 +227,10 @@ impl SessionDriver {
                 }
                 if arrival_slot < self.last_offer_slot {
                     return Err(NetError::Protocol("offer slot went backwards"));
+                }
+                // The engine would count it and never decide it.
+                if arrival_slot.max(self.engine.slot()) >= self.engine.horizon() {
+                    return Err(NetError::Protocol("offer past the horizon"));
                 }
                 self.last_offer_slot = arrival_slot;
                 self.advance_to(arrival_slot, out)?;
@@ -695,33 +704,56 @@ mod tests {
         assert_eq!(admitted as u64, report.admitted);
     }
 
+    fn offer(id: u64, arrival_slot: u64) -> Frame {
+        Frame::Offer {
+            id,
+            arrival_slot,
+            duration_slots: 5,
+        }
+    }
+
+    /// An offer stamped at or past the horizon could never be decided.
+    /// It is refused before the engine steps or counts it, so it
+    /// neither drains the run nor blocks later offers, and the shutdown
+    /// ledger holds only the offers that were decided.
     #[test]
-    fn drained_offers_balance_the_shutdown_ledger() {
+    fn an_offer_past_the_horizon_is_refused_before_the_engine_sees_it() {
         let (cfg, workload) = setup(1.0, 50, 3);
-        let dir = temp_dir("drained");
+        let dir = temp_dir("past_horizon");
         let mut driver = driver_for(&cfg, &workload);
         driver.attach_run_log(RunLogWriter::create(&dir).expect("create"));
         let mut out = Vec::new();
         driver.on_frame(hello(50), &mut out).unwrap();
-        // An offer stamped beyond the horizon can never be decided:
-        // it must show up as drained, not vanish.
+        out.clear();
+        for arrival_slot in [50, 60, u64::MAX] {
+            let err = driver.on_frame(offer(7, arrival_slot), &mut out);
+            assert!(
+                matches!(err, Err(NetError::Protocol("offer past the horizon"))),
+                "slot {arrival_slot}: {err:?}"
+            );
+        }
+        assert_eq!((driver.engine().slot(), driver.engine().offered()), (0, 0));
+        assert!(out.is_empty(), "no slot was stepped");
+
+        driver.on_frame(offer(8, 3), &mut out).unwrap();
         driver
-            .on_frame(
-                Frame::Offer {
-                    id: 7,
-                    arrival_slot: 60,
-                    duration_slots: 5,
-                },
-                &mut out,
-            )
+            .on_frame(Frame::Heartbeat { slot: 50 }, &mut out)
             .unwrap();
+        assert_eq!(out, [Frame::Admit { id: 8, slot: 3 }]);
+        // At the horizon, even an offer stamped before it would land
+        // past it.
+        let err = driver.on_frame(offer(9, 3), &mut out);
+        assert!(matches!(
+            err,
+            Err(NetError::Protocol("offer past the horizon"))
+        ));
         driver
             .on_frame(Frame::Shutdown { reason: 0 }, &mut out)
             .unwrap();
         let scan = read_log(&dir);
         let counts =
             ["offered", "admitted", "rejected", "drained"].map(|f| summary_count(&scan, f));
-        assert_eq!(counts, [1, 0, 0, 1]);
+        assert_eq!(counts, [1, 1, 0, 0]);
     }
 
     /// A driver dropped mid-session, as when the peer closes before

@@ -4,8 +4,7 @@
 //! stream a peer can send.
 
 use dms_net::{
-    drive_direct, DriverConfig, Frame, FrameCodec, NetError, SessionDriver, MAX_PAYLOAD,
-    PROTOCOL_VERSION,
+    DriverConfig, Frame, FrameCodec, NetError, SessionDriver, MAX_PAYLOAD, PROTOCOL_VERSION,
 };
 use dms_serve::{
     AdmissionPolicy, CapacityModel, DegradeConfig, ServerConfig, SessionRequest, SessionTemplate,
@@ -151,8 +150,10 @@ proptest! {
 
     /// Any offer stream a peer may send in slot order — durations up
     /// to `u64::MAX`, arrivals past the horizon — drives the server to
-    /// shutdown without a panic. The summary ledger closes, and every
-    /// decided offer gets exactly one verdict frame.
+    /// shutdown without a panic. Exactly the offers at or past the
+    /// horizon are refused with a typed error, before the engine
+    /// counts them. The summary ledger closes with nothing drained, and
+    /// every decided offer gets exactly one verdict frame.
     #[test]
     fn hostile_offers_close_the_driver_ledger(
         horizon in 1u64..=64,
@@ -183,7 +184,34 @@ proptest! {
             .expect("valid driver");
         let dir = std::env::temp_dir().join(format!("dms-net-ledger-{}", std::process::id()));
         driver.attach_run_log(RunLogWriter::create(&dir).expect("create run-log dir"));
-        let report = drive_direct(driver, 1, &offers).expect("drives");
+        let mut out = Vec::new();
+        let hello = Frame::Hello { version: PROTOCOL_VERSION, client_id: 1, slots: horizon };
+        driver.on_frame(hello, &mut out).expect("hello");
+        let mut accepted = 0u64;
+        for req in &offers {
+            let offer = Frame::Offer {
+                id: req.id,
+                arrival_slot: req.arrival_slot,
+                duration_slots: req.duration_slots,
+            };
+            match driver.on_frame(offer, &mut out) {
+                Ok(()) => accepted += 1,
+                Err(NetError::Protocol("offer past the horizon")) => {
+                    prop_assert!(req.arrival_slot >= horizon);
+                }
+                Err(e) => panic!("offer {}: {e}", req.id),
+            }
+        }
+        driver.on_frame(Frame::Shutdown { reason: 0 }, &mut out).expect("shuts down");
+        let verdicts = |admit: bool| {
+            out.iter()
+                .filter(|f| match f {
+                    Frame::Admit { .. } => admit,
+                    Frame::Reject { .. } => !admit,
+                    _ => false,
+                })
+                .count() as u64
+        };
         let scan = RunLogReader::open(&dir).and_then(|r| r.read_all()).expect("reads back");
         std::fs::remove_dir_all(&dir).expect("cleanup");
         prop_assert!(scan.clean_close);
@@ -196,10 +224,12 @@ proptest! {
             }
         };
         let offered = field("offered");
-        prop_assert_eq!(offered, offers.len() as u64);
-        prop_assert_eq!(field("admitted") + field("rejected") + field("drained"), offered);
-        prop_assert_eq!(report.admitted, field("admitted"));
-        prop_assert_eq!(report.rejected, field("rejected"));
+        let in_horizon = offers.iter().filter(|r| r.arrival_slot < horizon).count() as u64;
+        prop_assert_eq!((offered, accepted), (in_horizon, in_horizon));
+        prop_assert_eq!(field("drained"), 0);
+        prop_assert_eq!(field("admitted") + field("rejected"), offered);
+        prop_assert_eq!(verdicts(true), field("admitted"));
+        prop_assert_eq!(verdicts(false), field("rejected"));
     }
 }
 

@@ -23,15 +23,23 @@
 //! agree.
 //!
 //! First offers that keep that order by construction skip the slot
-//! calendar. An offer joins the arrival queue, 16 bytes in slot order,
-//! when its slot is not behind the queue's last slot and the calendar
-//! has never filed anything at or after it; every entry the calendar
-//! files for that slot is then scheduled later. A slot drains the
-//! entries filed for the previous slot after its drain, then the
-//! queue's run for the slot, then the slot's calendar bucket, which is
-//! scheduling order. Every batch run takes the queue. An offer injected
-//! after departures were filed at or after its slot, or one whose slot
-//! goes backwards, is filed in the calendar as an `Arrive` event.
+//! calendar. An offer joins the arrival queue, in slot order, when its
+//! slot is not behind the queue's last slot and the calendar has never
+//! filed anything at or after it; every entry the calendar files for
+//! that slot is then scheduled later. A slot drains the entries filed
+//! for the previous slot after its drain, then the queue's run for the
+//! slot, then the slot's calendar bucket, which is scheduling order.
+//! Every batch run takes the queue. An offer injected after departures
+//! were filed at or after its slot, or one whose slot goes backwards,
+//! is filed in the calendar as an `Arrive` event.
+//!
+//! A queued offer costs 4 bytes: one word holding its duration and the
+//! step from the previous queued offer's id. An offer whose id steps
+//! backwards or by 256 or more, or whose duration reaches 2^24 - 1
+//! slots, takes a marker word plus its exact 16-byte `(id, duration)`
+//! in a side queue. A drained calendar bucket whose ring position
+//! serves no later slot before the horizon frees its buffers, so what
+//! the calendar holds follows the slots still ahead.
 //!
 //! The engine advances one slot per [`ServerEngine::step_slot`] call
 //! and never looks at a wall clock: whoever drives it (a `for` loop or
@@ -270,29 +278,60 @@ impl SlotCalendar {
 
     /// Moves the entries due at `slot`, the cursor, into `due` and
     /// advances the cursor; [`Bucket::runs`] walks them in drain order.
-    /// The drained bucket keeps `due`'s old buffers, so a steady state
-    /// allocates nothing.
+    /// If the drained ring position serves a later slot before the
+    /// horizon, it keeps `due`'s old buffers, so a steady state
+    /// allocates nothing; otherwise those buffers are freed, and the
+    /// position holds none.
     fn drain_slot(&mut self, slot: u64, due: &mut Bucket) {
         debug_assert_eq!(slot, self.cursor, "slots drain in order");
-        due.clear();
-        std::mem::swap(self.bucket(slot), due);
+        let serves_later = slot.saturating_add(self.ring.len() as u64) < self.horizon;
+        let bucket = self.bucket(slot);
+        if serves_later {
+            due.clear();
+            std::mem::swap(bucket, due);
+        } else {
+            *due = std::mem::take(bucket);
+        }
         self.cursor += 1;
         self.refill();
     }
 }
 
-/// First offers in slot order, as 16-byte `(id, duration)` entries,
-/// and the slot each run of them arrives at. The engine files an offer
-/// here only when the queue's run for its slot drains where a
-/// `(time, insertion)` queue would pop it (see the module doc). Entries
-/// leave as their slot drains, so the queue holds only undrained offers.
+/// Bits of a queued offer's word that hold its id step.
+const STEP_BITS: u32 = 8;
+
+/// The word of a queued offer that does not pack; its `(id, duration)`
+/// waits in [`ArrivalQueue::wide`]. No packed word equals it, because a
+/// packed duration stays below `WIDE >> STEP_BITS`.
+const WIDE: u32 = u32::MAX;
+
+/// First offers in slot order, and the slot each run of them arrives
+/// at. The engine files an offer here only when the queue's run for its
+/// slot drains where a `(time, insertion)` queue would pop it (see the
+/// module doc). Entries leave as their slot drains, so the queue holds
+/// only undrained offers.
+///
+/// Each offer is one word, `duration << 8 | step`, where `step` is its
+/// id minus the previous queued offer's id. An offer whose id goes
+/// backwards or steps by 256 or more, or whose duration is at least
+/// 2^24 - 1 slots, is the word [`WIDE`] instead, and its exact
+/// `(id, duration)` waits in a side queue. The queue is lossless and
+/// drains in push order; a trace whose ids count up by less than 256
+/// between offers, as every generated workload's do, costs 4 bytes an
+/// offer.
 #[derive(Debug, Default)]
 struct ArrivalQueue {
-    /// `(id, duration)` per offer, oldest first.
-    offers: VecDeque<(u64, u64)>,
+    /// One word per offer, oldest first.
+    words: VecDeque<u32>,
+    /// `(id, duration)` per [`WIDE`] word, oldest first.
+    wide: VecDeque<(u64, u64)>,
     /// `(slot, n)`: the `n` offers after the earlier runs' arrive at
     /// `slot`. Slots strictly increase.
     runs: VecDeque<(u64, usize)>,
+    /// Id of the last offer pushed; the next word steps from it.
+    pushed_id: u64,
+    /// Id of the last offer drained; the next word decodes from it.
+    drained_id: u64,
 }
 
 impl ArrivalQueue {
@@ -306,12 +345,22 @@ impl ArrivalQueue {
             Some((last, n)) if *last == slot => *n += 1,
             _ => self.runs.push_back((slot, 1)),
         }
-        self.offers.push_back((id, duration));
+        let word = match id.checked_sub(self.pushed_id) {
+            Some(step) if step >> STEP_BITS == 0 && duration < u64::from(WIDE >> STEP_BITS) => {
+                (duration as u32) << STEP_BITS | step as u32
+            }
+            _ => {
+                self.wide.push_back((id, duration));
+                WIDE
+            }
+        };
+        self.words.push_back(word);
+        self.pushed_id = id;
     }
 
-    /// Removes and yields the offers arriving at `slot`, which must not
-    /// be past the first run's slot.
-    fn drain_run(&mut self, slot: u64) -> std::collections::vec_deque::Drain<'_, (u64, u64)> {
+    /// Removes and yields the offers arriving at `slot` as
+    /// `(id, duration)`, which must not be past the first run's slot.
+    fn drain_run(&mut self, slot: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
         let n = match self.runs.front() {
             Some(&(first, n)) if first == slot => {
                 self.runs.pop_front();
@@ -320,7 +369,19 @@ impl ArrivalQueue {
             _ => 0,
         };
         debug_assert!(self.runs.front().is_none_or(|&(first, _)| first > slot));
-        self.offers.drain(..n)
+        let (wide, last) = (&mut self.wide, &mut self.drained_id);
+        self.words.drain(..n).map(move |word| {
+            let offer = if word == WIDE {
+                wide.pop_front().expect("a wide offer per marker word")
+            } else {
+                (
+                    *last + u64::from(word & ((1 << STEP_BITS) - 1)),
+                    u64::from(word >> STEP_BITS),
+                )
+            };
+            *last = offer.0;
+            offer
+        })
     }
 }
 
@@ -1562,6 +1623,77 @@ mod tests {
         }
     }
 
+    /// Buffers a bucket holds, whether or not it holds entries.
+    fn capacity(bucket: &Bucket) -> usize {
+        bucket.events.capacity() + bucket.departs.capacity() + bucket.marks.capacity()
+    }
+
+    /// Files a retry, two departures and another retry at `slot`, so
+    /// its bucket grows all three buffers.
+    fn file_mixed(cal: &mut SlotCalendar, slot: u64) {
+        let retry = ServerEvent::Retry {
+            id: slot,
+            attempt: 0,
+            remaining: 1,
+        };
+        cal.schedule(slot, retry);
+        for handle in 0..2 {
+            cal.schedule_departure(slot, Departure { handle, gen: 0 });
+        }
+        cal.schedule(slot, retry);
+    }
+
+    /// With the horizon inside the ring, no drained position serves a
+    /// later slot, so each one frees its buffers as it drains and the
+    /// ring ends the run holding none.
+    #[test]
+    fn a_drained_bucket_past_its_last_slot_holds_no_buffer() {
+        let horizon = 24;
+        let mut cal = SlotCalendar::new(horizon, 32);
+        for slot in (0..horizon).rev() {
+            file_mixed(&mut cal, slot);
+        }
+        assert_eq!(cal.ring.len(), 32, "the ring covers the horizon");
+        let (mut overdue, mut due) = (Bucket::default(), Bucket::default());
+        for slot in 0..horizon {
+            cal.drain_overdue(&mut overdue);
+            cal.drain_slot(slot, &mut due);
+            assert_eq!((due.events.len(), due.departs.len()), (2, 2), "slot {slot}");
+            assert_eq!(capacity(cal.bucket(slot)), 0, "slot {slot}");
+        }
+        assert!(cal.ring.iter().all(|b| capacity(b) == 0));
+    }
+
+    /// With a horizon several ring lengths long, a drained position
+    /// that serves a later slot parks the previous slot's buffers, so
+    /// a steady state allocates nothing; only the positions past their
+    /// last slot free theirs.
+    #[test]
+    fn a_drained_bucket_that_serves_a_later_slot_keeps_its_capacity() {
+        let (window, horizon) = (8u64, 40u64);
+        let mut cal = SlotCalendar::new(horizon, window as usize);
+        for slot in 0..window {
+            file_mixed(&mut cal, slot);
+        }
+        let (mut overdue, mut due) = (Bucket::default(), Bucket::default());
+        for slot in 0..horizon {
+            let parked = capacity(&due);
+            cal.drain_overdue(&mut overdue);
+            cal.drain_slot(slot, &mut due);
+            assert_eq!((due.events.len(), due.departs.len()), (2, 2), "slot {slot}");
+            let later = slot + window;
+            let held = capacity(cal.bucket(later));
+            if later < horizon {
+                assert_eq!(held, parked, "slot {slot}: the position recycles");
+                assert!(slot == 0 || held > 0, "slot {slot}");
+                file_mixed(&mut cal, later);
+            } else {
+                assert_eq!(held, 0, "slot {slot}: past its last slot");
+            }
+        }
+        assert!(cal.ring.iter().all(|b| capacity(b) == 0));
+    }
+
     /// A twelve-session link whose predictor admits some of 40 offers
     /// at slot 0, all departing at slot 5, and one more offer for slot
     /// 5. A batch run files that offer before the departures and so
@@ -1628,6 +1760,22 @@ mod tests {
         assert!(incremental, "incremental: the departures drain first");
     }
 
+    /// The offers `queue` holds as `(id, duration)`, oldest first: a
+    /// copy of it drained run by run.
+    fn decode(queue: &ArrivalQueue) -> Vec<(u64, u64)> {
+        let mut copy = ArrivalQueue {
+            words: queue.words.clone(),
+            wide: queue.wide.clone(),
+            runs: queue.runs.clone(),
+            ..*queue
+        };
+        let mut offers = Vec::new();
+        for &(slot, _) in &queue.runs {
+            offers.extend(copy.drain_run(slot));
+        }
+        offers
+    }
+
     /// [`ServerEngine::offer`] without the arrival queue: every offer
     /// filed as a calendar `Arrive` event. The queue's order oracle.
     fn offer_through_calendar(engine: &mut ServerEngine, request: SessionRequest) {
@@ -1679,7 +1827,18 @@ mod tests {
     }
 
     fn drive_op() -> impl Strategy<Value = DriveOp> {
-        let duration = || prop_oneof![Just(0u64), Just(u64::MAX), 1u64..12];
+        // Beside short ones: the longest duration a queue word holds,
+        // the first two it does not, and one that saturates.
+        let duration = || {
+            prop_oneof![
+                Just(0u64),
+                Just(u64::MAX),
+                1u64..12,
+                Just((1 << 24) - 2),
+                Just((1 << 24) - 1),
+                Just(1 << 24),
+            ]
+        };
         let ahead = || (prop_oneof![Just(0u64), 0u64..4], duration());
         let step = || (1u64..4).prop_map(DriveOp::Step);
         prop_oneof![
@@ -1695,19 +1854,34 @@ mod tests {
         ]
     }
 
+    /// How far an offer's id moves from the previous offer's: not at
+    /// all, by 1, by up to the largest step a queue word holds, by the
+    /// first it does not, by 2^32, or backwards (wrapping below 0).
+    fn id_step() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            Just(0u64),
+            Just(1),
+            2u64..256,
+            Just(256),
+            Just(1 << 32),
+            (1u64..300).prop_map(|k| k.wrapping_neg()),
+        ]
+    }
+
     proptest! {
         /// The arrival queue moves no verdict: through random
         /// interleavings of offers and steps (offers at the same slot,
         /// ascending, backwards, late, at and past the horizon, with
-        /// durations 0 and `u64::MAX`), under crashes, stalls, retries,
-        /// timeouts and a warm-up gate, the verdict stream slot by slot
-        /// and the final report equal an engine's that files every
-        /// offer in the calendar.
+        /// ids that repeat, count up, jump or go backwards, and
+        /// durations on both sides of what a queue word holds), under
+        /// crashes, stalls, retries, timeouts and a warm-up gate, the
+        /// verdict stream slot by slot and the final report equal an
+        /// engine's that files every offer in the calendar.
         #[test]
         fn arrival_queue_matches_the_calendar_path(
             horizon in 1u64..40,
             warmup in 0u64..3,
-            ops in collection::vec(drive_op(), 0..120),
+            ops in collection::vec((drive_op(), id_step()), 0..120),
         ) {
             let (cfg, template) = tight_config(warmup);
             let specs = [
@@ -1730,8 +1904,8 @@ mod tests {
             };
             let (mut queued, mut filed) = (build(), build());
             let (mut got, mut want) = (Vec::new(), Vec::new());
-            let mut last = 0u64;
-            for (id, op) in (0u64..).zip(ops) {
+            let (mut last, mut id) = (0u64, 1u64 << 20);
+            for (op, step) in ops {
                 let (arrival_slot, duration_slots) = match op {
                     DriveOp::Ahead(k, d) => (last.saturating_add(k), d),
                     DriveOp::Behind(k, d) => (last.saturating_sub(k), d),
@@ -1748,6 +1922,7 @@ mod tests {
                     }
                 };
                 last = arrival_slot;
+                id = id.wrapping_add(step);
                 let request = SessionRequest { id, arrival_slot, duration_slots };
                 queued.offer(request);
                 offer_through_calendar(&mut filed, request);
@@ -1759,7 +1934,8 @@ mod tests {
             queued.take_verdicts(&mut got);
             filed.take_verdicts(&mut want);
             prop_assert_eq!(got, want);
-            prop_assert!(queued.arrivals.offers.is_empty() && queued.arrivals.runs.is_empty());
+            let q = &queued.arrivals;
+            prop_assert!(q.words.is_empty() && q.wide.is_empty() && q.runs.is_empty());
             prop_assert_eq!(queued.finish(), filed.finish());
         }
     }
@@ -1779,7 +1955,7 @@ mod tests {
                 duration_slots: 3,
             });
         }
-        assert_eq!(engine.arrivals.offers, [(1, 3), (2, 3), (4, 3)]);
+        assert_eq!(decode(&engine.arrivals), [(1, 3), (2, 3), (4, 3)]);
         assert_eq!(pending(&engine.calendar), 1, "offer 3 went backwards");
         let mut verdicts = Vec::new();
         while engine.slot() <= 2 {
@@ -1831,7 +2007,11 @@ mod tests {
                 duration_slots: 2,
             });
         }
-        assert_eq!(engine.arrivals.offers, [(21, 2)], "slot 3 takes the queue");
+        assert_eq!(
+            decode(&engine.arrivals),
+            [(21, 2)],
+            "slot 3 takes the queue"
+        );
         engine.step_slot(None);
         engine.step_slot(None);
         verdicts.clear();
@@ -1861,16 +2041,16 @@ mod tests {
                 id += 1;
             }
             largest = largest.max(batch);
-            assert_eq!(engine.arrivals.offers.len(), batch, "slot {slot}");
+            assert_eq!(decode(&engine.arrivals).len(), batch, "slot {slot}");
             assert!(engine.step_slot(None));
-            assert!(engine.arrivals.offers.is_empty() && engine.arrivals.runs.is_empty());
+            assert!(engine.arrivals.words.is_empty() && engine.arrivals.runs.is_empty());
             if slot == slots / 11 {
-                capacity = engine.arrivals.offers.capacity();
+                capacity = engine.arrivals.words.capacity();
                 assert_eq!(largest, 64);
                 assert!(capacity >= largest && capacity < 2 * largest);
             }
         }
-        assert_eq!(engine.arrivals.offers.capacity(), capacity);
+        assert_eq!(engine.arrivals.words.capacity(), capacity);
         assert_eq!(pending(&engine.calendar), 0);
         assert_eq!(engine.rejected(), id, "the warm-up gate refused all");
     }
