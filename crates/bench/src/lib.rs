@@ -25,7 +25,7 @@ use dms_asip::flow::{DesignFlow, FlowConstraints};
 use dms_asip::workloads;
 use dms_cluster::{
     aggregate_utility, AdaptiveConfig, AdaptiveControl, AdaptiveSim, ArmSelection, AutoscaleConfig,
-    BalancerPolicy, ClusterConfig, ClusterReport, ClusterSim, ShardFault,
+    BalancerPolicy, ClusterConfig, ClusterReport, ClusterSim,
 };
 use dms_manet::lifetime::{run_lifetime, LifetimeConfig};
 use dms_manet::routing::Protocol;
@@ -1487,8 +1487,6 @@ const E14_POST_WINDOW: (u64, u64) = (300, E14_SLOTS);
 const E14_WORKLOAD_SEED: u64 = 1404;
 /// Seed of the balancer's power-of-two-choices candidate stream.
 const E14_P2C_SEED: u64 = 1409;
-/// Seed of the compiled crash plans.
-const E14_PLAN_SEED: u64 = 1414;
 
 /// Capacity weights of an `N`-shard fleet: a single shard takes the
 /// whole unit; larger fleets alternate big (1.5) and small (0.5)
@@ -1543,32 +1541,16 @@ fn e14_cluster(point: E14Point, template: &SessionTemplate) -> ClusterSim {
     .expect("valid config")
 }
 
-/// The crash arm's fault list: the last shard — one of the *small*
-/// ones in every skewed fleet — dies completely at [`E14_CRASH_SLOT`],
-/// with the balancer's failure detector flagging it the same slot.
-fn e14_faults(point: E14Point) -> Vec<ShardFault> {
+/// The crash arm's death list: the last shard — one of the *small*
+/// ones in every skewed fleet — dies at [`E14_CRASH_SLOT`], where the
+/// balancer routes around it and the shard crashes everything it
+/// holds.
+fn e14_deaths(point: E14Point) -> Vec<Option<u64>> {
     if !point.crash {
         return Vec::new();
     }
     (0..point.shards)
-        .map(|i| {
-            if i == point.shards - 1 {
-                ShardFault {
-                    plan: FaultPlan::compile(
-                        &[FaultSpec::CrashBurst {
-                            slot: E14_CRASH_SLOT,
-                            fraction: 1.0,
-                        }],
-                        E14_SLOTS,
-                        E14_PLAN_SEED,
-                    )
-                    .expect("grid specs are valid"),
-                    down_from: Some(E14_CRASH_SLOT),
-                }
-            } else {
-                ShardFault::default()
-            }
-        })
+        .map(|i| (i == point.shards - 1).then_some(E14_CRASH_SLOT))
         .collect()
 }
 
@@ -1588,7 +1570,7 @@ pub fn e14_run_point_instrumented(
     let workload = Workload::generate(ArrivalProcess::Poisson { rate }, template, E14_SLOTS, seed)
         .expect("valid workload");
     e14_cluster(point, &template)
-        .run_faulted(&workload, &e14_faults(point), sinks)
+        .run_faulted(&workload, &e14_deaths(point), sinks)
         .expect("valid config")
 }
 
@@ -2819,7 +2801,7 @@ impl Sweep for E17AdaptiveFleet {
             }
             E17Arm::Adaptive => {
                 let sim = AdaptiveSim::new(e17_adaptive_config()).expect("valid config");
-                let report = sim.run(&workload, None).expect("adaptive run");
+                let report = sim.run(&workload).expect("adaptive run");
                 E17Outcome {
                     cluster: report.cluster,
                     control: Some(report.control),

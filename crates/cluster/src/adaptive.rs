@@ -17,14 +17,13 @@
 //!    shards (the same mirror predictors the balancers route with)
 //!    and provisions or drains one shard. A freshly provisioned shard
 //!    pays a warm-up cost: the balancer routes nothing to it for
-//!    `warmup_slots`, and its server-side warm-up gate rejects
-//!    anything that slips through — yet it counts against the
-//!    shard-hour bill from the moment it is provisioned. Scale-in
-//!    takes the shard down through the endpoint's crash path: the
-//!    shard is marked down, its in-flight sessions are re-offered to
-//!    the survivors with their remaining duration (counted
-//!    `rerouted`), and the execution phase crashes the shard's active
-//!    set at the drain slot exactly like a fault would.
+//!    `warmup_slots`, so the shard never sees an offer before it is
+//!    warm — yet it counts against the shard-hour bill from the moment
+//!    it is provisioned. Scale-in takes the shard down through the
+//!    endpoint's death path: the shard is marked down, its in-flight
+//!    sessions are re-offered to the survivors with their remaining
+//!    duration (counted `rerouted`), and the execution phase runs the
+//!    drain slot as the shard's death, crashing its active set there.
 //! 2. **Feedback shedding** — per-shard PI controllers on the
 //!    measured deadline-miss rate ([`dms_serve::PiConfig`]) replace
 //!    the open-loop hysteresis thresholds when the shard config asks
@@ -49,11 +48,11 @@
 //! still samples occupancy, but sampling is pure modulo memo fills
 //! that are bit-identical to the direct evaluation.
 
-use dms_serve::{RecoveryConfig, ServeError, ServeMetricsSink, ServerConfig, Workload};
-use dms_sim::{FaultPlan, FaultSpec, MetricsRegistry};
+use dms_serve::{RecoveryConfig, ServeError, ServerConfig, Workload};
+use dms_sim::MetricsRegistry;
 
 use crate::balancer::{BalancerPolicy, Route, ShardState};
-use crate::cluster::{ClusterConfig, ClusterReport, ClusterSim, DispatchReport, ShardFault};
+use crate::cluster::{ClusterConfig, ClusterReport, ClusterSim, DispatchReport};
 use crate::endpoint::FleetEndpoint;
 
 /// `ln 2` in Q16 — the quantum of the integer `ln` approximation.
@@ -573,13 +572,14 @@ impl AdaptiveSim {
         Ok(AdaptiveSim { config })
     }
 
-    /// The static fleet over `shards` that the adaptive one dispatches
-    /// and executes on. Its balancer is the first arm (execution never
-    /// re-routes): the pinned arm in the differential case, where the
-    /// config is then exactly the static cluster's.
-    fn cluster_config(&self, shards: Vec<ServerConfig>) -> ClusterConfig {
+    /// The static fleet of `max_shards` template shards that the
+    /// adaptive one dispatches and executes on. Its balancer is the
+    /// first arm (execution never re-routes): the pinned arm in the
+    /// differential case, where the config is then exactly the static
+    /// cluster's.
+    fn cluster_config(&self) -> ClusterConfig {
         ClusterConfig {
-            shards,
+            shards: vec![self.config.shard; self.config.autoscale.max_shards],
             balancer: match self.config.arms {
                 ArmSelection::Fixed(policy) => policy,
                 ArmSelection::Ucb { .. } => ARMS[0],
@@ -590,9 +590,8 @@ impl AdaptiveSim {
     }
 
     /// The adaptive dispatch pass alone: per-shard workloads, the
-    /// execution-phase fault plans (crash bursts at scale-in edges)
-    /// and the control trace. Sequential and simulation-free, like
-    /// [`ClusterSim::dispatch`].
+    /// routing ledger and the control trace. Sequential and
+    /// simulation-free, like [`ClusterSim::dispatch`].
     ///
     /// # Errors
     ///
@@ -601,18 +600,10 @@ impl AdaptiveSim {
     pub fn dispatch(
         &self,
         workload: &Workload,
-    ) -> Result<
-        (
-            Vec<Workload>,
-            Vec<ShardFault>,
-            DispatchReport,
-            AdaptiveControl,
-        ),
-        ServeError,
-    > {
+    ) -> Result<(Vec<Workload>, DispatchReport, AdaptiveControl), ServeError> {
         let n = self.config.autoscale.max_shards;
         let mut endpoint = FleetEndpoint::with_faults(
-            &self.cluster_config(vec![self.config.shard; n]),
+            &self.cluster_config(),
             workload.template,
             workload.slots,
             &[],
@@ -638,28 +629,6 @@ impl AdaptiveSim {
                 }
             }
         }
-        let any_drain = ctl.drained_at.iter().any(Option::is_some);
-        let faults: Vec<ShardFault> = if any_drain {
-            (0..n)
-                .map(|i| match ctl.drained_at[i] {
-                    Some(at) => Ok(ShardFault {
-                        plan: FaultPlan::compile(
-                            &[FaultSpec::CrashBurst {
-                                slot: at,
-                                fraction: 1.0,
-                            }],
-                            slots,
-                            self.config.seed,
-                        )
-                        .map_err(|_| ServeError::InvalidParameter("drain_plan"))?,
-                        down_from: Some(at),
-                    }),
-                    None => Ok(ShardFault::default()),
-                })
-                .collect::<Result<_, ServeError>>()?
-        } else {
-            Vec::new()
-        };
         let control = AdaptiveControl {
             scale_events: ctl.scale_events,
             windows: ctl.windows,
@@ -668,40 +637,22 @@ impl AdaptiveSim {
             provisioned_at: ctl.provisioned_at,
             drained_at: ctl.drained_at,
         };
-        Ok((workloads, faults, report, control))
+        Ok((workloads, report, control))
     }
 
     /// Runs the full adaptive pipeline: closed-loop dispatch, then the
     /// standard [`ClusterSim`] parallel shard execution (byte-identical
-    /// at any `DMS_THREADS`). Warm shards keep the template shard
-    /// config; a shard provisioned at slot `a` additionally gets the
-    /// server-side warm-up gate `warmup_slots = a + warmup` when the
-    /// template has a degrade block.
+    /// at any `DMS_THREADS`). Every shard runs the template shard
+    /// config; a drained shard dies at its drain slot, exactly like a
+    /// shard death in [`ClusterSim::run_faulted`].
     ///
     /// # Errors
     ///
     /// Propagates dispatch and shard-run validation.
-    pub fn run(
-        &self,
-        workload: &Workload,
-        sinks: Option<&mut Vec<ServeMetricsSink>>,
-    ) -> Result<AdaptiveReport, ServeError> {
-        let (workloads, faults, dispatch, control) = self.dispatch(workload)?;
-        let shards: Vec<ServerConfig> = control
-            .provisioned_at
-            .iter()
-            .map(|p| {
-                let mut cfg = self.config.shard;
-                if let (Some(a), Some(degrade)) = (p, cfg.degrade.as_mut()) {
-                    if *a > 0 {
-                        degrade.warmup_slots = a + self.config.autoscale.warmup_slots;
-                    }
-                }
-                cfg
-            })
-            .collect();
-        let cluster = ClusterSim::new(self.cluster_config(shards))?;
-        let report = cluster.run_dispatched(workloads, dispatch, &faults, sinks)?;
+    pub fn run(&self, workload: &Workload) -> Result<AdaptiveReport, ServeError> {
+        let (workloads, dispatch, control) = self.dispatch(workload)?;
+        let cluster = ClusterSim::new(self.cluster_config())?;
+        let report = cluster.run_dispatched(workloads, dispatch, &control.drained_at, None)?;
         Ok(AdaptiveReport {
             cluster: report,
             control,

@@ -17,7 +17,9 @@
 //!    balancer rejection when it is filed. The pass touches no
 //!    simulation state, so it is trivially deterministic.
 //! 2. **Shard execution** — the per-shard workloads run as independent
-//!    [`ServerSim`] jobs on a [`ParRunner`], merged in job order. Each
+//!    [`ServerSim`] jobs on a [`ParRunner`], merged in job order. A
+//!    shard that dies at slot `d` crashes every session it still holds
+//!    at `d`; dispatch re-offered those with playout left. Each
 //!    shard job is fully seeded and self-contained, so the cluster
 //!    output is byte-identical at any `DMS_THREADS` — the same
 //!    replication contract every other sweep in this workspace obeys.
@@ -30,7 +32,7 @@
 use dms_serve::{
     FaultReport, RecoveryConfig, ServeError, ServeMetricsSink, ServerConfig, ServerSim, Workload,
 };
-use dms_sim::{FaultPlan, MetricsRegistry, ParRunner};
+use dms_sim::{FaultPlan, FaultSpec, MetricsRegistry, ParRunner};
 
 use crate::balancer::BalancerPolicy;
 use crate::endpoint::FleetEndpoint;
@@ -68,23 +70,6 @@ impl ClusterConfig {
         }
         self.recovery.validate()
     }
-}
-
-/// Faults striking one shard: a compiled in-shard plan plus the slot
-/// (if any) from which the balancer must treat the shard as dead.
-///
-/// `down_from` is the *balancer's* health view; the in-shard `plan`
-/// carries the simulation-level consequences (typically a
-/// `FaultSpec::CrashBurst` at the same slot killing the sessions in
-/// flight). Keeping the two explicit — rather than inferring health
-/// from the plan — models a fleet whose failure detector is a separate
-/// signal from the failure itself.
-#[derive(Debug, Clone, Default)]
-pub struct ShardFault {
-    /// Compiled fault schedule for the shard's own run.
-    pub plan: FaultPlan,
-    /// First slot at which the balancer routes around the shard.
-    pub down_from: Option<u64>,
 }
 
 /// The dispatch pass's routing ledger.
@@ -327,82 +312,84 @@ impl ClusterSim {
         self.run_faulted(workload, &[], None)
     }
 
-    /// Runs `workload` across the shards under per-shard fault plans,
-    /// optionally collecting one per-slot metrics sink per shard.
+    /// Runs `workload` across the shards, some of which may die,
+    /// optionally collecting one full-series per-slot metrics sink per
+    /// shard.
     ///
-    /// `faults` must be empty (no faults) or hold exactly one
-    /// [`ShardFault`] per shard. Shards run in parallel on a
-    /// [`ParRunner`] and are merged in shard order, so the report (and
-    /// the sinks) are byte-identical at any `DMS_THREADS`.
-    ///
-    /// If `sinks` arrives pre-seeded with exactly one sink per shard,
-    /// each entry is the corresponding shard's starting sink — the seam
-    /// for bounded-memory instrumentation (seed with
-    /// [`ServeMetricsSink::bounded`] prototypes). Otherwise fresh
-    /// full-series sinks are created per shard.
+    /// `deaths` must be empty (no shard dies) or hold one entry per
+    /// shard: the slot from which the shard is dead, if it dies. The
+    /// balancer routes around a dead shard from that slot and re-offers
+    /// the sessions in flight on it to the survivors; the shard itself
+    /// crashes every session it still holds there. Shards run in
+    /// parallel on a [`ParRunner`] and are merged in shard order, so
+    /// the report (and the sinks) are byte-identical at any
+    /// `DMS_THREADS`.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::InvalidParameter`] on a fault-list length
+    /// Returns [`ServeError::InvalidParameter`] on a death-list length
     /// mismatch; propagates template/config validation from the shard
     /// runs.
     pub fn run_faulted(
         &self,
         workload: &Workload,
-        faults: &[ShardFault],
+        deaths: &[Option<u64>],
         sinks: Option<&mut Vec<ServeMetricsSink>>,
     ) -> Result<ClusterReport, ServeError> {
-        let (shard_workloads, dispatch) = self.dispatch(workload, faults)?;
-        self.run_dispatched(shard_workloads, dispatch, faults, sinks)
+        let (shard_workloads, dispatch) = self.dispatch(workload, deaths)?;
+        self.run_dispatched(shard_workloads, dispatch, deaths, sinks)
     }
 
     /// The shard-execution phase alone: runs already-dispatched
     /// per-shard workloads (one per shard, as produced by
     /// [`ClusterSim::dispatch`] or a [`FleetEndpoint`]) on the fleet
-    /// and merges the reports.
+    /// and merges the reports. A shard with a death slot `d` crashes
+    /// every session it holds at `d` (a [`FaultSpec::CrashBurst`] of
+    /// fraction 1); a death at or past the horizon strikes nothing.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::InvalidParameter`] on a workload/fault
+    /// Returns [`ServeError::InvalidParameter`] on a workload/death
     /// list length mismatch; propagates shard-run validation.
     pub fn run_dispatched(
         &self,
         shard_workloads: Vec<Workload>,
         dispatch: DispatchReport,
-        faults: &[ShardFault],
+        deaths: &[Option<u64>],
         sinks: Option<&mut Vec<ServeMetricsSink>>,
     ) -> Result<ClusterReport, ServeError> {
         if shard_workloads.len() != self.config.shards.len() {
             return Err(ServeError::InvalidParameter("shard_workloads"));
         }
-        if !faults.is_empty() && faults.len() != self.config.shards.len() {
-            return Err(ServeError::InvalidParameter("faults"));
+        if !deaths.is_empty() && deaths.len() != self.config.shards.len() {
+            return Err(ServeError::InvalidParameter("deaths"));
         }
         let slots = shard_workloads.first().map_or(0, |w| w.slots);
-        let none_plan = FaultPlan::none(slots);
         let want_sinks = sinks.is_some();
-        // A pre-seeded sink per shard (e.g. bounded prototypes) is the
-        // shard's starting sink; anything else means fresh full-mode
-        // sinks sized for the horizon.
-        let seeded: Option<&[ServeMetricsSink]> = sinks
-            .as_deref()
-            .map(Vec::as_slice)
-            .filter(|s| s.len() == self.config.shards.len());
         let jobs: Vec<usize> = (0..self.config.shards.len()).collect();
         let results: Vec<Result<(FaultReport, ServeMetricsSink), ServeError>> = ParRunner::new()
             .map(&jobs, |&i| {
                 let server = ServerSim::new(self.config.shards[i])?;
-                let plan = faults.get(i).map_or(&none_plan, |f| &f.plan);
-                let mut sink = seeded.map_or_else(
-                    || ServeMetricsSink::with_capacity(if want_sinks { slots as usize } else { 0 }),
-                    |s| s[i].clone(),
-                );
+                let plan = match deaths.get(i).copied().flatten() {
+                    Some(slot) => FaultPlan::compile(
+                        &[FaultSpec::CrashBurst {
+                            slot,
+                            fraction: 1.0,
+                        }],
+                        slots,
+                        0,
+                    )
+                    .expect("a whole-set crash burst is a valid spec"),
+                    None => FaultPlan::none(slots),
+                };
+                let mut sink =
+                    ServeMetricsSink::with_capacity(if want_sinks { slots as usize } else { 0 });
                 // Shard-level recovery stays off: crashed sessions are
                 // re-routed *across* shards by the dispatch pass, not
                 // retried into the shard that lost them.
                 let report = server.run_faulted(
                     &shard_workloads[i],
-                    plan,
+                    &plan,
                     None,
                     want_sinks.then_some(&mut sink),
                 )?;
@@ -436,11 +423,8 @@ impl ClusterSim {
     pub fn dispatch(
         &self,
         workload: &Workload,
-        faults: &[ShardFault],
+        deaths: &[Option<u64>],
     ) -> Result<(Vec<Workload>, DispatchReport), ServeError> {
-        if !faults.is_empty() && faults.len() != self.config.shards.len() {
-            return Err(ServeError::InvalidParameter("faults"));
-        }
         // Pre-size the per-shard session lists from the workload: a
         // balanced fleet sees roughly `offered / shards` sessions per
         // shard.
@@ -449,7 +433,7 @@ impl ClusterSim {
             &self.config,
             workload.template,
             workload.slots,
-            faults,
+            deaths,
             per_shard_hint,
         )?;
         endpoint.offer_workload(workload)?;
@@ -513,17 +497,15 @@ mod tests {
     }
 
     #[test]
-    fn fault_list_length_must_match() {
+    fn death_list_length_must_match() {
         let wl = workload(0.5, 100, 60, 41);
         let template = wl.template;
         let sim = cluster(
             vec![shard_config(100, &template)],
             BalancerPolicy::RoundRobin,
         );
-        let err = sim
-            .run_faulted(&wl, &[ShardFault::default(), ShardFault::default()], None)
-            .unwrap_err();
-        assert_eq!(err, ServeError::InvalidParameter("faults"));
+        let err = sim.run_faulted(&wl, &[None, None], None).unwrap_err();
+        assert_eq!(err, ServeError::InvalidParameter("deaths"));
     }
 
     #[test]
@@ -633,16 +615,10 @@ mod tests {
             vec![shard_config(100, &template), shard_config(100, &template)],
             BalancerPolicy::PowerOfTwoChoices,
         );
-        let faults = vec![
-            ShardFault::default(),
-            ShardFault {
-                plan: FaultPlan::none(120),
-                down_from: Some(60),
-            },
-        ];
+        let deaths = [None, Some(60)];
         assert_eq!(
-            sim.dispatch(&unsorted, &faults).expect("dispatch runs"),
-            sim.dispatch(&sorted, &faults).expect("dispatch runs")
+            sim.dispatch(&unsorted, &deaths).expect("dispatch runs"),
+            sim.dispatch(&sorted, &deaths).expect("dispatch runs")
         );
     }
 
@@ -654,14 +630,8 @@ mod tests {
             vec![shard_config(100, &template), shard_config(100, &template)],
             BalancerPolicy::RoundRobin,
         );
-        let faults = vec![
-            ShardFault::default(),
-            ShardFault {
-                plan: FaultPlan::none(120),
-                down_from: Some(60),
-            },
-        ];
-        let (shard_wls, d) = sim.dispatch(&wl, &faults).expect("dispatch runs");
+        let deaths = [None, Some(60)];
+        let (shard_wls, d) = sim.dispatch(&wl, &deaths).expect("dispatch runs");
         assert!(shard_wls[1].sessions.iter().all(|s| s.arrival_slot < 60));
         assert!(d.rerouted > 0, "sessions in flight at the death re-offer");
         // Re-offers land on the survivor after the first backoff.
@@ -672,52 +642,22 @@ mod tests {
             .any(|s| s.arrival_slot == 60 + backoff));
     }
 
-    /// Pre-seeded bounded sinks flow through the shard fan-out: every
-    /// shard records into a bounded prototype, nothing accumulates
-    /// per-slot series, and the result is `DMS_THREADS`-independent
-    /// (the shard partition and job-order merge are fixed).
+    /// Asking for sinks collects one full-series sink per shard,
+    /// each as long as the run.
     #[test]
-    fn preseeded_bounded_sinks_reach_the_shards() {
+    fn requested_sinks_record_every_slot_of_every_shard() {
         let wl = workload(1.0, 200, 120, 45);
         let template = wl.template;
         let sim = cluster(
             vec![shard_config(100, &template), shard_config(100, &template)],
             BalancerPolicy::JoinShortestQueue,
         );
-        let mut sinks = vec![ServeMetricsSink::bounded(); 2];
+        let mut sinks: Vec<ServeMetricsSink> = Vec::new();
         let report = sim
             .run_faulted(&wl, &[], Some(&mut sinks))
             .expect("cluster runs");
         assert_eq!(sinks.len(), 2);
-        // Both shards export into one scope: counters add and the
-        // aggregates merge, as the fleet's own export does.
-        let mut reg = MetricsRegistry::new();
         for sink in &sinks {
-            sink.export(&mut reg, "fleet");
-        }
-        assert!(
-            matches!(reg.get("fleet/active"), Some(Metric::Sketch(_))),
-            "no per-slot series accumulate"
-        );
-        assert_eq!(
-            reg.get("fleet/slots"),
-            Some(&Metric::Counter(2 * report.slots))
-        );
-        let total_admitted: u64 = report.shards.iter().map(|s| s.base.admitted).sum();
-        assert_eq!(
-            reg.get("fleet/admitted_total"),
-            Some(&Metric::Counter(total_admitted))
-        );
-        assert!(
-            matches!(reg.get("fleet/departed"), Some(&Metric::Counter(n)) if n > 0),
-            "departures flow into the reservoir"
-        );
-
-        // Unseeded (or wrong-length) sinks still get full-series mode.
-        let mut plain: Vec<ServeMetricsSink> = Vec::new();
-        sim.run_faulted(&wl, &[], Some(&mut plain)).expect("runs");
-        assert_eq!(plain.len(), 2);
-        for sink in &plain {
             let mut reg = MetricsRegistry::new();
             sink.export(&mut reg, "shard");
             let Some(Metric::Series(active)) = reg.get("shard/active") else {

@@ -21,7 +21,7 @@
 //! balancer nor the controller), so it need not wait its turn.
 //!
 //! Two kinds of *edge* interleave with the offers: shard deaths from
-//! the fault list and, when [`AdaptiveSim`](crate::AdaptiveSim)
+//! the death list and, when [`AdaptiveSim`](crate::AdaptiveSim)
 //! attaches its controller, control boundaries. An edge at slot `b`
 //! fires once no offer before `b` remains — after every offer at
 //! `b - 1`, before any offer at `b`. A death and a scale-in drain take
@@ -39,7 +39,7 @@ use dms_serve::{RecoveryConfig, ServeError, SessionRequest, SessionTemplate, Wor
 
 use crate::adaptive::Controller;
 use crate::balancer::{Balancer, Route, ShardState};
-use crate::cluster::{ClusterConfig, DispatchReport, ShardFault};
+use crate::cluster::{ClusterConfig, DispatchReport};
 
 /// One offer in the dispatch stream; its slot is where it is filed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,8 +75,8 @@ pub struct FleetEndpoint {
     sessions: Vec<Vec<SessionRequest>>,
     /// Per shard, `(arrival, depart, id)` of the sessions a take-down
     /// could strand. Recorded only where one can strike — a shard with
-    /// a fault `down_from`, or any shard under a controller — so a
-    /// static fault-free fleet holds none.
+    /// a death slot, or any shard under a controller — so a static
+    /// fleet where no shard dies holds none.
     in_flight: Vec<Vec<(u64, u64, u64)>>,
     report: DispatchReport,
     /// Slot of the latest injected offer; `None` before the first.
@@ -88,24 +88,25 @@ pub struct FleetEndpoint {
 
 impl FleetEndpoint {
     /// Builds an endpoint whose balancer routes around the shard
-    /// deaths in `faults` (empty, or one entry per shard).
-    /// `per_shard_hint` pre-sizes the per-shard session lists.
+    /// deaths in `deaths` (empty, or one entry per shard: the slot from
+    /// which the shard is dead, if it dies). `per_shard_hint` pre-sizes
+    /// the per-shard session lists.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::InvalidParameter`] on a fault-list length
+    /// Returns [`ServeError::InvalidParameter`] on a death-list length
     /// mismatch; propagates config/template validation.
     pub fn with_faults(
         config: &ClusterConfig,
         template: SessionTemplate,
         slots: u64,
-        faults: &[ShardFault],
+        deaths: &[Option<u64>],
         per_shard_hint: usize,
     ) -> Result<Self, ServeError> {
         config.validate()?;
         template.validate()?;
-        if !faults.is_empty() && faults.len() != config.shards.len() {
-            return Err(ServeError::InvalidParameter("faults"));
+        if !deaths.is_empty() && deaths.len() != config.shards.len() {
+            return Err(ServeError::InvalidParameter("deaths"));
         }
         let shard_count = config.shards.len();
         let states: Vec<ShardState> = config
@@ -116,15 +117,15 @@ impl FleetEndpoint {
                 ShardState::new(
                     cfg.capacity,
                     template.full_bits(),
-                    faults.get(i).and_then(|f| f.down_from),
+                    deaths.get(i).copied().flatten(),
                     slots,
                 )
             })
             .collect::<Result<_, _>>()?;
-        let mut deaths: Vec<(u64, usize)> = faults
+        let mut deaths: Vec<(u64, usize)> = deaths
             .iter()
             .enumerate()
-            .filter_map(|(i, f)| f.down_from.map(|d| (d, i)))
+            .filter_map(|(i, d)| d.map(|d| (d, i)))
             .collect();
         deaths.sort_unstable();
         Ok(FleetEndpoint {
@@ -312,7 +313,7 @@ impl FleetEndpoint {
         self.calendar_cursor = self.calendar_cursor.min(slot);
     }
 
-    /// Takes the next shard death from the fault list down.
+    /// Takes the next shard death from the death list down.
     fn harvest_death(&mut self) {
         let (death_slot, shard) = self.deaths[self.next_death];
         self.next_death += 1;
@@ -407,7 +408,6 @@ mod tests {
     use dms_serve::{
         rate_for_load, AdmissionPolicy, ArrivalProcess, CapacityModel, DegradeConfig, ServerConfig,
     };
-    use dms_sim::FaultPlan;
 
     fn shard_config(sessions: u64, template: &SessionTemplate) -> ServerConfig {
         ServerConfig {
@@ -447,28 +447,22 @@ mod tests {
     fn endpoint_matches_batch_dispatch() {
         let wl = workload(1.3, 200, 120, 42);
         let template = wl.template;
-        let faults = [
-            ShardFault::default(),
-            ShardFault {
-                plan: FaultPlan::none(120),
-                down_from: Some(60),
-            },
-        ];
+        let deaths = [None, Some(60)];
         for balancer in [
             BalancerPolicy::RoundRobin,
             BalancerPolicy::JoinShortestQueue,
             BalancerPolicy::PowerOfTwoChoices,
         ] {
-            for fault_arm in [&[][..], &faults[..]] {
+            for death_arm in [&[][..], &deaths[..]] {
                 let cfg = config(
                     vec![shard_config(150, &template), shard_config(50, &template)],
                     balancer,
                 );
                 let sim = ClusterSim::new(cfg.clone()).expect("valid");
                 let (batch_wls, batch_report) =
-                    sim.dispatch(&wl, fault_arm).expect("dispatch runs");
+                    sim.dispatch(&wl, death_arm).expect("dispatch runs");
 
-                let mut ep = FleetEndpoint::with_faults(&cfg, template, wl.slots, fault_arm, 64)
+                let mut ep = FleetEndpoint::with_faults(&cfg, template, wl.slots, death_arm, 64)
                     .expect("valid");
                 let mut order: Vec<usize> = (0..wl.sessions.len()).collect();
                 order.sort_by_key(|&i| wl.sessions[i].arrival_slot);

@@ -15,20 +15,24 @@
 //!   lower predicted occupancy wins, same gate.
 //!
 //! Refused offers back off and retry through the cluster's
-//! [`dms_serve::RecoveryConfig`]; sessions in flight on a dying shard
-//! ([`ShardFault::down_from`]) are re-offered to the survivors after
-//! the first backoff delay. Dispatch is a single sequential pass, the
-//! shard simulations then fan out across [`dms_sim::ParRunner`] and
-//! merge in shard order — cluster runs are byte-identical at any
-//! `DMS_THREADS`, and a single-shard round-robin cluster reproduces a
-//! bare [`dms_serve::ServerSim::run`] bit for bit.
+//! [`dms_serve::RecoveryConfig`]. A shard dies at one slot, given per
+//! shard to [`ClusterSim::run_faulted`]: the balancer routes around it
+//! from that slot, the sessions in flight on it are re-offered to the
+//! survivors after the first backoff delay, and the shard's own run
+//! crashes what it still holds there. Dispatch is a single sequential
+//! pass, the shard simulations then fan out across
+//! [`dms_sim::ParRunner`] and merge in shard order — cluster runs are
+//! byte-identical at any `DMS_THREADS`, and a single-shard round-robin
+//! cluster reproduces a bare [`dms_serve::ServerSim::run`] bit for bit.
 //!
 //! [`FleetEndpoint`] is the only dispatcher: the batch
 //! [`ClusterSim::dispatch`] and the adaptive [`AdaptiveSim::dispatch`]
-//! both route through it. Shard
-//! deaths and (adaptive fleets only) control boundaries are edges in
-//! its offer merge: an edge at slot `b` fires after every offer before
-//! `b` and before any offer at `b`. Every dispatch pass ends with
+//! both route through it. Shard deaths and (adaptive fleets only)
+//! control boundaries are edges in its offer merge: an edge at slot
+//! `b` fires after every offer before `b` and before any offer at `b`.
+//! A scale-in drain is a death at its control boundary, and a warming
+//! shard is one the balancer does not route to yet; the shards
+//! themselves know neither. Every dispatch pass ends with
 //! [`DispatchReport::verify`], so a ledger that does not close is an
 //! error in release builds too.
 //!
@@ -58,7 +62,6 @@ pub use adaptive::{
 pub use balancer::BalancerPolicy;
 pub use cluster::{
     aggregate_utility, ClusterConfig, ClusterReport, ClusterSim, DispatchReport, LedgerError,
-    ShardFault,
 };
 pub use endpoint::FleetEndpoint;
 pub use tiers::{

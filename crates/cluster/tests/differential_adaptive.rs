@@ -11,10 +11,13 @@
 //! 2. **Conservation over scale events** — for arbitrary loads,
 //!    thresholds and warm-up costs, the fleet ledger still balances:
 //!    `dispatched + balancer_rejected + drained == offered + rerouted`,
-//!    every drained shard's in-flight victims re-offer exactly once
-//!    with their remaining duration, and no session is dispatched to
-//!    a shard outside its provisioned interval.
-//! 3. **Bandit determinism** — the same seed and trace yield the same
+//!    and every drained shard's in-flight victims re-offer exactly once
+//!    with their remaining duration.
+//! 3. **Warm-up and drain live in the balancer alone** — over every
+//!    autoscale setting, no session is dispatched to a shard before it
+//!    is warm or from its drain slot on, so the shards need no gate of
+//!    their own.
+//! 4. **Bandit determinism** — the same seed and trace yield the same
 //!    arm sequence and the same report, run after run.
 
 use dms_cluster::{
@@ -22,8 +25,8 @@ use dms_cluster::{
     ClusterSim,
 };
 use dms_serve::{
-    rate_for_load, AdmissionPolicy, ArrivalProcess, CapacityModel, DegradeConfig, RecoveryConfig,
-    ServerConfig, SessionTemplate, Workload,
+    rate_for_load, AdmissionPolicy, ArrivalProcess, CapacityModel, DegradeConfig, PiConfig,
+    RecoveryConfig, ServerConfig, SessionTemplate, Workload,
 };
 use dms_sim::MetricsRegistry;
 use proptest::prelude::*;
@@ -94,7 +97,7 @@ fn pinned_adaptive_matches_static_cluster_bit_for_bit() {
 
             let adaptive = AdaptiveSim::new(pinned(config, shards, policy, 99))
                 .expect("valid adaptive config");
-            let report = adaptive.run(&wl, None).expect("adaptive run");
+            let report = adaptive.run(&wl).expect("adaptive run");
 
             assert_eq!(
                 report.cluster, static_report,
@@ -121,8 +124,8 @@ fn pinned_adaptive_matches_static_cluster_bit_for_bit() {
 }
 
 /// A load burst against a small floor actually provisions spares, the
-/// warm-up gate keeps traffic off them until `provisioned + warmup`,
-/// and the bill counts the warming interval.
+/// balancer keeps traffic off them until `provisioned + warmup`, and
+/// the bill counts the warming interval.
 #[test]
 fn burst_provisions_spares_and_warmup_gates_routing() {
     let wl = workload(3.0, 30, 200, 84);
@@ -142,7 +145,7 @@ fn burst_provisions_spares_and_warmup_gates_routing() {
         seed: 7,
     })
     .expect("valid config");
-    let (workloads, _faults, report, control) = sim.dispatch(&wl).expect("dispatch");
+    let (workloads, report, control) = sim.dispatch(&wl).expect("dispatch");
     assert!(
         control.scale_events.iter().any(|e| e.up),
         "sustained 3x overload must scale up: {:?}",
@@ -210,7 +213,7 @@ fn drain_reoffers_each_victim_exactly_once_with_remaining_duration() {
         seed: 7,
     })
     .expect("valid config");
-    let (workloads, faults, report, control) = sim.dispatch(&wl).expect("dispatch");
+    let (workloads, report, control) = sim.dispatch(&wl).expect("dispatch");
     let drains: Vec<(usize, u64)> = control
         .drained_at
         .iter()
@@ -218,13 +221,22 @@ fn drain_reoffers_each_victim_exactly_once_with_remaining_duration() {
         .filter_map(|(i, d)| d.map(|at| (i, at)))
         .collect();
     assert!(!drains.is_empty(), "burst-then-silence must scale in");
-    assert!(!faults.is_empty(), "drains compile to crash plans");
 
     // Victims: sessions dispatched to a shard that straddle its drain
     // slot. Each re-offers exactly once, so `rerouted` is their count.
     let mut victims = 0u64;
+    let full = sim.run(&wl).expect("run");
     for &(i, at) in &drains {
-        assert_eq!(faults[i].down_from, Some(at));
+        // The shard's run dies at the drain slot: it crashes every
+        // session it still holds there, those ending at that slot
+        // included.
+        let held = workloads[i]
+            .sessions
+            .iter()
+            .filter(|s| s.arrival_slot < at && s.arrival_slot + s.duration_slots >= at)
+            .count() as u64;
+        assert!(held > 0, "shard {i} holds sessions at its drain");
+        assert_eq!(full.cluster.shards[i].crashed, held, "shard {i}");
         for s in &workloads[i].sessions {
             if s.arrival_slot < at && s.arrival_slot + s.duration_slots > at {
                 victims += 1;
@@ -282,8 +294,8 @@ fn bandit_arm_sequence_is_deterministic() {
         })
         .expect("valid config")
     };
-    let a = make().run(&wl, None).expect("run a");
-    let b = make().run(&wl, None).expect("run b");
+    let a = make().run(&wl).expect("run a");
+    let b = make().run(&wl).expect("run b");
     let arms_a: Vec<BalancerPolicy> = a.control.windows.iter().map(|w| w.arm).collect();
     let arms_b: Vec<BalancerPolicy> = b.control.windows.iter().map(|w| w.arm).collect();
     assert_eq!(arms_a, arms_b, "same seed + trace, same arm sequence");
@@ -301,9 +313,8 @@ proptest! {
     /// The fleet ledger balances for arbitrary loads, thresholds,
     /// warm-up costs and arm selections, however many scale events
     /// fire: `dispatched + balancer_rejected + drained ==
-    /// offered + rerouted`, shard workloads sum to the dispatch
-    /// count, and every dispatched session sits inside its shard's
-    /// provisioned interval.
+    /// offered + rerouted`, and shard workloads sum to the dispatch
+    /// count.
     #[test]
     fn adaptive_ledger_balances_over_arbitrary_scale_events(
         load in 0.3f64..2.5,
@@ -334,7 +345,7 @@ proptest! {
             seed,
         })
         .expect("valid config");
-        let (workloads, _faults, report, control) = sim.dispatch(&wl).expect("dispatch");
+        let (workloads, report, control) = sim.dispatch(&wl).expect("dispatch");
         prop_assert_eq!(report.offered, wl.sessions.len() as u64);
         prop_assert_eq!(
             report.dispatched + report.balancer_rejected + report.drained,
@@ -349,22 +360,6 @@ proptest! {
             report.shard_sessions.iter().sum::<u64>(),
             report.dispatched
         );
-        for (i, shard_wl) in workloads.iter().enumerate() {
-            match control.provisioned_at[i] {
-                None => prop_assert!(shard_wl.sessions.is_empty()),
-                Some(at) => {
-                    let gate = if at > 0 { at + warmup } else { 0 };
-                    let end = control.drained_at[i].unwrap_or(wl.slots);
-                    for s in &shard_wl.sessions {
-                        prop_assert!(
-                            s.arrival_slot >= gate && s.arrival_slot < end,
-                            "shard {} session at {} outside [{}, {})",
-                            i, s.arrival_slot, gate, end
-                        );
-                    }
-                }
-            }
-        }
         // Windows cover every routed offer (expired re-offers are
         // rejected before the window counter sees them).
         let windowed: u64 = control.windows.iter().map(|w| w.offered).sum();
@@ -373,7 +368,7 @@ proptest! {
             windowed <= report.dispatched + report.balancer_rejected + report.retries
         );
         // The full pipeline stays conserved after execution too.
-        let full = sim.run(&wl, None).expect("run");
+        let full = sim.run(&wl).expect("run");
         prop_assert_eq!(&full.cluster.dispatch, &report);
         // `rejected()` folds balancer refusals in with the in-shard
         // rejections, so the closed ledger is against offered+rerouted.
@@ -381,5 +376,75 @@ proptest! {
             full.cluster.admitted() + full.cluster.rejected(),
             report.offered + report.rerouted
         );
+    }
+
+    /// The balancer is the only warm-up gate and the only drain: over
+    /// shard bounds, control periods, thresholds, warm-up costs of 0–16
+    /// slots, every arm, the PI law on and off, loads and seeds, no
+    /// session dispatched to a shard provisioned at `a > 0` arrives
+    /// before `a + warmup_slots`, none dispatched to a drained shard
+    /// arrives at or after its drain slot, and a parked shard gets
+    /// none. Each admit-all shard then admits every session it is
+    /// offered: nothing reaches a shard that is not ready for it.
+    #[test]
+    fn shards_see_offers_only_between_warm_up_and_drain(
+        min_shards in 1usize..=3,
+        spares in 0usize..=3,
+        period in 1u64..40,
+        up_above in 0.5f64..4.0,
+        in_fraction in 0.0f64..1.0,
+        warmup in 0u64..=16,
+        arm in 0usize..4,
+        pi in proptest::bool::ANY,
+        load in 0.2f64..3.0,
+        seed in 0u64..1_000,
+    ) {
+        let wl = workload(load, 40 * min_shards as u64, 150, 5_000 + seed);
+        let mut shard = shard_config(40, &wl.template);
+        shard.degrade = Some(DegradeConfig {
+            pi: pi.then(PiConfig::default),
+            ..DegradeConfig::default()
+        });
+        let policies = [
+            BalancerPolicy::RoundRobin,
+            BalancerPolicy::JoinShortestQueue,
+            BalancerPolicy::PowerOfTwoChoices,
+        ];
+        let sim = AdaptiveSim::new(AdaptiveConfig {
+            shard,
+            autoscale: AutoscaleConfig {
+                min_shards,
+                max_shards: min_shards + spares,
+                control_period_slots: period,
+                scale_up_above: up_above,
+                scale_in_below: up_above * in_fraction,
+                warmup_slots: warmup,
+            },
+            arms: policies.get(arm).map_or_else(ArmSelection::ucb, |&p| ArmSelection::Fixed(p)),
+            recovery: RecoveryConfig::default(),
+            seed,
+        })
+        .expect("valid config");
+        let (workloads, _, control) = sim.dispatch(&wl).expect("dispatch");
+        for (i, shard_wl) in workloads.iter().enumerate() {
+            let Some(at) = control.provisioned_at[i] else {
+                prop_assert!(shard_wl.sessions.is_empty(), "parked shard {} got traffic", i);
+                continue;
+            };
+            let warm = if at > 0 { at + warmup } else { 0 };
+            let end = control.drained_at[i].unwrap_or(wl.slots);
+            for s in &shard_wl.sessions {
+                prop_assert!(
+                    s.arrival_slot >= warm && s.arrival_slot < end,
+                    "shard {} session at {} outside [{}, {})",
+                    i, s.arrival_slot, warm, end
+                );
+            }
+        }
+        let full = sim.run(&wl).expect("run");
+        for (i, report) in full.cluster.shards.iter().enumerate() {
+            prop_assert_eq!(report.base.offered, workloads[i].sessions.len() as u64);
+            prop_assert_eq!(report.base.admitted, report.base.offered, "shard {}", i);
+        }
     }
 }

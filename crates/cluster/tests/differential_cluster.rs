@@ -16,7 +16,7 @@
 //!    `dispatched + balancer_rejected == offered + rerouted` and the
 //!    shard ledgers sum back to the dispatch ledger.
 
-use dms_cluster::{aggregate_utility, BalancerPolicy, ClusterConfig, ClusterSim, ShardFault};
+use dms_cluster::{aggregate_utility, BalancerPolicy, ClusterConfig, ClusterSim};
 use dms_serve::{
     rate_for_load, AdmissionPolicy, ArrivalProcess, CapacityModel, DegradeConfig, RecoveryConfig,
     ServeMetricsSink, ServerConfig, ServerSim, SessionTemplate, Workload,
@@ -116,7 +116,9 @@ fn single_shard_smart_balancers_match_at_low_load() {
 }
 
 /// Killing one of two shards re-offers its in-flight sessions to the
-/// survivor and keeps the ledgers conserved.
+/// survivor and keeps the ledgers conserved. The dead shard runs what
+/// was routed to it as the bare server does under a crash burst that
+/// takes its whole active set at the death slot.
 #[test]
 fn crash_rerouting_conserves_and_reaches_the_survivor() {
     let wl = workload(0.7, 200, 160, 75);
@@ -127,24 +129,21 @@ fn crash_rerouting_conserves_and_reaches_the_survivor() {
         BalancerPolicy::JoinShortestQueue,
         99,
     );
-    let faults = vec![
-        ShardFault::default(),
-        ShardFault {
-            plan: FaultPlan::compile(
-                &[FaultSpec::CrashBurst {
-                    slot: death,
-                    fraction: 1.0,
-                }],
-                wl.slots,
-                7,
-            )
-            .expect("valid spec"),
-            down_from: Some(death),
-        },
-    ];
-    let report = sim.run_faulted(&wl, &faults, None).expect("cluster run");
+    let deaths = [None, Some(death)];
+    let report = sim.run_faulted(&wl, &deaths, None).expect("cluster run");
     assert!(report.dispatch.rerouted > 0, "in-flight sessions re-offer");
     assert!(report.shards[1].crashed > 0, "the dead shard crashed them");
+    let (shard_wls, _) = sim.dispatch(&wl, &deaths).expect("dispatch runs");
+    let burst = [FaultSpec::CrashBurst {
+        slot: death,
+        fraction: 1.0,
+    }];
+    let plan = FaultPlan::compile(&burst, wl.slots, 7).expect("valid spec");
+    let bare = ServerSim::new(shard_config(100, &template))
+        .expect("valid config")
+        .run_faulted(&shard_wls[1], &plan, None, None)
+        .expect("bare run");
+    assert_eq!(report.shards[1], bare);
     let d = &report.dispatch;
     assert_eq!(d.dispatched + d.balancer_rejected, d.offered + d.rerouted);
     let shard_offered: u64 = report.shards.iter().map(|s| s.base.offered).sum();
@@ -183,28 +182,12 @@ proptest! {
             .map(|i| shard_config(if i % 2 == 0 { 60 } else { 20 }, &template))
             .collect();
         let sim = cluster(shards, balancer, seed);
-        let faults: Vec<ShardFault> = if crash {
-            (0..shard_count)
-                .map(|i| {
-                    if i == shard_count - 1 {
-                        ShardFault {
-                            plan: FaultPlan::compile(
-                                &[FaultSpec::CrashBurst { slot: 50, fraction: 1.0 }],
-                                wl.slots,
-                                7,
-                            )
-                            .expect("valid spec"),
-                            down_from: Some(50),
-                        }
-                    } else {
-                        ShardFault::default()
-                    }
-                })
-                .collect()
+        let deaths: Vec<Option<u64>> = if crash {
+            (0..shard_count).map(|i| (i == shard_count - 1).then_some(50)).collect()
         } else {
             Vec::new()
         };
-        let report = sim.run_faulted(&wl, &faults, None).expect("cluster run");
+        let report = sim.run_faulted(&wl, &deaths, None).expect("cluster run");
         let d = &report.dispatch;
         prop_assert_eq!(d.offered, wl.sessions.len() as u64);
         prop_assert_eq!(d.dispatched + d.balancer_rejected, d.offered + d.rerouted);

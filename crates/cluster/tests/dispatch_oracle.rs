@@ -18,9 +18,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use dms_cluster::{
-    BalancerPolicy, ClusterConfig, ClusterSim, DispatchReport, FleetEndpoint, ShardFault,
-};
+use dms_cluster::{BalancerPolicy, ClusterConfig, ClusterSim, DispatchReport, FleetEndpoint};
 use dms_serve::{
     rate_for_load, AdmissionController, AdmissionPolicy, ArrivalProcess, CapacityModel,
     RecoveryConfig, ServerConfig, SessionRequest, SessionTemplate, Workload,
@@ -198,15 +196,15 @@ impl Oracle {
     fn dispatch(
         mut self,
         workload: &Workload,
-        faults: &[ShardFault],
+        deaths: &[Option<u64>],
     ) -> (Vec<Vec<SessionRequest>>, DispatchReport) {
         let mut injected = workload.sessions.clone();
         injected.sort_by_key(|s| s.arrival_slot);
         let mut injected = injected.into_iter().peekable();
-        let mut deaths: Vec<(u64, usize)> = faults
+        let mut deaths: Vec<(u64, usize)> = deaths
             .iter()
             .enumerate()
-            .filter_map(|(i, f)| f.down_from.map(|d| (d, i)))
+            .filter_map(|(i, d)| d.map(|d| (d, i)))
             .collect();
         deaths.sort_unstable();
         let mut deaths = deaths.into_iter().peekable();
@@ -315,11 +313,11 @@ proptest! {
             },
             seed,
         };
-        let mut faults = Vec::new();
+        let mut death_slots = Vec::new();
         if !deaths.is_empty() {
-            faults = vec![ShardFault::default(); capacities.len()];
+            death_slots = vec![None; capacities.len()];
             for &(shard, at, x) in &deaths {
-                faults[shard % capacities.len()].down_from = Some(match at {
+                death_slots[shard % capacities.len()] = Some(match at {
                     0 => 0,
                     1 => x % slots,
                     _ => slots + x % 40,
@@ -329,17 +327,17 @@ proptest! {
 
         let (workloads, report) = ClusterSim::new(config.clone())
             .expect("valid config")
-            .dispatch(&workload, &faults)
+            .dispatch(&workload, &death_slots)
             .expect("dispatch runs");
         let (sessions, oracle) =
-            Oracle::new(&config, &template, slots).dispatch(&workload, &faults);
+            Oracle::new(&config, &template, slots).dispatch(&workload, &death_slots);
         prop_assert_eq!(&report, &oracle);
         prop_assert_eq!(workloads.len(), sessions.len());
         for (shard, (w, s)) in workloads.iter().zip(&sessions).enumerate() {
             prop_assert_eq!(&w.sessions, s, "shard {}", shard);
         }
 
-        let mut endpoint = FleetEndpoint::with_faults(&config, template, slots, &faults, 0)
+        let mut endpoint = FleetEndpoint::with_faults(&config, template, slots, &death_slots, 0)
             .expect("valid config");
         let mut offers = workload.sessions.clone();
         offers.sort_by_key(|s| s.arrival_slot);

@@ -24,9 +24,15 @@
 //! slot the wall clock has already passed simply lands on the next
 //! unstepped slot — [`dms_serve::ServerEngine::offer`]'s late-frame
 //! rule. An offer that would land at or past the horizon could never
-//! be decided, so it is a [`NetError::Protocol`] violation too, and
-//! the engine never sees it; a heartbeat past the horizon is clamped
-//! to it.
+//! be decided, and one of zero duration has nothing to play, so each
+//! is a [`NetError::Protocol`] violation too, and the engine never
+//! sees it; a heartbeat past the horizon is clamped to it.
+//!
+//! A session that fails still delivers what was decided:
+//! [`serve_connection`] writes the replies already pushed for earlier
+//! frames, then a [`Frame::Shutdown`] whose nonzero `reason` names the
+//! error's class, then returns the error. The client reads that
+//! shutdown as an error, not as a clean close.
 //!
 //! On [`Frame::Shutdown`] the driver drains every remaining slot so
 //! in-flight sessions play out, then checks its own counts of offers
@@ -186,8 +192,8 @@ impl SessionDriver {
     /// [`NetError::Protocol`] on out-of-order frames (offer before
     /// hello, slot going backwards, frames after shutdown, verdict
     /// frames sent *to* the server) and on an offer that would land at
-    /// or past the horizon, which is refused before the engine steps
-    /// or counts it; [`NetError::Ledger`] if at
+    /// or past the horizon or has zero duration, which is refused
+    /// before the engine steps or counts it; [`NetError::Ledger`] if at
     /// shutdown the driver's counts disagree with the engine's,
     /// [`NetError::Io`] if the attached run-log fails to write.
     pub fn on_frame(&mut self, frame: Frame, out: &mut Vec<Frame>) -> Result<(), NetError> {
@@ -231,6 +237,9 @@ impl SessionDriver {
                 // The engine would count it and never decide it.
                 if arrival_slot.max(self.engine.slot()) >= self.engine.horizon() {
                     return Err(NetError::Protocol("offer past the horizon"));
+                }
+                if duration_slots == 0 {
+                    return Err(NetError::Protocol("offer with zero duration"));
                 }
                 self.last_offer_slot = arrival_slot;
                 self.advance_to(arrival_slot, out)?;
@@ -344,17 +353,66 @@ impl SessionDriver {
     }
 }
 
+/// What the nonzero `Shutdown` reasons name: reason `k` is the error
+/// class at index `k - 1`, as the client reports it.
+const ERROR_CLASSES: [&str; 5] = [
+    "server refused a malformed frame",
+    "server refused a protocol violation",
+    "server refused the protocol version",
+    "server ledger mismatch at shutdown",
+    "server I/O error",
+];
+
+/// The `Shutdown` reason that names `error`'s class.
+fn shutdown_reason(error: &NetError) -> u8 {
+    match error {
+        NetError::Frame(_) => 1,
+        NetError::Protocol(_) => 2,
+        NetError::Version { .. } => 3,
+        NetError::Ledger { .. } => 4,
+        NetError::Io(_) | NetError::Closed | NetError::RetriesExhausted => 5,
+    }
+}
+
+/// The error a client reports for a nonzero `Shutdown` reason.
+fn peer_error(reason: u8) -> NetError {
+    let class = usize::from(reason).checked_sub(1);
+    NetError::Protocol(
+        class
+            .and_then(|i| ERROR_CLASSES.get(i))
+            .copied()
+            .unwrap_or("server ended the session on an error"),
+    )
+}
+
+/// Applies every whole frame `codec` holds, pushing replies into `out`.
+fn apply_frames(
+    codec: &mut FrameCodec,
+    driver: &mut SessionDriver,
+    out: &mut Vec<Frame>,
+) -> Result<(), NetError> {
+    while let Some(frame) = codec.next_frame()? {
+        driver.on_frame(frame, out)?;
+    }
+    Ok(())
+}
+
 /// Runs a [`SessionDriver`] over a connection: decode frames, apply,
 /// write replies, until the driver reports done. Returns once the
 /// shutdown ack has been flushed.
+///
+/// When a frame fails to decode or to apply, the replies already
+/// pushed for earlier frames are still written, then a
+/// [`Frame::Shutdown`] whose nonzero `reason` names the error's class,
+/// and then the error is returned.
 ///
 /// # Errors
 ///
 /// [`NetError::Closed`] if the peer disconnects before a graceful
 /// shutdown; frame/protocol errors from the driver; I/O errors from
-/// the socket.
-pub fn serve_connection(
-    conn: &mut NetConnection,
+/// the connection.
+pub fn serve_connection<C: Read + Write>(
+    conn: &mut C,
     driver: &mut SessionDriver,
 ) -> Result<(), NetError> {
     let mut codec = FrameCodec::new();
@@ -367,18 +425,26 @@ pub fn serve_connection(
             return Err(NetError::Closed);
         }
         codec.push(&buf[..n]);
-        while let Some(frame) = codec.next_frame()? {
-            driver.on_frame(frame, &mut out)?;
+        let applied = apply_frames(&mut codec, driver, &mut out);
+        if let Err(e) = &applied {
+            out.push(Frame::Shutdown {
+                reason: shutdown_reason(e),
+            });
         }
-        if !out.is_empty() {
+        let written = if out.is_empty() {
+            Ok(())
+        } else {
             wire.clear();
             for f in &out {
                 f.encode_into(&mut wire);
             }
-            conn.write_all(&wire)?;
-            conn.flush()?;
             out.clear();
-        }
+            conn.write_all(&wire).and_then(|()| conn.flush())
+        };
+        // The error that ended the session outranks a failure to tell
+        // the peer about it.
+        applied?;
+        written?;
         if driver.is_done() {
             return Ok(());
         }
@@ -458,7 +524,9 @@ pub fn run_loadgen(
     Ok(report)
 }
 
-fn read_until_shutdown(mut conn: NetConnection) -> Result<LoadgenReport, NetError> {
+/// Counts the server's frames until its `Shutdown`; a nonzero reason
+/// is the server's error, not a clean close.
+fn read_until_shutdown<R: Read>(mut conn: R) -> Result<LoadgenReport, NetError> {
     let mut codec = FrameCodec::new();
     let mut buf = [0u8; 16 * 1024];
     let mut report = LoadgenReport::default();
@@ -478,7 +546,8 @@ fn read_until_shutdown(mut conn: NetConnection) -> Result<LoadgenReport, NetErro
                         });
                     }
                 }
-                Frame::Shutdown { .. } => return Ok(report),
+                Frame::Shutdown { reason: 0 } => return Ok(report),
+                Frame::Shutdown { reason } => return Err(peer_error(reason)),
                 other => report.absorb(&other),
             }
         }
@@ -712,12 +781,13 @@ mod tests {
         }
     }
 
-    /// An offer stamped at or past the horizon could never be decided.
-    /// It is refused before the engine steps or counts it, so it
-    /// neither drains the run nor blocks later offers, and the shutdown
-    /// ledger holds only the offers that were decided.
+    /// An offer stamped at or past the horizon could never be decided,
+    /// and one of zero duration has nothing to play. Each is refused
+    /// before the engine steps or counts it, so it neither drains the
+    /// run nor blocks later offers, and the shutdown ledger holds only
+    /// the offers that were decided.
     #[test]
-    fn an_offer_past_the_horizon_is_refused_before_the_engine_sees_it() {
+    fn an_offer_past_the_horizon_or_of_zero_length_is_refused_before_the_engine_sees_it() {
         let (cfg, workload) = setup(1.0, 50, 3);
         let dir = temp_dir("past_horizon");
         let mut driver = driver_for(&cfg, &workload);
@@ -732,6 +802,16 @@ mod tests {
                 "slot {arrival_slot}: {err:?}"
             );
         }
+        let zero_length = Frame::Offer {
+            id: 7,
+            arrival_slot: 2,
+            duration_slots: 0,
+        };
+        let err = driver.on_frame(zero_length, &mut out);
+        assert!(
+            matches!(err, Err(NetError::Protocol("offer with zero duration"))),
+            "{err:?}"
+        );
         assert_eq!((driver.engine().slot(), driver.engine().offered()), (0, 0));
         assert!(out.is_empty(), "no slot was stepped");
 
@@ -843,6 +923,97 @@ mod tests {
                 engine,
             }) => assert_eq!((driver, engine), (admitted + 1, admitted)),
             other => panic!("expected a ledger error, got {other:?}"),
+        }
+    }
+
+    /// An in-memory connection: reads hand out `input` in the pieces
+    /// that the offsets in `cuts` split it into; writes collect in
+    /// `output`.
+    struct Pieces {
+        input: Vec<u8>,
+        cuts: Vec<usize>,
+        read: usize,
+        output: Vec<u8>,
+    }
+
+    impl Read for Pieces {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let cut = self
+                .cuts
+                .iter()
+                .copied()
+                .find(|&c| c > self.read)
+                .unwrap_or(self.input.len());
+            let n = (cut - self.read).min(buf.len());
+            buf[..n].copy_from_slice(&self.input[self.read..self.read + n]);
+            self.read += n;
+            Ok(n)
+        }
+    }
+
+    impl Write for Pieces {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.output.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A session that fails keeps what was decided. Hello, offers at
+    /// slots 0 and 5, and an offer past a 50-slot horizon arrive in one
+    /// write, read whole, split at any one byte boundary, or a byte at
+    /// a time. Every way, the client reads the `Hello` ack, the verdict
+    /// the engine decided for the first offer and a `Shutdown` naming a
+    /// protocol violation, and reports that shutdown as the server's
+    /// error.
+    #[test]
+    fn a_failed_session_sends_its_decided_verdicts_and_a_shutdown_naming_the_error() {
+        let (cfg, workload) = setup(1.0, 50, 1);
+        let mut input = Vec::new();
+        for frame in [hello(50), offer(1, 0), offer(2, 5), offer(3, 60)] {
+            frame.encode_into(&mut input);
+        }
+        let mut splits: Vec<Vec<usize>> = (0..=input.len()).map(|k| vec![k]).collect();
+        splits.push((1..input.len()).collect());
+        for cuts in splits {
+            let mut conn = Pieces {
+                input: input.clone(),
+                cuts: cuts.clone(),
+                read: 0,
+                output: Vec::new(),
+            };
+            let mut driver = driver_for(&cfg, &workload);
+            let err = serve_connection(&mut conn, &mut driver);
+            assert!(
+                matches!(err, Err(NetError::Protocol("offer past the horizon"))),
+                "cuts {cuts:?}: {err:?}"
+            );
+            let mut codec = FrameCodec::new();
+            codec.push(&conn.output);
+            let mut frames = Vec::new();
+            while let Some(frame) = codec.next_frame().expect("well-formed replies") {
+                frames.push(frame);
+            }
+            assert_eq!(
+                frames,
+                [
+                    hello(50),
+                    Frame::Admit { id: 1, slot: 0 },
+                    Frame::Shutdown { reason: 2 },
+                ],
+                "cuts {cuts:?}"
+            );
+            let seen = read_until_shutdown(conn.output.as_slice());
+            assert!(
+                matches!(
+                    seen,
+                    Err(NetError::Protocol("server refused a protocol violation"))
+                ),
+                "{seen:?}"
+            );
         }
     }
 }

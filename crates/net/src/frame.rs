@@ -96,9 +96,12 @@ pub enum Frame {
         slot: u64,
     },
     /// Graceful end of stream. The initiator sends it, the server
-    /// drains in-flight sessions and acks with its own `Shutdown`.
+    /// drains in-flight sessions and acks with its own `Shutdown`. A
+    /// server that fails a session sends one with a nonzero reason.
     Shutdown {
-        /// 0 = drain (graceful), anything else names an error class.
+        /// 0 = drain (graceful), anything else names an error class:
+        /// 1 a malformed frame, 2 a protocol violation, 3 a version
+        /// mismatch, 4 a ledger mismatch, 5 an I/O error.
         reason: u8,
     },
 }

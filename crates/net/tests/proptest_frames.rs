@@ -148,12 +148,13 @@ proptest! {
         while let Ok(Some(_)) = codec.next_frame() {}
     }
 
-    /// Any offer stream a peer may send in slot order — durations up
-    /// to `u64::MAX`, arrivals past the horizon — drives the server to
-    /// shutdown without a panic. Exactly the offers at or past the
-    /// horizon are refused with a typed error, before the engine
-    /// counts them. The summary ledger closes with nothing drained, and
-    /// every decided offer gets exactly one verdict frame.
+    /// Any offer stream a peer may send in slot order — durations from
+    /// 0 to `u64::MAX`, arrivals past the horizon — drives the server
+    /// to shutdown without a panic. Exactly the offers at or past the
+    /// horizon and the zero-length ones are refused with a typed error,
+    /// before the engine counts them. The summary ledger closes with
+    /// nothing drained, and every decided offer gets exactly one
+    /// verdict frame.
     #[test]
     fn hostile_offers_close_the_driver_ledger(
         horizon in 1u64..=64,
@@ -199,6 +200,9 @@ proptest! {
                 Err(NetError::Protocol("offer past the horizon")) => {
                     prop_assert!(req.arrival_slot >= horizon);
                 }
+                Err(NetError::Protocol("offer with zero duration")) => {
+                    prop_assert!(req.arrival_slot < horizon && req.duration_slots == 0);
+                }
                 Err(e) => panic!("offer {}: {e}", req.id),
             }
         }
@@ -224,8 +228,11 @@ proptest! {
             }
         };
         let offered = field("offered");
-        let in_horizon = offers.iter().filter(|r| r.arrival_slot < horizon).count() as u64;
-        prop_assert_eq!((offered, accepted), (in_horizon, in_horizon));
+        let decidable = offers
+            .iter()
+            .filter(|r| r.arrival_slot < horizon && r.duration_slots > 0)
+            .count() as u64;
+        prop_assert_eq!((offered, accepted), (decidable, decidable));
         prop_assert_eq!(field("drained"), 0);
         prop_assert_eq!(field("admitted") + field("rejected"), offered);
         prop_assert_eq!(verdicts(true), field("admitted"));

@@ -178,13 +178,6 @@ impl AdmissionController {
         admit
     }
 
-    /// Records a rejection decided *outside* the predictor — e.g. the
-    /// warm-up gate turning arrivals away before the shard is ready —
-    /// keeping the `admitted + rejected == offered` ledger exact.
-    pub fn record_rejection(&mut self) {
-        self.rejected += 1;
-    }
-
     /// Sessions admitted so far.
     #[must_use]
     pub fn admitted(&self) -> u64 {

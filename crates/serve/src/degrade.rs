@@ -114,10 +114,6 @@ pub struct DegradeConfig {
     /// Closed-loop PI shedding on the measured deadline-miss rate.
     /// `None` keeps the open-loop hysteresis law above, bit for bit.
     pub pi: Option<PiConfig>,
-    /// Warm-up: the server rejects every arrival offered before this
-    /// slot (a freshly provisioned shard serves nothing while it
-    /// fills caches / pages in state). `0` = always warm.
-    pub warmup_slots: u64,
 }
 
 impl Default for DegradeConfig {
@@ -127,7 +123,6 @@ impl Default for DegradeConfig {
             restore_below: 0.9,
             min_layers: 0,
             pi: None,
-            warmup_slots: 0,
         }
     }
 }

@@ -447,9 +447,6 @@ pub struct ServerEngine {
     /// pure, and nearly every session in a slot gets the same grant.
     utility_memo: (u64, f64),
 
-    /// Arrivals before this slot are rejected outright (the warm-up
-    /// cost of a freshly provisioned shard); `0` = always warm.
-    warmup_slots: u64,
     /// Previous slot's deadline-miss count / active-set size — the
     /// measurement the PI shedding law closes its loop on.
     prev_misses: u64,
@@ -528,7 +525,6 @@ impl ServerEngine {
             stall_streak: 0,
             settled: true,
             utility_memo: (full_bits, template.utility(full_bits)),
-            warmup_slots: config.degrade.map_or(0, |d| d.warmup_slots),
             prev_misses: 0,
             prev_active: 0,
             slot: 0,
@@ -952,16 +948,9 @@ impl ServerEngine {
     /// Decides a first offer at `slot` and admits it, or records the
     /// rejection.
     fn arrive(&mut self, slot: u64, id: u64, duration: u64) {
-        let admitted = if slot < self.warmup_slots {
-            // Warm-up gate: the shard exists but is not ready to serve;
-            // the rejection is recorded so `admitted + rejected ==
-            // offered` stays exact.
-            self.admission.record_rejection();
-            false
-        } else {
-            self.memo
-                .decide(&mut self.admission, self.arena.live() as u64)
-        };
+        let admitted = self
+            .memo
+            .decide(&mut self.admission, self.arena.live() as u64);
         if let Some(v) = self.verdicts.as_mut() {
             v.push((id, admitted));
         }
@@ -1002,10 +991,9 @@ impl ServerEngine {
         // Re-admissions preview the predicate without recording: the
         // `admitted + rejected == offered` ledger counts each session's
         // first offer once.
-        if slot >= self.warmup_slots
-            && self
-                .memo
-                .would_admit(&self.admission, self.arena.live() as u64)
+        if self
+            .memo
+            .would_admit(&self.admission, self.arena.live() as u64)
         {
             self.report.readmitted += 1;
             let depart_slot = slot.saturating_add(remaining);
@@ -1791,7 +1779,7 @@ mod tests {
 
     /// A six-session link under the queue predictor, so the frontier
     /// binds and a verdict depends on what drained before it.
-    fn tight_config(warmup_slots: u64) -> (ServerConfig, SessionTemplate) {
+    fn tight_config() -> (ServerConfig, SessionTemplate) {
         let template = SessionTemplate::streaming_default().expect("preset valid");
         let cfg = ServerConfig {
             capacity: CapacityModel {
@@ -1800,10 +1788,7 @@ mod tests {
                 occupancy_bound: 8.0,
             },
             policy: AdmissionPolicy::QueuePredictor,
-            degrade: Some(DegradeConfig {
-                warmup_slots,
-                ..DegradeConfig::default()
-            }),
+            degrade: Some(DegradeConfig::default()),
             buffer_slots: 4,
             miss_slots: 2,
         };
@@ -1874,16 +1859,15 @@ mod tests {
         /// ascending, backwards, late, at and past the horizon, with
         /// ids that repeat, count up, jump or go backwards, and
         /// durations on both sides of what a queue word holds), under
-        /// crashes, stalls, retries, timeouts and a warm-up gate, the
-        /// verdict stream slot by slot and the final report equal an
-        /// engine's that files every offer in the calendar.
+        /// crashes, stalls, retries and timeouts, the verdict stream
+        /// slot by slot and the final report equal an engine's that
+        /// files every offer in the calendar.
         #[test]
         fn arrival_queue_matches_the_calendar_path(
             horizon in 1u64..40,
-            warmup in 0u64..3,
             ops in collection::vec((drive_op(), id_step()), 0..120),
         ) {
-            let (cfg, template) = tight_config(warmup);
+            let (cfg, template) = tight_config();
             let specs = [
                 FaultSpec::CrashBurst { slot: 4, fraction: 0.5 },
                 FaultSpec::SlotStalls { start_slot: 9, duration_slots: 3 },
@@ -1945,7 +1929,7 @@ mod tests {
     /// which were scheduled before it.
     #[test]
     fn a_backwards_offer_drains_after_the_queued_run() {
-        let (cfg, template) = tight_config(0);
+        let (cfg, template) = tight_config();
         let mut engine = ServerEngine::new(&cfg, template, 10).expect("valid");
         engine.record_verdicts(true);
         for (id, arrival_slot) in [(1, 2), (2, 5), (3, 2), (4, 5)] {
@@ -1980,7 +1964,7 @@ mod tests {
     /// frontier first; an offer for slot 3 still takes the queue.
     #[test]
     fn an_offer_filed_after_a_departure_at_its_slot_drains_after_it() {
-        let (cfg, template) = tight_config(0);
+        let (cfg, template) = tight_config();
         let mut engine = ServerEngine::new(&cfg, template, 10).expect("valid");
         engine.record_verdicts(true);
         for id in 0..20 {
@@ -2026,7 +2010,11 @@ mod tests {
     #[test]
     fn an_engine_fed_slot_by_slot_keeps_the_queue_at_one_batch() {
         let slots = 1_100u64;
-        let (cfg, template) = tight_config(slots);
+        // A one-bit link: one session already overflows the predictor's
+        // bound, so the admission frontier is 0 and every offer is
+        // refused.
+        let (mut cfg, template) = tight_config();
+        cfg.capacity.link_bits_per_slot = 1;
         let mut engine = ServerEngine::new(&cfg, template, slots).expect("valid");
         let (mut id, mut largest, mut capacity) = (0u64, 0usize, 0usize);
         for slot in 0..slots {
@@ -2052,7 +2040,7 @@ mod tests {
         }
         assert_eq!(engine.arrivals.words.capacity(), capacity);
         assert_eq!(pending(&engine.calendar), 0);
-        assert_eq!(engine.rejected(), id, "the warm-up gate refused all");
+        assert_eq!(engine.rejected(), id, "the frontier refused all");
     }
 
     fn add_loop(sum: f64, u: f64, n: u64) -> f64 {
@@ -2439,11 +2427,11 @@ mod tests {
         (engine.finish(), sink)
     }
 
-    /// `ReferenceServerSim` predates the PI shedding law and the
-    /// warm-up gate, so for those the oracle of the settled-cohort
-    /// step is the engine's own per-session path, at cohort scale and
-    /// under every fault kind, into a full-series sink and a bounded
-    /// one, which alone records each departure's miss streak.
+    /// `ReferenceServerSim` predates the PI shedding law, so for it
+    /// the oracle of the settled-cohort step is the engine's own
+    /// per-session path, at cohort scale and under every fault kind,
+    /// into a full-series sink and a bounded one, which alone records
+    /// each departure's miss streak.
     #[test]
     fn settled_cohort_step_matches_the_per_session_path() {
         let slots = 200u64;
@@ -2474,7 +2462,6 @@ mod tests {
         let hysteresis = DegradeConfig::default();
         let pi = DegradeConfig {
             pi: Some(PiConfig::default()),
-            warmup_slots: 10,
             ..hysteresis
         };
         for degrade in [None, Some(hysteresis), Some(pi)] {

@@ -68,18 +68,13 @@ impl ReferenceServerSim {
     /// # Errors
     ///
     /// Propagates [`ServerConfig::validate`] failures, and returns
-    /// [`ServeError::InvalidParameter`] for a degrade configuration the
-    /// seed loop does not model: the PI shedding law (`pi`) or a
-    /// warm-up gate (`warmup_slots`). It runs the hysteresis law only.
+    /// [`ServeError::InvalidParameter`] for the one degrade
+    /// configuration the seed loop does not model, the PI shedding law
+    /// (`pi`). It runs the hysteresis law only.
     pub fn new(config: ServerConfig) -> Result<Self, ServeError> {
         config.validate()?;
-        if let Some(degrade) = config.degrade {
-            if degrade.pi.is_some() {
-                return Err(ServeError::InvalidParameter("pi"));
-            }
-            if degrade.warmup_slots != 0 {
-                return Err(ServeError::InvalidParameter("warmup_slots"));
-            }
+        if config.degrade.is_some_and(|d| d.pi.is_some()) {
+            return Err(ServeError::InvalidParameter("pi"));
         }
         Ok(ReferenceServerSim { config })
     }
@@ -442,9 +437,9 @@ mod tests {
         }
     }
 
-    /// The seed loop runs only the hysteresis law and has no warm-up
-    /// gate, so a configuration asking for either is refused rather
-    /// than run under a law it does not ask for.
+    /// The seed loop runs only the hysteresis law, so a configuration
+    /// asking for the PI law is refused rather than run under a law it
+    /// does not ask for.
     #[test]
     fn unmodelled_degrade_laws_are_typed_errors() {
         let pi = DegradeConfig {
@@ -454,14 +449,6 @@ mod tests {
         assert_eq!(
             ReferenceServerSim::new(config(pi)).err(),
             Some(ServeError::InvalidParameter("pi"))
-        );
-        let warmup = DegradeConfig {
-            warmup_slots: 10,
-            ..DegradeConfig::default()
-        };
-        assert_eq!(
-            ReferenceServerSim::new(config(warmup)).err(),
-            Some(ServeError::InvalidParameter("warmup_slots"))
         );
         assert!(ReferenceServerSim::new(config(DegradeConfig::default())).is_ok());
     }
